@@ -222,6 +222,10 @@ def diff(grid: StaggeredGrid, axis: int, side: int, field: np.ndarray) -> np.nda
     paired rho points.  ``diff(grid, j, -1, .)`` is the negated transpose of
     ``diff(grid, j, +1, .)``, which gives exact summation by parts on the
     periodic lattice.
+
+    The stencil is two slice subtractions into one output array (interior
+    cells, then the periodic wrap-around cell) followed by an in-place
+    division, so no shifted copy of the field is made.
     """
     if axis < 0 or axis >= grid.dim:
         raise ValueError(f"axis {axis} invalid for a {grid.dim}D grid")
@@ -232,12 +236,17 @@ def diff(grid: StaggeredGrid, axis: int, side: int, field: np.ndarray) -> np.nda
         )
     lead = grid.block_shape
     arr = a.reshape(lead + a.shape[1:])
+    out = np.empty_like(arr)
     ax = len(lead) - 1 - axis
-    h = grid.spacing[axis]
+    f = np.moveaxis(arr, ax, 0)
+    d = np.moveaxis(out, ax, 0)
     if side > 0:
-        out = (np.roll(arr, -1, axis=ax) - arr) / h
+        np.subtract(f[1:], f[:-1], out=d[:-1])
+        np.subtract(f[:1], f[-1:], out=d[-1:])
     else:
-        out = (arr - np.roll(arr, 1, axis=ax)) / h
+        np.subtract(f[1:], f[:-1], out=d[1:])
+        np.subtract(f[:1], f[-1:], out=d[:1])
+    out /= grid.spacing[axis]
     return out.reshape(a.shape)
 
 

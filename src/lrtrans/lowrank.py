@@ -26,6 +26,22 @@ Integrators
 Angular bases in weighted mode are produced by :func:`constrained_qr`, which
 orthonormalizes inside the zero-density subspace so ``1^T M V = 0`` holds to
 machine precision even for rank-deficient inputs.
+
+Spatial differences
+-------------------
+A coupled step differences each ``n_points``-row array once.  ``K = X S``
+and its ``2 dim`` one-sided differences ``D^(j,-+) K`` are formed once per
+step, the differences as one contiguous ``(n_points, 2 dim r)`` block.  The
+K step reads them, and so does the Schur right-hand side, which contracts
+them to one ``n_points`` vector per axis before its one divergence
+difference.  The L and S steps need only the forward-difference Galerkin
+matrices: on the periodic lattice ``D^(j,-) = -(D^(j,+))^T`` (summation by
+parts), so ``X^T D^(j,-) X = -(X^T D^(j,+) X)^T``.  The S step computes
+``C[j] = X1^T D^(j,+) X1`` once; the matrices travel with the state as
+``MicroStateLowRank.C``, truncation rotates them with the same factors it
+applies to ``X``, and the next step's L step uses them with no spatial
+work.  Only these ``r x r`` matrices are carried, never differenced
+``n_points x r`` bases.
 """
 
 from __future__ import annotations
@@ -34,6 +50,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from .angular import QuadratureSet
 from .fullrank import SolverConfig, relaxation_factor
@@ -59,12 +76,16 @@ class MicroStateLowRank:
     rank-capped corner cases), ``V`` is ``(n_ordinates, r)``; ``X`` and ``V``
     have orthonormal columns.  ``weighted=True`` means the factors represent
     ``G M`` and ``V`` satisfies the zero-density constraint ``1^T M V = 0``.
+    ``C`` is the ``(dim, r, r)`` stack of summation-by-parts Galerkin
+    matrices ``C[j] = X^T D^(j,+) X`` of this ``X``, or ``None``, in which
+    case a step computes them from ``X``.
     """
 
     X: np.ndarray
     S: np.ndarray
     V: np.ndarray
     weighted: bool = True
+    C: Optional[np.ndarray] = None
 
     @property
     def rank(self) -> int:
@@ -98,6 +119,23 @@ class StepInfo:
     rank: int
 
 
+@dataclass
+class GalerkinStage:
+    """Result of :func:`galerkin_stage`; unpacks as ``(X1, S_tilde, S1, V1)``.
+
+    ``C1`` holds the S-step matrices ``X1^T D^(j,+) X1`` for the next step.
+    """
+
+    X1: np.ndarray
+    S_tilde: np.ndarray
+    S1: np.ndarray
+    V1: np.ndarray
+    C1: np.ndarray
+
+    def __iter__(self):
+        return iter((self.X1, self.S_tilde, self.S1, self.V1))
+
+
 # ---------------------------------------------------------------------------
 # factor construction
 # ---------------------------------------------------------------------------
@@ -112,9 +150,14 @@ def _fix_signs(Q: np.ndarray) -> np.ndarray:
     return Q * signs[None, :]
 
 
+def _qr(B: np.ndarray) -> np.ndarray:
+    """Orthonormal factor of the economic QR factorization of ``B``."""
+    Q, _ = scipy.linalg.qr(B, mode="economic", check_finite=False)
+    return Q
+
+
 def _qr_basis(B: np.ndarray) -> np.ndarray:
-    Q, _ = np.linalg.qr(B)
-    return _fix_signs(Q)
+    return _fix_signs(_qr(B))
 
 
 def constrained_qr(L: np.ndarray, quad: QuadratureSet) -> np.ndarray:
@@ -130,8 +173,7 @@ def constrained_qr(L: np.ndarray, quad: QuadratureSet) -> np.ndarray:
     if L.ndim != 2 or L.shape[0] != quad.n:
         raise ValueError(f"expected ({quad.n}, r) input, got {L.shape}")
     k = min(L.shape[1], quad.z_dim)
-    Y = quad.z_applyt(L)
-    Q, _ = np.linalg.qr(Y)
+    Q = _qr(quad.z_applyt(L))
     return _fix_signs(quad.z_apply(Q[:, :k]))
 
 
@@ -140,8 +182,14 @@ def _complete_basis(Q: np.ndarray, extra: int, rng: np.random.Generator) -> np.n
         return Q
     n, k = Q.shape
     trial = rng.standard_normal((n, extra))
-    full, _ = np.linalg.qr(np.hstack([Q, trial]) if k else trial)
+    full = _qr(np.hstack([Q, trial]) if k else trial)
     return np.hstack([Q, _fix_signs(full[:, k : k + extra])])
+
+
+def _sbp_matrices(grid: StaggeredGrid, X: np.ndarray) -> np.ndarray:
+    """``(dim, r, r)`` stack of ``X^T D^(j,+) X``; the backward-difference
+    matrices follow by summation by parts, ``X^T D^(j,-) X = -(.)^T``."""
+    return np.stack([X.T @ diff(grid, j, +1, X) for j in range(grid.dim)])
 
 
 def factorize_micro(
@@ -172,20 +220,11 @@ def factorize_micro(
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     keep = int(np.sum(s > (s[0] * 1e-14 if s.size and s[0] > 0 else np.inf)))
     keep = min(keep, r_eff)
-    picks = np.abs(U[:, :keep]).argmax(axis=0) if keep else np.array([], dtype=int)
-    signs = np.sign(U[picks, np.arange(keep)]) if keep else np.array([])
-    X = U[:, :keep] * signs[None, :] if keep else np.zeros((grid.n_points, 0))
-    Vm = (Vt[:keep].T * signs[None, :]) if keep else np.zeros((quad.n, 0))
-    X = _complete_basis(X, r_eff - keep, rng)
-    if weighted:
-        Vz = quad.z_applyt(Vm) if keep else np.zeros((quad.z_dim, 0))
-        Vz = _complete_basis(Vz, r_eff - keep, rng)
-        V = quad.z_apply(Vz)
-    else:
-        V = _complete_basis(Vm, r_eff - keep, rng)
-    S = np.zeros((r_eff, r_eff))
-    S[:keep, :keep] = np.diag(s[:keep])
-    return MicroStateLowRank(X=X, S=S, V=V, weighted=weighted)
+    picks = np.abs(U[:, :keep]).argmax(axis=0)
+    signs = np.sign(U[picks, np.arange(keep)])
+    X = U[:, :keep] * signs[None, :]
+    Vm = Vt[:keep].T * signs[None, :]
+    return _seeded_state(grid, quad, X, s[:keep], Vm, r_eff, weighted, rng)
 
 
 def zero_micro_state(
@@ -195,10 +234,31 @@ def zero_micro_state(
     weighted: bool = True,
     seed: int = 0,
 ) -> MicroStateLowRank:
-    """Zero state with seeded orthonormal bases, for isotropic initial data."""
-    return factorize_micro(
-        grid, quad, np.zeros((grid.n_points, quad.n)), rank, weighted, seed
+    """Zero state with seeded orthonormal bases, for isotropic initial data.
+
+    Equal to :func:`factorize_micro` of an all-zero state with the same
+    ``seed``; the bases are drawn directly, without the SVD.
+    """
+    r_eff = min(rank, grid.n_points, quad.z_dim if weighted else quad.n)
+    return _seeded_state(
+        grid, quad, np.zeros((grid.n_points, 0)), np.zeros(0), np.zeros((quad.n, 0)),
+        r_eff, weighted, np.random.default_rng(seed),
     )
+
+
+def _seeded_state(grid, quad, X, s, Vm, r_eff, weighted, rng):
+    """State from leading singular triplets ``(X, s, Vm)`` of ``G M``, padded
+    to rank ``r_eff`` with seeded orthonormal columns and zero couplings."""
+    keep = s.size
+    X = _complete_basis(X, r_eff - keep, rng)
+    if weighted:
+        Vz = quad.z_applyt(Vm) if keep else np.zeros((quad.z_dim, 0))
+        V = quad.z_apply(_complete_basis(Vz, r_eff - keep, rng))
+    else:
+        V = _complete_basis(Vm, r_eff - keep, rng)
+    S = np.zeros((r_eff, r_eff))
+    S[:keep, :keep] = np.diag(s)
+    return MicroStateLowRank(X=X, S=S, V=V, weighted=weighted, C=_sbp_matrices(grid, X))
 
 
 def reconstruct(state: MicroStateLowRank, quad: QuadratureSet) -> np.ndarray:
@@ -217,19 +277,42 @@ def gm_frobenius(state: MicroStateLowRank, quad: QuadratureSet) -> float:
 
 def g_factors(state: MicroStateLowRank, quad: QuadratureSet) -> tuple:
     """Factors ``(P, A)`` with ``P @ A.T = G``, without reconstruction."""
-    P = state.X @ state.S
-    A = state.V / quad.m[:, None] if state.weighted else state.V
-    return P, A
+    return state.X @ state.S, _g_angular(quad, state, state.V)
+
+
+def _g_angular(quad, state, A):
+    """Angular factor of ``G`` from the matching factor of the represented
+    matrix (``G M`` in weighted mode, where the rows are divided by ``m``)."""
+    return A / quad.m[:, None] if state.weighted else A
 
 
 # ---------------------------------------------------------------------------
 # basis-update & Galerkin machinery
 # ---------------------------------------------------------------------------
 
+def _block_order(dim):
+    """``(axis, side)`` of the column blocks of ``DK`` in :func:`_k_differences`.
+
+    Upwinding pairs ``D^(j,side) K`` with the angular split of sign ``-side``.
+    """
+    return [(j, side) for j in range(dim) for side in (-1, +1)]
+
+
 def _ang(quad, Y, axis, sign, weighted):
     qs = quad.q_plus(axis) if sign > 0 else quad.q_minus(axis)
     f = _angular_factor_weighted if weighted else _angular_factor_unweighted
     return f(quad, Y, qs)
+
+
+def _k_differences(grid: StaggeredGrid, state: MicroStateLowRank) -> tuple:
+    """``(K, DK)``: ``K = X S`` and its one-sided differences in one block.
+
+    ``DK`` is ``(n_points, 2 dim r)`` with column blocks
+    ``D^(0,-)K, D^(0,+)K, D^(1,-)K, D^(1,+)K`` (see :func:`_block_order`).
+    """
+    K = state.X @ state.S
+    DK = np.hstack([diff(grid, j, side, K) for j, side in _block_order(grid.dim)])
+    return K, DK
 
 
 def galerkin_stage(
@@ -242,21 +325,25 @@ def galerkin_stage(
     t_next: float = 0.0,
     augment: bool = False,
     ap_enrich: bool = False,
-):
-    """K/L/basis/S sequence; returns ``(X1, S_tilde, S1, V1)``.
+    k_diffs: Optional[tuple] = None,
+) -> GalerkinStage:
+    """K/L/basis/S sequence; returns ``(X1, S_tilde, S1, V1)`` (and ``C1``).
 
     ``S1`` solves the Galerkin-projected implicit update started from the
     projected coupling matrix ``S_tilde = X1^T X S V^T V1``; with
     ``augment=True`` the new bases also contain the previous ones, and with
     ``ap_enrich=True`` additionally the diffusion-limit directions
     ``-(sigma_s)^{-1} D^(j,+) rho`` (spatial) and ``M Q^(j) 1`` (angular) as
-    leading columns.
+    leading columns.  ``k_diffs`` is ``_k_differences(grid, state)`` when the
+    caller has formed it already.
     """
     X, S, V = state.X, state.S, state.V
     wgt = state.weighted
     eps, dt = config.epsilon, config.dt
     eps2 = eps * eps
     sig = material.sigma_s_g / eps2 + material.sigma_a_g
+    C = state.C if state.C is not None else _sbp_matrices(grid, X)
+    K, DK = k_diffs if k_diffs is not None else _k_differences(grid, state)
 
     PJ, AJ = density_grad(grid, quad, rho_for_grad)
     AJr = quad.m[:, None] * AJ if wgt else AJ
@@ -265,21 +352,21 @@ def galerkin_stage(
         Ps, As = src
         Asr = quad.m[:, None] * As if wgt else As
 
-    K = X @ S
-    rhs = K / dt
-    for j in range(grid.dim):
-        rhs -= diff(grid, j, -1, K) @ (_ang(quad, V, j, +1, wgt).T @ V) / eps
-        rhs -= diff(grid, j, +1, K) @ (_ang(quad, V, j, -1, wgt).T @ V) / eps
+    ang_V = np.vstack(
+        [_ang(quad, V, j, -side, wgt).T @ V for j, side in _block_order(grid.dim)]
+    )
+    rhs = K / dt - DK @ ang_V / eps
     rhs -= PJ @ (AJr.T @ V) / eps2
     if src is not None:
         rhs += Ps @ (Asr.T @ V)
     K1 = rhs / (1.0 / dt + sig)[:, None]
 
+    # (D^(j,-) X)^T X = -C[j] and (D^(j,+) X)^T X = C[j]^T
     L = V @ S.T
     rhsL = L / dt
     for j in range(grid.dim):
-        rhsL -= _ang(quad, L, j, +1, wgt) @ (diff(grid, j, -1, X).T @ X) / eps
-        rhsL -= _ang(quad, L, j, -1, wgt) @ (diff(grid, j, +1, X).T @ X) / eps
+        rhsL += _ang(quad, L, j, +1, wgt) @ C[j] / eps
+        rhsL -= _ang(quad, L, j, -1, wgt) @ C[j].T / eps
     rhsL -= AJr @ (PJ.T @ X) / eps2
     if src is not None:
         rhsL += Asr @ (Ps.T @ X)
@@ -293,39 +380,24 @@ def galerkin_stage(
     if ap_enrich:
         if not wgt:
             raise ValueError("diffusion-limit enrichment requires weighted factors")
-        kb.insert(0, _ap_spatial(grid, material, rho_for_grad))
+        kb.insert(0, -PJ / material.sigma_s_g[:, None])
         lb.insert(0, _ap_angular(quad))
     X1 = _qr_basis(np.hstack(kb))
     V1 = constrained_qr(np.hstack(lb), quad) if wgt else _qr_basis(np.hstack(lb))
 
+    # X1^T D^(j,-) X1 = -C1[j]^T
+    C1 = _sbp_matrices(grid, X1)
     S_tilde = (X1.T @ X) @ S @ (V.T @ V1)
     rhsS = S_tilde / dt
     for j in range(grid.dim):
-        rhsS -= (
-            (X1.T @ diff(grid, j, -1, X1))
-            @ S_tilde
-            @ (_ang(quad, V1, j, +1, wgt).T @ V1)
-            / eps
-        )
-        rhsS -= (
-            (X1.T @ diff(grid, j, +1, X1))
-            @ S_tilde
-            @ (_ang(quad, V1, j, -1, wgt).T @ V1)
-            / eps
-        )
+        rhsS += C1[j].T @ S_tilde @ (_ang(quad, V1, j, +1, wgt).T @ V1) / eps
+        rhsS -= C1[j] @ S_tilde @ (_ang(quad, V1, j, -1, wgt).T @ V1) / eps
     rhsS -= (X1.T @ PJ) @ (AJr.T @ V1) / eps2
     if src is not None:
         rhsS += (X1.T @ Ps) @ (Asr.T @ V1)
     Mimp1 = np.eye(X1.shape[1]) / dt + X1.T @ (sig[:, None] * X1)
     S1 = np.linalg.solve(Mimp1, rhsS)
-    return X1, S_tilde, S1, V1
-
-
-def _ap_spatial(grid, material, rho):
-    cols = [
-        -diff(grid, j, +1, rho) / material.sigma_s_g for j in range(grid.dim)
-    ]
-    return np.column_stack(cols)
+    return GalerkinStage(X1, S_tilde, S1, V1, C1)
 
 
 def _ap_angular(quad):
@@ -336,10 +408,8 @@ def bug_step(
     grid, quad, material, config, state, rho_for_grad, t_next: float = 0.0
 ) -> MicroStateLowRank:
     """One fixed-rank basis-update & Galerkin step; rank is unchanged."""
-    X1, _, S1, V1 = galerkin_stage(
-        grid, quad, material, config, state, rho_for_grad, t_next
-    )
-    return MicroStateLowRank(X=X1, S=S1, V=V1, weighted=state.weighted)
+    st = galerkin_stage(grid, quad, material, config, state, rho_for_grad, t_next)
+    return MicroStateLowRank(X=st.X1, S=st.S1, V=st.V1, weighted=state.weighted, C=st.C1)
 
 
 def abug_step(
@@ -359,9 +429,11 @@ def abug_step(
     return state2
 
 
-def _abug_step_info(grid, quad, material, config, lr_config, state, rho_for_grad, t_next):
+def _abug_step_info(
+    grid, quad, material, config, lr_config, state, rho_for_grad, t_next, k_diffs=None
+):
     ap = lr_config.integrator == "AP-aBUG"
-    X1, S_tilde, S1, V1 = galerkin_stage(
+    st = galerkin_stage(
         grid,
         quad,
         material,
@@ -371,18 +443,20 @@ def _abug_step_info(grid, quad, material, config, lr_config, state, rho_for_grad
         t_next,
         augment=True,
         ap_enrich=ap,
+        k_diffs=k_diffs,
     )
     rmax = lr_config.max_rank or min(grid.n_points, quad.z_dim if state.weighted else quad.n)
+    factors = (st.X1, st.S1, st.V1, st.C1)
     if ap:
-        X2, S2, V2 = _truncate_pinned(X1, S1, V1, grid.dim, lr_config.tau, rmax)
+        X2, S2, V2, C2 = _truncate_pinned(*factors, grid.dim, lr_config.tau, rmax)
     else:
-        X2, S2, V2 = _truncate_plain(X1, S1, V1, lr_config.tau, rmax)
+        X2, S2, V2, C2 = _truncate_plain(*factors, lr_config.tau, rmax)
     info = StepInfo(
-        s_tilde_fro=float(np.linalg.norm(S_tilde)),
-        pre_truncation_rank=min(S1.shape),
+        s_tilde_fro=float(np.linalg.norm(st.S_tilde)),
+        pre_truncation_rank=min(st.S1.shape),
         rank=X2.shape[1],
     )
-    return MicroStateLowRank(X=X2, S=S2, V=V2, weighted=state.weighted), info
+    return MicroStateLowRank(X=X2, S=S2, V=V2, weighted=state.weighted, C=C2), info
 
 
 def _kept_rank(s: np.ndarray, tau: float, total: float) -> int:
@@ -393,7 +467,9 @@ def _kept_rank(s: np.ndarray, tau: float, total: float) -> int:
     return int(np.argmax(below)) if below.any() else s.size
 
 
-def _truncate_plain(X1, S1, V1, tau, rmax):
+def _truncate_plain(X1, S1, V1, C1, tau, rmax):
+    """Keep the leading singular directions of ``S1``; ``X2 = X1 U`` and the
+    carried matrices rotate to ``U^T C1 U``."""
     U, s, Wt = np.linalg.svd(S1)
     k = max(_kept_rank(s, tau, float(np.linalg.norm(s))), 1)
     if k > rmax:
@@ -403,16 +479,19 @@ def _truncate_plain(X1, S1, V1, tau, rmax):
     picks = np.abs(U[:, :k]).argmax(axis=0)
     signs = np.sign(U[picks, np.arange(k)])
     signs[signs == 0] = 1.0
-    return X1 @ (U[:, :k] * signs), np.diag(s[:k]), V1 @ (Wt[:k].T * signs)
+    Uk = U[:, :k] * signs
+    return X1 @ Uk, np.diag(s[:k]), V1 @ (Wt[:k].T * signs), Uk.T @ C1 @ Uk
 
 
-def _truncate_pinned(X1, S1, V1, n_pinned, tau, rmax):
+def _truncate_pinned(X1, S1, V1, C1, n_pinned, tau, rmax):
     """Truncate only the complement of the pinned leading basis columns.
 
     The first ``n_pinned`` columns of each basis are kept verbatim; the
     tolerance rule is applied to the singular values of the free rows and
     free columns of the coupling matrix, measured against the full coupling
-    norm, and the retained free directions are rotated in.
+    norm, and the retained free directions are rotated in.  ``X2 = X1 T``
+    with ``T = blockdiag(I, Uk)``, and the carried matrices become
+    ``T^T C1 T``.
     """
     d = min(n_pinned, min(S1.shape))
     total = float(np.linalg.norm(S1))
@@ -440,7 +519,10 @@ def _truncate_pinned(X1, S1, V1, n_pinned, tau, rmax):
     )
     X2 = np.hstack([X1[:, :d], X1[:, d:] @ Uk])
     V2 = np.hstack([V1[:, :d], V1[:, d:] @ Wk])
-    return X2, S2, V2
+    T = np.zeros((X1.shape[1], d + k))
+    T[:d, :d] = np.eye(d)
+    T[d:, d:] = Uk
+    return X2, S2, V2, T.T @ C1 @ T
 
 
 # ---------------------------------------------------------------------------
@@ -464,19 +546,22 @@ def lowrank_macro_coupled_step(
     micro state entering the right-hand side in factored form) and then run
     the micro integrator against the new density; plain IMEX coupling runs
     the micro integrator against the old density and closes with the diagonal
-    density update.
+    density update.  Both read ``K = X S`` and its differences, formed once.
     """
     schur_scheme = "IMEX-S" in config.scheme
+    k_diffs = _k_differences(grid, state)
     if schur_scheme:
         if schur is None:
             raise ValueError("Schur-type coupling requires a prebuilt SchurOperator")
-        rho_new = _schur_macro_solve(grid, quad, material, config, schur, rho, state, t_next)
+        rho_new = _schur_macro_solve(
+            grid, quad, material, config, schur, rho, state, k_diffs, t_next
+        )
         state_new, info = _micro_advance(
-            grid, quad, material, config, lr_config, state, rho_new, t_next
+            grid, quad, material, config, lr_config, state, rho_new, t_next, k_diffs
         )
     else:
         state_new, info = _micro_advance(
-            grid, quad, material, config, lr_config, state, rho, t_next
+            grid, quad, material, config, lr_config, state, rho, t_next, k_diffs
         )
         P, A = g_factors(state_new, quad)
         b = rho / config.dt
@@ -492,45 +577,50 @@ def lowrank_macro_coupled_step(
     return rho_new, state_new, info
 
 
-def _micro_advance(grid, quad, material, config, lr_config, state, rho_grad, t_next):
+def _micro_advance(grid, quad, material, config, lr_config, state, rho_grad, t_next, k_diffs):
     if lr_config.integrator == "BUG":
-        X1, S_tilde, S1, V1 = galerkin_stage(
-            grid, quad, material, config, state, rho_grad, t_next
+        st = galerkin_stage(
+            grid, quad, material, config, state, rho_grad, t_next, k_diffs=k_diffs
         )
         info = StepInfo(
-            s_tilde_fro=float(np.linalg.norm(S_tilde)),
-            pre_truncation_rank=min(S1.shape),
-            rank=X1.shape[1],
+            s_tilde_fro=float(np.linalg.norm(st.S_tilde)),
+            pre_truncation_rank=min(st.S1.shape),
+            rank=st.X1.shape[1],
         )
-        return MicroStateLowRank(X=X1, S=S1, V=V1, weighted=state.weighted), info
+        state_new = MicroStateLowRank(
+            X=st.X1, S=st.S1, V=st.V1, weighted=state.weighted, C=st.C1
+        )
+        return state_new, info
     return _abug_step_info(
-        grid, quad, material, config, lr_config, state, rho_grad, t_next
+        grid, quad, material, config, lr_config, state, rho_grad, t_next, k_diffs
     )
 
 
-def _schur_macro_solve(grid, quad, material, config, schur, rho, state, t_next):
+def _schur_macro_solve(grid, quad, material, config, schur, rho, state, k_diffs, t_next):
+    """Schur density solve with the old micro state in factored form.
+
+    The right-hand side divergence is ``sum_j D^(j,-)`` of ``R`` times the
+    axis-``j`` flux of ``G/dt - A(G)/eps + source``; the fluxes are
+    contracted from ``K`` and ``DK`` to one ``n_points`` vector per axis
+    before they are differenced.
+    """
     eps, dt = config.epsilon, config.dt
-    R = relaxation_factor(material, config)
-    XS = state.X @ state.S
-    P_blocks = [XS / dt]
-    A_blocks = [g_factors(state, quad)[1]]
-    for j in range(grid.dim):
-        P_blocks.append(-diff(grid, j, -1, XS) / eps)
-        A_blocks.append(_ang_g(quad, state, j, +1))
-        P_blocks.append(-diff(grid, j, +1, XS) / eps)
-        A_blocks.append(_ang_g(quad, state, j, -1))
+    K, DK = k_diffs
+    A0 = _g_angular(quad, state, state.V)
+    A_D = _g_angular(quad, state, np.hstack(
+        [_ang(quad, state.V, j, -side, state.weighted) for j, side in _block_order(grid.dim)]
+    ))
+    qw = quad.omega * quad.w[:, None]
+    flux = K @ (A0.T @ qw) / dt - DK @ (A_D.T @ qw) / eps
     if material.micro_source is not None:
         Ps, As = material.micro_source(t_next)
-        P_blocks.append(Ps)
-        A_blocks.append(As)
-    P = R[:, None] * np.hstack(P_blocks)
-    A = np.hstack(A_blocks)
+        flux += Ps @ (As.T @ qw)
+    flux *= relaxation_factor(material, config)[:, None]
+    div = np.zeros(grid.n_points)
+    for j in range(grid.dim):
+        div += diff(grid, j, -1, flux[:, j])
     b = rho / dt
     if material.phi is not None:
         b = b + material.phi(t_next)
-    return schur.solve(b - flux_div_factored(grid, quad, P, A))
+    return schur.solve(b - div / quad.domain_measure)
 
-
-def _ang_g(quad, state, axis, sign):
-    fac = _ang(quad, state.V, axis, sign, state.weighted)
-    return fac / quad.m[:, None] if state.weighted else fac

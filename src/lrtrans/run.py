@@ -23,10 +23,18 @@ import numpy as np
 
 from . import diagnostics, scenarios
 from .diagnostics import EnergyRecord
-from .fullrank import DivergenceError, SolverConfig, build_schur, imex_s_step, imex_step
+from .fullrank import (
+    DivergenceError,
+    LinearSolveError,
+    SolverConfig,
+    build_schur,
+    imex_s_step,
+    imex_step,
+)
 from .grid import build_grid
 from .lowrank import (
     LowRankConfig,
+    RankOverflowError,
     factorize_micro,
     lowrank_macro_coupled_step,
     zero_micro_state,
@@ -99,7 +107,15 @@ def default_theta(scheme: str) -> float:
 
 
 def execute_run(manifest: RunManifest) -> RunResult:
-    """Execute one run and (optionally) write its artifacts."""
+    """Execute one run and (optionally) write its artifacts.
+
+    A step that fails ends the loop with ``summary["status"]`` set to
+    ``diverged`` (non-finite state or a singular dense solve),
+    ``solve_stalled`` (the Schur CG solve did not converge) or
+    ``rank_overflow`` (truncation exceeded the rank cap), and
+    ``summary["failed_step"]`` set; the steps done so far are still recorded
+    and written.
+    """
     manifest.validate()
     scen = scenarios.get_scenario(manifest.scenario, manifest.mesh_div)
     eps = manifest.epsilon if manifest.epsilon is not None else scen.epsilon
@@ -173,6 +189,11 @@ def execute_run(manifest: RunManifest) -> RunResult:
                     step_infos.append(info)
             except (DivergenceError, np.linalg.LinAlgError):
                 status = "diverged"
+            except LinearSolveError:
+                status = "solve_stalled"
+            except RankOverflowError:
+                status = "rank_overflow"
+            if status != "completed":
                 failed_step = k
                 break
             rec = _record(k, t_next, grid, quad, rho, micro, config, material, theta)

@@ -141,3 +141,27 @@ def test_diff_shape_mismatch():
         diff(g, 0, +1, np.zeros(7))
     with pytest.raises(ValueError):
         diff(g, 1, +1, np.zeros(g.n_points))
+
+
+def _roll_diff(grid, axis, side, field):
+    """Reference stencil: the one-sided difference written with ``np.roll``."""
+    arr = field.reshape(grid.block_shape + field.shape[1:])
+    ax = len(grid.block_shape) - 1 - axis
+    if side > 0:
+        out = (np.roll(arr, -1, axis=ax) - arr) / grid.spacing[axis]
+    else:
+        out = (arr - np.roll(arr, 1, axis=ax)) / grid.spacing[axis]
+    return out.reshape(field.shape)
+
+
+@pytest.mark.parametrize(
+    "dim,bounds,cells",
+    [(1, (0.0, 1.3), 7), (2, ((0.0, 1.0), (-1.0, 2.1)), (5, 3))],
+)
+def test_diff_matches_roll_reference_bitwise(rng, dim, bounds, cells):
+    g = build_grid(dim, bounds, cells)
+    for shape in ((g.n_points,), (g.n_points, 4)):
+        u = rng.standard_normal(shape)
+        for axis in range(dim):
+            for side in (+1, -1):
+                assert np.array_equal(diff(g, axis, side, u), _roll_diff(g, axis, side, u))

@@ -82,6 +82,22 @@ def test_unweighted_factorization(rng):
     assert np.max(np.abs(reconstruct(full, quad) - G)) <= 1e-12 * np.abs(G).max()
 
 
+@pytest.mark.parametrize("weighted", [True, False])
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("rank", [1, 5, 12])
+def test_zero_state_equals_factorized_zeros(weighted, seed, rank):
+    # the direct construction draws the same seeded bases as factorizing an
+    # all-zero state; rank 12 lies above the cap of 7 (weighted) or 8
+    grid, quad = setup_1d()
+    st = zero_micro_state(grid, quad, rank, weighted=weighted, seed=seed)
+    ref = factorize_micro(
+        grid, quad, np.zeros((grid.n_points, quad.n)), rank, weighted=weighted, seed=seed
+    )
+    for name in ("X", "S", "V", "C"):
+        assert np.array_equal(getattr(st, name), getattr(ref, name)), name
+    assert st.weighted is weighted
+
+
 # ---------------------------------------------------------------------------
 # constrained orthonormalization
 # ---------------------------------------------------------------------------
@@ -298,6 +314,59 @@ def test_ap_abug_protects_limit_directions(rng):
     assert rx <= 1e-10
     assert rv <= 1e-10
     assert np.max(np.abs(quad.m @ st1.V)) <= 1e-11
+
+
+def setup_2d_step(rng, scheme):
+    grid = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (6, 5))
+    quad = chebyshev_legendre_2d(2)
+    material = sample_material(
+        grid,
+        lambda c: 1.0 + 0.2 * np.cos(2 * np.pi * c[:, 0]),
+        lambda c: np.full(c.shape[0], 0.05),
+        0.8,
+    )
+    config = SolverConfig(epsilon=0.05, dt=0.004, scheme=scheme)
+    schur = build_schur(grid, quad, material, config) if "IMEX-S" in scheme else None
+    G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
+    st = factorize_micro(grid, quad, G, 3, seed=0)
+    rho = 1.0 + 0.1 * rng.standard_normal(grid.n_points)
+    return grid, quad, material, config, schur, st, rho
+
+
+@pytest.mark.parametrize("integrator", ["BUG", "aBUG", "AP-aBUG"])
+def test_carried_sbp_matrices_match_fresh_products(rng, integrator):
+    # the Galerkin matrices carried with the state equal X^T D^(j,+) X of the
+    # state's own basis, after the S step and after either truncation
+    grid, quad, material, config, schur, st, rho = setup_2d_step(rng, "IMEX-S-aBUG")
+    lr = LowRankConfig(integrator=integrator, rank=3, tau=1e-3)
+    for k in range(2):
+        rho, st, _ = lowrank_macro_coupled_step(
+            grid, quad, material, config, lr, rho, st, (k + 1) * config.dt, schur
+        )
+        assert st.C.shape == (grid.dim, st.rank, st.rank)
+        for j in range(grid.dim):
+            fresh = st.X.T @ diff(grid, j, +1, st.X)
+            assert np.abs(st.C[j] - fresh).max() <= 1e-12 * np.abs(fresh).max()
+
+
+def test_step_differences_each_array_once(rng, monkeypatch):
+    # one 2D IMEX-S-BUG step: K in four directions, the Schur divergence on
+    # two n-vectors, the density gradient, and X1 forward in two directions
+    import lrtrans.lowrank
+    import lrtrans.ops
+
+    grid, quad, material, config, schur, st, rho = setup_2d_step(rng, "IMEX-S-BUG")
+    calls = []
+
+    def counting_diff(*args, **kwargs):
+        calls.append(1)
+        return diff(*args, **kwargs)
+
+    for module in (lrtrans.lowrank, lrtrans.ops):
+        monkeypatch.setattr(module, "diff", counting_diff)
+    lr = LowRankConfig(integrator="BUG", rank=3)
+    lowrank_macro_coupled_step(grid, quad, material, config, lr, rho, st, config.dt, schur)
+    assert len(calls) <= 10
 
 
 def test_rank_overflow_raises(rng):

@@ -7,7 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from lrtrans import run as run_module
 from lrtrans.cli import main, parse_config_file
+from lrtrans.fullrank import LinearSolveError, SchurOperator
+from lrtrans.lowrank import RankOverflowError
 from lrtrans.run import RunManifest, execute_run, extract_slice
 
 
@@ -94,6 +97,39 @@ def test_divergence_recorded(tmp_path):
     # every surviving trace row is finite
     rows = (out / "trace.csv").read_text().strip().splitlines()[1:]
     assert all(math.isfinite(float(r.split(",")[3])) for r in rows)
+
+
+@pytest.mark.parametrize(
+    "owner,attr,exc,status",
+    [
+        (SchurOperator, "solve",
+         LinearSolveError("conjugate gradients stopped", 1e-3), "solve_stalled"),
+        (run_module, "lowrank_macro_coupled_step",
+         RankOverflowError("truncation needs rank 9 > max_rank 8"), "rank_overflow"),
+    ],
+)
+def test_step_failure_recorded_as_status(tmp_path, monkeypatch, owner, attr, exc, status):
+    # a failing step ends the run with a status and partial artifacts, never
+    # an escaped exception
+    original = getattr(owner, attr)
+    calls = []
+
+    def fake(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise exc
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, fake)
+    out = tmp_path / status
+    res = execute_run(quick_manifest(out=str(out), max_steps=5))
+    assert res.summary["status"] == status
+    assert res.summary["failed_step"] == 3
+    assert res.summary["steps_completed"] == 2
+    summary_text = (out / "summary.txt").read_text()
+    assert f"status = {status}" in summary_text
+    assert "failed_step = 3" in summary_text
+    assert len((out / "trace.csv").read_text().strip().splitlines()) == 1 + 3
 
 
 def test_self_reference_error():
