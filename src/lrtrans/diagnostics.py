@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,16 +67,20 @@ def energy(
     config: SolverConfig,
     material: MaterialField,
     theta: float = 1.0,
+    micro_norm: Optional[float] = None,
 ) -> float:
     """Discrete energy ``|D| ||rho||^2 + (eps^2 + (1-theta) dt sigma0) ||G||_w^2``.
 
     For factored micro states the weighted norm is evaluated from the factors
-    without reconstruction.
+    without reconstruction.  ``micro_norm`` is ``micro_norm_w(grid, quad,
+    micro)`` when the caller has it already.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
     vol = grid.cell_volume
-    gw2 = micro_norm_w(grid, quad, micro) ** 2
+    if micro_norm is None:
+        micro_norm = micro_norm_w(grid, quad, micro)
+    gw2 = micro_norm**2
     coeff = config.epsilon**2 + (1.0 - theta) * config.dt * material.sigma_s_floor
     return quad.domain_measure * vol * float(rho @ rho) + coeff * gw2
 

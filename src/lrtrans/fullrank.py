@@ -175,13 +175,27 @@ def build_schur(
 
 
 def _micro_explicit_rhs(grid, quad, material, config, G, t_next):
-    """Shared explicit part: ``G/dt - (1/eps) A(G)(I - w 1^T/|D|) + source``."""
+    """Shared explicit part: ``G/dt - (1/eps) A(G)(I - w 1^T/|D|) + source``.
+
+    Returns ``(rhs, work)``; ``work`` is a spent ``G``-shaped buffer the
+    caller may overwrite, so a step needs no further dense temporaries.
+    """
+    work = advect(grid, quad, G)
+    project_out_mean(quad, work, out=work)
+    work /= config.epsilon
     rhs = G / config.dt
-    rhs -= project_out_mean(quad, advect(grid, quad, G)) / config.epsilon
+    rhs -= work
     if material.micro_source is not None:
         P, A = material.micro_source(t_next)
-        rhs += P @ A.T
-    return rhs
+        rhs += np.matmul(P, A.T, out=work)
+    return rhs, work
+
+
+def _subtract_density_grad(rhs, work, PJ, AJ, eps2):
+    """``rhs -= (PJ @ AJ.T) / eps2``, forming the product in ``work``."""
+    np.matmul(PJ, AJ.T, out=work)
+    work /= eps2
+    rhs -= work
 
 
 def _macro_source(material, config, rho, t_next):
@@ -209,9 +223,9 @@ def imex_step(
     R = relaxation_factor(material, config)
     with np.errstate(over="ignore", invalid="ignore"):
         PJ, AJ = density_grad(grid, quad, rho)
-        rhs = _micro_explicit_rhs(grid, quad, material, config, G, t_next)
-        rhs -= (PJ @ AJ.T) / eps2
-        G_new = R[:, None] * rhs
+        G_new, work = _micro_explicit_rhs(grid, quad, material, config, G, t_next)
+        _subtract_density_grad(G_new, work, PJ, AJ, eps2)
+        G_new *= R[:, None]
         rho_new = (
             _macro_source(material, config, rho, t_next) - flux_div(grid, quad, G_new)
         ) / (1.0 / config.dt + material.sigma_a_rho)
@@ -237,11 +251,13 @@ def imex_s_step(
     eps2 = config.epsilon**2
     R = relaxation_factor(material, config)
     with np.errstate(over="ignore", invalid="ignore"):
-        b2 = _micro_explicit_rhs(grid, quad, material, config, G, t_next)
+        G_new, work = _micro_explicit_rhs(grid, quad, material, config, G, t_next)
         b1 = _macro_source(material, config, rho, t_next)
-        rho_new = schur.solve(b1 - flux_div(grid, quad, R[:, None] * b2))
+        np.multiply(G_new, R[:, None], out=work)
+        rho_new = schur.solve(b1 - flux_div(grid, quad, work))
         PJ, AJ = density_grad(grid, quad, rho_new)
-        G_new = R[:, None] * (b2 - (PJ @ AJ.T) / eps2)
+        _subtract_density_grad(G_new, work, PJ, AJ, eps2)
+        G_new *= R[:, None]
     _require_finite(rho_new, G_new)
     return rho_new, G_new
 

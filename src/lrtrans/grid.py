@@ -26,7 +26,8 @@ Point families
 
 Within each block, points are ordered row-major (y outer, x inner), so the
 same index permutation implements a one-cell shift on every block of either
-family.  Grids are immutable; all operations here are pure functions.
+family.  Grids are immutable; all operations here are pure functions
+(``diff`` writes only into an ``out`` array its caller passes).
 """
 
 from __future__ import annotations
@@ -211,7 +212,13 @@ def build_grid(dim: int, bounds, cells) -> StaggeredGrid:
     )
 
 
-def diff(grid: StaggeredGrid, axis: int, side: int, field: np.ndarray) -> np.ndarray:
+def diff(
+    grid: StaggeredGrid,
+    axis: int,
+    side: int | np.ndarray,
+    field: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """One-sided one-cell difference ``(f(shifted) - f) / spacing[axis]``.
 
     ``side=+1`` differences forward (``(f_{+1 cell} - f)/dx``), ``side=-1``
@@ -223,9 +230,16 @@ def diff(grid: StaggeredGrid, axis: int, side: int, field: np.ndarray) -> np.nda
     ``diff(grid, j, +1, .)``, which gives exact summation by parts on the
     periodic lattice.
 
+    ``side`` may also be an array of +-1 with one entry per column of a
+    matrix-valued field; each column is then differenced toward its own side
+    only, with the same bits as a scalar-side call on that column.  Upwind
+    advection uses this: an ordinate needs only its upwind difference.
+
     The stencil is two slice subtractions into one output array (interior
-    cells, then the periodic wrap-around cell) followed by an in-place
-    division, so no shifted copy of the field is made.
+    cells, then the periodic wrap-around cell; masked per side when ``side``
+    is an array) followed by an in-place division, so no shifted copy of the
+    field is made.  ``out``, if given, receives the result and may be any
+    view of the field's shape, e.g. a column slice of a wider block.
     """
     if axis < 0 or axis >= grid.dim:
         raise ValueError(f"axis {axis} invalid for a {grid.dim}D grid")
@@ -234,20 +248,32 @@ def diff(grid: StaggeredGrid, axis: int, side: int, field: np.ndarray) -> np.nda
         raise ValueError(
             f"field has leading size {a.shape[0]}, expected {grid.n_points}"
         )
+    if out is None:
+        out = np.empty_like(a)
+    elif out.shape != a.shape:
+        raise ValueError(f"out has shape {out.shape}, expected {a.shape}")
     lead = grid.block_shape
-    arr = a.reshape(lead + a.shape[1:])
-    out = np.empty_like(arr)
     ax = len(lead) - 1 - axis
-    f = np.moveaxis(arr, ax, 0)
-    d = np.moveaxis(out, ax, 0)
-    if side > 0:
-        np.subtract(f[1:], f[:-1], out=d[:-1])
-        np.subtract(f[:1], f[-1:], out=d[-1:])
+    # splitting the leading axis of ``out`` is always a view, even for slices
+    f = np.moveaxis(a.reshape(lead + a.shape[1:]), ax, 0)
+    d = np.moveaxis(out.reshape(lead + a.shape[1:]), ax, 0)
+    if np.ndim(side) == 0:
+        parts = ((side > 0, True),)
     else:
-        np.subtract(f[1:], f[:-1], out=d[1:])
-        np.subtract(f[:1], f[-1:], out=d[:1])
+        side = np.asarray(side)
+        if side.shape != a.shape[1:]:
+            raise ValueError(f"side has shape {side.shape}, expected {a.shape[1:]}")
+        fwd = side > 0
+        parts = ((True, fwd), (False, ~fwd))
+    for forward, where in parts:
+        if forward:
+            np.subtract(f[1:], f[:-1], out=d[:-1], where=where)
+            np.subtract(f[:1], f[-1:], out=d[-1:], where=where)
+        else:
+            np.subtract(f[1:], f[:-1], out=d[1:], where=where)
+            np.subtract(f[:1], f[-1:], out=d[:1], where=where)
     out /= grid.spacing[axis]
-    return out.reshape(a.shape)
+    return out
 
 
 def _wrap(values: np.ndarray, lo: float, hi: float) -> np.ndarray:

@@ -93,12 +93,24 @@ def sample_material(
 # ---------------------------------------------------------------------------
 
 def advect(grid: StaggeredGrid, quad: QuadratureSet, G: np.ndarray) -> np.ndarray:
-    """Upwind advection: sum_j D^(j,-) G Q^(j,+) + D^(j,+) G Q^(j,-)."""
+    """Upwind advection: sum_j D^(j,-) G Q^(j,+) + D^(j,+) G Q^(j,-).
+
+    ``Q^(j,+) Q^(j,-) = 0``: each ordinate moves either way along an axis,
+    never both, so only its upwind difference is formed, ``D^(j,-)`` for
+    ``q_j > 0`` and ``D^(j,+)`` otherwise, and scaled by ``q_j`` itself.
+    This is exact, bit for bit: ``q_j^+ == q_j`` on positive columns,
+    ``q_j^- == q_j`` on the others, and the dropped term is a zero.
+    """
     _check_micro(grid, quad, G)
-    out = np.zeros_like(G, dtype=float)
+    out = None
     for j in range(grid.dim):
-        out += diff(grid, j, -1, G) * quad.q_plus(j)[None, :]
-        out += diff(grid, j, +1, G) * quad.q_minus(j)[None, :]
+        q = quad.q(j)
+        d = diff(grid, j, np.where(q > 0, -1, +1), G)
+        d *= q
+        if out is None:
+            out = d
+        else:
+            out += d
     return out
 
 
@@ -145,14 +157,21 @@ def density_grad(grid: StaggeredGrid, quad: QuadratureSet, rho: np.ndarray) -> t
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (grid.n_points,):
         raise ValueError(f"density shape {rho.shape} != ({grid.n_points},)")
-    P = np.column_stack([diff(grid, j, +1, rho) for j in range(grid.dim)])
+    P = np.empty((grid.n_points, grid.dim))
+    for j in range(grid.dim):
+        diff(grid, j, +1, rho, out=P[:, j])
     A = quad.omega.copy()
     return P, A
 
 
-def project_out_mean(quad: QuadratureSet, F: np.ndarray) -> np.ndarray:
-    """Right-multiply by ``I - w 1^T / |D_Omega|``, removing angular means."""
-    return F - np.outer(F @ quad.w, np.ones(quad.n)) / quad.domain_measure
+def project_out_mean(
+    quad: QuadratureSet, F: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Right-multiply by ``I - w 1^T / |D_Omega|``, removing angular means.
+
+    ``out=F`` removes the means in place.
+    """
+    return np.subtract(F, ((F @ quad.w) / quad.domain_measure)[:, None], out=out)
 
 
 def advect_projected(
@@ -209,7 +228,9 @@ def inner_w(grid: StaggeredGrid, quad: QuadratureSet, F1: np.ndarray, F2: np.nda
     """Weighted inner product ``(prod_j dx_j) tr(F1 M^2 F2^T)``."""
     if F1.shape != F2.shape:
         raise ValueError("shape mismatch in inner_w")
-    return grid.cell_volume * float(np.sum(F1 * F2 * quad.w[None, :]))
+    prod = np.multiply(F1, F2, dtype=float)
+    prod *= quad.w
+    return grid.cell_volume * float(np.sum(prod))
 
 
 def norm_w(grid: StaggeredGrid, quad: QuadratureSet, F: np.ndarray) -> float:

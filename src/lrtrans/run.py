@@ -275,13 +275,16 @@ def _record(step, t, grid, quad, rho, micro, config, material, theta) -> EnergyR
     from .lowrank import MicroStateLowRank
 
     is_lr = isinstance(micro, MicroStateLowRank)
+    gw = diagnostics.micro_norm_w(grid, quad, micro)
     return EnergyRecord(
         step=step,
         time=t,
         dt=config.dt,
-        energy=diagnostics.energy(grid, quad, rho, micro, config, material, theta),
+        energy=diagnostics.energy(
+            grid, quad, rho, micro, config, material, theta, micro_norm=gw
+        ),
         rho_norm=math.sqrt(grid.cell_volume) * float(np.linalg.norm(rho)),
-        micro_norm_w=diagnostics.micro_norm_w(grid, quad, micro),
+        micro_norm_w=gw,
         rank=micro.rank if is_lr else min(grid.n_points, quad.n),
         zero_density_residual=diagnostics.zero_density_residual(quad, micro),
         mass=diagnostics.mass(grid, rho),

@@ -66,6 +66,18 @@ def test_energy_factored_equals_dense(rng):
     assert abs(e_fact - e_dense) <= 1e-12 * e_dense
 
 
+def test_energy_with_given_micro_norm_is_bitwise_equal(rng):
+    grid, quad, material = setup()
+    config = SolverConfig(epsilon=0.8, dt=0.02)
+    rho = rng.standard_normal(grid.n_points)
+    G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
+    st = factorize_micro(grid, quad, G, quad.z_dim, seed=0)
+    for micro in (G, st):
+        gw = micro_norm_w(grid, quad, micro)
+        given = energy(grid, quad, rho, micro, config, material, 0.3, micro_norm=gw)
+        assert given == energy(grid, quad, rho, micro, config, material, 0.3)
+
+
 def test_dt_explicit_closed_form():
     grid, quad, material = setup(nx=500)
     grid = build_grid(1, (-1.5, 1.5), 500)

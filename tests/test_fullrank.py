@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lrtrans import diagnostics, scenarios
 from lrtrans.angular import gauss_legendre_1d
 from lrtrans.fullrank import (
     DivergenceError,
@@ -10,15 +11,18 @@ from lrtrans.fullrank import (
     build_schur,
     imex_s_step,
     imex_step,
+    relaxation_factor,
 )
 from lrtrans.grid import build_grid, diff
 from lrtrans.ops import (
     advect,
+    density_grad,
     flux_div,
     norm_w,
     project_out_mean,
     sample_material,
 )
+from lrtrans.run import RunManifest, execute_run
 from conftest import dense_diff_matrix
 
 
@@ -224,3 +228,81 @@ def test_macroscopic_source_enters_at_new_time():
     G = np.zeros((grid.n_points, quad.n))
     imex_step(grid, quad, material, config, rho, G, t_next=0.37)
     assert seen == [0.37]
+
+
+# -- pre-change step formulas, kept as a bitwise reference -----------------
+
+def _reference_micro_rhs(grid, quad, material, config, G, t_next):
+    adv = np.zeros_like(G)
+    for j in range(grid.dim):
+        adv += diff(grid, j, -1, G) * quad.q_plus(j)[None, :]
+        adv += diff(grid, j, +1, G) * quad.q_minus(j)[None, :]
+    adv = adv - np.outer(adv @ quad.w, np.ones(quad.n)) / quad.domain_measure
+    rhs = G / config.dt
+    rhs -= adv / config.epsilon
+    if material.micro_source is not None:
+        P, A = material.micro_source(t_next)
+        rhs += P @ A.T
+    return rhs
+
+
+def _reference_imex_step(grid, quad, material, config, rho, G, t_next):
+    R = relaxation_factor(material, config)
+    PJ, AJ = density_grad(grid, quad, rho)
+    rhs = _reference_micro_rhs(grid, quad, material, config, G, t_next)
+    rhs -= (PJ @ AJ.T) / config.epsilon**2
+    G_new = R[:, None] * rhs
+    b = rho / config.dt + material.phi(t_next)
+    rho_new = (b - flux_div(grid, quad, G_new)) / (1.0 / config.dt + material.sigma_a_rho)
+    return rho_new, G_new
+
+
+def _reference_imex_s_step(grid, quad, material, config, schur, rho, G, t_next):
+    R = relaxation_factor(material, config)
+    b2 = _reference_micro_rhs(grid, quad, material, config, G, t_next)
+    b1 = rho / config.dt + material.phi(t_next)
+    rho_new = schur.solve(b1 - flux_div(grid, quad, R[:, None] * b2))
+    PJ, AJ = density_grad(grid, quad, rho_new)
+    G_new = R[:, None] * (b2 - (PJ @ AJ.T) / config.epsilon**2)
+    return rho_new, G_new
+
+
+@pytest.mark.parametrize("scheme", ["IMEX", "IMEX-S"])
+def test_steps_match_reference_formulas_bitwise_with_micro_source(rng, scheme):
+    scen = scenarios.get_scenario("mms2d-16")
+    grid, quad, material = scenarios.build_objects(scen)
+    assert material.micro_source is not None
+    dt = scenarios.select_dt(scen, scheme, grid, material, scen.epsilon)
+    config = SolverConfig(epsilon=scen.epsilon, dt=dt, scheme=scheme)
+    schur = build_schur(grid, quad, material, config) if scheme == "IMEX-S" else None
+    rho, G = random_state(grid, quad, rng)
+    ref_rho, ref_G = rho.copy(), G.copy()
+    for k in range(1, 4):
+        if schur is None:
+            rho, G = imex_step(grid, quad, material, config, rho, G, k * dt)
+            ref_rho, ref_G = _reference_imex_step(
+                grid, quad, material, config, ref_rho, ref_G, k * dt
+            )
+        else:
+            rho, G = imex_s_step(grid, quad, material, config, schur, rho, G, k * dt)
+            ref_rho, ref_G = _reference_imex_s_step(
+                grid, quad, material, config, schur, ref_rho, ref_G, k * dt
+            )
+        assert np.array_equal(rho, ref_rho)
+        assert np.array_equal(G, ref_G)
+
+
+def test_record_evaluates_dense_micro_norm_once(monkeypatch):
+    calls = []
+    original = diagnostics.norm_w
+
+    def counting_norm_w(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(diagnostics, "norm_w", counting_norm_w)
+    result = execute_run(
+        RunManifest(scenario="mms2d-16", scheme="IMEX-S", max_steps=2, with_error=False)
+    )
+    assert len(result.records) == 3
+    assert len(calls) == len(result.records)

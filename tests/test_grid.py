@@ -165,3 +165,42 @@ def test_diff_matches_roll_reference_bitwise(rng, dim, bounds, cells):
         for axis in range(dim):
             for side in (+1, -1):
                 assert np.array_equal(diff(g, axis, side, u), _roll_diff(g, axis, side, u))
+
+
+@pytest.mark.parametrize(
+    "dim,bounds,cells",
+    [(1, (0.0, 1.3), 7), (2, ((0.0, 1.0), (-1.0, 2.1)), (5, 3))],
+)
+def test_diff_per_column_side_matches_scalar_side(rng, dim, bounds, cells):
+    g = build_grid(dim, bounds, cells)
+    u = rng.standard_normal((g.n_points, 9))
+    side = rng.choice([-1, +1], size=9)
+    for axis in range(dim):
+        got = diff(g, axis, side, u)
+        for k in range(9):
+            assert np.array_equal(got[:, k], diff(g, axis, side[k], u[:, k]))
+    for uniform in (+1, -1):
+        full = np.full(9, uniform)
+        assert np.array_equal(diff(g, 0, full, u), diff(g, 0, uniform, u))
+
+
+def test_diff_out_into_column_slice(rng):
+    g = build_grid(2, ((0.0, 1.0), (0.0, 2.0)), (4, 3))
+    u = rng.standard_normal((g.n_points, 3))
+    block = np.full((g.n_points, 9), np.nan)
+    for b, (axis, side) in enumerate([(0, -1), (1, +1), (1, np.array([1, -1, 1]))]):
+        view = block[:, 3 * b:3 * (b + 1)]
+        assert diff(g, axis, side, u, out=view) is view
+        assert np.array_equal(block[:, 3 * b:3 * (b + 1)], diff(g, axis, side, u))
+    assert not np.any(np.isnan(block))
+
+
+def test_diff_rejects_bad_out_and_side_shapes():
+    g = build_grid(1, (0.0, 1.0), 8)
+    u = np.zeros((g.n_points, 3))
+    with pytest.raises(ValueError):
+        diff(g, 0, +1, u, out=np.empty((g.n_points, 2)))
+    with pytest.raises(ValueError):
+        diff(g, 0, +1, u, out=np.empty(g.n_points))
+    with pytest.raises(ValueError):
+        diff(g, 0, np.ones(2), u)

@@ -58,6 +58,40 @@ def test_advect_dense_oracle(setup, rng):
     assert np.allclose(advect(grid, quad, G), dense_advect(grid, quad, G), atol=1e-13)
 
 
+def four_term_advect(grid, quad, G):
+    """Reference: both one-sided differences per axis, weighted by Q^(j,+-)."""
+    out = np.zeros_like(G)
+    for j in range(grid.dim):
+        out += diff(grid, j, -1, G) * quad.q_plus(j)[None, :]
+        out += diff(grid, j, +1, G) * quad.q_minus(j)[None, :]
+    return out
+
+
+@pytest.mark.parametrize(
+    "grid,quad",
+    [
+        (build_grid(1, (0.0, 1.3), 9), gauss_legendre_1d(8)),
+        (build_grid(2, ((0.0, 1.0), (-1.0, 2.1)), (5, 4)), chebyshev_legendre_2d(4)),
+    ],
+)
+def test_advect_matches_four_term_formula_bitwise(rng, grid, quad):
+    G = rng.standard_normal((grid.n_points, quad.n))
+    assert np.array_equal(advect(grid, quad, G), four_term_advect(grid, quad, G))
+
+
+def test_project_out_mean_and_inner_w_match_outer_formulas_bitwise(setup, rng):
+    grid, quad = setup
+    F1 = rng.standard_normal((grid.n_points, quad.n))
+    F2 = rng.standard_normal((grid.n_points, quad.n))
+    ref = F1 - np.outer(F1 @ quad.w, np.ones(quad.n)) / quad.domain_measure
+    assert np.array_equal(project_out_mean(quad, F1), ref)
+    inplace = F1.copy()
+    assert project_out_mean(quad, inplace, out=inplace) is inplace
+    assert np.array_equal(inplace, ref)
+    expected = grid.cell_volume * float(np.sum(F1 * F2 * quad.w[None, :]))
+    assert inner_w(grid, quad, F1, F2) == expected
+
+
 def test_flux_div_dense_oracle_and_isotropy(setup, rng):
     grid, quad = setup
     G = rng.standard_normal((grid.n_points, quad.n))
