@@ -5,7 +5,8 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from dataclasses import replace
+import typing
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import scenarios
@@ -75,20 +76,23 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-_MANIFEST_TYPES = {
-    "scenario": str,
-    "scheme": str,
-    "rank": int,
-    "tau": float,
-    "dt_mult": float,
-    "mesh_div": int,
-    "theta": float,
-    "epsilon": float,
-    "seed": int,
-    "out": str,
-    "unweighted": lambda s: str(s).lower() in ("1", "true", "yes", "on"),
-    "bench": lambda s: str(s).lower() in ("1", "true", "yes", "on"),
-}
+def _parse_bool(text) -> bool:
+    return str(text).lower() in ("1", "true", "yes", "on")
+
+
+def _manifest_parsers() -> dict:
+    """Parser of every ``RunManifest`` field from its (possibly Optional) type."""
+    hints = typing.get_type_hints(RunManifest)
+    parsers = {}
+    for f in fields(RunManifest):
+        args = [a for a in typing.get_args(hints[f.name]) if a is not type(None)]
+        base = args[0] if args else hints[f.name]
+        parsers[f.name] = _parse_bool if base is bool else base
+    return parsers
+
+
+#: Config-file keys and sweep axes: every ``RunManifest`` field.
+_MANIFEST_TYPES = _manifest_parsers()
 
 
 def manifest_from_args(args) -> RunManifest:

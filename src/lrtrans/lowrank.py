@@ -11,37 +11,34 @@ demonstrate how that choice breaks the energy alignment, and is selected with
 
 Integrators
 -----------
-``bug_step``
-    Fixed-rank basis-update & Galerkin step: implicit pointwise K step,
-    implicit r x r L step, constrained re-orthonormalization, implicit r x r
-    Galerkin S step.
-``abug_step``
-    Augmented variant: bases are extended with the K/L updates and previous
-    bases (rank <= 2r), the Galerkin step runs at the augmented rank, and the
-    result is truncated by a relative singular-value tolerance.  With the
-    ``AP-aBUG`` integrator tag the bases are additionally enriched with the
-    discrete diffusion-limit directions (one spatial and one angular vector
-    per axis) which are pinned as untruncatable leading columns.
+:func:`micro_step` runs one step.  ``BUG`` is the fixed-rank basis-update
+& Galerkin step: implicit pointwise K step, implicit r x r L step,
+re-orthonormalization, implicit r x r Galerkin S step.  ``aBUG`` augments
+the bases with the K/L updates (rank <= 2r) and truncates the S-step result
+by a relative singular-value tolerance; ``AP-aBUG`` also adds the discrete
+diffusion-limit directions, pinned as untruncatable leading columns.
+Weighted angular bases come from :func:`constrained_qr`, so ``1^T M V = 0``
+holds to machine precision.
 
-Angular bases in weighted mode are produced by :func:`constrained_qr`, which
-orthonormalizes inside the zero-density subspace so ``1^T M V = 0`` holds to
-machine precision even for rank-deficient inputs.
+Basis extension
+---------------
+The old basis ``X`` is orthonormal and lies in the augmented span, so
+plain aBUG keeps it, ``X1 = [X, Q]``, and orthonormalizes only ``K1``
+(:func:`_extend_basis`: project out ``X`` twice, one QR of the
+``n_points x r`` block, and one more projection and QR if ``max |X^T Q|``
+exceeds ``_REORTH_BOUND``).  ``S_tilde = X1^T X S V^T V1`` is then the
+embedding ``[S V^T V1; 0]``.  AP-aBUG keeps one QR of
+``[limit directions, K1, X]``, so its pinned block leads.
 
-Spatial differences
--------------------
-A coupled step differences each ``n_points``-row array once.  ``K = X S``
-and its ``2 dim`` one-sided differences ``D^(j,-+) K`` are formed once per
-step, the differences as one contiguous ``(n_points, 2 dim r)`` block.  The
-K step reads them, and so does the Schur right-hand side, which contracts
-them to one ``n_points`` vector per axis before its one divergence
-difference.  The L and S steps need only the forward-difference Galerkin
-matrices: on the periodic lattice ``D^(j,-) = -(D^(j,+))^T`` (summation by
-parts), so ``X^T D^(j,-) X = -(X^T D^(j,+) X)^T``.  The S step computes
-``C[j] = X1^T D^(j,+) X1`` once; the matrices travel with the state as
-``MicroStateLowRank.C``, truncation rotates them with the same factors it
-applies to ``X``, and the next step's L step uses them with no spatial
-work.  Only these ``r x r`` matrices are carried, never differenced
-``n_points x r`` bases.
+Carried Galerkin blocks
+-----------------------
+``K = X S`` and its one-sided differences are formed once per step, for
+the K step and the Schur right-hand side.  On the periodic lattice
+``D^(j,-) = -(D^(j,+))^T`` (summation by parts), so the L and S steps need
+only ``X^T D^(j,+) X``.  The S step forms the stack ``C = [X1^T D^(j,+) X1
+per axis, X1^T diag(sigma) X1]`` once (after an extension only the ``Q``
+blocks are new); it travels as ``MicroStateLowRank.C``, truncation rotates
+it with ``X``, and the next L step reads it with no ``n_points``-row work.
 """
 
 from __future__ import annotations
@@ -53,7 +50,7 @@ import numpy as np
 import scipy.linalg
 
 from .angular import QuadratureSet
-from .fullrank import SolverConfig, relaxation_factor
+from .fullrank import DivergenceError, SolverConfig, relaxation_factor
 from .grid import StaggeredGrid, diff
 from .ops import (
     MaterialField,
@@ -76,9 +73,9 @@ class MicroStateLowRank:
     rank-capped corner cases), ``V`` is ``(n_ordinates, r)``; ``X`` and ``V``
     have orthonormal columns.  ``weighted=True`` means the factors represent
     ``G M`` and ``V`` satisfies the zero-density constraint ``1^T M V = 0``.
-    ``C`` is the ``(dim, r, r)`` stack of summation-by-parts Galerkin
-    matrices ``C[j] = X^T D^(j,+) X`` of this ``X``, or ``None``, in which
-    case a step computes them from ``X``.
+    ``C`` stacks ``C[j] = X^T D^(j,+) X`` per axis and, once a step has run,
+    ``C[dim] = X^T diag(sigma) X`` (the initial state does not know sigma);
+    with ``C = None`` a step computes them from ``X``.
     """
 
     X: np.ndarray
@@ -123,7 +120,7 @@ class StepInfo:
 class GalerkinStage:
     """Result of :func:`galerkin_stage`; unpacks as ``(X1, S_tilde, S1, V1)``.
 
-    ``C1`` holds the S-step matrices ``X1^T D^(j,+) X1`` for the next step.
+    ``C1`` is the Galerkin stack of ``X1`` (see :class:`MicroStateLowRank`).
     """
 
     X1: np.ndarray
@@ -140,24 +137,22 @@ class GalerkinStage:
 # factor construction
 # ---------------------------------------------------------------------------
 
-def _fix_signs(Q: np.ndarray) -> np.ndarray:
-    """Flip columns so the largest-magnitude entry of each is positive."""
-    if Q.size == 0:
-        return Q
+def _signs(Q: np.ndarray) -> np.ndarray:
+    """Column signs that make the largest-magnitude entry of each positive."""
     picks = np.abs(Q).argmax(axis=0)
     signs = np.sign(Q[picks, np.arange(Q.shape[1])])
     signs[signs == 0] = 1.0
-    return Q * signs[None, :]
+    return signs
+
+
+def _fix_signs(Q: np.ndarray) -> np.ndarray:
+    return Q * _signs(Q)[None, :] if Q.size else Q
 
 
 def _qr(B: np.ndarray) -> np.ndarray:
     """Orthonormal factor of the economic QR factorization of ``B``."""
     Q, _ = scipy.linalg.qr(B, mode="economic", check_finite=False)
     return Q
-
-
-def _qr_basis(B: np.ndarray) -> np.ndarray:
-    return _fix_signs(_qr(B))
 
 
 def constrained_qr(L: np.ndarray, quad: QuadratureSet) -> np.ndarray:
@@ -186,10 +181,54 @@ def _complete_basis(Q: np.ndarray, extra: int, rng: np.random.Generator) -> np.n
     return np.hstack([Q, _fix_signs(full[:, k : k + extra])])
 
 
-def _sbp_matrices(grid: StaggeredGrid, X: np.ndarray) -> np.ndarray:
-    """``(dim, r, r)`` stack of ``X^T D^(j,+) X``; the backward-difference
+def _sbp_matrices(grid: StaggeredGrid, X: np.ndarray, sig=None) -> np.ndarray:
+    """``(dim, r, r)`` stack of ``X^T D^(j,+) X``, followed by
+    ``X^T diag(sig) X`` if ``sig`` is given; the backward-difference
     matrices follow by summation by parts, ``X^T D^(j,-) X = -(.)^T``."""
-    return np.stack([X.T @ diff(grid, j, +1, X) for j in range(grid.dim)])
+    blocks = [X.T @ diff(grid, j, +1, X) for j in range(grid.dim)]
+    if sig is not None:
+        blocks.append(X.T @ (sig[:, None] * X))
+    return np.stack(blocks)
+
+
+#: Largest accepted ``max |X^T Q|`` of a basis extension after its two
+#: projections; above it the block is projected once more and factorized again.
+_REORTH_BOUND = 1e-14
+
+
+def _extend_basis(X: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """At most ``n - r`` columns ``Q`` with ``[X, Q]`` orthonormal and
+    ``range(B)`` inside ``range([X, Q])``, for orthonormal ``X``.
+
+    The re-projection catches rank-deficient ``B`` (zero, inside
+    ``range(X)``, repeated columns), whose QR completes with directions
+    that need not be orthogonal to ``X``.
+    """
+    n, r = X.shape
+    k = min(B.shape[1], n - r)
+    if k == 0:
+        return np.zeros((n, 0))
+    B = B - X @ (X.T @ B)
+    B -= X @ (X.T @ B)
+    Q = _qr(B)[:, :k]
+    if np.abs(X.T @ Q).max() > _REORTH_BOUND:
+        Q = _qr(Q - X @ (X.T @ Q))
+    return Q
+
+
+def _extended_blocks(grid, X1, r, C, sig):
+    """Galerkin stack of ``X1 = [X, Q]`` from the stack ``C`` of its leading
+    ``r`` columns ``X``: only ``Q`` is differenced and weighted.  Summation
+    by parts gives ``Q^T D^(j,+) X = -(X^T D^(j,-) Q)^T``."""
+    X, Q = X1[:, :r], X1[:, r:]
+    C1 = np.empty((len(C), X1.shape[1], X1.shape[1]))
+    C1[:, :r, :r] = C
+    for j in range(grid.dim):
+        C1[j, :, r:] = X1.T @ diff(grid, j, +1, Q)
+        C1[j, r:, :r] = -(X.T @ diff(grid, j, -1, Q)).T
+    C1[-1, :, r:] = X1.T @ (sig[:, None] * Q)
+    C1[-1, r:, :r] = C1[-1, :r, r:].T
+    return C1
 
 
 def factorize_micro(
@@ -220,8 +259,7 @@ def factorize_micro(
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     keep = int(np.sum(s > (s[0] * 1e-14 if s.size and s[0] > 0 else np.inf)))
     keep = min(keep, r_eff)
-    picks = np.abs(U[:, :keep]).argmax(axis=0)
-    signs = np.sign(U[picks, np.arange(keep)])
+    signs = _signs(U[:, :keep])
     X = U[:, :keep] * signs[None, :]
     Vm = Vt[:keep].T * signs[None, :]
     return _seeded_state(grid, quad, X, s[:keep], Vm, r_eff, weighted, rng)
@@ -334,15 +372,19 @@ def galerkin_stage(
     ``augment=True`` the new bases also contain the previous ones, and with
     ``ap_enrich=True`` additionally the diffusion-limit directions
     ``-(sigma_s)^{-1} D^(j,+) rho`` (spatial) and ``M Q^(j) 1`` (angular) as
-    leading columns.  ``k_diffs`` is ``_k_differences(grid, state)`` when the
-    caller has formed it already.
+    leading columns.  Without ``ap_enrich`` the augmented spatial basis is
+    the extension ``[X, Q]`` of :func:`_extend_basis`.  ``k_diffs`` is
+    ``_k_differences(grid, state)`` when the caller has formed it already.
     """
     X, S, V = state.X, state.S, state.V
+    r = X.shape[1]
     wgt = state.weighted
     eps, dt = config.epsilon, config.dt
     eps2 = eps * eps
     sig = material.sigma_s_g / eps2 + material.sigma_a_g
-    C = state.C if state.C is not None else _sbp_matrices(grid, X)
+    C = state.C if state.C is not None else _sbp_matrices(grid, X, sig)
+    if len(C) == grid.dim:  # a state built without the material
+        C = np.concatenate([C, (X.T @ (sig[:, None] * X))[None]])
     K, DK = k_diffs if k_diffs is not None else _k_differences(grid, state)
 
     PJ, AJ = density_grad(grid, quad, rho_for_grad)
@@ -370,7 +412,7 @@ def galerkin_stage(
     rhsL -= AJr @ (PJ.T @ X) / eps2
     if src is not None:
         rhsL += Asr @ (Ps.T @ X)
-    Mimp = np.eye(X.shape[1]) / dt + X.T @ (sig[:, None] * X)
+    Mimp = np.eye(r) / dt + C[-1]
     L1 = np.linalg.solve(Mimp.T, rhsL.T).T
 
     kb, lb = [K1], [L1]
@@ -382,12 +424,18 @@ def galerkin_stage(
             raise ValueError("diffusion-limit enrichment requires weighted factors")
         kb.insert(0, -PJ / material.sigma_s_g[:, None])
         lb.insert(0, _ap_angular(quad))
-    X1 = _qr_basis(np.hstack(kb))
-    V1 = constrained_qr(np.hstack(lb), quad) if wgt else _qr_basis(np.hstack(lb))
+    V1 = constrained_qr(np.hstack(lb), quad) if wgt else _fix_signs(_qr(np.hstack(lb)))
+    if augment and not ap_enrich:
+        X1 = np.hstack([X, _extend_basis(X, K1)])
+        C1 = _extended_blocks(grid, X1, r, C, sig)
+        S_tilde = np.zeros((X1.shape[1], V1.shape[1]))
+        S_tilde[:r] = S @ (V.T @ V1)
+    else:
+        X1 = _fix_signs(_qr(np.hstack(kb)))
+        C1 = _sbp_matrices(grid, X1, sig)
+        S_tilde = (X1.T @ X) @ S @ (V.T @ V1)
 
     # X1^T D^(j,-) X1 = -C1[j]^T
-    C1 = _sbp_matrices(grid, X1)
-    S_tilde = (X1.T @ X) @ S @ (V.T @ V1)
     rhsS = S_tilde / dt
     for j in range(grid.dim):
         rhsS += C1[j].T @ S_tilde @ (_ang(quad, V1, j, +1, wgt).T @ V1) / eps
@@ -395,7 +443,7 @@ def galerkin_stage(
     rhsS -= (X1.T @ PJ) @ (AJr.T @ V1) / eps2
     if src is not None:
         rhsS += (X1.T @ Ps) @ (Asr.T @ V1)
-    Mimp1 = np.eye(X1.shape[1]) / dt + X1.T @ (sig[:, None] * X1)
+    Mimp1 = np.eye(X1.shape[1]) / dt + C1[-1]
     S1 = np.linalg.solve(Mimp1, rhsS)
     return GalerkinStage(X1, S_tilde, S1, V1, C1)
 
@@ -404,59 +452,45 @@ def _ap_angular(quad):
     return np.column_stack([quad.m * quad.q(j) for j in range(quad.dim)])
 
 
-def bug_step(
-    grid, quad, material, config, state, rho_for_grad, t_next: float = 0.0
-) -> MicroStateLowRank:
-    """One fixed-rank basis-update & Galerkin step; rank is unchanged."""
-    st = galerkin_stage(grid, quad, material, config, state, rho_for_grad, t_next)
-    return MicroStateLowRank(X=st.X1, S=st.S1, V=st.V1, weighted=state.weighted, C=st.C1)
-
-
-def abug_step(
-    grid,
-    quad,
-    material,
-    config,
-    lr_config: LowRankConfig,
-    state,
-    rho_for_grad,
-    t_next: float = 0.0,
-) -> MicroStateLowRank:
-    """One augmented step with tolerance-based truncation (rank adaptive)."""
-    state2, _ = _abug_step_info(
-        grid, quad, material, config, lr_config, state, rho_for_grad, t_next
-    )
-    return state2
-
-
-def _abug_step_info(
-    grid, quad, material, config, lr_config, state, rho_for_grad, t_next, k_diffs=None
+def micro_step(
+    grid, quad, material, config, lr_config, state, rho_for_grad, t_next=0.0, k_diffs=None
 ):
+    """One step of ``lr_config``'s integrator; returns ``(state, StepInfo)``.
+
+    aBUG and AP-aBUG truncate at the relative tolerance ``lr_config.tau``.
+    """
+    augment = lr_config.integrator != "BUG"
     ap = lr_config.integrator == "AP-aBUG"
     st = galerkin_stage(
-        grid,
-        quad,
-        material,
-        config,
-        state,
-        rho_for_grad,
-        t_next,
-        augment=True,
-        ap_enrich=ap,
-        k_diffs=k_diffs,
+        grid, quad, material, config, state, rho_for_grad, t_next,
+        augment=augment, ap_enrich=ap, k_diffs=k_diffs,
     )
-    rmax = lr_config.max_rank or min(grid.n_points, quad.z_dim if state.weighted else quad.n)
     factors = (st.X1, st.S1, st.V1, st.C1)
-    if ap:
-        X2, S2, V2, C2 = _truncate_pinned(*factors, grid.dim, lr_config.tau, rmax)
-    else:
-        X2, S2, V2, C2 = _truncate_plain(*factors, lr_config.tau, rmax)
+    if augment:
+        rmax = lr_config.max_rank or min(
+            grid.n_points, quad.z_dim if state.weighted else quad.n
+        )
+        if ap:
+            factors = _truncate_pinned(*factors, grid.dim, lr_config.tau, rmax)
+        else:
+            factors = _truncate_plain(*factors, lr_config.tau, rmax)
+    X, S, V, C = factors
     info = StepInfo(
         s_tilde_fro=float(np.linalg.norm(st.S_tilde)),
         pre_truncation_rank=min(st.S1.shape),
-        rank=X2.shape[1],
+        rank=X.shape[1],
     )
-    return MicroStateLowRank(X=X2, S=S2, V=V2, weighted=state.weighted, C=C2), info
+    return MicroStateLowRank(X=X, S=S, V=V, weighted=state.weighted, C=C), info
+
+
+def bug_step(grid, quad, material, config, state, rho_for_grad, t_next=0.0):
+    """One fixed-rank basis-update & Galerkin step; rank is unchanged."""
+    return micro_step(grid, quad, material, config, LowRankConfig(), state, rho_for_grad, t_next)[0]
+
+
+def abug_step(grid, quad, material, config, lr_config, state, rho_for_grad, t_next=0.0):
+    """One step of ``lr_config``'s integrator, rank adaptive for aBUG and AP-aBUG."""
+    return micro_step(grid, quad, material, config, lr_config, state, rho_for_grad, t_next)[0]
 
 
 def _kept_rank(s: np.ndarray, tau: float, total: float) -> int:
@@ -476,9 +510,7 @@ def _truncate_plain(X1, S1, V1, C1, tau, rmax):
         raise RankOverflowError(
             f"truncation needs rank {k} > max_rank {rmax}; raise the cap"
         )
-    picks = np.abs(U[:, :k]).argmax(axis=0)
-    signs = np.sign(U[picks, np.arange(k)])
-    signs[signs == 0] = 1.0
+    signs = _signs(U[:, :k])
     Uk = U[:, :k] * signs
     return X1 @ Uk, np.diag(s[:k]), V1 @ (Wt[:k].T * signs), Uk.T @ C1 @ Uk
 
@@ -489,9 +521,10 @@ def _truncate_pinned(X1, S1, V1, C1, n_pinned, tau, rmax):
     The first ``n_pinned`` columns of each basis are kept verbatim; the
     tolerance rule is applied to the singular values of the free rows and
     free columns of the coupling matrix, measured against the full coupling
-    norm, and the retained free directions are rotated in.  ``X2 = X1 T``
-    with ``T = blockdiag(I, Uk)``, and the carried matrices become
-    ``T^T C1 T``.
+    norm, and the retained free directions are rotated in:
+    ``X2 = X1 T``, ``V2 = V1 W`` and ``S2 = T^T S1 W`` with
+    ``T = blockdiag(I, Uk)``, ``W = blockdiag(I, Wk)``, and the carried
+    matrices become ``T^T C1 T``.
     """
     d = min(n_pinned, min(S1.shape))
     total = float(np.linalg.norm(S1))
@@ -509,20 +542,9 @@ def _truncate_pinned(X1, S1, V1, C1, n_pinned, tau, rmax):
         raise RankOverflowError(
             f"truncation needs rank {d + k} > max_rank {rmax}; raise the cap"
         )
-    Uk = _fix_signs(Ua[:, :k])
-    Wk = _fix_signs(Wbt[:k].T)
-    S2 = np.block(
-        [
-            [S1[:d, :d], S1[:d, d:] @ Wk],
-            [Uk.T @ S1[d:, :d], Uk.T @ S1[d:, d:] @ Wk],
-        ]
-    )
-    X2 = np.hstack([X1[:, :d], X1[:, d:] @ Uk])
-    V2 = np.hstack([V1[:, :d], V1[:, d:] @ Wk])
-    T = np.zeros((X1.shape[1], d + k))
-    T[:d, :d] = np.eye(d)
-    T[d:, d:] = Uk
-    return X2, S2, V2, T.T @ C1 @ T
+    T = scipy.linalg.block_diag(np.eye(d), _fix_signs(Ua[:, :k]))
+    W = scipy.linalg.block_diag(np.eye(d), _fix_signs(Wbt[:k].T))
+    return X1 @ T, T.T @ S1 @ W, V1 @ W, T.T @ C1 @ T
 
 
 # ---------------------------------------------------------------------------
@@ -556,13 +578,11 @@ def lowrank_macro_coupled_step(
         rho_new = _schur_macro_solve(
             grid, quad, material, config, schur, rho, state, k_diffs, t_next
         )
-        state_new, info = _micro_advance(
-            grid, quad, material, config, lr_config, state, rho_new, t_next, k_diffs
-        )
-    else:
-        state_new, info = _micro_advance(
-            grid, quad, material, config, lr_config, state, rho, t_next, k_diffs
-        )
+    state_new, info = micro_step(
+        grid, quad, material, config, lr_config, state,
+        rho_new if schur_scheme else rho, t_next, k_diffs,
+    )
+    if not schur_scheme:
         P, A = g_factors(state_new, quad)
         b = rho / config.dt
         if material.phi is not None:
@@ -571,29 +591,8 @@ def lowrank_macro_coupled_step(
             1.0 / config.dt + material.sigma_a_rho
         )
     if not (np.all(np.isfinite(rho_new)) and np.isfinite(np.linalg.norm(state_new.S))):
-        from .fullrank import DivergenceError
-
         raise DivergenceError("non-finite values in updated state")
     return rho_new, state_new, info
-
-
-def _micro_advance(grid, quad, material, config, lr_config, state, rho_grad, t_next, k_diffs):
-    if lr_config.integrator == "BUG":
-        st = galerkin_stage(
-            grid, quad, material, config, state, rho_grad, t_next, k_diffs=k_diffs
-        )
-        info = StepInfo(
-            s_tilde_fro=float(np.linalg.norm(st.S_tilde)),
-            pre_truncation_rank=min(st.S1.shape),
-            rank=st.X1.shape[1],
-        )
-        state_new = MicroStateLowRank(
-            X=st.X1, S=st.S1, V=st.V1, weighted=state.weighted, C=st.C1
-        )
-        return state_new, info
-    return _abug_step_info(
-        grid, quad, material, config, lr_config, state, rho_grad, t_next, k_diffs
-    )
 
 
 def _schur_macro_solve(grid, quad, material, config, schur, rho, state, k_diffs, t_next):

@@ -12,7 +12,7 @@ from lrtrans.lowrank import (
     LowRankConfig,
     MicroStateLowRank,
     RankOverflowError,
-    _abug_step_info,
+    _extend_basis,
     abug_step,
     bug_step,
     constrained_qr,
@@ -20,6 +20,7 @@ from lrtrans.lowrank import (
     galerkin_stage,
     gm_frobenius,
     lowrank_macro_coupled_step,
+    micro_step,
     reconstruct,
     zero_micro_state,
 )
@@ -306,7 +307,7 @@ def test_ap_abug_protects_limit_directions(rng):
     G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
     st = factorize_micro(grid, quad, G, 3, seed=0)
     rho = 2.0 + np.sin(2 * np.pi * grid.rho_coords[:, 0])
-    st1, info = _abug_step_info(grid, quad, material, config, lr, st, rho, 0.0)
+    st1, info = micro_step(grid, quad, material, config, lr, st, rho, 0.0)
     ap_x = -diff(grid, 0, +1, rho) / material.sigma_s_g
     ap_v = quad.m * quad.q(0)
     rx = np.linalg.norm(ap_x - st1.X @ (st1.X.T @ ap_x)) / np.linalg.norm(ap_x)
@@ -335,18 +336,76 @@ def setup_2d_step(rng, scheme):
 
 @pytest.mark.parametrize("integrator", ["BUG", "aBUG", "AP-aBUG"])
 def test_carried_sbp_matrices_match_fresh_products(rng, integrator):
-    # the Galerkin matrices carried with the state equal X^T D^(j,+) X of the
-    # state's own basis, after the S step and after either truncation
+    # the Galerkin stack carried with the state equals X^T D^(j,+) X and
+    # X^T diag(sigma) X of the state's own basis, after the S step and after
+    # either truncation
     grid, quad, material, config, schur, st, rho = setup_2d_step(rng, "IMEX-S-aBUG")
     lr = LowRankConfig(integrator=integrator, rank=3, tau=1e-3)
+    sig = material.sigma_s_g / config.epsilon**2 + material.sigma_a_g
     for k in range(2):
         rho, st, _ = lowrank_macro_coupled_step(
             grid, quad, material, config, lr, rho, st, (k + 1) * config.dt, schur
         )
-        assert st.C.shape == (grid.dim, st.rank, st.rank)
-        for j in range(grid.dim):
-            fresh = st.X.T @ diff(grid, j, +1, st.X)
-            assert np.abs(st.C[j] - fresh).max() <= 1e-12 * np.abs(fresh).max()
+        assert st.C.shape == (grid.dim + 1, st.rank, st.rank)
+        fresh = [st.X.T @ diff(grid, j, +1, st.X) for j in range(grid.dim)]
+        fresh.append(st.X.T @ (sig[:, None] * st.X))
+        for carried, f in zip(st.C, fresh):
+            assert np.abs(carried - f).max() <= 1e-12 * np.abs(f).max()
+
+
+def test_abug_extension_keeps_old_basis_and_embeds_coupling(rng):
+    # plain aBUG keeps X verbatim as the leading block of X1, and its block
+    # embedding S_tilde = [S V^T V1; 0] equals the projection X1^T X S V^T V1
+    grid, quad, material, config, schur, st, rho = setup_2d_step(rng, "IMEX-S-aBUG")
+    stage = galerkin_stage(grid, quad, material, config, st, rho, augment=True)
+    r = st.rank
+    assert stage.X1.shape[1] == 2 * r
+    assert np.array_equal(stage.X1[:, :r], st.X)
+    projected = (stage.X1.T @ st.X) @ st.S @ (st.V.T @ stage.V1)
+    assert np.abs(stage.S_tilde - projected).max() <= 1e-13 * np.abs(st.S).max()
+
+
+def _extension_case(rng, case):
+    """``(X, B)``: an orthonormal basis and a block to extend it with."""
+    if case in ("wide", "square"):  # 2r > n_points, r = n_points on a small 1D grid
+        grid = build_grid(1, (0.0, 1.0), 4)
+        n, r = grid.n_points, 5 if case == "wide" else grid.n_points
+    else:
+        n, r = 60, 6
+    X = np.linalg.qr(rng.standard_normal((n, r)))[0]
+    B = rng.standard_normal((n, r))
+    if case == "in_span":
+        B = X @ rng.standard_normal((r, r))
+    elif case == "zero":
+        B = np.zeros((n, r))
+    elif case == "duplicated":
+        B[:, 3:] = B[:, :3]
+    elif case == "scaled":
+        B[:, 2:] *= 1e-14
+    return X, B
+
+
+@pytest.mark.parametrize(
+    "case", ["in_span", "zero", "duplicated", "scaled", "wide", "square"]
+)
+def test_basis_extension_orthonormal_and_spanning(rng, case, monkeypatch):
+    import lrtrans.lowrank
+
+    qr_calls = []
+    qr = lrtrans.lowrank._qr
+    monkeypatch.setattr(lrtrans.lowrank, "_qr", lambda B: qr_calls.append(1) or qr(B))
+    X, B = _extension_case(rng, case)
+    n, r = X.shape
+    Q = _extend_basis(X, B)
+    assert Q.shape == (n, min(B.shape[1], n - r))
+    X1 = np.hstack([X, Q])
+    assert np.abs(X1.T @ X1 - np.eye(X1.shape[1])).max() <= 1e-13
+    residual = B - X1 @ (X1.T @ B)
+    assert np.abs(residual).max() <= 1e-12 * max(np.abs(B).max(), 1.0)
+    if case == "zero":
+        # QR of a zero block completes with coordinate directions, which the
+        # re-projection moves out of range(X)
+        assert len(qr_calls) == 2
 
 
 def test_step_differences_each_array_once(rng, monkeypatch):

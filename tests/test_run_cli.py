@@ -302,3 +302,32 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "bimodal1d" in proc.stdout
+
+
+def test_cli_config_file_accepts_every_manifest_field(tmp_path):
+    # with_error and max_steps are RunManifest fields, so a config file may set them
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "scenario = gaussian1d-diff\n"
+        "scheme = IMEX-S-BUG\n"
+        "mesh_div = 8\n"
+        "with_error = false\n"
+        "max_steps = 3\n"
+    )
+    out = tmp_path / "capped"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = (out / "summary.txt").read_text()
+    assert "steps_completed = 3\n" in summary
+    assert "l2_error" not in summary
+
+
+def test_cli_sweep_varies_max_steps(tmp_path):
+    out = tmp_path / "steps"
+    rc = main([
+        "sweep", "--scenario", "gaussian1d-diff", "--scheme", "IMEX-S-BUG",
+        "--mesh-div", "8", "--vary", "max_steps=1,2", "--out", str(out),
+    ])
+    assert rc == 0
+    lines = (out / "combined.csv").read_text().strip().splitlines()
+    steps = lines[0].split(",").index("steps")
+    assert [line.split(",")[steps] for line in lines[1:]] == ["1", "2"]
