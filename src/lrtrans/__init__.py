@@ -34,12 +34,11 @@ from .lowrank import (
     LowRankConfig,
     MicroStateLowRank,
     RankOverflowError,
-    abug_step,
-    bug_step,
     constrained_qr,
     factorize_micro,
     galerkin_stage,
     lowrank_macro_coupled_step,
+    micro_step,
     reconstruct,
     zero_micro_state,
 )
@@ -47,7 +46,6 @@ from .ops import (
     MaterialField,
     advect,
     advect_adjoint,
-    advect_projected,
     density_grad,
     flux_div,
     inner,

@@ -10,8 +10,8 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import scenarios
-from .fullrank import DivergenceError, LinearSolveError
-from .run import SCHEMES, RunManifest, execute_run
+from .fullrank import SCHEMES, DivergenceError, LinearSolveError
+from .run import RunManifest, execute_run
 
 _CSV_FMT = "%.17g"
 

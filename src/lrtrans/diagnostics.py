@@ -8,10 +8,9 @@ from typing import Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .angular import QuadratureSet
-from .fullrank import LinearSolveError, SolverConfig, _difference_matrix
+from .fullrank import SolverConfig, _difference_matrix, _macro_source, spd_solver
 from .grid import StaggeredGrid
 from .lowrank import MicroStateLowRank, gm_frobenius
 from .ops import MaterialField, norm_w
@@ -153,45 +152,25 @@ def diffusion_reference(
     rho0: np.ndarray,
     dt: float,
     n_steps: int,
-    direct_threshold: int = 4096,
-    rtol: float = 1e-12,
 ) -> np.ndarray:
     """Backward-Euler solution of the limiting diffusion equation.
 
     Advances ``(1/dt + sigma_a) rho' - sum_j D^(j,-)((1/(3 sigma_s)) D^(j,+)
     rho') = rho/dt + phi`` for ``n_steps`` steps, with the conductivity
-    sampled on the g family.  The operator is assembled once; systems are
-    solved directly below ``direct_threshold`` unknowns and with conjugate
-    gradients above.
+    sampled on the g family.  The operator is assembled once and solved by
+    :func:`~lrtrans.fullrank.spd_solver`.
     """
     if np.any(material.sigma_s_g <= 0):
         raise ValueError("diffusion reference requires sigma_s > 0 on the g family")
-    n = grid.n_points
     cond = sp.diags(1.0 / (3.0 * material.sigma_s_g))
     T = sp.diags(1.0 / dt + material.sigma_a_rho).tocsr()
     for j in range(grid.dim):
         Dm = _difference_matrix(grid, j, -1)
         Dp = _difference_matrix(grid, j, +1)
         T = T - Dm @ cond @ Dp
-    T = T.tocsr()
-    if n < direct_threshold:
-        lu = spla.splu(T.tocsc())
-        solve = lu.solve
-    else:
-        dinv = 1.0 / T.diagonal()
-        M = spla.LinearOperator(T.shape, matvec=lambda x: dinv * x)
-
-        def solve(b):
-            x, info = spla.cg(T, b, rtol=rtol, atol=0.0, maxiter=10 * n, M=M)
-            if info != 0:
-                res = float(np.linalg.norm(T @ x - b))
-                raise LinearSolveError("diffusion reference solve stalled", res)
-            return x
+    solve = spd_solver(T.tocsr())
 
     rho = np.asarray(rho0, dtype=float).copy()
     for k in range(n_steps):
-        b = rho / dt
-        if material.phi is not None:
-            b = b + material.phi((k + 1) * dt)
-        rho = solve(b)
+        rho = solve(_macro_source(material, dt, rho, (k + 1) * dt))
     return rho

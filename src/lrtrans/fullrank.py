@@ -13,6 +13,10 @@ differ in the treatment of the density gradient driving the fluctuation:
 
 The Schur operator depends only on the mesh, quadrature, material, step size
 and Knudsen number, so it is assembled once per run and reused.
+
+:data:`SCHEMES` maps each of the six scheme tags to its :class:`Scheme`, one
+of two couplings times three micro updates.  :func:`spd_solver` solves the
+sparse SPD systems of the Schur operator and of the diffusion reference.
 """
 
 from __future__ import annotations
@@ -51,29 +55,44 @@ class LinearSolveError(RuntimeError):
         self.residual = residual
 
 
+@dataclass(frozen=True)
+class Scheme:
+    """A parsed scheme tag: Schur-type coupling or not, and the micro update."""
+
+    schur: bool
+    micro: str
+
+
+#: Every scheme tag and what it means.
+SCHEMES = {
+    "IMEX": Scheme(schur=False, micro="full"),
+    "IMEX-S": Scheme(schur=True, micro="full"),
+    "IMEX-BUG": Scheme(schur=False, micro="BUG"),
+    "IMEX-S-BUG": Scheme(schur=True, micro="BUG"),
+    "IMEX-aBUG": Scheme(schur=False, micro="aBUG"),
+    "IMEX-S-aBUG": Scheme(schur=True, micro="aBUG"),
+}
+
+
+def parse_scheme(tag: str) -> Scheme:
+    """The :class:`Scheme` of ``tag``; ``ValueError`` for an unknown tag."""
+    if tag not in SCHEMES:
+        raise ValueError(f"unknown scheme {tag!r}; expected one of {tuple(SCHEMES)}")
+    return SCHEMES[tag]
+
+
 @dataclass
 class SolverConfig:
-    """Time-stepping configuration shared by all schemes.
-
-    ``theta`` is the energy-functional parameter used by diagnostics; ``None``
-    defers to the per-scheme default (1 for IMEX-type, 0 for IMEX-S-type).
-    """
+    """Knudsen number and step size shared by all schemes."""
 
     epsilon: float
     dt: float
-    scheme: str = "IMEX"
-    theta: Optional[float] = None
-    schur_rtol: float = 1e-12
-    schur_maxiter_factor: int = 10
-    schur_direct_threshold: int = 4096
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.theta is not None and not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
 
 
 def relaxation_factor(material: MaterialField, config: SolverConfig) -> np.ndarray:
@@ -93,18 +112,49 @@ def _difference_matrix(grid: StaggeredGrid, axis: int, side: int) -> sp.csr_matr
     return (shift - eye) / h if side > 0 else (eye - shift) / h
 
 
+#: SPD systems with fewer unknowns are factorized (sparse LU); larger ones
+#: are solved by Jacobi-preconditioned conjugate gradients to relative
+#: residual ``CG_RTOL`` within ``CG_MAXITER_PER_UNKNOWN * n`` iterations.
+DIRECT_SOLVE_MAX = 4096
+CG_RTOL = 1e-12
+CG_MAXITER_PER_UNKNOWN = 10
+
+
+def spd_solver(T: sp.spmatrix):
+    """``solve(b)`` for the sparse symmetric positive definite matrix ``T``.
+
+    A stalled CG solve raises :class:`LinearSolveError` carrying the
+    relative residual ``|T x - b| / |b|``.
+    """
+    n = T.shape[0]
+    if n < DIRECT_SOLVE_MAX:
+        return spla.splu(T.tocsc()).solve
+    maxiter = int(CG_MAXITER_PER_UNKNOWN * n)
+    dinv = 1.0 / T.diagonal()
+    precond = spla.LinearOperator(T.shape, matvec=lambda x: dinv * x)
+
+    def solve(b):
+        x, info = spla.cg(T, b, rtol=CG_RTOL, atol=0.0, maxiter=maxiter, M=precond)
+        if info != 0:
+            res = float(np.linalg.norm(T @ x - b) / max(np.linalg.norm(b), 1e-300))
+            raise LinearSolveError(
+                f"conjugate gradients stopped after {maxiter} iterations", res
+            )
+        return x
+
+    return solve
+
+
 class SchurOperator:
     """Sparse reduced operator for the implicit density solve.
 
     Applies ``(1/dt + sigma_a) I - (1/(|D_Omega)| eps^2)) sum_{j,k} c_{jk}
     D^(j,-) diag(R) D^(k,+)`` with ``c_{jk} = sum_m w_m Omega^j_m Omega^k_m``
     and ``R`` the pointwise relaxation factor.  The matrix is symmetric
-    positive definite; small systems are factorized directly, large ones are
-    solved with Jacobi-preconditioned conjugate gradients.
+    positive definite and solved by :func:`spd_solver`.
     """
 
     def __init__(self, grid, quad, material: MaterialField, config: SolverConfig):
-        n = grid.n_points
         R = relaxation_factor(material, config)
         T = sp.diags(1.0 / config.dt + material.sigma_a_rho).tocsr()
         c = np.array(
@@ -129,42 +179,17 @@ class SchurOperator:
         asym = sp.linalg.norm(T - T.T, np.inf)
         if asym > 1e-12 * sp.linalg.norm(T, np.inf):
             raise ValueError(f"Schur operator not symmetric: |T - T^T| = {asym:.3e}")
-        d = T.diagonal()
-        if np.any(d <= 0):
+        if np.any(T.diagonal() <= 0):
             raise ValueError("Schur operator has a nonpositive diagonal entry")
 
         self.matrix = T
-        self._rtol = config.schur_rtol
-        self._maxiter = config.schur_maxiter_factor * n
-        if n < config.schur_direct_threshold:
-            self._lu = spla.splu(T.tocsc())
-            self._precond = None
-        else:
-            self._lu = None
-            self._precond = spla.LinearOperator(
-                T.shape, matvec=lambda x, dinv=1.0 / d: dinv * x
-            )
+        self._solve = spd_solver(T)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        if self._lu is not None:
-            return self._lu.solve(b)
-        x, info = spla.cg(
-            self.matrix,
-            b,
-            rtol=self._rtol,
-            atol=0.0,
-            maxiter=self._maxiter,
-            M=self._precond,
-        )
-        if info != 0:
-            res = float(np.linalg.norm(self.matrix @ x - b) / max(np.linalg.norm(b), 1e-300))
-            raise LinearSolveError(
-                f"conjugate gradients stopped after {self._maxiter} iterations", res
-            )
-        return x
+        return self._solve(b)
 
 
 def build_schur(
@@ -198,8 +223,8 @@ def _subtract_density_grad(rhs, work, PJ, AJ, eps2):
     rhs -= work
 
 
-def _macro_source(material, config, rho, t_next):
-    b = rho / config.dt
+def _macro_source(material, dt, rho, t_next):
+    b = rho / dt
     if material.phi is not None:
         b = b + material.phi(t_next)
     return b
@@ -227,7 +252,7 @@ def imex_step(
         _subtract_density_grad(G_new, work, PJ, AJ, eps2)
         G_new *= R[:, None]
         rho_new = (
-            _macro_source(material, config, rho, t_next) - flux_div(grid, quad, G_new)
+            _macro_source(material, config.dt, rho, t_next) - flux_div(grid, quad, G_new)
         ) / (1.0 / config.dt + material.sigma_a_rho)
     _require_finite(rho_new, G_new)
     return rho_new, G_new
@@ -252,7 +277,7 @@ def imex_s_step(
     R = relaxation_factor(material, config)
     with np.errstate(over="ignore", invalid="ignore"):
         G_new, work = _micro_explicit_rhs(grid, quad, material, config, G, t_next)
-        b1 = _macro_source(material, config, rho, t_next)
+        b1 = _macro_source(material, config.dt, rho, t_next)
         np.multiply(G_new, R[:, None], out=work)
         rho_new = schur.solve(b1 - flux_div(grid, quad, work))
         PJ, AJ = density_grad(grid, quad, rho_new)

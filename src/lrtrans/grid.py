@@ -85,14 +85,8 @@ class StaggeredGrid:
     # -- index maps --------------------------------------------------------
 
     def rho_index(self, block: int, ix: int, iy: int = 0) -> int:
-        """Linear index of the rho point ``(block, ix[, iy])``."""
-        return self._index(block, ix, iy)
-
-    def g_index(self, block: int, ix: int, iy: int = 0) -> int:
-        """Linear index of the g point ``(block, ix[, iy])``."""
-        return self._index(block, ix, iy)
-
-    def _index(self, block: int, ix: int, iy: int) -> int:
+        """Linear index of the point ``(block, ix[, iy])``; both point
+        families share the index map."""
         nx = self.cells[0]
         if not 0 <= block < 2 or not 0 <= ix < nx:
             raise IndexError("grid location out of range")

@@ -50,7 +50,7 @@ import numpy as np
 import scipy.linalg
 
 from .angular import QuadratureSet
-from .fullrank import DivergenceError, SolverConfig, relaxation_factor
+from .fullrank import DivergenceError, SolverConfig, _macro_source, relaxation_factor
 from .grid import StaggeredGrid, diff
 from .ops import (
     MaterialField,
@@ -483,16 +483,6 @@ def micro_step(
     return MicroStateLowRank(X=X, S=S, V=V, weighted=state.weighted, C=C), info
 
 
-def bug_step(grid, quad, material, config, state, rho_for_grad, t_next=0.0):
-    """One fixed-rank basis-update & Galerkin step; rank is unchanged."""
-    return micro_step(grid, quad, material, config, LowRankConfig(), state, rho_for_grad, t_next)[0]
-
-
-def abug_step(grid, quad, material, config, lr_config, state, rho_for_grad, t_next=0.0):
-    """One step of ``lr_config``'s integrator, rank adaptive for aBUG and AP-aBUG."""
-    return micro_step(grid, quad, material, config, lr_config, state, rho_for_grad, t_next)[0]
-
-
 def _kept_rank(s: np.ndarray, tau: float, total: float) -> int:
     if s.size == 0 or total == 0.0:
         return 0
@@ -564,32 +554,27 @@ def lowrank_macro_coupled_step(
 ):
     """One coupled step; returns ``(rho_new, state_new, StepInfo)``.
 
-    Schur-type schemes solve the reduced density system first (with the old
-    micro state entering the right-hand side in factored form) and then run
-    the micro integrator against the new density; plain IMEX coupling runs
-    the micro integrator against the old density and closes with the diagonal
-    density update.  Both read ``K = X S`` and its differences, formed once.
+    Given a ``schur`` operator (IMEX-S coupling) the reduced density system
+    is solved first, the old micro state entering in factored form, and the
+    micro integrator runs against the new density; with ``schur=None`` (IMEX)
+    it runs against the old density and the diagonal density update closes
+    the step.  Both read ``K = X S`` and its differences, formed once.
     """
-    schur_scheme = "IMEX-S" in config.scheme
     k_diffs = _k_differences(grid, state)
-    if schur_scheme:
-        if schur is None:
-            raise ValueError("Schur-type coupling requires a prebuilt SchurOperator")
+    if schur is not None:
         rho_new = _schur_macro_solve(
             grid, quad, material, config, schur, rho, state, k_diffs, t_next
         )
     state_new, info = micro_step(
         grid, quad, material, config, lr_config, state,
-        rho_new if schur_scheme else rho, t_next, k_diffs,
+        rho if schur is None else rho_new, t_next, k_diffs,
     )
-    if not schur_scheme:
+    if schur is None:
         P, A = g_factors(state_new, quad)
-        b = rho / config.dt
-        if material.phi is not None:
-            b = b + material.phi(t_next)
-        rho_new = (b - flux_div_factored(grid, quad, P, A)) / (
-            1.0 / config.dt + material.sigma_a_rho
-        )
+        rho_new = (
+            _macro_source(material, config.dt, rho, t_next)
+            - flux_div_factored(grid, quad, P, A)
+        ) / (1.0 / config.dt + material.sigma_a_rho)
     if not (np.all(np.isfinite(rho_new)) and np.isfinite(np.linalg.norm(state_new.S))):
         raise DivergenceError("non-finite values in updated state")
     return rho_new, state_new, info
@@ -618,8 +603,5 @@ def _schur_macro_solve(grid, quad, material, config, schur, rho, state, k_diffs,
     div = np.zeros(grid.n_points)
     for j in range(grid.dim):
         div += diff(grid, j, -1, flux[:, j])
-    b = rho / dt
-    if material.phi is not None:
-        b = b + material.phi(t_next)
+    b = _macro_source(material, config.dt, rho, t_next)
     return schur.solve(b - div / quad.domain_measure)
-

@@ -10,9 +10,9 @@ constraint ``G @ w = 0``.
 
 Rank-structured matrices are passed around as factor pairs ``(P, A)``
 representing ``P @ A.T`` with ``P`` of shape ``(n_points, m)`` and ``A`` of
-shape ``(n_ordinates, m)``; the density-gradient and projected-advection
-operators return this form so the low-rank integrators never materialize an
-``n_points x n_ordinates`` temporary.
+shape ``(n_ordinates, m)``; the density gradient is returned in this form so
+the low-rank integrators never materialize an ``n_points x n_ordinates``
+temporary.
 """
 
 from __future__ import annotations
@@ -172,28 +172,6 @@ def project_out_mean(
     ``out=F`` removes the means in place.
     """
     return np.subtract(F, ((F @ quad.w) / quad.domain_measure)[:, None], out=out)
-
-
-def advect_projected(
-    grid: StaggeredGrid, quad: QuadratureSet, X: np.ndarray, S: np.ndarray, V: np.ndarray
-) -> tuple:
-    """Mean-free advection of energy-consistent factors, kept factored.
-
-    For factors of ``G M`` this returns ``(P, A)`` with
-    ``P @ A.T = A(X S V^T M^{-1}) (I - w 1^T / |D_Omega|) M``.
-    All angular work is done as r-column products: per axis the angular
-    factor is ``Q^(j,+-) V - (M 1) (V^T M Q^(j,+-) 1)^T / |D_Omega|``.
-    Cost is ``O((n_points + n_ordinates) r d)``; no dense micro matrix is
-    formed.
-    """
-    K = X @ S
-    P_blocks, A_blocks = [], []
-    for j in range(grid.dim):
-        P_blocks.append(diff(grid, j, -1, K))
-        A_blocks.append(_angular_factor_weighted(quad, V, quad.q_plus(j)))
-        P_blocks.append(diff(grid, j, +1, K))
-        A_blocks.append(_angular_factor_weighted(quad, V, quad.q_minus(j)))
-    return np.hstack(P_blocks), np.hstack(A_blocks)
 
 
 def _angular_factor_weighted(quad, V, q_split):

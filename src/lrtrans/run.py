@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -26,22 +27,21 @@ from .diagnostics import EnergyRecord
 from .fullrank import (
     DivergenceError,
     LinearSolveError,
+    Scheme,
     SolverConfig,
     build_schur,
     imex_s_step,
     imex_step,
+    parse_scheme,
 )
-from .grid import build_grid
 from .lowrank import (
     LowRankConfig,
+    MicroStateLowRank,
     RankOverflowError,
     factorize_micro,
     lowrank_macro_coupled_step,
     zero_micro_state,
 )
-from .ops import sample_material
-
-SCHEMES = ("IMEX", "IMEX-S", "IMEX-BUG", "IMEX-S-BUG", "IMEX-aBUG", "IMEX-S-aBUG")
 
 _CSV_FMT = "%.17g"
 
@@ -65,9 +65,8 @@ class RunManifest:
     with_error: Optional[bool] = None   # None = automatic per reference kind
     max_steps: Optional[int] = None     # testing hook: stop the loop early
 
-    def validate(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
+    def validate(self) -> Scheme:
+        scheme = parse_scheme(self.scheme)
         if self.scenario not in scenarios.scenario_names():
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.rank is not None and self.rank < 1:
@@ -82,8 +81,11 @@ class RunManifest:
             raise ValueError("theta must lie in [0, 1]")
         if self.epsilon is not None and self.epsilon <= 0:
             raise ValueError("epsilon override must be positive")
-        if self.unweighted and "BUG" not in self.scheme:
+        if self.unweighted and scheme.micro == "full":
             raise ValueError("--unweighted only applies to low-rank schemes")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
+        return scheme
 
 
 @dataclass
@@ -101,11 +103,6 @@ class RunResult:
         return np.array([r.energy for r in self.records])
 
 
-def default_theta(scheme: str) -> float:
-    """1 for explicit-coupled schemes, 0 for Schur-type schemes."""
-    return 0.0 if "IMEX-S" in scheme else 1.0
-
-
 def execute_run(manifest: RunManifest) -> RunResult:
     """Execute one run and (optionally) write its artifacts.
 
@@ -116,7 +113,7 @@ def execute_run(manifest: RunManifest) -> RunResult:
     ``summary["failed_step"]`` set; the steps done so far are still recorded
     and written.
     """
-    manifest.validate()
+    scheme = manifest.validate()
     scen = scenarios.get_scenario(manifest.scenario, manifest.mesh_div)
     eps = manifest.epsilon if manifest.epsilon is not None else scen.epsilon
     grid, quad, material = scenarios.build_objects(scen, epsilon=eps)
@@ -125,16 +122,14 @@ def execute_run(manifest: RunManifest) -> RunResult:
     n_steps = max(1, math.ceil(scen.t_final / dt - 1e-9))
     if manifest.max_steps is not None:
         n_steps = min(n_steps, manifest.max_steps)
-    theta = manifest.theta if manifest.theta is not None else default_theta(manifest.scheme)
-    config = SolverConfig(epsilon=eps, dt=dt, scheme=manifest.scheme, theta=theta)
+    theta = manifest.theta if manifest.theta is not None else (0.0 if scheme.schur else 1.0)
+    config = SolverConfig(epsilon=eps, dt=dt)
 
     rank = manifest.rank if manifest.rank is not None else scen.rank
     tau = manifest.tau if manifest.tau is not None else scen.tau
-    lowrank_scheme = "BUG" in manifest.scheme
     integrator = None
-    lr_config = None
-    if lowrank_scheme:
-        integrator = "BUG" if manifest.scheme.endswith("-BUG") else "aBUG"
+    if scheme.micro != "full":
+        integrator = scheme.micro
         if integrator == "aBUG" and not manifest.unweighted and scenarios.ap_enrichment_active(
             scen, grid, material, eps
         ):
@@ -143,7 +138,7 @@ def execute_run(manifest: RunManifest) -> RunResult:
 
     def initial_state():
         rho0, G0 = scen.init(grid, quad, eps)
-        if not lowrank_scheme:
+        if integrator is None:
             return np.asarray(rho0, dtype=float), np.asarray(G0, dtype=float)
         if np.any(G0):
             micro0 = factorize_micro(
@@ -156,10 +151,7 @@ def execute_run(manifest: RunManifest) -> RunResult:
         return np.asarray(rho0, dtype=float), micro0
 
     rho, micro = initial_state()
-
-    schur = None
-    if "IMEX-S" in manifest.scheme:
-        schur = build_schur(grid, quad, material, config)
+    schur = build_schur(grid, quad, material, config) if scheme.schur else None
 
     records = [
         _record(0, 0.0, grid, quad, rho, micro, config, material, theta)
@@ -168,25 +160,23 @@ def execute_run(manifest: RunManifest) -> RunResult:
     status = "completed"
     failed_step = None
 
+    # the step, chosen once: (rho, micro, t_next) -> (rho, micro[, StepInfo])
+    if integrator is not None:
+        advance = partial(
+            lowrank_macro_coupled_step, grid, quad, material, config, lr_config, schur=schur
+        )
+    elif scheme.schur:
+        advance = partial(imex_s_step, grid, quad, material, config, schur)
+    else:
+        advance = partial(imex_step, grid, quad, material, config)
+
     def loop(rho, micro):
         nonlocal status, failed_step
         for k in range(1, n_steps + 1):
             t_next = k * dt
             try:
-                if not lowrank_scheme:
-                    if schur is None:
-                        rho, micro = imex_step(
-                            grid, quad, material, config, rho, micro, t_next
-                        )
-                    else:
-                        rho, micro = imex_s_step(
-                            grid, quad, material, config, schur, rho, micro, t_next
-                        )
-                else:
-                    rho, micro, info = lowrank_macro_coupled_step(
-                        grid, quad, material, config, lr_config, rho, micro, t_next, schur
-                    )
-                    step_infos.append(info)
+                rho, micro, *info = advance(rho, micro, t_next)
+                step_infos.extend(info)
             except (DivergenceError, np.linalg.LinAlgError):
                 status = "diverged"
             except LinearSolveError:
@@ -272,8 +262,6 @@ def _want_error(manifest, scen) -> bool:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _record(step, t, grid, quad, rho, micro, config, material, theta) -> EnergyRecord:
-    from .lowrank import MicroStateLowRank
-
     is_lr = isinstance(micro, MicroStateLowRank)
     gw = diagnostics.micro_norm_w(grid, quad, micro)
     return EnergyRecord(
@@ -306,7 +294,7 @@ def _reference_error(scen, grid, quad, material, rho, t_final, eps):
             grid, quad, material, np.asarray(rho0, dtype=float), t_final / n, n
         )
     elif scen.reference == "self":
-        ref = _self_reference(scen, grid, quad, t_final, eps)
+        ref = _self_reference(scen, grid, t_final, eps)
     else:
         return None, None
     err = diagnostics.l2_error(grid, rho, ref)
@@ -314,20 +302,16 @@ def _reference_error(scen, grid, quad, material, rho, t_final, eps):
     return err, err / scale if scale > 0 else math.inf
 
 
-def _self_reference(scen, grid, quad, t_final, eps, refine: int = 4):
+def _self_reference(scen, grid, t_final, eps, refine: int = 4):
     """Full-rank explicit-coupled solution on a ``refine``-times finer mesh,
     restricted to the coincident density points of the coarse mesh."""
     fine_cells = tuple(c * refine for c in scen.cells)
-    fine = build_grid(scen.dim, scen.bounds, fine_cells)
-    material = sample_material(
-        fine, scen.sigma_s, scen.sigma_a, scen.sigma_s_floor,
-        phi=scen.phi_builder(fine) if scen.phi_builder else None,
-    )
+    fine, quad, material = scenarios.build_objects(replace(scen, cells=fine_cells), eps)
     rho0, G0 = scen.init(fine, quad, eps)
     dt = diagnostics.dt_explicit(fine, material, eps)
     n = max(1, math.ceil(t_final / dt - 1e-9))
     dt = t_final / n
-    config = SolverConfig(epsilon=eps, dt=dt, scheme="IMEX")
+    config = SolverConfig(epsilon=eps, dt=dt)
     rho, G = np.asarray(rho0, dtype=float), np.asarray(G0, dtype=float)
     for k in range(1, n + 1):
         rho, G = imex_step(fine, quad, material, config, rho, G, k * dt)

@@ -35,6 +35,7 @@ import numpy as np
 
 from .angular import chebyshev_legendre_2d, gauss_legendre_1d
 from .diagnostics import dt_explicit, dt_implicit
+from .fullrank import parse_scheme
 from .grid import build_grid
 from .ops import sample_material
 
@@ -55,8 +56,7 @@ class Scenario:
     sigma_a: Callable
     sigma_s_floor: float
     init: Callable                  # (grid, quad, eps) -> (rho0, G0 dense)
-    phi_builder: Optional[Callable] = None           # (grid) -> phi(t)
-    micro_source_builder: Optional[Callable] = None  # (grid, quad, eps) -> src(t)
+    sources: Optional[Callable] = None  # (grid, quad, eps) -> (phi, micro_source)
     reference: Optional[str] = None  # "diffusion" | "manufactured" | "self"
     exact_rho: Optional[Callable] = None             # (t, coords) -> values
     slices: tuple = ()
@@ -279,6 +279,7 @@ def manufactured_2d(n: int) -> Scenario:
         init=init,
         reference="manufactured",
         exact_rho=mms_exact_rho,
+        sources=mms_sources,
         dt_policy="explicit",
     )
 
@@ -380,10 +381,10 @@ def lattice_2d(source_on: bool = True) -> Scenario:
         )
         return rho0, np.zeros((grid.n_points, quad.n))
 
-    def phi_builder(grid):
+    def sources(grid, _quad, _eps):
         x, y = grid.rho_coords[:, 0], grid.rho_coords[:, 1]
         src = ((x >= 3.0) & (x < 4.0) & (y >= 3.0) & (y < 4.0)).astype(float)
-        return lambda t: src
+        return (lambda t: src), None
 
     return Scenario(
         name="lattice2d",
@@ -400,7 +401,7 @@ def lattice_2d(source_on: bool = True) -> Scenario:
         sigma_a=sigma_a,
         sigma_s_floor=0.0,
         init=init,
-        phi_builder=phi_builder if source_on else None,
+        sources=sources if source_on else None,
         slices=(("x", 3.5), ("y", 4.047)),
     )
 
@@ -412,8 +413,8 @@ def lattice_2d(source_on: bool = True) -> Scenario:
 def build_objects(scen: Scenario, epsilon: Optional[float] = None):
     """Construct ``(grid, quad, material)`` for a scenario.
 
-    ``epsilon`` overrides the scenario default (used by the manufactured
-    scenario, whose sources depend on the Knudsen number).
+    ``epsilon`` overrides the scenario default; it is passed to the
+    scenario's ``sources`` (the manufactured sources depend on it).
     """
     eps = scen.epsilon if epsilon is None else epsilon
     grid = build_grid(scen.dim, scen.bounds, scen.cells)
@@ -421,11 +422,9 @@ def build_objects(scen: Scenario, epsilon: Optional[float] = None):
         quad = gauss_legendre_1d(scen.quad_n)
     else:
         quad = chebyshev_legendre_2d(scen.quad_n)
-    if scen.name.startswith("mms2d"):
-        phi, micro_source = mms_sources(grid, quad, eps)
-    else:
-        phi = scen.phi_builder(grid) if scen.phi_builder is not None else None
-        micro_source = None
+    phi, micro_source = (
+        scen.sources(grid, quad, eps) if scen.sources is not None else (None, None)
+    )
     material = sample_material(
         grid,
         scen.sigma_s,
@@ -445,7 +444,7 @@ def select_dt(scen: Scenario, scheme: str, grid, material, epsilon: float) -> fl
     when unconditionally stable.  Literal step sizes recorded for a scenario
     apply only at the unreduced mesh.
     """
-    implicit_family = "IMEX-S" in scheme
+    implicit_family = parse_scheme(scheme).schur
     if scen.mesh_div == 1 and epsilon == scen.epsilon:
         lit = scen.dt_literal_implicit if implicit_family else scen.dt_literal_explicit
         if lit is not None:

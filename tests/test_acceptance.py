@@ -13,7 +13,7 @@ import pytest
 import lrtrans as lt
 from lrtrans import scenarios
 from lrtrans.diagnostics import UNCONDITIONAL, dt_explicit, dt_implicit
-from lrtrans.fullrank import SolverConfig, build_schur, imex_s_step, imex_step
+from lrtrans.fullrank import SCHEMES, SolverConfig, build_schur, imex_s_step, imex_step
 from lrtrans.grid import build_grid, diff
 from lrtrans.lowrank import (
     LowRankConfig,
@@ -30,7 +30,7 @@ from lrtrans.ops import (
     project_out_mean,
     sample_material,
 )
-from lrtrans.run import SCHEMES, RunManifest, execute_run
+from lrtrans.run import RunManifest, execute_run
 from conftest import dense_diff_matrix
 
 
@@ -54,7 +54,7 @@ def test_c1_small_instance_oracle_equivalence():
         lambda c: 0.2 + 0.1 * np.cos(2 * np.pi * c[:, 0]),
         0.7,
     )
-    config = SolverConfig(epsilon=0.5, dt=0.01, scheme="IMEX")
+    config = SolverConfig(epsilon=0.5, dt=0.01)
     rho = rng.standard_normal(grid.n_points)
     G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
     n, no = grid.n_points, quad.n
@@ -148,7 +148,7 @@ def test_c7_constraint_preservation(suite2_runs):
     grid, quad, material = scenarios.build_objects(scen)
     eps = scen.epsilon
     dt = scenarios.select_dt(scen, "IMEX-aBUG", grid, material, eps)
-    config = SolverConfig(epsilon=eps, dt=dt, scheme="IMEX-aBUG")
+    config = SolverConfig(epsilon=eps, dt=dt)
     lr = LowRankConfig(integrator="aBUG", rank=4, tau=1e-5)
     x = grid.g_coords[:, 0]
     G = project_out_mean(quad, np.outer(np.sin(2 * np.pi * x / 3), quad.q(0)))
@@ -306,7 +306,7 @@ def test_c8_identity_suite():
             lambda c: np.full(c.shape[0], 0.1),
             0.8,
         )
-        config = SolverConfig(epsilon=0.9, dt=0.004, scheme="IMEX-S-BUG")
+        config = SolverConfig(epsilon=0.9, dt=0.004)
         for j in range(quad.dim):
             worst["split"] = max(
                 worst["split"],

@@ -17,7 +17,8 @@ from lrtrans.diagnostics import (
     micro_norm_w,
     zero_density_residual,
 )
-from lrtrans.fullrank import SolverConfig
+from lrtrans import fullrank
+from lrtrans.fullrank import LinearSolveError, SolverConfig
 from lrtrans.grid import build_grid
 from lrtrans.lowrank import factorize_micro, reconstruct
 from lrtrans.ops import project_out_mean, sample_material
@@ -155,6 +156,24 @@ def test_diffusion_reference_mass_and_fixed_point():
     const = np.full(grid.n_points, 1.3)
     out_c = diffusion_reference(grid, quad, material, const, dt=1e-3, n_steps=5)
     assert np.max(np.abs(out_c - const)) <= 1e-12
+
+
+def test_diffusion_reference_cg_stall_reports_relative_residual(monkeypatch):
+    # 2 * 32 * 64 = 4096 unknowns take the conjugate-gradient branch
+    grid = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (32, 64))
+    quad = gauss_legendre_1d(4)
+    material = sample_material(grid, lambda c: np.ones(c.shape[0]),
+                               lambda c: np.zeros(c.shape[0]), 1.0)
+    rho0 = np.exp(-20 * np.sum((grid.rho_coords - 0.5) ** 2, axis=1))
+    monkeypatch.setattr(fullrank, "CG_MAXITER_PER_UNKNOWN", 1e-3)
+    residuals = []
+    for scale in (1.0, 1e6):
+        with pytest.raises(LinearSolveError) as err:
+            diffusion_reference(grid, quad, material, scale * rho0, 1e-2, 3)
+        residuals.append(err.value.residual)
+    # relative: independent of the scale of the data
+    assert 0.0 < residuals[0] < 1.0
+    assert residuals[1] == pytest.approx(residuals[0], rel=1e-8)
 
 
 def test_diffusion_reference_variance_growth():

@@ -2,16 +2,23 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from lrtrans import diagnostics, scenarios
-from lrtrans.angular import gauss_legendre_1d
+from lrtrans import diagnostics, fullrank, scenarios
+from lrtrans.angular import chebyshev_legendre_2d, gauss_legendre_1d
 from lrtrans.fullrank import (
+    SCHEMES,
     DivergenceError,
+    LinearSolveError,
     SolverConfig,
+    _difference_matrix,
     build_schur,
     imex_s_step,
     imex_step,
+    parse_scheme,
     relaxation_factor,
+    spd_solver,
 )
 from lrtrans.grid import build_grid, diff
 from lrtrans.ops import (
@@ -38,7 +45,7 @@ def make_setup(eps=0.5, dt=0.01, nx=8, n_ord=4, varying=True):
         sig_a = lambda c: np.zeros(c.shape[0])
         floor = 1.0
     material = sample_material(grid, sig_s, sig_a, floor)
-    config = SolverConfig(epsilon=eps, dt=dt, scheme="IMEX")
+    config = SolverConfig(epsilon=eps, dt=dt)
     return grid, quad, material, config
 
 
@@ -146,7 +153,7 @@ def test_energy_decay_under_explicit_bound(rng):
 
     grid, quad, material, _ = make_setup(varying=False, nx=32, n_ord=16)
     dt = dt_explicit(grid, material, 1.0)
-    config = SolverConfig(epsilon=1.0, dt=dt, scheme="IMEX")
+    config = SolverConfig(epsilon=1.0, dt=dt)
     rho = np.exp(-10 * (grid.rho_coords[:, 0] - 0.5) ** 2)
     G = np.zeros((grid.n_points, quad.n))
     vol = grid.cell_volume
@@ -182,7 +189,7 @@ def test_schur_assembled_equals_application():
 
 def test_schur_large_epsilon_limit(rng):
     grid, quad, material, _ = make_setup(eps=1e6, dt=0.02)
-    config = SolverConfig(epsilon=1e6, dt=0.02, scheme="IMEX-S")
+    config = SolverConfig(epsilon=1e6, dt=0.02)
     schur = build_schur(grid, quad, material, config)
     x = rng.standard_normal(grid.n_points)
     expected = (1.0 / config.dt + material.sigma_a_rho) * x
@@ -194,7 +201,7 @@ def test_schur_diffusion_limit():
     # operator with conductivity <mu^2>/sigma_s
     eps = 1e-8
     grid, quad, material, _ = make_setup(eps=eps, dt=0.05, nx=16, n_ord=16, varying=False)
-    config = SolverConfig(epsilon=eps, dt=0.05, scheme="IMEX-S")
+    config = SolverConfig(epsilon=eps, dt=0.05)
     schur = build_schur(grid, quad, material, config)
     rho = np.sin(2 * np.pi * grid.rho_coords[:, 0])
     mu2 = float(quad.w @ quad.q(0) ** 2) / quad.domain_measure
@@ -273,7 +280,7 @@ def test_steps_match_reference_formulas_bitwise_with_micro_source(rng, scheme):
     grid, quad, material = scenarios.build_objects(scen)
     assert material.micro_source is not None
     dt = scenarios.select_dt(scen, scheme, grid, material, scen.epsilon)
-    config = SolverConfig(epsilon=scen.epsilon, dt=dt, scheme=scheme)
+    config = SolverConfig(epsilon=scen.epsilon, dt=dt)
     schur = build_schur(grid, quad, material, config) if scheme == "IMEX-S" else None
     rho, G = random_state(grid, quad, rng)
     ref_rho, ref_G = rho.copy(), G.copy()
@@ -306,3 +313,84 @@ def test_record_evaluates_dense_micro_norm_once(monkeypatch):
     )
     assert len(result.records) == 3
     assert len(calls) == len(result.records)
+
+
+# ---------------------------------------------------------------------------
+# scheme table and SPD solver
+# ---------------------------------------------------------------------------
+
+def test_scheme_table_maps_every_tag():
+    expected = {
+        "IMEX": (False, "full"),
+        "IMEX-S": (True, "full"),
+        "IMEX-BUG": (False, "BUG"),
+        "IMEX-S-BUG": (True, "BUG"),
+        "IMEX-aBUG": (False, "aBUG"),
+        "IMEX-S-aBUG": (True, "aBUG"),
+    }
+    assert {tag: (s.schur, s.micro) for tag, s in SCHEMES.items()} == expected
+    for tag in expected:
+        assert parse_scheme(tag) is SCHEMES[tag]
+    for bad in ("IMEX-X", "imex", "BUG"):
+        with pytest.raises(ValueError) as err:
+            parse_scheme(bad)
+        assert all(repr(tag) in str(err.value) for tag in expected)
+    with pytest.raises(ValueError) as err:
+        execute_run(RunManifest(scenario="bimodal1d", scheme="IMEX-X"))
+    assert all(repr(tag) in str(err.value) for tag in expected)
+
+
+def diffusion_matrix_2d(cells, dt=1e-3):
+    """``I/dt - sum_j D^(j,-) D^(j,+)`` on a periodic 2D grid (SPD)."""
+    grid = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), cells)
+    T = sp.diags(np.full(grid.n_points, 1.0 / dt)).tocsr()
+    for j in range(2):
+        T = T - _difference_matrix(grid, j, -1) @ _difference_matrix(grid, j, +1)
+    return T.tocsr()
+
+
+def test_spd_solver_conjugate_gradients_match_direct_solve(rng, monkeypatch):
+    T = diffusion_matrix_2d((32, 64))
+    assert T.shape[0] >= fullrank.DIRECT_SOLVE_MAX
+    calls = []
+    cg = spla.cg
+
+    def counting_cg(*args, **kwargs):
+        calls.append(1)
+        return cg(*args, **kwargs)
+
+    # looked up on the module at call time, so a wrapper installed after the
+    # solver was built still sees every solve
+    solve = spd_solver(T)
+    monkeypatch.setattr(spla, "cg", counting_cg)
+    b = rng.standard_normal(T.shape[0])
+    x = solve(b)
+    ref = spla.spsolve(T.tocsc(), b)
+    assert len(calls) == 1
+    assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+def test_spd_solver_small_systems_factorized_bitwise(rng):
+    T = diffusion_matrix_2d((16, 16))
+    assert T.shape[0] < fullrank.DIRECT_SOLVE_MAX
+    b = rng.standard_normal(T.shape[0])
+    assert np.array_equal(spd_solver(T)(b), spla.splu(T.tocsc()).solve(b))
+
+
+def test_schur_cg_stall_reports_relative_residual(monkeypatch):
+    grid = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (32, 64))
+    quad = chebyshev_legendre_2d(2)
+    material = sample_material(
+        grid, lambda c: np.ones(c.shape[0]), lambda c: np.zeros(c.shape[0]), 1.0
+    )
+    monkeypatch.setattr(fullrank, "CG_MAXITER_PER_UNKNOWN", 1e-3)
+    schur = build_schur(grid, quad, material, SolverConfig(epsilon=1e-3, dt=1e-2))
+    b = np.exp(-20 * np.sum((grid.rho_coords - 0.5) ** 2, axis=1))
+    residuals = []
+    for scale in (1.0, 1e6):
+        with pytest.raises(LinearSolveError) as err:
+            schur.solve(scale * b)
+        residuals.append(err.value.residual)
+    # relative: independent of the scale of the right-hand side
+    assert 0.0 < residuals[0] < 1.0
+    assert residuals[1] == pytest.approx(residuals[0], rel=1e-8)

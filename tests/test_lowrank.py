@@ -13,8 +13,6 @@ from lrtrans.lowrank import (
     MicroStateLowRank,
     RankOverflowError,
     _extend_basis,
-    abug_step,
-    bug_step,
     constrained_qr,
     factorize_micro,
     galerkin_stage,
@@ -139,12 +137,12 @@ def test_constrained_qr_random_input_projected_span(rng):
 def test_bug_step_pure_decay_fixed_point():
     grid, quad = setup_1d()
     material = unit_material(grid)
-    config = SolverConfig(epsilon=1.0, dt=0.1, scheme="IMEX-BUG")
+    config = SolverConfig(epsilon=1.0, dt=0.1)
     X = np.ones((grid.n_points, 1)) / np.sqrt(grid.n_points)
     V = constrained_qr(np.linspace(1, 2, quad.n)[:, None] * quad.m[:, None], quad)
     st = MicroStateLowRank(X=X, S=np.array([[2.0]]), V=V)
     rho = np.ones(grid.n_points)
-    st1 = bug_step(grid, quad, material, config, st, rho)
+    st1 = micro_step(grid, quad, material, config, LowRankConfig(), st, rho)[0]
     decay = (1.0 / config.dt) / (1.0 / config.dt + 1.0)
     assert abs(st1.S[0, 0] - decay * 2.0) <= 1e-13
     assert np.max(np.abs(st1.X - X)) <= 1e-13
@@ -154,11 +152,11 @@ def test_bug_step_pure_decay_fixed_point():
 def test_bug_step_rank_and_invariants(rng):
     grid, quad = setup_1d()
     material = unit_material(grid, sigma_a=0.1)
-    config = SolverConfig(epsilon=0.7, dt=0.01, scheme="IMEX-BUG")
+    config = SolverConfig(epsilon=0.7, dt=0.01)
     G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
     st = factorize_micro(grid, quad, G, 4, seed=0)
     rho = rng.standard_normal(grid.n_points)
-    st1 = bug_step(grid, quad, material, config, st, rho)
+    st1 = micro_step(grid, quad, material, config, LowRankConfig(), st, rho)[0]
     assert st1.rank == 4
     assert np.allclose(st1.X.T @ st1.X, np.eye(4), atol=1e-12)
     assert np.allclose(st1.V.T @ st1.V, np.eye(4), atol=1e-12)
@@ -180,7 +178,7 @@ def test_diffusion_limit_relations():
     )
     residuals = {}
     for eps in (1e-4, 1e-6):
-        config = SolverConfig(epsilon=eps, dt=0.01, scheme="IMEX-S-BUG")
+        config = SolverConfig(epsilon=eps, dt=0.01)
         st = factorize_micro(grid, quad, G, 3, seed=0)
         X1, _, S1, V1 = galerkin_stage(grid, quad, material, config, st, rho)
         PJ, AJ = density_grad(grid, quad, rho)
@@ -215,7 +213,7 @@ def test_galerkin_stage_residual(rng):
             lambda c: np.full(c.shape[0], 0.05),
             0.8,
         )
-        config = SolverConfig(epsilon=0.9, dt=0.004, scheme="IMEX-S-BUG")
+        config = SolverConfig(epsilon=0.9, dt=0.004)
         G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
         st = factorize_micro(grid, quad, G, 3, seed=1)
         rho = rng.standard_normal(grid.n_points)
@@ -241,12 +239,12 @@ def test_bug_vs_dense_projected_difference(rng):
     # agrees with the dense micro step after projection onto the new bases
     grid, quad = setup_1d(16, 8)
     material = unit_material(grid)
-    config = SolverConfig(epsilon=1.0, dt=1e-6, scheme="IMEX-BUG")
+    config = SolverConfig(epsilon=1.0, dt=1e-6)
     G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
     st = factorize_micro(grid, quad, G, 8, seed=0)  # capped at 7
     assert st.rank == 7
     rho = rng.standard_normal(grid.n_points)
-    st1 = bug_step(grid, quad, material, config, st, rho)
+    st1 = micro_step(grid, quad, material, config, LowRankConfig(), st, rho)[0]
     _, G_full = imex_step(grid, quad, material, config, rho, reconstruct(st, quad))
     D = st1.X @ st1.X.T @ ((G_full - reconstruct(st1, quad)) * quad.m[None, :]) @ (
         st1.V @ st1.V.T
@@ -261,12 +259,12 @@ def test_bug_vs_dense_projected_difference(rng):
 def test_abug_large_tolerance_keeps_rank_one(rng):
     grid, quad = setup_1d()
     material = unit_material(grid)
-    config = SolverConfig(epsilon=1.0, dt=0.05, scheme="IMEX-aBUG")
+    config = SolverConfig(epsilon=1.0, dt=0.05)
     lr = LowRankConfig(integrator="aBUG", rank=1, tau=0.9)
     X = np.ones((grid.n_points, 1)) / np.sqrt(grid.n_points)
     V = constrained_qr(rng.standard_normal((quad.n, 1)), quad)
     st = MicroStateLowRank(X=X, S=np.array([[1.0]]), V=V)
-    st1 = abug_step(grid, quad, material, config, lr, st, np.ones(grid.n_points))
+    st1 = micro_step(grid, quad, material, config, lr, st, np.ones(grid.n_points))[0]
     assert st1.rank == 1
 
 
@@ -276,8 +274,8 @@ def test_abug_tracks_full_rank_on_rank_preserving_data(rng):
     material = unit_material(grid)
     dt = 0.01
     lr = LowRankConfig(integrator="aBUG", rank=2, tau=1e-8)
-    config = SolverConfig(epsilon=1.0, dt=dt, scheme="IMEX-aBUG")
-    config_full = SolverConfig(epsilon=1.0, dt=dt, scheme="IMEX")
+    config = SolverConfig(epsilon=1.0, dt=dt)
+    config_full = SolverConfig(epsilon=1.0, dt=dt)
     x = grid.g_coords[:, 0]
     G = project_out_mean(
         quad,
@@ -302,7 +300,7 @@ def test_abug_tracks_full_rank_on_rank_preserving_data(rng):
 def test_ap_abug_protects_limit_directions(rng):
     grid, quad = setup_1d(16, 8)
     material = unit_material(grid)
-    config = SolverConfig(epsilon=1e-6, dt=0.01, scheme="IMEX-S-aBUG")
+    config = SolverConfig(epsilon=1e-6, dt=0.01)
     lr = LowRankConfig(integrator="AP-aBUG", rank=3, tau=1e-5)
     G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
     st = factorize_micro(grid, quad, G, 3, seed=0)
@@ -326,7 +324,7 @@ def setup_2d_step(rng, scheme):
         lambda c: np.full(c.shape[0], 0.05),
         0.8,
     )
-    config = SolverConfig(epsilon=0.05, dt=0.004, scheme=scheme)
+    config = SolverConfig(epsilon=0.05, dt=0.004)
     schur = build_schur(grid, quad, material, config) if "IMEX-S" in scheme else None
     G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
     st = factorize_micro(grid, quad, G, 3, seed=0)
@@ -431,12 +429,12 @@ def test_step_differences_each_array_once(rng, monkeypatch):
 def test_rank_overflow_raises(rng):
     grid, quad = setup_1d()
     material = unit_material(grid)
-    config = SolverConfig(epsilon=1.0, dt=0.05, scheme="IMEX-aBUG")
+    config = SolverConfig(epsilon=1.0, dt=0.05)
     lr = LowRankConfig(integrator="aBUG", rank=4, tau=1e-16, max_rank=2)
     G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
     st = factorize_micro(grid, quad, G, 4, seed=0)
     with pytest.raises(RankOverflowError):
-        abug_step(grid, quad, material, config, lr, st, rng.standard_normal(grid.n_points))
+        micro_step(grid, quad, material, config, lr, st, rng.standard_normal(grid.n_points))
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +445,7 @@ def test_coupled_equilibrium_fixed_point():
     grid, quad = setup_1d()
     material = unit_material(grid)
     for scheme in ("IMEX-BUG", "IMEX-S-BUG"):
-        config = SolverConfig(epsilon=1.0, dt=0.05, scheme=scheme)
+        config = SolverConfig(epsilon=1.0, dt=0.05)
         lr = LowRankConfig(integrator="BUG", rank=2)
         schur = build_schur(grid, quad, material, config) if "S" in scheme.split("-") else None
         rho = np.full(grid.n_points, 1.5)
@@ -464,7 +462,7 @@ def test_schur_macro_rhs_matches_dense(rng):
     # dense assembly from the reconstructed state
     grid, quad = setup_1d()
     material = unit_material(grid, sigma_a=0.2)
-    config = SolverConfig(epsilon=0.6, dt=0.02, scheme="IMEX-S-BUG")
+    config = SolverConfig(epsilon=0.6, dt=0.02)
     lr = LowRankConfig(integrator="BUG", rank=3)
     schur = build_schur(grid, quad, material, config)
     G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
@@ -491,7 +489,7 @@ def test_energy_chain_projected_state(rng):
 
     dt = dt_implicit(grid, material, eps)
     assert np.isfinite(dt)
-    config = SolverConfig(epsilon=eps, dt=dt, scheme="IMEX-S-BUG")
+    config = SolverConfig(epsilon=eps, dt=dt)
     lr = LowRankConfig(integrator="BUG", rank=4)
     schur = build_schur(grid, quad, material, config)
     rho = np.exp(-40 * (grid.rho_coords[:, 0] - 0.5) ** 2)
@@ -527,7 +525,7 @@ def test_unweighted_counterexample_vs_weighted(rng):
     grid, quad, material = scenarios.build_objects(scen)
     eps = scen.epsilon
     dt = scenarios.select_dt(scen, "IMEX-S-BUG", grid, material, eps)
-    config = SolverConfig(epsilon=eps, dt=dt, scheme="IMEX-S-BUG")
+    config = SolverConfig(epsilon=eps, dt=dt)
     schur = build_schur(grid, quad, material, config)
     lr = LowRankConfig(integrator="BUG", rank=2)
     rho0, G0 = scen.init(grid, quad, eps)

@@ -9,7 +9,6 @@ from lrtrans.ops import (
     MaterialField,
     advect,
     advect_adjoint,
-    advect_projected,
     density_grad,
     flux_div,
     flux_div_factored,
@@ -134,31 +133,6 @@ def test_density_grad_rank_one_1d():
     rho = np.sin(2 * np.pi * grid.rho_coords[:, 0])
     P, A = density_grad(grid, quad, rho)
     assert np.linalg.matrix_rank(P @ A.T, tol=1e-10) == 1
-
-
-def test_advect_projected_matches_dense(setup, rng):
-    grid, quad = setup
-    r = 3
-    X, _ = np.linalg.qr(rng.standard_normal((grid.n_points, r)))
-    V, _ = np.linalg.qr(rng.standard_normal((quad.n, r)))
-    S = rng.standard_normal((r, r))
-    P, A = advect_projected(grid, quad, X, S, V)
-    minv = 1.0 / quad.m
-    dense = project_out_mean(
-        quad, advect(grid, quad, (X @ S @ V.T) * minv[None, :])
-    ) * quad.m[None, :]
-    assert np.allclose(P @ A.T, dense, atol=1e-12 * max(1.0, np.abs(dense).max()))
-    # the projection annihilates the density mode: A^T M^{-1} w = A^T m = 0
-    assert np.max(np.abs(A.T @ quad.m)) <= 1e-12 * np.abs(A).max()
-
-
-def test_advect_projected_constant_columns():
-    grid, quad = small_2d()
-    X = np.ones((grid.n_points, 1)) / np.sqrt(grid.n_points)
-    V = np.zeros((quad.n, 1))
-    V[0, 0] = 1.0
-    P, A = advect_projected(grid, quad, X, np.array([[1.0]]), V)
-    assert np.max(np.abs(P @ A.T)) <= 1e-13
 
 
 def test_advect_adjoint_pairing(setup, rng):

@@ -158,6 +158,18 @@ def test_manifest_validation():
         execute_run(RunManifest(scenario="bimodal1d", scheme="IMEX", rank=0))
     with pytest.raises(ValueError):
         execute_run(RunManifest(scenario="bimodal1d", scheme="IMEX", unweighted=True))
+    for max_steps in (0, -3):
+        with pytest.raises(ValueError, match="max_steps"):
+            execute_run(quick_manifest(max_steps=max_steps))
+
+
+def test_cli_config_file_rejects_nonpositive_max_steps(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario = gaussian1d-diff\nscheme = IMEX\nmesh_div = 8\nmax_steps = -2\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "max_steps" in captured.err
+    assert "status = completed" not in captured.out
 
 
 def test_rank_and_tau_overrides():

@@ -5,7 +5,8 @@ import pytest
 
 from lrtrans import scenarios
 from lrtrans.diagnostics import zero_density_residual
-from lrtrans.run import SCHEMES, RunManifest, execute_run
+from lrtrans.fullrank import SCHEMES
+from lrtrans.run import RunManifest, execute_run
 from lrtrans.scenarios import (
     LATTICE_ABSORBERS,
     get_scenario,
@@ -135,7 +136,7 @@ def test_lattice_source_free_energy_monotone():
     from lrtrans.diagnostics import energy
 
     dt = scenarios.select_dt(scen, "IMEX-S-BUG", grid, material, scen.epsilon)
-    config = SolverConfig(epsilon=scen.epsilon, dt=dt, scheme="IMEX-S-BUG")
+    config = SolverConfig(epsilon=scen.epsilon, dt=dt)
     schur = build_schur(grid, quad, material, config)
     lr = LowRankConfig(integrator="BUG", rank=20)
     rho, _ = scen.init(grid, quad, scen.epsilon)
