@@ -55,7 +55,6 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--unweighted", action="store_true")
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--bench", action="store_true")
     p.add_argument("--error", dest="with_error", action="store_true", default=None,
                    help="force the reference-error computation")
     p.add_argument("--no-error", dest="with_error", action="store_false",
@@ -109,8 +108,6 @@ def manifest_from_args(args) -> RunManifest:
             values[key] = arg
     if getattr(args, "unweighted", False):
         values["unweighted"] = True
-    if getattr(args, "bench", False):
-        values["bench"] = True
     if "scenario" not in values or values["scenario"] is None:
         raise ValueError("a scenario is required (flag --scenario or config key)")
     values.setdefault("scheme", "IMEX-S-BUG")

@@ -14,6 +14,16 @@ differ in the treatment of the density gradient driving the fluctuation:
 The Schur operator depends only on the mesh, quadrature, material, step size
 and Knudsen number, so it is assembled once per run and reused.
 
+The micro update is one routine, :func:`_micro_sweep`, run over blocks of
+whole outer-axis rows of about :data:`BLOCK_BYTES` each: a block's upwind
+advection, mean removal, source, density-gradient subtraction, relaxation
+and moment contractions all run while it sits in cache.  ``imex_step``
+needs one sweep, since its density gradient is known up front;
+``imex_s_step`` sweeps twice, solving for the density in between from the
+moments of the first sweep.  Besides block-sized scratch a step allocates
+only the new micro state, and every value keeps the bits of the whole-array
+formulas.
+
 :data:`SCHEMES` maps each of the six scheme tags to its :class:`Scheme`, one
 of two couplings times three micro updates.  :func:`spd_solver` solves the
 sparse SPD systems of the Schur operator and of the diffusion reference.
@@ -21,6 +31,7 @@ sparse SPD systems of the Schur operator and of the diffusion reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,9 +43,9 @@ from .angular import QuadratureSet
 from .grid import StaggeredGrid
 from .ops import (
     MaterialField,
-    advect,
+    advect_rows,
     density_grad,
-    flux_div,
+    moment_div,
     project_out_mean,
 )
 
@@ -199,28 +210,73 @@ def build_schur(
     return SchurOperator(grid, quad, material, config)
 
 
-def _micro_explicit_rhs(grid, quad, material, config, G, t_next):
-    """Shared explicit part: ``G/dt - (1/eps) A(G)(I - w 1^T/|D|) + source``.
+#: Bytes of one block of the full-rank micro sweep: each block holds as many
+#: whole outer-axis rows as fit, so its working set stays in a 2 MiB L2 cache.
+BLOCK_BYTES = 2**19
 
-    Returns ``(rhs, work)``; ``work`` is a spent ``G``-shaped buffer the
-    caller may overwrite, so a step needs no further dense temporaries.
+
+def _row_blocks(grid: StaggeredGrid, n_cols: int) -> list:
+    """``(lo, hi)`` point ranges of the sweep, in order, covering every point.
+
+    A block is whole rows of the outer axis (y in 2D, x in 1D), about
+    ``BLOCK_BYTES`` of an ``(n_points, n_cols)`` array, and starts at a
+    multiple of four points: the BLAS matrix-vector product groups rows by
+    four from the first row of its matrix, so then each block's row
+    contractions keep the bits of the whole-array product.
     """
-    work = advect(grid, quad, G)
-    project_out_mean(quad, work, out=work)
-    work /= config.epsilon
-    rhs = G / config.dt
-    rhs -= work
-    if material.micro_source is not None:
-        P, A = material.micro_source(t_next)
-        rhs += np.matmul(P, A.T, out=work)
-    return rhs, work
+    row = math.prod(grid.block_shape[2:])
+    unit = 4 // math.gcd(row, 4)
+    rows = max(1, BLOCK_BYTES // (row * n_cols * 8))
+    size = -(-rows // unit) * unit * row
+    n = grid.n_points
+    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
-def _subtract_density_grad(rhs, work, PJ, AJ, eps2):
-    """``rhs -= (PJ @ AJ.T) / eps2``, forming the product in ``work``."""
-    np.matmul(PJ, AJ.T, out=work)
-    work /= eps2
-    rhs -= work
+def _micro_sweep(grid, quad, material, config, G_new, G=None, t_next=0.0, grad=None):
+    """Micro update of one step, one block of rows at a time.
+
+    With ``G``, writes the explicit part ``G/dt - (1/eps) A(G)(I - w 1^T/|D|)
+    + source(t_next)`` into ``G_new``.  With ``grad = (PJ, AJ)`` it then
+    subtracts ``PJ AJ^T / eps^2``, multiplies by the relaxation factor ``R``
+    and raises :class:`DivergenceError` on a non-finite value.  A sweep with
+    ``G`` returns the first angular moments ``M[j] = (R B) Q^(j) w``,
+    ``(dim, n_points)``, of the update ``B`` before relaxation, from which
+    the density update takes its flux divergence; other sweeps return
+    ``None``.  Two block-sized buffers are the only scratch.
+    """
+    R = relaxation_factor(material, config)[:, None]
+    blocks = _row_blocks(grid, quad.n)
+    size = blocks[0][1] - blocks[0][0]
+    work, scratch = np.empty((size, quad.n)), np.empty((size, quad.n))
+    source = None
+    if G is not None:
+        moments = np.empty((grid.dim, grid.n_points))
+        qw = [quad.q(j) * quad.w for j in range(grid.dim)]
+        if material.micro_source is not None:
+            source = material.micro_source(t_next)
+    for lo, hi in blocks:
+        g, a = G_new[lo:hi], work[: hi - lo]
+        if G is not None:
+            advect_rows(grid, quad, G, lo, hi, a, scratch[: hi - lo])
+            project_out_mean(quad, a, out=a)
+            a /= config.epsilon
+            np.divide(G[lo:hi], config.dt, out=g)
+            g -= a
+            if source is not None:
+                P, A = source
+                g += np.matmul(P[lo:hi], A.T, out=a)
+        if grad is not None:
+            PJ, AJ = grad
+            np.matmul(PJ[lo:hi], AJ.T, out=a)
+            a /= config.epsilon**2
+            g -= a
+            g *= R[lo:hi]
+            _require_finite(g)
+        if G is not None:
+            m = g if grad is not None else np.multiply(g, R[lo:hi], out=a)
+            for j in range(grid.dim):
+                np.matmul(m, qw[j], out=moments[j, lo:hi])
+    return moments if G is not None else None
 
 
 def _macro_source(material, dt, rho, t_next):
@@ -244,17 +300,15 @@ def imex_step(
     Returns ``(rho_new, G_new)``.  Raises :class:`DivergenceError` if the
     update produces non-finite values.
     """
-    eps2 = config.epsilon**2
-    R = relaxation_factor(material, config)
+    G_new = np.empty(G.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        PJ, AJ = density_grad(grid, quad, rho)
-        G_new, work = _micro_explicit_rhs(grid, quad, material, config, G, t_next)
-        _subtract_density_grad(G_new, work, PJ, AJ, eps2)
-        G_new *= R[:, None]
+        moments = _micro_sweep(
+            grid, quad, material, config, G_new, G, t_next, density_grad(grid, quad, rho)
+        )
         rho_new = (
-            _macro_source(material, config.dt, rho, t_next) - flux_div(grid, quad, G_new)
+            _macro_source(material, config.dt, rho, t_next) - moment_div(grid, quad, moments)
         ) / (1.0 / config.dt + material.sigma_a_rho)
-    _require_finite(rho_new, G_new)
+    _require_finite(rho_new)
     return rho_new, G_new
 
 
@@ -273,20 +327,18 @@ def imex_s_step(
     The density solves the reduced system assembled in ``schur``; the
     fluctuation is then recovered pointwise from the new density.
     """
-    eps2 = config.epsilon**2
-    R = relaxation_factor(material, config)
+    G_new = np.empty(G.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        G_new, work = _micro_explicit_rhs(grid, quad, material, config, G, t_next)
+        moments = _micro_sweep(grid, quad, material, config, G_new, G, t_next)
         b1 = _macro_source(material, config.dt, rho, t_next)
-        np.multiply(G_new, R[:, None], out=work)
-        rho_new = schur.solve(b1 - flux_div(grid, quad, work))
-        PJ, AJ = density_grad(grid, quad, rho_new)
-        _subtract_density_grad(G_new, work, PJ, AJ, eps2)
-        G_new *= R[:, None]
-    _require_finite(rho_new, G_new)
+        rho_new = schur.solve(b1 - moment_div(grid, quad, moments))
+        _micro_sweep(
+            grid, quad, material, config, G_new, grad=density_grad(grid, quad, rho_new)
+        )
+    _require_finite(rho_new)
     return rho_new, G_new
 
 
-def _require_finite(rho, G):
-    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(G))):
+def _require_finite(x):
+    if not np.all(np.isfinite(x)):
         raise DivergenceError("non-finite values in updated state")

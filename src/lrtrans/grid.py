@@ -226,14 +226,16 @@ def diff(
 
     ``side`` may also be an array of +-1 with one entry per column of a
     matrix-valued field; each column is then differenced toward its own side
-    only, with the same bits as a scalar-side call on that column.  Upwind
-    advection uses this: an ordinate needs only its upwind difference.
+    only, with the same bits as a scalar-side call on that column (upwind
+    advection needs only one difference per ordinate).
 
-    The stencil is two slice subtractions into one output array (interior
-    cells, then the periodic wrap-around cell; masked per side when ``side``
-    is an array) followed by an in-place division, so no shifted copy of the
-    field is made.  ``out``, if given, receives the result and may be any
-    view of the field's shape, e.g. a column slice of a wider block.
+    The stencil is :func:`_stencil`, which the row-blocked upwind advection
+    :func:`lrtrans.ops.advect_rows` also calls on its blocks: two slice
+    subtractions into one output array (interior cells, then the periodic
+    wrap-around cell; masked per side when ``side`` is an array) followed by
+    an in-place division, so no shifted copy of the field is made.  ``out``,
+    if given, receives the result and may be any view of the field's shape,
+    e.g. a column slice of a wider block.
     """
     if axis < 0 or axis >= grid.dim:
         raise ValueError(f"axis {axis} invalid for a {grid.dim}D grid")
@@ -246,28 +248,44 @@ def diff(
         out = np.empty_like(a)
     elif out.shape != a.shape:
         raise ValueError(f"out has shape {out.shape}, expected {a.shape}")
+    if np.ndim(side) != 0 and np.shape(side) != a.shape[1:]:
+        raise ValueError(f"side has shape {np.shape(side)}, expected {a.shape[1:]}")
     lead = grid.block_shape
     ax = len(lead) - 1 - axis
     # splitting the leading axis of ``out`` is always a view, even for slices
     f = np.moveaxis(a.reshape(lead + a.shape[1:]), ax, 0)
     d = np.moveaxis(out.reshape(lead + a.shape[1:]), ax, 0)
+    _stencil(f, d, side, grid.spacing[axis])
+    return out
+
+
+def _stencil(f, d, side, h, lo=0, hi=None):
+    """Rows ``lo:hi`` of the periodic difference along axis 0 of ``f``, into ``d``.
+
+    ``d[k] = (f[lo + k + 1] - f[lo + k]) / h`` forward (``side > 0``) and
+    ``(f[lo + k] - f[lo + k - 1]) / h`` backward, indices modulo
+    ``len(f)``, so rows outside ``lo:hi`` serve as the halo; ``side`` is a
+    scalar or an array of +-1 broadcast against the trailing axes.
+    """
+    n = len(f)
+    hi = n if hi is None else hi
     if np.ndim(side) == 0:
         parts = ((side > 0, True),)
     else:
-        side = np.asarray(side)
-        if side.shape != a.shape[1:]:
-            raise ValueError(f"side has shape {side.shape}, expected {a.shape[1:]}")
-        fwd = side > 0
+        fwd = np.asarray(side) > 0
         parts = ((True, fwd), (False, ~fwd))
     for forward, where in parts:
         if forward:
-            np.subtract(f[1:], f[:-1], out=d[:-1], where=where)
-            np.subtract(f[:1], f[-1:], out=d[-1:], where=where)
+            m = min(hi, n - 1)
+            np.subtract(f[lo + 1:m + 1], f[lo:m], out=d[:m - lo], where=where)
+            if hi == n:
+                np.subtract(f[:1], f[-1:], out=d[-1:], where=where)
         else:
-            np.subtract(f[1:], f[:-1], out=d[1:], where=where)
-            np.subtract(f[:1], f[-1:], out=d[:1], where=where)
-    out /= grid.spacing[axis]
-    return out
+            k = max(lo, 1)
+            np.subtract(f[k:hi], f[k - 1:hi - 1], out=d[k - lo:], where=where)
+            if lo == 0:
+                np.subtract(f[:1], f[-1:], out=d[:1], where=where)
+    d /= h
 
 
 def _wrap(values: np.ndarray, lo: float, hi: float) -> np.ndarray:

@@ -155,6 +155,11 @@ def _qr(B: np.ndarray) -> np.ndarray:
     return Q
 
 
+def _hcat(blocks: list) -> np.ndarray:
+    """``np.hstack(blocks)`` without copying a lone block."""
+    return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
+
+
 def constrained_qr(L: np.ndarray, quad: QuadratureSet) -> np.ndarray:
     """Orthonormal basis for ``range(L)`` inside the zero-density subspace.
 
@@ -424,14 +429,14 @@ def galerkin_stage(
             raise ValueError("diffusion-limit enrichment requires weighted factors")
         kb.insert(0, -PJ / material.sigma_s_g[:, None])
         lb.insert(0, _ap_angular(quad))
-    V1 = constrained_qr(np.hstack(lb), quad) if wgt else _fix_signs(_qr(np.hstack(lb)))
+    V1 = constrained_qr(_hcat(lb), quad) if wgt else _fix_signs(_qr(_hcat(lb)))
     if augment and not ap_enrich:
         X1 = np.hstack([X, _extend_basis(X, K1)])
         C1 = _extended_blocks(grid, X1, r, C, sig)
         S_tilde = np.zeros((X1.shape[1], V1.shape[1]))
         S_tilde[:r] = S @ (V.T @ V1)
     else:
-        X1 = _fix_signs(_qr(np.hstack(kb)))
+        X1 = _fix_signs(_qr(_hcat(kb)))
         C1 = _sbp_matrices(grid, X1, sig)
         S_tilde = (X1.T @ X) @ S @ (V.T @ V1)
 

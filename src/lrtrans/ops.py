@@ -17,13 +17,14 @@ temporary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .angular import QuadratureSet
-from .grid import StaggeredGrid, diff
+from .grid import StaggeredGrid, _stencil, diff
 
 
 @dataclass
@@ -95,21 +96,51 @@ def sample_material(
 def advect(grid: StaggeredGrid, quad: QuadratureSet, G: np.ndarray) -> np.ndarray:
     """Upwind advection: sum_j D^(j,-) G Q^(j,+) + D^(j,+) G Q^(j,-).
 
+    :func:`advect_rows` over all rows.
+    """
+    _check_micro(grid, quad, G)
+    out = np.empty(G.shape)
+    return advect_rows(grid, quad, np.asarray(G, dtype=float), 0, grid.n_points,
+                       out, np.empty_like(out))
+
+
+def advect_rows(grid, quad, G, lo, hi, out, work):
+    """Rows ``lo:hi`` of :func:`advect` of ``G``, written into ``out``.
+
     ``Q^(j,+) Q^(j,-) = 0``: each ordinate moves either way along an axis,
     never both, so only its upwind difference is formed, ``D^(j,-)`` for
     ``q_j > 0`` and ``D^(j,+)`` otherwise, and scaled by ``q_j`` itself.
     This is exact, bit for bit: ``q_j^+ == q_j`` on positive columns,
     ``q_j^- == q_j`` on the others, and the dropped term is a zero.
+
+    ``lo`` and ``hi`` are multiples of the points in one row of the outer
+    axis (``nx`` in 2D, 1 in 1D); the rows may straddle the two point
+    families.  The outer-axis difference reads its periodic halo rows from
+    ``G``.  ``out`` and ``work`` are ``(hi - lo, N)`` arrays; ``work`` is
+    scratch for the second axis.
     """
-    _check_micro(grid, quad, G)
-    out = None
+    fam_shape = grid.block_shape[1:]
+    L = fam_shape[0]
+    row = math.prod(fam_shape[1:])
+    r0, r1 = lo // row, hi // row
+    fams = G.reshape((2,) + fam_shape + G.shape[1:])
     for j in range(grid.dim):
         q = quad.q(j)
-        d = diff(grid, j, np.where(q > 0, -1, +1), G)
-        d *= q
-        if out is None:
-            out = d
+        side = np.where(q > 0, -1, +1)
+        d = out if j == 0 else work
+        rows = d.reshape((r1 - r0,) + fam_shape[1:] + G.shape[1:])
+        if j == grid.dim - 1:
+            for fam in range(2):
+                s0, s1 = max(r0, fam * L), min(r1, (fam + 1) * L)
+                if s0 < s1:
+                    _stencil(fams[fam], rows[s0 - r0:s1 - r0], side, grid.spacing[j],
+                             s0 - fam * L, s1 - fam * L)
         else:
+            inner = G[lo:hi].reshape(rows.shape)
+            _stencil(np.moveaxis(inner, 1, 0), np.moveaxis(rows, 1, 0), side,
+                     grid.spacing[j])
+        d *= q
+        if j:
             out += d
     return out
 
@@ -133,17 +164,22 @@ def flux_div(grid: StaggeredGrid, quad: QuadratureSet, G: np.ndarray) -> np.ndar
     ``(1/|D_Omega|) sum_j D^(j,-) G Q^(j) w``, read on the rho family.
     """
     _check_micro(grid, quad, G)
-    out = np.zeros(grid.n_points)
-    for j in range(grid.dim):
-        out += diff(grid, j, -1, G @ (quad.q(j) * quad.w))
-    return out / quad.domain_measure
+    return moment_div(grid, quad, [G @ (quad.q(j) * quad.w) for j in range(grid.dim)])
 
 
 def flux_div_factored(grid, quad, P: np.ndarray, A: np.ndarray) -> np.ndarray:
     """:func:`flux_div` of ``P @ A.T`` without forming the product."""
+    return moment_div(
+        grid, quad, [P @ (A.T @ (quad.q(j) * quad.w)) for j in range(grid.dim)]
+    )
+
+
+def moment_div(grid: StaggeredGrid, quad: QuadratureSet, moments) -> np.ndarray:
+    """``(1/|D_Omega|) sum_j D^(j,-) moments[j]``, the divergence of the first
+    angular moments ``moments[j] = G Q^(j) w`` (one n-vector per axis)."""
     out = np.zeros(grid.n_points)
     for j in range(grid.dim):
-        out += diff(grid, j, -1, P @ (A.T @ (quad.q(j) * quad.w)))
+        out += diff(grid, j, -1, moments[j])
     return out / quad.domain_measure
 
 

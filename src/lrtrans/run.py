@@ -61,7 +61,6 @@ class RunManifest:
     unweighted: bool = False
     out: Optional[str] = None
     seed: int = 0
-    bench: bool = False
     with_error: Optional[bool] = None   # None = automatic per reference kind
     max_steps: Optional[int] = None     # testing hook: stop the loop early
 
@@ -136,21 +135,18 @@ def execute_run(manifest: RunManifest) -> RunResult:
             integrator = "AP-aBUG"
         lr_config = LowRankConfig(integrator=integrator, rank=rank, tau=tau)
 
-    def initial_state():
-        rho0, G0 = scen.init(grid, quad, eps)
-        if integrator is None:
-            return np.asarray(rho0, dtype=float), np.asarray(G0, dtype=float)
-        if np.any(G0):
-            micro0 = factorize_micro(
-                grid, quad, G0, rank, weighted=not manifest.unweighted, seed=manifest.seed
-            )
-        else:
-            micro0 = zero_micro_state(
-                grid, quad, rank, weighted=not manifest.unweighted, seed=manifest.seed
-            )
-        return np.asarray(rho0, dtype=float), micro0
-
-    rho, micro = initial_state()
+    rho, G0 = scen.init(grid, quad, eps)
+    rho = np.asarray(rho, dtype=float)
+    if integrator is None:
+        micro = np.asarray(G0, dtype=float)
+    elif np.any(G0):
+        micro = factorize_micro(
+            grid, quad, G0, rank, weighted=not manifest.unweighted, seed=manifest.seed
+        )
+    else:
+        micro = zero_micro_state(
+            grid, quad, rank, weighted=not manifest.unweighted, seed=manifest.seed
+        )
     schur = build_schur(grid, quad, material, config) if scheme.schur else None
 
     records = [
@@ -170,35 +166,30 @@ def execute_run(manifest: RunManifest) -> RunResult:
     else:
         advance = partial(imex_step, grid, quad, material, config)
 
-    def loop(rho, micro):
-        nonlocal status, failed_step
-        for k in range(1, n_steps + 1):
-            t_next = k * dt
-            try:
-                rho, micro, *info = advance(rho, micro, t_next)
-                step_infos.extend(info)
-            except (DivergenceError, np.linalg.LinAlgError):
-                status = "diverged"
-            except LinearSolveError:
-                status = "solve_stalled"
-            except RankOverflowError:
-                status = "rank_overflow"
-            if status != "completed":
-                failed_step = k
-                break
-            rec = _record(k, t_next, grid, quad, rho, micro, config, material, theta)
-            if not all(
-                np.isfinite(v)
-                for v in (rec.energy, rec.rho_norm, rec.micro_norm_w, rec.mass)
-            ):
-                status = "diverged"
-                failed_step = k
-                break
-            records.append(rec)
-        return rho, micro
-
     t0 = time.perf_counter()
-    rho, micro = loop(rho, micro)
+    for k in range(1, n_steps + 1):
+        t_next = k * dt
+        try:
+            rho, micro, *info = advance(rho, micro, t_next)
+            step_infos.extend(info)
+        except (DivergenceError, np.linalg.LinAlgError):
+            status = "diverged"
+        except LinearSolveError:
+            status = "solve_stalled"
+        except RankOverflowError:
+            status = "rank_overflow"
+        if status != "completed":
+            failed_step = k
+            break
+        rec = _record(k, t_next, grid, quad, rho, micro, config, material, theta)
+        if not all(
+            np.isfinite(v)
+            for v in (rec.energy, rec.rho_norm, rec.micro_norm_w, rec.mass)
+        ):
+            status = "diverged"
+            failed_step = k
+            break
+        records.append(rec)
     wall = time.perf_counter() - t0
     steps_done = records[-1].step
 
@@ -227,18 +218,6 @@ def execute_run(manifest: RunManifest) -> RunResult:
         if err is not None:
             summary["l2_error"] = err
             summary["l2_error_rel"] = rel
-
-    if manifest.bench and status == "completed":
-        times = [wall]
-        for _ in range(4):
-            rho_b, micro_b = initial_state()
-            del records[1:]
-            step_infos.clear()
-            t0 = time.perf_counter()
-            loop(rho_b, micro_b)
-            times.append(time.perf_counter() - t0)
-        summary["bench_runs"] = times
-        summary["bench_mean_s"] = sum(times) / len(times)
 
     result = RunResult(
         manifest=manifest,

@@ -1,5 +1,7 @@
 """IMEX / IMEX-S steppers against dense block oracles; Schur operator checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -253,13 +255,20 @@ def _reference_micro_rhs(grid, quad, material, config, G, t_next):
     return rhs
 
 
+def _reference_macro_source(material, config, rho, t_next):
+    b = rho / config.dt
+    if material.phi is not None:
+        b = b + material.phi(t_next)
+    return b
+
+
 def _reference_imex_step(grid, quad, material, config, rho, G, t_next):
     R = relaxation_factor(material, config)
     PJ, AJ = density_grad(grid, quad, rho)
     rhs = _reference_micro_rhs(grid, quad, material, config, G, t_next)
     rhs -= (PJ @ AJ.T) / config.epsilon**2
     G_new = R[:, None] * rhs
-    b = rho / config.dt + material.phi(t_next)
+    b = _reference_macro_source(material, config, rho, t_next)
     rho_new = (b - flux_div(grid, quad, G_new)) / (1.0 / config.dt + material.sigma_a_rho)
     return rho_new, G_new
 
@@ -267,21 +276,59 @@ def _reference_imex_step(grid, quad, material, config, rho, G, t_next):
 def _reference_imex_s_step(grid, quad, material, config, schur, rho, G, t_next):
     R = relaxation_factor(material, config)
     b2 = _reference_micro_rhs(grid, quad, material, config, G, t_next)
-    b1 = rho / config.dt + material.phi(t_next)
+    b1 = _reference_macro_source(material, config, rho, t_next)
     rho_new = schur.solve(b1 - flux_div(grid, quad, R[:, None] * b2))
     PJ, AJ = density_grad(grid, quad, rho_new)
     G_new = R[:, None] * (b2 - (PJ @ AJ.T) / config.epsilon**2)
     return rho_new, G_new
 
 
-@pytest.mark.parametrize("scheme", ["IMEX", "IMEX-S"])
-def test_steps_match_reference_formulas_bitwise_with_micro_source(rng, scheme):
-    scen = scenarios.get_scenario("mms2d-16")
+def _set_block_rows(monkeypatch, grid, quad, rows):
+    """Size the sweep's blocks to ``rows`` outer-axis rows (rounded up to a
+    multiple of four points)."""
+    row_points = grid.n_points // (2 * grid.block_shape[1])
+    monkeypatch.setattr(fullrank, "BLOCK_BYTES", rows * row_points * quad.n * 8)
+
+
+def _step_setup(name, scheme):
+    scen = scenarios.get_scenario(name)
     grid, quad, material = scenarios.build_objects(scen)
-    assert material.micro_source is not None
     dt = scenarios.select_dt(scen, scheme, grid, material, scen.epsilon)
     config = SolverConfig(epsilon=scen.epsilon, dt=dt)
     schur = build_schur(grid, quad, material, config) if scheme == "IMEX-S" else None
+    return grid, quad, material, config, schur
+
+
+# mms2d-16 carries a micro source and is one block at the default budget;
+# 3-row blocks of mms2d-16 (48 points) and 7-row blocks of bimodal1d (rounded
+# to 8 points; its families meet at point 50) straddle the family boundary
+# and end with a ragged block.
+@pytest.mark.parametrize(
+    "scheme, name, rows",
+    [
+        pytest.param("IMEX", "mms2d-16", None, id="IMEX"),
+        pytest.param("IMEX-S", "mms2d-16", None, id="IMEX-S"),
+        pytest.param("IMEX", "mms2d-16", 3, id="IMEX-mms2d-16-3rows"),
+        pytest.param("IMEX-S", "mms2d-16", 3, id="IMEX-S-mms2d-16-3rows"),
+        pytest.param("IMEX", "bimodal1d", 7, id="IMEX-bimodal1d-7rows"),
+        pytest.param("IMEX-S", "bimodal1d", 7, id="IMEX-S-bimodal1d-7rows"),
+    ],
+)
+def test_steps_match_reference_formulas_bitwise_with_micro_source(
+    rng, monkeypatch, scheme, name, rows
+):
+    grid, quad, material, config, schur = _step_setup(name, scheme)
+    assert (material.micro_source is not None) == name.startswith("mms2d")
+    if rows is not None:
+        _set_block_rows(monkeypatch, grid, quad, rows)
+    blocks = fullrank._row_blocks(grid, quad.n)
+    if rows is None:
+        assert blocks == [(0, grid.n_points)]
+    else:
+        sizes = [hi - lo for lo, hi in blocks]
+        assert len(blocks) > 3 and sizes[-1] < sizes[0]
+        assert any(lo < grid.n_points // 2 < hi for lo, hi in blocks)
+    dt = config.dt
     rho, G = random_state(grid, quad, rng)
     ref_rho, ref_G = rho.copy(), G.copy()
     for k in range(1, 4):
@@ -297,6 +344,45 @@ def test_steps_match_reference_formulas_bitwise_with_micro_source(rng, scheme):
             )
         assert np.array_equal(rho, ref_rho)
         assert np.array_equal(G, ref_G)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_non_finite_value_in_any_block_raises(rng, monkeypatch, where):
+    grid, quad, material, config, schur = _step_setup("mms2d-16", "IMEX-S")
+    _set_block_rows(monkeypatch, grid, quad, 3)
+    blocks = fullrank._row_blocks(grid, quad.n)
+    lo, hi = blocks[{"first": 0, "middle": len(blocks) // 2, "last": -1}[where]]
+    rho, G = random_state(grid, quad, rng)
+    G[(lo + hi) // 2, 1] = np.nan
+    with pytest.raises(DivergenceError):
+        imex_step(grid, quad, material, config, rho, G, config.dt)
+    with pytest.raises(DivergenceError):
+        imex_s_step(grid, quad, material, config, schur, rho, G, config.dt)
+    # the second IMEX-S sweep alone, where the density is finite
+    with pytest.raises(DivergenceError):
+        fullrank._micro_sweep(
+            grid, quad, material, config, G, grad=density_grad(grid, quad, rho)
+        )
+
+
+def test_imex_s_step_allocates_one_dense_array(rng):
+    # gaussian2d on a 32 x 32 mesh: 2048 points x 512 ordinates (8 MiB), 16
+    # blocks at the default budget
+    scen = scenarios.get_scenario("gaussian2d", mesh_div=4)
+    grid, quad, material = scenarios.build_objects(scen)
+    config = SolverConfig(epsilon=scen.epsilon, dt=1e-3)
+    schur = build_schur(grid, quad, material, config)
+    assert len(fullrank._row_blocks(grid, quad.n)) >= 8
+    rho, G = random_state(grid, quad, rng)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        imex_s_step(grid, quad, material, config, schur, rho, G, config.dt)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # G_new, two block buffers and O(n_points) vectors
+    assert peak <= G.nbytes + 4 * fullrank.BLOCK_BYTES + 64 * 8 * grid.n_points
 
 
 def test_record_evaluates_dense_micro_norm_once(monkeypatch):

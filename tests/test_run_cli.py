@@ -182,12 +182,6 @@ def test_rank_and_tau_overrides():
     assert res2.summary["rank_final"] <= 2
 
 
-def test_bench_repetitions():
-    res = execute_run(quick_manifest(bench=True, max_steps=3))
-    assert len(res.summary["bench_runs"]) == 5
-    assert res.summary["bench_mean_s"] > 0
-
-
 def test_theta_recorded():
     res = execute_run(quick_manifest(max_steps=1))
     assert res.summary["theta"] == 0.0
