@@ -232,8 +232,8 @@ def diff(
     The stencil is :func:`_stencil`, which the row-blocked upwind advection
     :func:`lrtrans.ops.advect_rows` also calls on its blocks: two slice
     subtractions into one output array (interior cells, then the periodic
-    wrap-around cell; masked per side when ``side`` is an array) followed by
-    an in-place division, so no shifted copy of the field is made.  ``out``,
+    wrap-around cell; masked per side when ``side`` is an array), then an
+    in-place division, so no shifted copy of the field is made.  ``out``,
     if given, receives the result and may be any view of the field's shape,
     e.g. a column slice of a wider block.
     """
@@ -255,17 +255,19 @@ def diff(
     # splitting the leading axis of ``out`` is always a view, even for slices
     f = np.moveaxis(a.reshape(lead + a.shape[1:]), ax, 0)
     d = np.moveaxis(out.reshape(lead + a.shape[1:]), ax, 0)
-    _stencil(f, d, side, grid.spacing[axis])
+    _stencil(f, d, side)
+    out /= grid.spacing[axis]
     return out
 
 
-def _stencil(f, d, side, h, lo=0, hi=None):
-    """Rows ``lo:hi`` of the periodic difference along axis 0 of ``f``, into ``d``.
+def _stencil(f, d, side, lo=0, hi=None):
+    """Rows ``lo:hi`` of the periodic one-cell increment along axis 0 of ``f``.
 
-    ``d[k] = (f[lo + k + 1] - f[lo + k]) / h`` forward (``side > 0``) and
-    ``(f[lo + k] - f[lo + k - 1]) / h`` backward, indices modulo
-    ``len(f)``, so rows outside ``lo:hi`` serve as the halo; ``side`` is a
-    scalar or an array of +-1 broadcast against the trailing axes.
+    Writes ``d[k] = f[lo + k + 1] - f[lo + k]`` forward (``side > 0``) and
+    ``f[lo + k] - f[lo + k - 1]`` backward, indices modulo ``len(f)``, so
+    rows outside ``lo:hi`` serve as the halo; ``side`` is a scalar or an
+    array of +-1 broadcast against the trailing axes.  The caller divides by
+    the spacing, on its own (usually contiguous) output.
     """
     n = len(f)
     hi = n if hi is None else hi
@@ -285,7 +287,6 @@ def _stencil(f, d, side, h, lo=0, hi=None):
             np.subtract(f[k:hi], f[k - 1:hi - 1], out=d[k - lo:], where=where)
             if lo == 0:
                 np.subtract(f[:1], f[-1:], out=d[:1], where=where)
-    d /= h
 
 
 def _wrap(values: np.ndarray, lo: float, hi: float) -> np.ndarray:

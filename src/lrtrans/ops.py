@@ -133,12 +133,12 @@ def advect_rows(grid, quad, G, lo, hi, out, work):
             for fam in range(2):
                 s0, s1 = max(r0, fam * L), min(r1, (fam + 1) * L)
                 if s0 < s1:
-                    _stencil(fams[fam], rows[s0 - r0:s1 - r0], side, grid.spacing[j],
+                    _stencil(fams[fam], rows[s0 - r0:s1 - r0], side,
                              s0 - fam * L, s1 - fam * L)
         else:
             inner = G[lo:hi].reshape(rows.shape)
-            _stencil(np.moveaxis(inner, 1, 0), np.moveaxis(rows, 1, 0), side,
-                     grid.spacing[j])
+            _stencil(np.moveaxis(inner, 1, 0), np.moveaxis(rows, 1, 0), side)
+        d /= grid.spacing[j]
         d *= q
         if j:
             out += d
