@@ -75,8 +75,16 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
 def _parse_bool(text) -> bool:
-    return str(text).lower() in ("1", "true", "yes", "on")
+    """``1/true/yes/on`` or ``0/false/no/off`` in any case; ``ValueError`` else."""
+    try:
+        return _BOOLS[str(text).strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected true/false, yes/no, on/off or 1/0, got {text!r}") from None
 
 
 def _manifest_parsers() -> dict:

@@ -15,14 +15,16 @@ The Schur operator depends only on the mesh, quadrature, material, step size
 and Knudsen number, so it is assembled once per run and reused.
 
 The micro update is one routine, :func:`_micro_sweep`, run over blocks of
-whole outer-axis rows of about :data:`BLOCK_BYTES` each: a block's upwind
-advection, mean removal, source, density-gradient subtraction, relaxation
-and moment contractions all run while it sits in cache.  ``imex_step``
-needs one sweep, since its density gradient is known up front;
-``imex_s_step`` sweeps twice, solving for the density in between from the
-moments of the first sweep.  Besides block-sized scratch a step allocates
-only the new micro state, and every value keeps the bits of the whole-array
-formulas.
+whole outer-axis rows of about ``BLOCK_BYTES`` (:mod:`lrtrans.ops`) each:
+a block's upwind advection, mean removal, source, density-gradient
+subtraction, relaxation and moment contractions all run while it sits in
+cache.  ``imex_step`` needs one sweep, since its density gradient is known
+up front; ``imex_s_step`` sweeps twice, solving for the density in between
+from the moments of the first sweep.  Both steppers update the micro state
+``G`` in place and return it: a step allocates no array of ``G``'s size,
+only six block-sized buffers and vectors of ``n_points``, and every value
+keeps the bits of the whole-array formulas.  Callers that still need the old
+state pass a copy.
 
 :data:`SCHEMES` maps each of the six scheme tags to its :class:`Scheme`, one
 of two couplings times three micro updates.  :func:`spd_solver` solves the
@@ -42,6 +44,7 @@ import scipy.sparse.linalg as spla
 from .angular import QuadratureSet
 from .grid import StaggeredGrid
 from .ops import (
+    BLOCK_BYTES,
     MaterialField,
     advect_rows,
     density_grad,
@@ -210,11 +213,6 @@ def build_schur(
     return SchurOperator(grid, quad, material, config)
 
 
-#: Bytes of one block of the full-rank micro sweep: each block holds as many
-#: whole outer-axis rows as fit, so its working set stays in a 2 MiB L2 cache.
-BLOCK_BYTES = 2**19
-
-
 def _row_blocks(grid: StaggeredGrid, n_cols: int) -> list:
     """``(lo, hi)`` point ranges of the sweep, in order, covering every point.
 
@@ -232,31 +230,43 @@ def _row_blocks(grid: StaggeredGrid, n_cols: int) -> list:
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
-def _micro_sweep(grid, quad, material, config, G_new, G=None, t_next=0.0, grad=None):
-    """Micro update of one step, one block of rows at a time.
+def _micro_sweep(grid, quad, material, config, G, explicit=False, t_next=0.0, grad=None):
+    """Micro update of one step in place on ``G``, one block of rows at a time.
 
-    With ``G``, writes the explicit part ``G/dt - (1/eps) A(G)(I - w 1^T/|D|)
-    + source(t_next)`` into ``G_new``.  With ``grad = (PJ, AJ)`` it then
+    With ``explicit``, replaces ``G`` by the explicit part ``G/dt - (1/eps)
+    A(G)(I - w 1^T/|D|) + source(t_next)``.  With ``grad = (PJ, AJ)`` it then
     subtracts ``PJ AJ^T / eps^2``, multiplies by the relaxation factor ``R``
-    and raises :class:`DivergenceError` on a non-finite value.  A sweep with
-    ``G`` returns the first angular moments ``M[j] = (R B) Q^(j) w``,
-    ``(dim, n_points)``, of the update ``B`` before relaxation, from which
-    the density update takes its flux divergence; other sweeps return
-    ``None``.  Two block-sized buffers are the only scratch.
+    and raises :class:`DivergenceError` on a non-finite value, leaving ``G``
+    partly updated.  An explicit sweep returns the first angular moments
+    ``M[j] = (R B) Q^(j) w``, ``(dim, n_points)``, of the update ``B`` before
+    relaxation, from which the density update takes its flux divergence;
+    other sweeps return ``None``.
+
+    The explicit part of a block reads the outer-axis rows next to it, so it
+    is formed in a block buffer and copied into ``G`` one block late, once
+    the next block has read the old halo row.  The blocks that hold the first
+    outer row of a point family are the periodic halo of that family's last
+    block and are copied back last.  Scratch is at most six block-sized
+    buffers; a sweep without ``explicit`` works on ``G`` directly.
     """
     R = relaxation_factor(material, config)[:, None]
     blocks = _row_blocks(grid, quad.n)
     size = blocks[0][1] - blocks[0][0]
-    work, scratch = np.empty((size, quad.n)), np.empty((size, quad.n))
+    work = np.empty((size, quad.n))
     source = None
-    if G is not None:
+    if explicit:
+        scratch = np.empty((size, quad.n))
         moments = np.empty((grid.dim, grid.n_points))
         qw = [quad.q(j) * quad.w for j in range(grid.dim)]
         if material.micro_source is not None:
             source = material.micro_source(t_next)
+        half = grid.n_points // 2
+        spare, late, held = [], [], []  # free buffers; blocks not copied back
     for lo, hi in blocks:
-        g, a = G_new[lo:hi], work[: hi - lo]
-        if G is not None:
+        a = work[: hi - lo]
+        if explicit:
+            buf = spare.pop() if spare else np.empty((size, quad.n))
+            g = buf[: hi - lo]
             advect_rows(grid, quad, G, lo, hi, a, scratch[: hi - lo])
             project_out_mean(quad, a, out=a)
             a /= config.epsilon
@@ -265,6 +275,8 @@ def _micro_sweep(grid, quad, material, config, G_new, G=None, t_next=0.0, grad=N
             if source is not None:
                 P, A = source
                 g += np.matmul(P[lo:hi], A.T, out=a)
+        else:
+            g = G[lo:hi]
         if grad is not None:
             PJ, AJ = grad
             np.matmul(PJ[lo:hi], AJ.T, out=a)
@@ -272,11 +284,23 @@ def _micro_sweep(grid, quad, material, config, G_new, G=None, t_next=0.0, grad=N
             g -= a
             g *= R[lo:hi]
             _require_finite(g)
-        if G is not None:
+        if explicit:
             m = g if grad is not None else np.multiply(g, R[lo:hi], out=a)
             for j in range(grid.dim):
                 np.matmul(m, qw[j], out=moments[j, lo:hi])
-    return moments if G is not None else None
+            _copy_back(G, late)
+            spare += [b for _, _, b in late]
+            late = []
+            (held if lo == 0 or lo <= half < hi else late).append((lo, hi, buf))
+    if not explicit:
+        return None
+    _copy_back(G, late + held)
+    return moments
+
+
+def _copy_back(G, blocks):
+    for lo, hi, buf in blocks:
+        G[lo:hi] = buf[: hi - lo]
 
 
 def _macro_source(material, dt, rho, t_next):
@@ -297,19 +321,20 @@ def imex_step(
 ):
     """One step with the density treated explicitly in the micro equation.
 
-    Returns ``(rho_new, G_new)``.  Raises :class:`DivergenceError` if the
-    update produces non-finite values.
+    Updates ``G`` in place and returns ``(rho_new, G)``.  Raises
+    :class:`DivergenceError` if the update produces non-finite values; ``G``
+    is then partly updated.
     """
-    G_new = np.empty(G.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         moments = _micro_sweep(
-            grid, quad, material, config, G_new, G, t_next, density_grad(grid, quad, rho)
+            grid, quad, material, config, G, explicit=True, t_next=t_next,
+            grad=density_grad(grid, quad, rho),
         )
         rho_new = (
             _macro_source(material, config.dt, rho, t_next) - moment_div(grid, quad, moments)
         ) / (1.0 / config.dt + material.sigma_a_rho)
     _require_finite(rho_new)
-    return rho_new, G_new
+    return rho_new, G
 
 
 def imex_s_step(
@@ -325,18 +350,16 @@ def imex_s_step(
     """One step with the density treated implicitly via the Schur complement.
 
     The density solves the reduced system assembled in ``schur``; the
-    fluctuation is then recovered pointwise from the new density.
+    fluctuation is then recovered pointwise from the new density.  Like
+    :func:`imex_step`, updates ``G`` in place and returns ``(rho_new, G)``.
     """
-    G_new = np.empty(G.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        moments = _micro_sweep(grid, quad, material, config, G_new, G, t_next)
+        moments = _micro_sweep(grid, quad, material, config, G, explicit=True, t_next=t_next)
         b1 = _macro_source(material, config.dt, rho, t_next)
         rho_new = schur.solve(b1 - moment_div(grid, quad, moments))
-        _micro_sweep(
-            grid, quad, material, config, G_new, grad=density_grad(grid, quad, rho_new)
-        )
+        _micro_sweep(grid, quad, material, config, G, grad=density_grad(grid, quad, rho_new))
     _require_finite(rho_new)
-    return rho_new, G_new
+    return rho_new, G
 
 
 def _require_finite(x):

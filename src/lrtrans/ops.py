@@ -26,6 +26,11 @@ import numpy as np
 from .angular import QuadratureSet
 from .grid import StaggeredGrid, _stencil, diff
 
+#: Bytes of one block of the row-blocked full-rank kernels (the micro sweep
+#: of :mod:`lrtrans.fullrank`) and of one leaf of :func:`inner_w`'s sum, so
+#: their working sets stay in a 2 MiB L2 cache.
+BLOCK_BYTES = 2**19
+
 
 @dataclass
 class MaterialField:
@@ -239,12 +244,36 @@ def norm(grid: StaggeredGrid, f: np.ndarray) -> float:
 
 
 def inner_w(grid: StaggeredGrid, quad: QuadratureSet, F1: np.ndarray, F2: np.ndarray) -> float:
-    """Weighted inner product ``(prod_j dx_j) tr(F1 M^2 F2^T)``."""
+    """Weighted inner product ``(prod_j dx_j) tr(F1 M^2 F2^T)``.
+
+    Equals ``cell_volume * np.sum(F1 * F2 * w)`` bit for bit without forming
+    the product array.  numpy sums a C-contiguous array as one pairwise tree
+    over its raveled values: a range of more than 128 values splits at
+    ``n2 = n // 2 - (n // 2) % 8``, and each half is summed the same way.
+    This walks that split down to leaves of at most ``BLOCK_BYTES / 8``
+    values (never fewer than 128, where numpy stops splitting) and sums each
+    leaf with ``np.sum`` of ``(F1 * F2) * w``, formed over the whole rows it
+    touches in a leaf-sized buffer; the leaves are added back up the tree
+    in numpy's order.  ``test_inner_w_matches_numpy_sum_bitwise`` guards the
+    assumption about numpy.  Other layouts are summed in C order too.
+    """
     if F1.shape != F2.shape:
         raise ValueError("shape mismatch in inner_w")
-    prod = np.multiply(F1, F2, dtype=float)
-    prod *= quad.w
-    return grid.cell_volume * float(np.sum(prod))
+    n_cols = F1.shape[1]
+    leaf = max(128, BLOCK_BYTES // 8)
+    buf = np.empty((min(F1.shape[0], leaf // n_cols + 2), n_cols))
+
+    def tree(lo, hi):
+        if hi - lo > leaf:
+            half = (hi - lo) // 2
+            half -= half % 8
+            return tree(lo, lo + half) + tree(lo + half, hi)
+        r0, r1 = lo // n_cols, -(-hi // n_cols)
+        rows = np.multiply(F1[r0:r1], F2[r0:r1], out=buf[: r1 - r0], dtype=float)
+        rows *= quad.w
+        return np.sum(rows.reshape(-1)[lo - r0 * n_cols:hi - r0 * n_cols])
+
+    return grid.cell_volume * float(tree(0, F1.size))
 
 
 def norm_w(grid: StaggeredGrid, quad: QuadratureSet, F: np.ndarray) -> float:

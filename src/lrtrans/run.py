@@ -70,16 +70,19 @@ class RunManifest:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.rank is not None and self.rank < 1:
             raise ValueError("rank override must be >= 1")
-        if self.tau is not None and self.tau <= 0:
-            raise ValueError("tau override must be positive")
-        if self.dt_mult <= 0:
-            raise ValueError("dt multiplier must be positive")
+        # written so that nan fails each comparison
+        if self.tau is not None and not 0 < self.tau < math.inf:
+            raise ValueError("tau override must be positive and finite")
+        if not 0 < self.dt_mult < math.inf:
+            raise ValueError("dt multiplier must be positive and finite")
         if self.mesh_div < 1:
             raise ValueError("mesh divisor must be >= 1")
         if self.theta is not None and not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("epsilon override must be positive")
+        if self.epsilon is not None and not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon override must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.unweighted and scheme.micro == "full":
             raise ValueError("--unweighted only applies to low-rank schemes")
         if self.max_steps is not None and self.max_steps < 1:

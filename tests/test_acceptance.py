@@ -83,7 +83,7 @@ def test_c1_small_instance_oracle_equivalence():
     # explicit-density step: lower-triangular block solve
     G_o = np.linalg.solve(A22, explicit - Jmat @ rho / eps2).reshape(n, no)
     rho_o = np.linalg.solve(A11, rho / config.dt - lt.flux_div(grid, quad, G_o))
-    r1, G1 = imex_step(grid, quad, material, config, rho, G)
+    r1, G1 = imex_step(grid, quad, material, config, rho, G.copy())
     err_imex = max(np.abs(r1 - rho_o).max(), np.abs(G1 - G_o).max())
 
     # implicit-density step: full coupled block solve

@@ -355,9 +355,9 @@ def test_non_finite_value_in_any_block_raises(rng, monkeypatch, where):
     rho, G = random_state(grid, quad, rng)
     G[(lo + hi) // 2, 1] = np.nan
     with pytest.raises(DivergenceError):
-        imex_step(grid, quad, material, config, rho, G, config.dt)
+        imex_step(grid, quad, material, config, rho, G.copy(), config.dt)
     with pytest.raises(DivergenceError):
-        imex_s_step(grid, quad, material, config, schur, rho, G, config.dt)
+        imex_s_step(grid, quad, material, config, schur, rho, G.copy(), config.dt)
     # the second IMEX-S sweep alone, where the density is finite
     with pytest.raises(DivergenceError):
         fullrank._micro_sweep(
@@ -367,22 +367,65 @@ def test_non_finite_value_in_any_block_raises(rng, monkeypatch, where):
 
 def test_imex_s_step_allocates_one_dense_array(rng):
     # gaussian2d on a 32 x 32 mesh: 2048 points x 512 ordinates (8 MiB), 16
-    # blocks at the default budget
+    # blocks at the default budget; both steppers work on G in place
     scen = scenarios.get_scenario("gaussian2d", mesh_div=4)
     grid, quad, material = scenarios.build_objects(scen)
     config = SolverConfig(epsilon=scen.epsilon, dt=1e-3)
     schur = build_schur(grid, quad, material, config)
     assert len(fullrank._row_blocks(grid, quad.n)) >= 8
     rho, G = random_state(grid, quad, rng)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        imex_s_step(grid, quad, material, config, schur, rho, G, config.dt)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    # G_new, two block buffers and O(n_points) vectors
-    assert peak <= G.nbytes + 4 * fullrank.BLOCK_BYTES + 64 * 8 * grid.n_points
+    steps = (
+        lambda: imex_step(grid, quad, material, config, rho, G, config.dt),
+        lambda: imex_s_step(grid, quad, material, config, schur, rho, G, config.dt),
+    )
+    for step in steps:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            step()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # no dense array: block buffers and O(n_points) vectors only
+        assert peak <= 8 * fullrank.BLOCK_BYTES + 512 * grid.n_points
+
+
+@pytest.mark.parametrize("scheme", ["IMEX", "IMEX-S"])
+def test_steps_update_the_micro_state_in_place(rng, scheme):
+    grid, quad, material, config, schur = _step_setup("mms2d-16", scheme)
+    rho, G = random_state(grid, quad, rng)
+    if schur is None:
+        _, G1 = imex_step(grid, quad, material, config, rho, G, config.dt)
+    else:
+        _, G1 = imex_s_step(grid, quad, material, config, schur, rho, G, config.dt)
+    assert G1 is G
+
+
+def _held_blocks(grid, blocks):
+    """Indices of the blocks holding the first outer row of a point family."""
+    half = grid.n_points // 2
+    return [i for i, (lo, hi) in enumerate(blocks) if lo == 0 or lo <= half < hi]
+
+
+# a NaN in the first row of a block, the halo row its predecessor reads: in
+# the first family's held block, in the second family's held block, in the
+# rolling block after the first one, and in the last block, whose periodic
+# halo is held
+@pytest.mark.parametrize("which", ["held-first", "held-second", "rolling", "last"])
+def test_non_finite_value_in_held_or_rolling_block_raises(rng, monkeypatch, which):
+    grid, quad, material, config, schur = _step_setup("mms2d-16", "IMEX-S")
+    _set_block_rows(monkeypatch, grid, quad, 3)
+    blocks = fullrank._row_blocks(grid, quad.n)
+    held = _held_blocks(grid, blocks)
+    assert len(held) == 2 and held[0] == 0
+    k = {"held-first": 0, "held-second": held[1], "rolling": 1, "last": len(blocks) - 1}
+    assert which.startswith("held") == (k[which] in held)
+    rho, G = random_state(grid, quad, rng)
+    G[blocks[k[which]][0], 2] = np.nan
+    with pytest.raises(DivergenceError):
+        imex_step(grid, quad, material, config, rho, G.copy(), config.dt)
+    with pytest.raises(DivergenceError):
+        imex_s_step(grid, quad, material, config, schur, rho, G.copy(), config.dt)
 
 
 def test_record_evaluates_dense_micro_norm_once(monkeypatch):

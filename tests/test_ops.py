@@ -1,8 +1,12 @@
 """Transport operators against dense oracles plus the proof-level identities."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from lrtrans import ops
 from lrtrans.angular import chebyshev_legendre_2d, gauss_legendre_1d
 from lrtrans.grid import build_grid, diff
 from lrtrans.ops import (
@@ -207,6 +211,52 @@ def test_inner_products(setup, rng):
         norm_w(grid, quad, F1) ** 2 * norm_w(grid, quad, F2) ** 2 * (1 + 1e-12)
     )
     assert np.sqrt(inner(grid, F1[:, 0], F1[:, 0])) >= 0.0
+
+
+# (rows, columns, BLOCK_BYTES): several leaves of the streamed sum at the
+# default budget and at small ones, sizes that are not powers of two, one
+# column, leaves at numpy's 128-value floor, and a field of one leaf
+@pytest.mark.parametrize(
+    "rows, cols, budget",
+    [
+        (6000, 96, None),
+        (3922, 40, None),
+        (3922, 40, 2**12),
+        (1000, 7, 2**10),
+        (1001, 1, 2**10),
+        (777, 13, 8),
+        (33, 5, None),
+    ],
+)
+def test_inner_w_matches_numpy_sum_bitwise(rng, monkeypatch, rows, cols, budget):
+    if budget is not None:
+        monkeypatch.setattr(ops, "BLOCK_BYTES", budget)
+    grid = SimpleNamespace(cell_volume=1.0)
+    quad = SimpleNamespace(w=rng.random(cols))
+    F1 = rng.standard_normal((rows, cols))
+    F2 = rng.standard_normal((rows, cols))
+    assert inner_w(grid, quad, F1, F2) == float(np.sum(F1 * F2 * quad.w))
+    assert inner_w(grid, quad, F1, F1) == float(np.sum(F1 * F1 * quad.w))
+    # a transposed (Fortran-ordered) input is summed in C order
+    T1, T2 = np.asfortranarray(F1), np.asfortranarray(F2)
+    assert cols == 1 or not T1.flags.c_contiguous
+    assert inner_w(grid, quad, T1, T2) == inner_w(grid, quad, F1, F2)
+
+
+def test_norm_w_scratch_stays_below_two_leaves(rng):
+    # 2048 x 512 float64 = 8 MiB, sixteen leaves of BLOCK_BYTES
+    grid = SimpleNamespace(cell_volume=1.0)
+    quad = SimpleNamespace(w=rng.random(512))
+    F = rng.standard_normal((2048, 512))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        value = norm_w(grid, quad, F)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert value == np.sqrt(float(np.sum(F * F * quad.w)))
+    assert peak < 2 * ops.BLOCK_BYTES
 
 
 def test_factored_flux_div(setup, rng):

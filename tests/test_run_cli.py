@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from lrtrans import cli as cli_module
 from lrtrans import run as run_module
 from lrtrans.cli import main, parse_config_file
 from lrtrans.fullrank import LinearSolveError, SchurOperator
@@ -337,3 +338,56 @@ def test_cli_sweep_varies_max_steps(tmp_path):
     lines = (out / "combined.csv").read_text().strip().splitlines()
     steps = lines[0].split(",").index("steps")
     assert [line.split(",")[steps] for line in lines[1:]] == ["1", "2"]
+
+
+# overrides that are rejected up front, because unchecked they fail late or
+# not at all: a nan tau makes the truncation rule meaningless, a nan dt_mult
+# breaks the step count, an infinite dt_mult or epsilon diverges at the first
+# step, and a negative seed raises inside the random generator
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        pytest.param("--tau", "nan", "tau", id="tau-nan"),
+        pytest.param("--tau", "inf", "tau", id="tau-inf"),
+        pytest.param("--dt-mult", "nan", "dt multiplier", id="dt_mult-nan"),
+        pytest.param("--dt-mult", "inf", "dt multiplier", id="dt_mult-inf"),
+        pytest.param("--epsilon", "nan", "epsilon", id="epsilon-nan"),
+        pytest.param("--epsilon", "inf", "epsilon", id="epsilon-inf"),
+        pytest.param("--seed", "-1", "seed", id="seed-negative"),
+    ],
+)
+def test_cli_run_rejects_non_finite_or_negative_override(capsys, flag, value, message):
+    rc = main(["run", "--scenario", "bimodal1d", "--scheme", "IMEX-aBUG", flag, value])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "status" not in captured.out
+
+
+def test_parse_bool_accepts_known_words_in_any_case():
+    for text in ("1", "true", "TRUE", "Yes", "on", " On "):
+        assert cli_module._parse_bool(text) is True
+    for text in ("0", "false", "False", "NO", "off"):
+        assert cli_module._parse_bool(text) is False
+    for text in ("tru", "maybe", "", "2", "y"):
+        with pytest.raises(ValueError, match="expected"):
+            cli_module._parse_bool(text)
+
+
+def test_cli_config_file_rejects_unknown_boolean(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario = bimodal1d\nscheme = IMEX-S-BUG\nunweighted = tru\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "'tru'" in captured.err
+    assert "status" not in captured.out
+
+
+def test_cli_sweep_rejects_unknown_boolean(tmp_path, capsys):
+    rc = main([
+        "sweep", "--scenario", "bimodal1d", "--scheme", "IMEX-S-BUG",
+        "--vary", "unweighted=maybe", "--out", str(tmp_path / "sweep"),
+    ])
+    assert rc == 2
+    assert "'maybe'" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
