@@ -246,26 +246,30 @@ def _micro_sweep(grid, quad, material, config, G, explicit=False, t_next=0.0, gr
     is formed in a block buffer and copied into ``G`` one block late, once
     the next block has read the old halo row.  The blocks that hold the first
     outer row of a point family are the periodic halo of that family's last
-    block and are copied back last.  Scratch is at most six block-sized
-    buffers; a sweep without ``explicit`` works on ``G`` directly.
+    block and are copied back last.  Scratch is six block-sized buffers; a
+    sweep without ``explicit`` works on ``G`` directly and needs one.
     """
     R = relaxation_factor(material, config)[:, None]
     blocks = _row_blocks(grid, quad.n)
     size = blocks[0][1] - blocks[0][0]
-    work = np.empty((size, quad.n))
     source = None
     if explicit:
-        scratch = np.empty((size, quad.n))
+        # one allocation: six separate block-sized ones are returned to the
+        # system at the end of each sweep and paged in again by the next
+        work, scratch, *spare = np.empty((6, size, quad.n))
         moments = np.empty((grid.dim, grid.n_points))
         qw = [quad.q(j) * quad.w for j in range(grid.dim)]
         if material.micro_source is not None:
             source = material.micro_source(t_next)
         half = grid.n_points // 2
-        spare, late, held = [], [], []  # free buffers; blocks not copied back
+        late, held = [], []  # blocks not yet copied back
+    else:
+        work = np.empty((size, quad.n))
     for lo, hi in blocks:
         a = work[: hi - lo]
         if explicit:
-            buf = spare.pop() if spare else np.empty((size, quad.n))
+            # at most two held blocks, one late and this one: four buffers
+            buf = spare.pop()
             g = buf[: hi - lo]
             advect_rows(grid, quad, G, lo, hi, a, scratch[: hi - lo])
             project_out_mean(quad, a, out=a)
