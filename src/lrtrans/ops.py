@@ -263,17 +263,27 @@ def inner_w(grid: StaggeredGrid, quad: QuadratureSet, F1: np.ndarray, F2: np.nda
     leaf = max(128, BLOCK_BYTES // 8)
     buf = np.empty((min(F1.shape[0], leaf // n_cols + 2), n_cols))
 
-    def tree(lo, hi):
-        if hi - lo > leaf:
-            half = (hi - lo) // 2
-            half -= half % 8
-            return tree(lo, lo + half) + tree(lo + half, hi)
+    def leaf_sum(lo, hi):
         r0, r1 = lo // n_cols, -(-hi // n_cols)
         rows = np.multiply(F1[r0:r1], F2[r0:r1], out=buf[: r1 - r0], dtype=float)
         rows *= quad.w
         return np.sum(rows.reshape(-1)[lo - r0 * n_cols:hi - r0 * n_cols])
 
-    return grid.cell_volume * float(tree(0, F1.size))
+    return grid.cell_volume * float(_pairwise(leaf_sum, 0, F1.size, leaf))
+
+
+def _pairwise(leaf_sum, lo, hi, leaf):
+    """``leaf_sum`` added up numpy's pairwise tree over ``lo:hi``.
+
+    A module function, not a closure that calls itself: such a closure is a
+    reference cycle that keeps its caller's buffer alive until the garbage
+    collector runs, so every call would page in a fresh one.
+    """
+    if hi - lo > leaf:
+        half = (hi - lo) // 2
+        half -= half % 8
+        return _pairwise(leaf_sum, lo, lo + half, leaf) + _pairwise(leaf_sum, lo + half, hi, leaf)
+    return leaf_sum(lo, hi)
 
 
 def norm_w(grid: StaggeredGrid, quad: QuadratureSet, F: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 """Transport operators against dense oracles plus the proof-level identities."""
 
+import gc
 import tracemalloc
 from types import SimpleNamespace
 
@@ -248,15 +249,18 @@ def test_norm_w_scratch_stays_below_two_leaves(rng):
     grid = SimpleNamespace(cell_volume=1.0)
     quad = SimpleNamespace(w=rng.random(512))
     F = rng.standard_normal((2048, 512))
+    gc.disable()  # the buffer must be freed on return, not by the collector
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         value = norm_w(grid, quad, F)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
+        gc.enable()
     assert value == np.sqrt(float(np.sum(F * F * quad.w)))
     assert peak < 2 * ops.BLOCK_BYTES
+    assert held < ops.BLOCK_BYTES // 8
 
 
 def test_factored_flux_div(setup, rng):
