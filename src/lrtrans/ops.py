@@ -250,8 +250,8 @@ def inner_w(grid: StaggeredGrid, quad: QuadratureSet, F1: np.ndarray, F2: np.nda
     the product array.  numpy sums a C-contiguous array as one pairwise tree
     over its raveled values: a range of more than 128 values splits at
     ``n2 = n // 2 - (n // 2) % 8``, and each half is summed the same way.
-    This walks that split down to leaves of at most ``BLOCK_BYTES / 8``
-    values (never fewer than 128, where numpy stops splitting) and sums each
+    This walks that split down to leaves of at most ``max(128, BLOCK_BYTES
+    / 8)`` values (numpy never splits 128 values or fewer) and sums each
     leaf with ``np.sum`` of ``(F1 * F2) * w``, formed over the whole rows it
     touches in a leaf-sized buffer; the leaves are added back up the tree
     in numpy's order.  ``test_inner_w_matches_numpy_sum_bitwise`` guards the
