@@ -103,10 +103,11 @@ class SolverConfig:
     dt: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        # negated comparisons, so that NaN fails them
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
 
 
 def relaxation_factor(material: MaterialField, config: SolverConfig) -> np.ndarray:

@@ -39,6 +39,16 @@ only ``X^T D^(j,+) X``.  The S step forms the stack ``C = [X1^T D^(j,+) X1
 per axis, X1^T diag(sigma) X1]`` once (after an extension only the ``Q``
 blocks are new); it travels as ``MicroStateLowRank.C``, truncation rotates
 it with ``X``, and the next L step reads it with no ``n_points``-row work.
+
+Layout
+------
+Every ``n_points``-row array of a step is column-major (Fortran order),
+the layout LAPACK returns its ``Q`` in: ``X``, ``K``, the difference block
+``DK``, ``K1`` and ``X1 = [X, Q]``.  Products with a tall factor on the left
+are formed transposed, ``(P^T X^T)^T`` (:func:`_fmul`), and ``K1`` as the
+transpose of its row-major right-hand side ``K1^T``, so each column is
+contiguous: :func:`grid.diff` writes each difference of ``K`` straight into
+its column slab of ``DK``, and the QR factorizes ``K1`` in place.
 """
 
 from __future__ import annotations
@@ -101,10 +111,13 @@ class LowRankConfig:
     def __post_init__(self):
         if self.integrator not in ("BUG", "aBUG", "AP-aBUG"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
-        if self.rank < 1:
+        # negated comparisons, so that NaN fails them
+        if not self.rank >= 1:
             raise ValueError("rank must be >= 1")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < np.inf:
+            raise ValueError("tau must be positive and finite")
+        if self.max_rank is not None and not self.max_rank >= 1:
+            raise ValueError("max_rank must be None (no cap) or >= 1")
 
 
 @dataclass
@@ -150,14 +163,26 @@ def _fix_signs(Q: np.ndarray) -> np.ndarray:
 
 
 def _qr(B: np.ndarray) -> np.ndarray:
-    """Orthonormal factor of the economic QR factorization of ``B``."""
-    Q, _ = scipy.linalg.qr(B, mode="economic", check_finite=False)
+    """Orthonormal factor of the economic QR factorization of ``B``.
+
+    ``B`` is overwritten: every caller passes a temporary, and a
+    column-major one is factorized in place, without a copy.
+    """
+    Q, _ = scipy.linalg.qr(B, mode="economic", overwrite_a=True, check_finite=False)
     return Q
 
 
 def _hcat(blocks: list) -> np.ndarray:
-    """``np.hstack(blocks)`` without copying a lone block."""
-    return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
+    """Column-major ``np.hstack(blocks)``; a lone block is returned as is."""
+    if len(blocks) == 1:
+        return blocks[0]
+    out = np.empty((len(blocks[0]), sum(b.shape[1] for b in blocks)), order="F")
+    return np.concatenate(blocks, axis=1, out=out)
+
+
+def _fmul(X: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """``X @ P`` for a tall ``X``, column-major."""
+    return (P.T @ X.T).T
 
 
 def constrained_qr(L: np.ndarray, quad: QuadratureSet) -> np.ndarray:
@@ -182,8 +207,8 @@ def _complete_basis(Q: np.ndarray, extra: int, rng: np.random.Generator) -> np.n
         return Q
     n, k = Q.shape
     trial = rng.standard_normal((n, extra))
-    full = _qr(np.hstack([Q, trial]) if k else trial)
-    return np.hstack([Q, _fix_signs(full[:, k : k + extra])])
+    full = _qr(_hcat([Q, trial]) if k else trial)
+    return _hcat([Q, _fix_signs(full[:, k : k + extra])])
 
 
 def _sbp_matrices(grid: StaggeredGrid, X: np.ndarray, sig=None) -> np.ndarray:
@@ -213,11 +238,11 @@ def _extend_basis(X: np.ndarray, B: np.ndarray) -> np.ndarray:
     k = min(B.shape[1], n - r)
     if k == 0:
         return np.zeros((n, 0))
-    B = B - X @ (X.T @ B)
-    B -= X @ (X.T @ B)
+    B = B - _fmul(X, X.T @ B)
+    B -= _fmul(X, X.T @ B)
     Q = _qr(B)[:, :k]
     if np.abs(X.T @ Q).max() > _REORTH_BOUND:
-        Q = _qr(Q - X @ (X.T @ Q))
+        Q = _qr(Q - _fmul(X, X.T @ Q))
     return Q
 
 
@@ -351,10 +376,14 @@ def _k_differences(grid: StaggeredGrid, state: MicroStateLowRank) -> tuple:
     """``(K, DK)``: ``K = X S`` and its one-sided differences in one block.
 
     ``DK`` is ``(n_points, 2 dim r)`` with column blocks
-    ``D^(0,-)K, D^(0,+)K, D^(1,-)K, D^(1,+)K`` (see :func:`_block_order`).
+    ``D^(0,-)K, D^(0,+)K, D^(1,-)K, D^(1,+)K`` (see :func:`_block_order`);
+    both are column-major, and each difference is written into its slab.
     """
-    K = state.X @ state.S
-    DK = np.hstack([diff(grid, j, side, K) for j, side in _block_order(grid.dim)])
+    K = _fmul(state.X, state.S)
+    r = K.shape[1]
+    DK = np.empty((len(K), 2 * grid.dim * r), order="F")
+    for b, (j, side) in enumerate(_block_order(grid.dim)):
+        diff(grid, j, side, K, out=DK[:, b * r:(b + 1) * r])
     return K, DK
 
 
@@ -402,11 +431,13 @@ def galerkin_stage(
     ang_V = np.vstack(
         [_ang(quad, V, j, -side, wgt).T @ V for j, side in _block_order(grid.dim)]
     )
-    rhs = K / dt - DK @ ang_V / eps
-    rhs -= PJ @ (AJr.T @ V) / eps2
+    # K step transposed: K1^T is row-major, so K1 is column-major
+    rhsT = K.T / dt - (ang_V / eps).T @ DK.T
+    rhsT -= ((AJr.T @ V) / eps2).T @ PJ.T
     if src is not None:
-        rhs += Ps @ (Asr.T @ V)
-    K1 = rhs / (1.0 / dt + sig)[:, None]
+        rhsT += (Asr.T @ V).T @ Ps.T
+    rhsT /= 1.0 / dt + sig
+    K1 = rhsT.T
 
     # (D^(j,-) X)^T X = -C[j] and (D^(j,+) X)^T X = C[j]^T
     L = V @ S.T
@@ -431,7 +462,7 @@ def galerkin_stage(
         lb.insert(0, _ap_angular(quad))
     V1 = constrained_qr(_hcat(lb), quad) if wgt else _fix_signs(_qr(_hcat(lb)))
     if augment and not ap_enrich:
-        X1 = np.hstack([X, _extend_basis(X, K1)])
+        X1 = _hcat([X, _extend_basis(X, K1)])
         C1 = _extended_blocks(grid, X1, r, C, sig)
         S_tilde = np.zeros((X1.shape[1], V1.shape[1]))
         S_tilde[:r] = S @ (V.T @ V1)
@@ -472,9 +503,9 @@ def micro_step(
     )
     factors = (st.X1, st.S1, st.V1, st.C1)
     if augment:
-        rmax = lr_config.max_rank or min(
-            grid.n_points, quad.z_dim if state.weighted else quad.n
-        )
+        rmax = lr_config.max_rank
+        if rmax is None:
+            rmax = min(grid.n_points, quad.z_dim if state.weighted else quad.n)
         if ap:
             factors = _truncate_pinned(*factors, grid.dim, lr_config.tau, rmax)
         else:
@@ -507,7 +538,7 @@ def _truncate_plain(X1, S1, V1, C1, tau, rmax):
         )
     signs = _signs(U[:, :k])
     Uk = U[:, :k] * signs
-    return X1 @ Uk, np.diag(s[:k]), V1 @ (Wt[:k].T * signs), Uk.T @ C1 @ Uk
+    return _fmul(X1, Uk), np.diag(s[:k]), V1 @ (Wt[:k].T * signs), Uk.T @ C1 @ Uk
 
 
 def _truncate_pinned(X1, S1, V1, C1, n_pinned, tau, rmax):
@@ -539,7 +570,7 @@ def _truncate_pinned(X1, S1, V1, C1, n_pinned, tau, rmax):
         )
     T = scipy.linalg.block_diag(np.eye(d), _fix_signs(Ua[:, :k]))
     W = scipy.linalg.block_diag(np.eye(d), _fix_signs(Wbt[:k].T))
-    return X1 @ T, T.T @ S1 @ W, V1 @ W, T.T @ C1 @ T
+    return _fmul(X1, T), T.T @ S1 @ W, V1 @ W, T.T @ C1 @ T
 
 
 # ---------------------------------------------------------------------------
@@ -600,13 +631,14 @@ def _schur_macro_solve(grid, quad, material, config, schur, rho, state, k_diffs,
         [_ang(quad, state.V, j, -side, state.weighted) for j, side in _block_order(grid.dim)]
     ))
     qw = quad.omega * quad.w[:, None]
-    flux = K @ (A0.T @ qw) / dt - DK @ (A_D.T @ qw) / eps
+    # the flux transposed, one contiguous row per axis
+    fluxT = (A0.T @ qw).T @ K.T / dt - (A_D.T @ qw).T @ DK.T / eps
     if material.micro_source is not None:
         Ps, As = material.micro_source(t_next)
-        flux += Ps @ (As.T @ qw)
-    flux *= relaxation_factor(material, config)[:, None]
+        fluxT += (As.T @ qw).T @ Ps.T
+    fluxT *= relaxation_factor(material, config)
     div = np.zeros(grid.n_points)
     for j in range(grid.dim):
-        div += diff(grid, j, -1, flux[:, j])
+        div += diff(grid, j, -1, fluxT[j])
     b = _macro_source(material, config.dt, rho, t_next)
     return schur.solve(b - div / quad.domain_measure)

@@ -469,6 +469,13 @@ def test_scheme_table_maps_every_tag():
     assert all(repr(tag) in str(err.value) for tag in expected)
 
 
+@pytest.mark.parametrize("field", ["epsilon", "dt"])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+def test_solver_config_rejects_non_positive_or_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**dict(dict(epsilon=1.0, dt=0.1), **{field: value}))
+
+
 def diffusion_matrix_2d(cells, dt=1e-3):
     """``I/dt - sum_j D^(j,-) D^(j,+)`` on a periodic 2D grid (SPD)."""
     grid = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), cells)

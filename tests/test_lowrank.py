@@ -13,6 +13,7 @@ from lrtrans.lowrank import (
     MicroStateLowRank,
     RankOverflowError,
     _extend_basis,
+    _k_differences,
     constrained_qr,
     factorize_micro,
     galerkin_stage,
@@ -424,6 +425,73 @@ def test_step_differences_each_array_once(rng, monkeypatch):
     lr = LowRankConfig(integrator="BUG", rank=3)
     lowrank_macro_coupled_step(grid, quad, material, config, lr, rho, st, config.dt, schur)
     assert len(calls) <= 10
+
+
+def test_k_difference_slabs_equal_row_major_differences(rng):
+    # the column-major layout changes the storage of K and DK, not the values
+    # each slab of DK holds
+    grid, quad, material, config, schur, st, rho = setup_2d_step(rng, "IMEX-S-BUG")
+    K, DK = _k_differences(grid, st)
+    assert K.flags.f_contiguous and DK.flags.f_contiguous
+    Kc = np.ascontiguousarray(K)
+    r = K.shape[1]
+    for b, (j, side) in enumerate([(0, -1), (0, +1), (1, -1), (1, +1)]):
+        assert np.array_equal(DK[:, b * r:(b + 1) * r], diff(grid, j, side, Kc))
+
+
+@pytest.mark.parametrize("integrator", ["BUG", "aBUG"])
+def test_spatial_qr_factorizes_column_major_blocks(rng, integrator, monkeypatch):
+    # K1 and the aBUG extension block reach LAPACK column-major, so it
+    # factorizes them in place without a transposing copy
+    import scipy.linalg
+
+    grid, quad, material, config, schur, st, rho = setup_2d_step(rng, "IMEX-S-BUG")
+    layouts = []
+    qr = scipy.linalg.qr
+
+    def recording_qr(a, *args, **kwargs):
+        if a.shape[0] == grid.n_points:
+            layouts.append(a.flags.f_contiguous)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", recording_qr)
+    lr = LowRankConfig(integrator=integrator, rank=3, tau=1e-3)
+    for k in range(2):
+        rho, st, _ = lowrank_macro_coupled_step(
+            grid, quad, material, config, lr, rho, st, (k + 1) * config.dt, schur
+        )
+        assert st.X.flags.f_contiguous
+    assert len(layouts) >= 2 and all(layouts)
+
+
+@pytest.mark.parametrize("integrator", ["BUG", "aBUG"])
+def test_step_stacks_no_spatial_blocks(rng, integrator, monkeypatch):
+    # DK and X1 = [X, Q] are filled slab by slab; np.hstack of n_points-row
+    # blocks would copy them row by row
+    grid, quad, material, config, schur, st, rho = setup_2d_step(rng, "IMEX-S-BUG")
+    rows = []
+    hstack = np.hstack
+
+    def recording_hstack(blocks, *args, **kwargs):
+        out = hstack(blocks, *args, **kwargs)
+        rows.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(np, "hstack", recording_hstack)
+    lr = LowRankConfig(integrator=integrator, rank=3, tau=1e-3)
+    lowrank_macro_coupled_step(grid, quad, material, config, lr, rho, st, config.dt, schur)
+    assert quad.n != grid.n_points and grid.n_points not in rows
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("rank", 0), ("tau", 0.0), ("tau", -1e-5), ("tau", np.nan), ("tau", np.inf),
+     ("max_rank", 0), ("max_rank", -1), ("max_rank", np.nan)],
+)
+def test_low_rank_config_rejects_invalid(field, value):
+    with pytest.raises(ValueError, match=field):
+        LowRankConfig(integrator="aBUG", **{field: value})
+    LowRankConfig(integrator="aBUG", max_rank=1)
 
 
 def test_rank_overflow_raises(rng):

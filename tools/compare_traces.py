@@ -1,6 +1,6 @@
 """Compare the run artifacts of two lrtrans source trees.
 
-    python tools/compare_traces.py SRC_A SRC_B [--steps 120] [--work DIR]
+    python tools/compare_traces.py SRC_A SRC_B [--steps 120] [--work DIR] [--rtol TOL]
 
 ``SRC_A`` and ``SRC_B`` are checkouts of the repository (each holding
 ``src/lrtrans``).  Every scenario/scheme pair of :data:`RUNS` is run in both
@@ -8,11 +8,22 @@ trees through ``execute_run``, capped at ``--steps`` steps, one
 single-threaded interpreter per tree (the two trees run side by side).  For
 each run the script then reports, per artifact (``trace.csv``,
 ``rho_final.csv``, the ``slice_*.csv`` files and ``summary.txt`` without its
-wall-clock entries), either ``identical`` (byte for byte) or the largest
-relative difference ``|a - b| / max(|a|, |b|)`` of each column that differs;
-for ``trace.csv`` it adds whether the rank columns agree and the largest
-zero-density residual of each tree.  The exit status is 0 when every
-``trace.csv`` is byte-identical and 1 otherwise.
+wall-clock entries; a summary entry is a one-value column), either
+``identical`` or the largest relative difference ``|a - b| / max(|a|, |b|)``
+of each column that differs; for ``trace.csv`` it adds whether the rank
+columns agree and the largest zero-density residual of each tree.  The exit
+status is 0 when every ``trace.csv`` is byte-identical and 1 otherwise.
+
+With ``--rtol TOL`` (for changes that state a rounding change) a run passes
+instead when its ranks are equal on every row; every value of every
+artifact is within ``TOL`` times the largest magnitude of its column in
+either tree (the report then shows these scaled differences, since
+per-value relative differences blow up on near-zero densities); and every
+zero-density residual is at most ``ZERO_DENSITY_BOUND * max(1,
+micro_norm_w)`` in both trees.  That column holds roundoff, so it is held to
+the bound and not compared; only where ``SRC_A`` itself breaks the bound
+(unweighted aBUG, whose angular basis does not carry the constraint) is it
+compared like the others.  The exit status is 0 when every run passes.
 """
 
 from __future__ import annotations
@@ -56,6 +67,9 @@ RUNS = (
 #: Summary entries that hold wall-clock times.
 WALL_KEYS = {"total_wall_s", "per_step_mean_s"}
 
+#: Largest accepted zero-density residual, relative to ``max(1, micro_norm_w)``.
+ZERO_DENSITY_BOUND = 1e-11
+
 _RUNNER = """
 import json, sys, traceback
 from lrtrans.run import RunManifest, execute_run
@@ -81,83 +95,117 @@ def _slug(label: str) -> str:
     return label.replace(" ", "_")
 
 
-def _num(text: str):
+def _num(text):
     try:
         return float(text)
-    except ValueError:
+    except (TypeError, ValueError):
         return None
 
 
-def _rel(a: float, b: float) -> float:
-    scale = max(abs(a), abs(b))
-    return abs(a - b) / scale if scale > 0 else 0.0
+def _columns(path: Path) -> dict:
+    """Column name -> list of value strings; ``summary.txt`` is one row."""
+    text = path.read_text()
+    if path.suffix == ".csv":
+        header, *rows = [line.split(",") for line in text.splitlines()]
+        return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+    pairs = (line.split(" = ", 1) for line in text.splitlines())
+    return {k: [v] for k, v in pairs if k not in WALL_KEYS}
 
 
-def compare_csv(path_a: Path, path_b: Path) -> str:
-    """``identical`` or the largest relative difference of each differing column."""
-    if path_a.read_bytes() == path_b.read_bytes():
-        return "identical"
-    rows_a = [line.split(",") for line in path_a.read_text().splitlines()]
-    rows_b = [line.split(",") for line in path_b.read_text().splitlines()]
-    if rows_a[0] != rows_b[0] or len(rows_a) != len(rows_b):
-        return f"shape differs: {len(rows_a) - 1} vs {len(rows_b) - 1} rows, " \
-               f"columns {rows_a[0]} vs {rows_b[0]}"
-    worst = {}
-    for ra, rb in zip(rows_a[1:], rows_b[1:]):
-        for name, a, b in zip(rows_a[0], ra, rb):
-            if a != b:
-                fa, fb = _num(a), _num(b)
-                d = _rel(fa, fb) if fa is not None and fb is not None else float("inf")
-                worst[name] = max(worst.get(name, 0.0), d)
-    return "max rel diff " + ", ".join(f"{k} {v:.2g}" for k, v in worst.items())
+def _deviation(va, vb, scaled: bool) -> float:
+    """Largest difference of two value columns: relative per value
+    (``|a - b| / max(|a|, |b|)``) or, with ``scaled``, over the column's
+    largest magnitude in either tree; ``inf`` if they cannot be compared."""
+    fa, fb = [_num(v) for v in va or []], [_num(v) for v in vb or []]
+    if va is None or vb is None or len(fa) != len(fb) or None in fa + fb:
+        return float("inf")
+    if scaled:
+        scale = max(map(abs, fa + fb), default=0.0)
+        return max((abs(a - b) for a, b in zip(fa, fb)), default=0.0) / scale if scale else 0.0
+    return max((abs(a - b) / max(abs(a), abs(b)) for a, b in zip(fa, fb) if a != b),
+               default=0.0)
+
+
+def compare_artifact(path_a: Path, path_b: Path, scaled: bool = False) -> tuple:
+    """``(report, deviations)``: ``identical`` or the largest difference of
+    each differing column (see :func:`_deviation`), and those differences
+    by column name (empty when identical)."""
+    a, b = _columns(path_a), _columns(path_b)
+    if list(a.items()) == list(b.items()):
+        return "identical", {}
+    worst, notes = {}, []
+    for name in list(a) + [k for k in b if k not in a]:
+        va, vb = a.get(name), b.get(name)
+        if va == vb:
+            continue
+        worst[name] = _deviation(va, vb, scaled)
+        if worst[name] < float("inf"):
+            notes.append(f"{name} {worst[name]:.2g}")
+        elif len(va or []) <= 1 and len(vb or []) <= 1:  # a summary entry
+            notes.append(f"{name} {(va or [None])[0]!r} vs {(vb or [None])[0]!r}")
+        else:
+            notes.append(f"{name} not comparable ({len(va or [])} vs {len(vb or [])} rows)")
+    kind = "scaled" if scaled else "rel"
+    return f"max {kind} diff " + ", ".join(notes), worst
+
+
+def zero_density_bound_ok(trace: dict) -> bool:
+    """Every row's zero-density residual is at most
+    ``ZERO_DENSITY_BOUND * max(1, micro_norm_w)``."""
+    return all(
+        float(z) <= ZERO_DENSITY_BOUND * max(1.0, float(m))
+        for z, m in zip(trace["zero_density_residual"], trace["micro_norm_w"])
+    )
 
 
 def trace_extras(path_a: Path, path_b: Path) -> str:
-    cols = []
-    for path in (path_a, path_b):
-        lines = path.read_text().splitlines()
-        header = lines[0].split(",")
-        rows = [line.split(",") for line in lines[1:]]
-        cols.append((
-            [r[header.index("rank")] for r in rows],
-            max(float(r[header.index("zero_density_residual")]) for r in rows),
-        ))
-    (ranks_a, zdr_a), (ranks_b, zdr_b) = cols
-    equal = "equal" if ranks_a == ranks_b else "DIFFER"
-    return f"ranks {equal}; zero-density max {zdr_a:.2g} / {zdr_b:.2g}"
+    ta, tb = _columns(path_a), _columns(path_b)
+    equal = "equal" if ta["rank"] == tb["rank"] else "DIFFER"
+    zdr = " / ".join(f"{max(map(float, t['zero_density_residual'])):.2g}" for t in (ta, tb))
+    return f"ranks {equal}; zero-density max {zdr}"
 
 
-def compare_summary(path_a: Path, path_b: Path) -> str:
-    def read(path):
-        pairs = (line.split(" = ", 1) for line in path.read_text().splitlines())
-        return {k: v for k, v in pairs if k not in WALL_KEYS}
+def rtol_failures(dir_a: Path, dir_b: Path, deviations: dict, tol: float) -> list:
+    """Why a run fails the tolerance gate (empty if it passes): unequal ranks,
+    a zero-density residual above the bound in ``dir_b`` where ``dir_a``
+    holds it, or a value farther than ``tol`` times its column's largest
+    magnitude.  The zero-density column is compared like the others only
+    where ``dir_a`` breaks the bound (the unweighted aBUG runs, whose
+    angular basis does not carry the constraint).  ``deviations`` maps each
+    artifact name to its scaled deviations (:func:`compare_artifact`)."""
+    ta, tb = _columns(dir_a / "trace.csv"), _columns(dir_b / "trace.csv")
+    failures = []
+    if ta.get("rank") != tb.get("rank"):
+        failures.append("ranks differ")
+    bounded = zero_density_bound_ok(ta)
+    if bounded and not zero_density_bound_ok(tb):
+        failures.append("zero-density residual above bound in b")
+    for name, worst in deviations.items():
+        failures += [f"{name} {col} {d:.2g}" for col, d in worst.items()
+                     if not d <= tol and not (bounded and col == "zero_density_residual")]
+    return failures
 
-    a, b = read(path_a), read(path_b)
-    diffs = []
-    for key in sorted(set(a) | set(b)):
-        va, vb = a.get(key), b.get(key)
-        if va == vb:
-            continue
-        fa, fb = _num(va or ""), _num(vb or "")
-        if fa is not None and fb is not None:
-            diffs.append(f"{key} {_rel(fa, fb):.2g}")
-        else:
-            diffs.append(f"{key} {va!r} vs {vb!r}")
-    return "identical" if not diffs else "differs: " + ", ".join(diffs)
 
-
-def compare_run(dir_a: Path, dir_b: Path) -> tuple:
-    """Report lines of one run and whether its ``trace.csv`` is byte-identical."""
+def compare_run(dir_a: Path, dir_b: Path, rtol=None) -> tuple:
+    """Report lines of one run and whether it passes: a byte-identical
+    ``trace.csv``, or with ``rtol`` the tolerance gate of :func:`rtol_failures`."""
     if not (dir_a / "trace.csv").exists() or not (dir_b / "trace.csv").exists():
         return [f"  missing artifacts (a: {dir_a.exists()}, b: {dir_b.exists()})"], False
-    lines = []
-    trace = compare_csv(dir_a / "trace.csv", dir_b / "trace.csv")
-    lines.append(f"  trace.csv      {trace}; {trace_extras(dir_a / 'trace.csv', dir_b / 'trace.csv')}")
-    names = ["rho_final.csv"] + sorted(p.name for p in dir_a.glob("slice_*.csv"))
+    scaled = rtol is not None
+    names = (["trace.csv", "rho_final.csv"]
+             + sorted(p.name for p in dir_a.glob("slice_*.csv")) + ["summary.txt"])
+    lines, identical, deviations = [], False, {}
     for name in names:
-        lines.append(f"  {name:14} {compare_csv(dir_a / name, dir_b / name)}")
-    lines.append(f"  {'summary.txt':14} {compare_summary(dir_a / 'summary.txt', dir_b / 'summary.txt')}")
-    return lines, trace == "identical"
+        report, deviations[name] = compare_artifact(dir_a / name, dir_b / name, scaled)
+        if name == "trace.csv":
+            identical = report == "identical"
+            report += f"; {trace_extras(dir_a / name, dir_b / name)}"
+        lines.append(f"  {name:14} {report}")
+    if not scaled:
+        return lines, identical
+    failures = rtol_failures(dir_a, dir_b, deviations, rtol)
+    lines.append(f"  {'rtol gate':14} " + ("pass" if not failures else "FAIL: " + "; ".join(failures)))
+    return lines, not failures
 
 
 def main(argv=None) -> int:
@@ -167,6 +215,8 @@ def main(argv=None) -> int:
     parser.add_argument("--steps", type=int, default=120, help="step cap of every run")
     parser.add_argument("--work", type=Path, default=None,
                         help="keep the run directories here (default: a temporary directory)")
+    parser.add_argument("--rtol", type=float, default=None,
+                        help="pass a run on the tolerance gate instead of byte identity")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work or Path(tmp)
@@ -175,14 +225,15 @@ def main(argv=None) -> int:
                  for src, out in zip((args.src_a, args.src_b), outs)]
         for proc in procs:
             proc.wait()
-        identical = 0
+        passed = 0
         for label, _ in RUNS:
-            lines, same = compare_run(outs[0] / _slug(label), outs[1] / _slug(label))
-            identical += same
+            lines, ok = compare_run(outs[0] / _slug(label), outs[1] / _slug(label), args.rtol)
+            passed += ok
             print(label)
             print("\n".join(lines))
-        print(f"{identical} of {len(RUNS)} traces byte-identical")
-    return 0 if identical == len(RUNS) else 1
+        rule = "byte-identical" if args.rtol is None else f"within --rtol {args.rtol:g}"
+        print(f"{passed} of {len(RUNS)} runs {rule}")
+    return 0 if passed == len(RUNS) else 1
 
 
 if __name__ == "__main__":
