@@ -473,7 +473,7 @@ def test_scheme_table_maps_every_tag():
 @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
 def test_solver_config_rejects_non_positive_or_non_finite(field, value):
     with pytest.raises(ValueError, match=field):
-        SolverConfig(**dict(dict(epsilon=1.0, dt=0.1), **{field: value}))
+        SolverConfig(**{"epsilon": 1.0, "dt": 0.1, field: value})
 
 
 def diffusion_matrix_2d(cells, dt=1e-3):
