@@ -28,6 +28,7 @@ from .fullrank import (
     build_schur,
     imex_s_step,
     imex_step,
+    step_context,
 )
 from .grid import StaggeredGrid, build_grid, diff
 from .lowrank import (

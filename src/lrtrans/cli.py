@@ -10,10 +10,8 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import scenarios
-from .fullrank import SCHEMES, DivergenceError, LinearSolveError
-from .run import RunManifest, execute_run
-
-_CSV_FMT = "%.17g"
+from .fullrank import SCHEMES
+from .run import _CSV_FMT, RunManifest, execute_run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,7 +160,7 @@ def cmd_sweep(args) -> int:
         try:
             result = execute_run(member)
             summary = result.summary
-        except (DivergenceError, LinearSolveError, ValueError) as exc:
+        except ValueError as exc:
             summary = {"scenario": member.scenario, "scheme": member.scheme,
                        "status": f"failed: {exc}"}
         row = {
@@ -218,9 +216,6 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DivergenceError, LinearSolveError) as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

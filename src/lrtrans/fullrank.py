@@ -12,7 +12,9 @@ differ in the treatment of the density gradient driving the fluctuation:
   system for the density, and recovers the fluctuation pointwise.
 
 The Schur operator depends only on the mesh, quadrature, material, step size
-and Knudsen number, so it is assembled once per run and reused.
+and Knudsen number, so it is assembled once per run and reused; so are the
+other constants of a step, in the :class:`StepContext` that every stepper,
+full-rank or low-rank, takes first: ``step(ctx, rho, micro, t_next)``.
 
 The micro update is one routine, :func:`_micro_sweep`, run over blocks of
 whole outer-axis rows of about ``BLOCK_BYTES`` (:mod:`lrtrans.ops`) each:
@@ -50,6 +52,7 @@ from .ops import (
     density_grad,
     moment_div,
     project_out_mean,
+    upwind_sides,
 )
 
 
@@ -231,7 +234,58 @@ def _row_blocks(grid: StaggeredGrid, n_cols: int) -> list:
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
-def _micro_sweep(grid, quad, material, config, G, explicit=False, t_next=0.0, grad=None):
+@dataclass(frozen=True)
+class StepContext:
+    """The run objects and the constants every step of a run reads.
+
+    Built once per run by :func:`step_context`; every stepper takes it
+    first, ``step(ctx, rho, micro, t_next)``.  Each constant keeps the
+    expression it had inside the step, so the steps keep their bits.
+    """
+
+    grid: StaggeredGrid
+    quad: QuadratureSet
+    material: MaterialField
+    config: SolverConfig
+    schur: Optional[SchurOperator]  # IMEX-S coupling
+    lr: Optional[object]  # the lowrank.LowRankConfig of a low-rank micro update
+    R: np.ndarray  # relaxation factor (1/dt + sigma_s/eps^2 + sigma_a)^-1
+    sig: np.ndarray  # sigma_s/eps^2 + sigma_a on the g family
+    k_denom: np.ndarray  # 1/dt + sig, the low-rank K-step denominator
+    rho_denom: np.ndarray  # 1/dt + sigma_a, the IMEX density denominator
+    # Q^(j) w, one column per axis, for the factored Schur flux; a transposed
+    # view of qw_rows would change the rounding of its BLAS product
+    qw: np.ndarray
+    qw_rows: np.ndarray  # the same, one contiguous row per axis (the sweep)
+    q_split: dict  # (axis, sign) -> q_plus(axis) for sign > 0, else q_minus
+    sides: tuple  # ops.upwind_sides: each ordinate's upwind side per axis
+    ap_angular: np.ndarray  # angular diffusion-limit directions M Q^(j) 1
+    blocks: list  # the sweep's block plan, _row_blocks
+
+
+def step_context(grid, quad, material, config, schur=None, lr=None) -> StepContext:
+    """The :class:`StepContext` of a run; ``schur`` for IMEX-S coupling,
+    ``lr`` (a ``LowRankConfig``) for a low-rank micro update."""
+    eps, dt = config.epsilon, config.dt
+    sig = material.sigma_s_g / (eps * eps) + material.sigma_a_g
+    qw = quad.omega * quad.w[:, None]
+    return StepContext(
+        grid=grid, quad=quad, material=material, config=config, schur=schur, lr=lr,
+        R=relaxation_factor(material, config),
+        sig=sig,
+        k_denom=1.0 / dt + sig,
+        rho_denom=1.0 / dt + material.sigma_a_rho,
+        qw=qw,
+        qw_rows=np.ascontiguousarray(qw.T),
+        q_split={(j, s): quad.q_plus(j) if s > 0 else quad.q_minus(j)
+                 for j in range(grid.dim) for s in (-1, +1)},
+        sides=upwind_sides(quad),
+        ap_angular=np.column_stack([quad.m * quad.q(j) for j in range(quad.dim)]),
+        blocks=_row_blocks(grid, quad.n),
+    )
+
+
+def _micro_sweep(ctx, G, explicit=False, t_next=0.0, grad=None):
     """Micro update of one step in place on ``G``, one block of rows at a time.
 
     With ``explicit``, replaces ``G`` by the explicit part ``G/dt - (1/eps)
@@ -250,29 +304,27 @@ def _micro_sweep(grid, quad, material, config, G, explicit=False, t_next=0.0, gr
     block and are copied back last.  Scratch is six block-sized buffers; a
     sweep without ``explicit`` works on ``G`` directly and needs one.
     """
-    R = relaxation_factor(material, config)[:, None]
-    blocks = _row_blocks(grid, quad.n)
-    size = blocks[0][1] - blocks[0][0]
+    grid, quad, config, R = ctx.grid, ctx.quad, ctx.config, ctx.R
+    size = ctx.blocks[0][1] - ctx.blocks[0][0]
     source = None
     if explicit:
         # one allocation: six separate block-sized ones are returned to the
         # system at the end of each sweep and paged in again by the next
         work, scratch, *spare = np.empty((6, size, quad.n))
         moments = np.empty((grid.dim, grid.n_points))
-        qw = [quad.q(j) * quad.w for j in range(grid.dim)]
-        if material.micro_source is not None:
-            source = material.micro_source(t_next)
+        if ctx.material.micro_source is not None:
+            source = ctx.material.micro_source(t_next)
         half = grid.n_points // 2
         late, held = [], []  # blocks not yet copied back
     else:
         work = np.empty((size, quad.n))
-    for lo, hi in blocks:
+    for lo, hi in ctx.blocks:
         a = work[: hi - lo]
         if explicit:
             # at most two held blocks, one late and this one: four buffers
             buf = spare.pop()
             g = buf[: hi - lo]
-            advect_rows(grid, quad, G, lo, hi, a, scratch[: hi - lo])
+            advect_rows(grid, quad, G, lo, hi, a, scratch[: hi - lo], ctx.sides)
             project_out_mean(quad, a, out=a)
             a /= config.epsilon
             np.divide(G[lo:hi], config.dt, out=g)
@@ -287,12 +339,12 @@ def _micro_sweep(grid, quad, material, config, G, explicit=False, t_next=0.0, gr
             np.matmul(PJ[lo:hi], AJ.T, out=a)
             a /= config.epsilon**2
             g -= a
-            g *= R[lo:hi]
+            g *= R[lo:hi, None]
             _require_finite(g)
         if explicit:
-            m = g if grad is not None else np.multiply(g, R[lo:hi], out=a)
+            m = g if grad is not None else np.multiply(g, R[lo:hi, None], out=a)
             for j in range(grid.dim):
-                np.matmul(m, qw[j], out=moments[j, lo:hi])
+                np.matmul(m, ctx.qw_rows[j], out=moments[j, lo:hi])
             _copy_back(G, late)
             spare += [b for _, _, b in late]
             late = []
@@ -315,54 +367,39 @@ def _macro_source(material, dt, rho, t_next):
     return b
 
 
-def imex_step(
-    grid: StaggeredGrid,
-    quad: QuadratureSet,
-    material: MaterialField,
-    config: SolverConfig,
-    rho: np.ndarray,
-    G: np.ndarray,
-    t_next: float = 0.0,
-):
+def imex_step(ctx: StepContext, rho: np.ndarray, G: np.ndarray, t_next: float = 0.0):
     """One step with the density treated explicitly in the micro equation.
 
     Updates ``G`` in place and returns ``(rho_new, G)``.  Raises
     :class:`DivergenceError` if the update produces non-finite values; ``G``
     is then partly updated.
     """
+    grid, quad = ctx.grid, ctx.quad
     with np.errstate(over="ignore", invalid="ignore"):
         moments = _micro_sweep(
-            grid, quad, material, config, G, explicit=True, t_next=t_next,
-            grad=density_grad(grid, quad, rho),
+            ctx, G, explicit=True, t_next=t_next, grad=density_grad(grid, quad, rho)
         )
         rho_new = (
-            _macro_source(material, config.dt, rho, t_next) - moment_div(grid, quad, moments)
-        ) / (1.0 / config.dt + material.sigma_a_rho)
+            _macro_source(ctx.material, ctx.config.dt, rho, t_next)
+            - moment_div(grid, quad, moments)
+        ) / ctx.rho_denom
     _require_finite(rho_new)
     return rho_new, G
 
 
-def imex_s_step(
-    grid: StaggeredGrid,
-    quad: QuadratureSet,
-    material: MaterialField,
-    config: SolverConfig,
-    schur: SchurOperator,
-    rho: np.ndarray,
-    G: np.ndarray,
-    t_next: float = 0.0,
-):
+def imex_s_step(ctx: StepContext, rho: np.ndarray, G: np.ndarray, t_next: float = 0.0):
     """One step with the density treated implicitly via the Schur complement.
 
-    The density solves the reduced system assembled in ``schur``; the
+    The density solves the reduced system assembled in ``ctx.schur``; the
     fluctuation is then recovered pointwise from the new density.  Like
     :func:`imex_step`, updates ``G`` in place and returns ``(rho_new, G)``.
     """
+    grid, quad = ctx.grid, ctx.quad
     with np.errstate(over="ignore", invalid="ignore"):
-        moments = _micro_sweep(grid, quad, material, config, G, explicit=True, t_next=t_next)
-        b1 = _macro_source(material, config.dt, rho, t_next)
-        rho_new = schur.solve(b1 - moment_div(grid, quad, moments))
-        _micro_sweep(grid, quad, material, config, G, grad=density_grad(grid, quad, rho_new))
+        moments = _micro_sweep(ctx, G, explicit=True, t_next=t_next)
+        b1 = _macro_source(ctx.material, ctx.config.dt, rho, t_next)
+        rho_new = ctx.schur.solve(b1 - moment_div(grid, quad, moments))
+        _micro_sweep(ctx, G, grad=density_grad(grid, quad, rho_new))
     _require_finite(rho_new)
     return rho_new, G
 

@@ -253,8 +253,8 @@ def diff(
     lead = grid.block_shape
     ax = len(lead) - 1 - axis
     # splitting the leading axis of ``out`` is always a view, even for slices
-    f = np.moveaxis(a.reshape(lead + a.shape[1:]), ax, 0)
-    d = np.moveaxis(out.reshape(lead + a.shape[1:]), ax, 0)
+    f = a.reshape(lead + a.shape[1:]).swapaxes(0, ax)
+    d = out.reshape(lead + a.shape[1:]).swapaxes(0, ax)
     _stencil(f, d, side)
     out /= grid.spacing[axis]
     return out

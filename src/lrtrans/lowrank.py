@@ -11,12 +11,14 @@ demonstrate how that choice breaks the energy alignment, and is selected with
 
 Integrators
 -----------
-:func:`micro_step` runs one step.  ``BUG`` is the fixed-rank basis-update
-& Galerkin step: implicit pointwise K step, implicit r x r L step,
-re-orthonormalization, implicit r x r Galerkin S step.  ``aBUG`` augments
-the bases with the K/L updates (rank <= 2r) and truncates the S-step result
-by a relative singular-value tolerance; ``AP-aBUG`` also adds the discrete
-diffusion-limit directions, pinned as untruncatable leading columns.
+:func:`micro_step` runs one step of ``ctx.lr``, the run's
+``LowRankConfig`` in its :class:`~lrtrans.fullrank.StepContext`.  ``BUG`` is
+the fixed-rank basis-update & Galerkin step: implicit pointwise K step,
+implicit r x r L step, re-orthonormalization, implicit r x r Galerkin S
+step.  ``aBUG`` augments the bases with the K/L updates (rank <= 2r) and
+truncates the S-step result by a relative singular-value tolerance;
+``AP-aBUG`` also adds the discrete diffusion-limit directions, pinned as
+untruncatable leading columns.
 Weighted angular bases come from :func:`constrained_qr`, so ``1^T M V = 0``
 holds to machine precision.
 
@@ -60,10 +62,9 @@ import numpy as np
 import scipy.linalg
 
 from .angular import QuadratureSet
-from .fullrank import DivergenceError, SolverConfig, _macro_source, relaxation_factor
+from .fullrank import DivergenceError, StepContext, _macro_source
 from .grid import StaggeredGrid, diff
 from .ops import (
-    MaterialField,
     _angular_factor_unweighted,
     _angular_factor_weighted,
     density_grad,
@@ -131,19 +132,14 @@ class StepInfo:
 
 @dataclass
 class GalerkinStage:
-    """Result of :func:`galerkin_stage`; unpacks as ``(X1, S_tilde, S1, V1)``.
-
-    ``C1`` is the Galerkin stack of ``X1`` (see :class:`MicroStateLowRank`).
-    """
+    """Result of :func:`galerkin_stage`; ``C1`` is the Galerkin stack of
+    ``X1`` (see :class:`MicroStateLowRank`)."""
 
     X1: np.ndarray
     S_tilde: np.ndarray
     S1: np.ndarray
     V1: np.ndarray
     C1: np.ndarray
-
-    def __iter__(self):
-        return iter((self.X1, self.S_tilde, self.S1, self.V1))
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +362,9 @@ def _block_order(dim):
     return [(j, side) for j in range(dim) for side in (-1, +1)]
 
 
-def _ang(quad, Y, axis, sign, weighted):
-    qs = quad.q_plus(axis) if sign > 0 else quad.q_minus(axis)
+def _ang(ctx, Y, axis, sign, weighted):
     f = _angular_factor_weighted if weighted else _angular_factor_unweighted
-    return f(quad, Y, qs)
+    return f(ctx.quad, Y, ctx.q_split[axis, sign])
 
 
 def _k_differences(grid: StaggeredGrid, state: MicroStateLowRank) -> tuple:
@@ -388,10 +383,7 @@ def _k_differences(grid: StaggeredGrid, state: MicroStateLowRank) -> tuple:
 
 
 def galerkin_stage(
-    grid: StaggeredGrid,
-    quad: QuadratureSet,
-    material: MaterialField,
-    config: SolverConfig,
+    ctx: StepContext,
     state: MicroStateLowRank,
     rho_for_grad: np.ndarray,
     t_next: float = 0.0,
@@ -399,7 +391,7 @@ def galerkin_stage(
     ap_enrich: bool = False,
     k_diffs: Optional[tuple] = None,
 ) -> GalerkinStage:
-    """K/L/basis/S sequence; returns ``(X1, S_tilde, S1, V1)`` (and ``C1``).
+    """K/L/basis/S sequence; returns the new ``X1, S_tilde, S1, V1`` and ``C1``.
 
     ``S1`` solves the Galerkin-projected implicit update started from the
     projected coupling matrix ``S_tilde = X1^T X S V^T V1``; with
@@ -410,12 +402,12 @@ def galerkin_stage(
     the extension ``[X, Q]`` of :func:`_extend_basis`.  ``k_diffs`` is
     ``_k_differences(grid, state)`` when the caller has formed it already.
     """
+    grid, quad, material, sig = ctx.grid, ctx.quad, ctx.material, ctx.sig
     X, S, V = state.X, state.S, state.V
     r = X.shape[1]
     wgt = state.weighted
-    eps, dt = config.epsilon, config.dt
+    eps, dt = ctx.config.epsilon, ctx.config.dt
     eps2 = eps * eps
-    sig = material.sigma_s_g / eps2 + material.sigma_a_g
     C = state.C if state.C is not None else _sbp_matrices(grid, X, sig)
     if len(C) == grid.dim:  # a state built without the material
         C = np.concatenate([C, (X.T @ (sig[:, None] * X))[None]])
@@ -429,22 +421,22 @@ def galerkin_stage(
         Asr = quad.m[:, None] * As if wgt else As
 
     ang_V = np.vstack(
-        [_ang(quad, V, j, -side, wgt).T @ V for j, side in _block_order(grid.dim)]
+        [_ang(ctx, V, j, -side, wgt).T @ V for j, side in _block_order(grid.dim)]
     )
     # K step transposed: K1^T is row-major, so K1 is column-major
     rhsT = K.T / dt - (ang_V / eps).T @ DK.T
     rhsT -= ((AJr.T @ V) / eps2).T @ PJ.T
     if src is not None:
         rhsT += (Asr.T @ V).T @ Ps.T
-    rhsT /= 1.0 / dt + sig
+    rhsT /= ctx.k_denom
     K1 = rhsT.T
 
     # (D^(j,-) X)^T X = -C[j] and (D^(j,+) X)^T X = C[j]^T
     L = V @ S.T
     rhsL = L / dt
     for j in range(grid.dim):
-        rhsL += _ang(quad, L, j, +1, wgt) @ C[j] / eps
-        rhsL -= _ang(quad, L, j, -1, wgt) @ C[j].T / eps
+        rhsL += _ang(ctx, L, j, +1, wgt) @ C[j] / eps
+        rhsL -= _ang(ctx, L, j, -1, wgt) @ C[j].T / eps
     rhsL -= AJr @ (PJ.T @ X) / eps2
     if src is not None:
         rhsL += Asr @ (Ps.T @ X)
@@ -459,7 +451,7 @@ def galerkin_stage(
         if not wgt:
             raise ValueError("diffusion-limit enrichment requires weighted factors")
         kb.insert(0, -PJ / material.sigma_s_g[:, None])
-        lb.insert(0, _ap_angular(quad))
+        lb.insert(0, ctx.ap_angular)
     V1 = constrained_qr(_hcat(lb), quad) if wgt else _fix_signs(_qr(_hcat(lb)))
     if augment and not ap_enrich:
         X1 = _hcat([X, _extend_basis(X, K1)])
@@ -474,8 +466,8 @@ def galerkin_stage(
     # X1^T D^(j,-) X1 = -C1[j]^T
     rhsS = S_tilde / dt
     for j in range(grid.dim):
-        rhsS += C1[j].T @ S_tilde @ (_ang(quad, V1, j, +1, wgt).T @ V1) / eps
-        rhsS -= C1[j] @ S_tilde @ (_ang(quad, V1, j, -1, wgt).T @ V1) / eps
+        rhsS += C1[j].T @ S_tilde @ (_ang(ctx, V1, j, +1, wgt).T @ V1) / eps
+        rhsS -= C1[j] @ S_tilde @ (_ang(ctx, V1, j, -1, wgt).T @ V1) / eps
     rhsS -= (X1.T @ PJ) @ (AJr.T @ V1) / eps2
     if src is not None:
         rhsS += (X1.T @ Ps) @ (Asr.T @ V1)
@@ -484,30 +476,24 @@ def galerkin_stage(
     return GalerkinStage(X1, S_tilde, S1, V1, C1)
 
 
-def _ap_angular(quad):
-    return np.column_stack([quad.m * quad.q(j) for j in range(quad.dim)])
+def micro_step(ctx: StepContext, state, rho_for_grad, t_next=0.0, k_diffs=None):
+    """One step of ``ctx.lr``'s integrator; returns ``(state, StepInfo)``.
 
-
-def micro_step(
-    grid, quad, material, config, lr_config, state, rho_for_grad, t_next=0.0, k_diffs=None
-):
-    """One step of ``lr_config``'s integrator; returns ``(state, StepInfo)``.
-
-    aBUG and AP-aBUG truncate at the relative tolerance ``lr_config.tau``.
+    aBUG and AP-aBUG truncate at the relative tolerance ``ctx.lr.tau``.
     """
+    lr_config = ctx.lr
     augment = lr_config.integrator != "BUG"
     ap = lr_config.integrator == "AP-aBUG"
     st = galerkin_stage(
-        grid, quad, material, config, state, rho_for_grad, t_next,
-        augment=augment, ap_enrich=ap, k_diffs=k_diffs,
+        ctx, state, rho_for_grad, t_next, augment=augment, ap_enrich=ap, k_diffs=k_diffs
     )
     factors = (st.X1, st.S1, st.V1, st.C1)
     if augment:
         rmax = lr_config.max_rank
         if rmax is None:
-            rmax = min(grid.n_points, quad.z_dim if state.weighted else quad.n)
+            rmax = min(ctx.grid.n_points, ctx.quad.z_dim if state.weighted else ctx.quad.n)
         if ap:
-            factors = _truncate_pinned(*factors, grid.dim, lr_config.tau, rmax)
+            factors = _truncate_pinned(*factors, ctx.grid.dim, lr_config.tau, rmax)
         else:
             factors = _truncate_plain(*factors, lr_config.tau, rmax)
     X, S, V, C = factors
@@ -578,45 +564,35 @@ def _truncate_pinned(X1, S1, V1, C1, n_pinned, tau, rmax):
 # ---------------------------------------------------------------------------
 
 def lowrank_macro_coupled_step(
-    grid: StaggeredGrid,
-    quad: QuadratureSet,
-    material: MaterialField,
-    config: SolverConfig,
-    lr_config: LowRankConfig,
-    rho: np.ndarray,
-    state: MicroStateLowRank,
-    t_next: float = 0.0,
-    schur=None,
+    ctx: StepContext, rho: np.ndarray, state: MicroStateLowRank, t_next: float = 0.0
 ):
     """One coupled step; returns ``(rho_new, state_new, StepInfo)``.
 
-    Given a ``schur`` operator (IMEX-S coupling) the reduced density system
-    is solved first, the old micro state entering in factored form, and the
-    micro integrator runs against the new density; with ``schur=None`` (IMEX)
-    it runs against the old density and the diagonal density update closes
-    the step.  Both read ``K = X S`` and its differences, formed once.
+    With a Schur operator in ``ctx.schur`` (IMEX-S coupling) the reduced
+    density system is solved first, the old micro state entering in factored
+    form, and the micro integrator runs against the new density; without one
+    (IMEX) it runs against the old density and the diagonal density update
+    closes the step.  Both read ``K = X S`` and its differences, formed once.
     """
+    grid, quad = ctx.grid, ctx.quad
     k_diffs = _k_differences(grid, state)
-    if schur is not None:
-        rho_new = _schur_macro_solve(
-            grid, quad, material, config, schur, rho, state, k_diffs, t_next
-        )
+    if ctx.schur is not None:
+        rho_new = _schur_macro_solve(ctx, rho, state, k_diffs, t_next)
     state_new, info = micro_step(
-        grid, quad, material, config, lr_config, state,
-        rho if schur is None else rho_new, t_next, k_diffs,
+        ctx, state, rho if ctx.schur is None else rho_new, t_next, k_diffs
     )
-    if schur is None:
+    if ctx.schur is None:
         P, A = g_factors(state_new, quad)
         rho_new = (
-            _macro_source(material, config.dt, rho, t_next)
+            _macro_source(ctx.material, ctx.config.dt, rho, t_next)
             - flux_div_factored(grid, quad, P, A)
-        ) / (1.0 / config.dt + material.sigma_a_rho)
+        ) / ctx.rho_denom
     if not (np.all(np.isfinite(rho_new)) and np.isfinite(np.linalg.norm(state_new.S))):
         raise DivergenceError("non-finite values in updated state")
     return rho_new, state_new, info
 
 
-def _schur_macro_solve(grid, quad, material, config, schur, rho, state, k_diffs, t_next):
+def _schur_macro_solve(ctx: StepContext, rho, state, k_diffs, t_next):
     """Schur density solve with the old micro state in factored form.
 
     The right-hand side divergence is ``sum_j D^(j,-)`` of ``R`` times the
@@ -624,21 +600,21 @@ def _schur_macro_solve(grid, quad, material, config, schur, rho, state, k_diffs,
     contracted from ``K`` and ``DK`` to one ``n_points`` vector per axis
     before they are differenced.
     """
-    eps, dt = config.epsilon, config.dt
+    grid, quad, material = ctx.grid, ctx.quad, ctx.material
+    eps, dt = ctx.config.epsilon, ctx.config.dt
     K, DK = k_diffs
     A0 = _g_angular(quad, state, state.V)
     A_D = _g_angular(quad, state, np.hstack(
-        [_ang(quad, state.V, j, -side, state.weighted) for j, side in _block_order(grid.dim)]
+        [_ang(ctx, state.V, j, -side, state.weighted) for j, side in _block_order(grid.dim)]
     ))
-    qw = quad.omega * quad.w[:, None]
     # the flux transposed, one contiguous row per axis
-    fluxT = (A0.T @ qw).T @ K.T / dt - (A_D.T @ qw).T @ DK.T / eps
+    fluxT = (A0.T @ ctx.qw).T @ K.T / dt - (A_D.T @ ctx.qw).T @ DK.T / eps
     if material.micro_source is not None:
         Ps, As = material.micro_source(t_next)
-        fluxT += (As.T @ qw).T @ Ps.T
-    fluxT *= relaxation_factor(material, config)
+        fluxT += (As.T @ ctx.qw).T @ Ps.T
+    fluxT *= ctx.R
     div = np.zeros(grid.n_points)
     for j in range(grid.dim):
         div += diff(grid, j, -1, fluxT[j])
-    b = _macro_source(material, config.dt, rho, t_next)
-    return schur.solve(b - div / quad.domain_measure)
+    b = _macro_source(material, dt, rho, t_next)
+    return ctx.schur.solve(b - div / quad.domain_measure)

@@ -106,15 +106,21 @@ def advect(grid: StaggeredGrid, quad: QuadratureSet, G: np.ndarray) -> np.ndarra
     _check_micro(grid, quad, G)
     out = np.empty(G.shape)
     return advect_rows(grid, quad, np.asarray(G, dtype=float), 0, grid.n_points,
-                       out, np.empty_like(out))
+                       out, np.empty_like(out), upwind_sides(quad))
 
 
-def advect_rows(grid, quad, G, lo, hi, out, work):
+def upwind_sides(quad: QuadratureSet) -> tuple:
+    """Per axis, the side of every ordinate's upwind difference:
+    ``-1`` (backward) where ``q_j > 0`` and ``+1`` elsewhere."""
+    return tuple(np.where(quad.q(j) > 0, -1, +1) for j in range(quad.dim))
+
+
+def advect_rows(grid, quad, G, lo, hi, out, work, sides):
     """Rows ``lo:hi`` of :func:`advect` of ``G``, written into ``out``.
 
     ``Q^(j,+) Q^(j,-) = 0``: each ordinate moves either way along an axis,
-    never both, so only its upwind difference is formed, ``D^(j,-)`` for
-    ``q_j > 0`` and ``D^(j,+)`` otherwise, and scaled by ``q_j`` itself.
+    never both, so only its upwind difference is formed, toward
+    ``sides[j]`` (:func:`upwind_sides`), and scaled by ``q_j`` itself.
     This is exact, bit for bit: ``q_j^+ == q_j`` on positive columns,
     ``q_j^- == q_j`` on the others, and the dropped term is a zero.
 
@@ -130,21 +136,19 @@ def advect_rows(grid, quad, G, lo, hi, out, work):
     r0, r1 = lo // row, hi // row
     fams = G.reshape((2,) + fam_shape + G.shape[1:])
     for j in range(grid.dim):
-        q = quad.q(j)
-        side = np.where(q > 0, -1, +1)
         d = out if j == 0 else work
         rows = d.reshape((r1 - r0,) + fam_shape[1:] + G.shape[1:])
         if j == grid.dim - 1:
             for fam in range(2):
                 s0, s1 = max(r0, fam * L), min(r1, (fam + 1) * L)
                 if s0 < s1:
-                    _stencil(fams[fam], rows[s0 - r0:s1 - r0], side,
+                    _stencil(fams[fam], rows[s0 - r0:s1 - r0], sides[j],
                              s0 - fam * L, s1 - fam * L)
         else:
             inner = G[lo:hi].reshape(rows.shape)
-            _stencil(np.moveaxis(inner, 1, 0), np.moveaxis(rows, 1, 0), side)
+            _stencil(inner.swapaxes(0, 1), rows.swapaxes(0, 1), sides[j])
         d /= grid.spacing[j]
-        d *= q
+        d *= quad.q(j)
         if j:
             out += d
     return out

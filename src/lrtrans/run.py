@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -33,6 +32,7 @@ from .fullrank import (
     imex_s_step,
     imex_step,
     parse_scheme,
+    step_context,
 )
 from .lowrank import (
     LowRankConfig,
@@ -113,7 +113,9 @@ def execute_run(manifest: RunManifest) -> RunResult:
     ``solve_stalled`` (the Schur CG solve did not converge) or
     ``rank_overflow`` (truncation exceeded the rank cap), and
     ``summary["failed_step"]`` set; the steps done so far are still recorded
-    and written.
+    and written.  A reference solve that fails (a stalled CG solve, a
+    diverging self reference) sets ``reference_failed`` and no ``l2_error``;
+    the artifacts are written all the same.
     """
     scheme = manifest.validate()
     scen = scenarios.get_scenario(manifest.scenario, manifest.mesh_div)
@@ -129,7 +131,7 @@ def execute_run(manifest: RunManifest) -> RunResult:
 
     rank = manifest.rank if manifest.rank is not None else scen.rank
     tau = manifest.tau if manifest.tau is not None else scen.tau
-    integrator = None
+    integrator = lr_config = None
     if scheme.micro != "full":
         integrator = scheme.micro
         if integrator == "aBUG" and not manifest.unweighted and scenarios.ap_enrichment_active(
@@ -151,29 +153,22 @@ def execute_run(manifest: RunManifest) -> RunResult:
             grid, quad, rank, weighted=not manifest.unweighted, seed=manifest.seed
         )
     schur = build_schur(grid, quad, material, config) if scheme.schur else None
+    ctx = step_context(grid, quad, material, config, schur, lr_config)
 
-    records = [
-        _record(0, 0.0, grid, quad, rho, micro, config, material, theta)
-    ]
+    records = [_record(0, 0.0, ctx, rho, micro, theta)]
     step_infos = []
     status = "completed"
     failed_step = None
 
-    # the step, chosen once: (rho, micro, t_next) -> (rho, micro[, StepInfo])
-    if integrator is not None:
-        advance = partial(
-            lowrank_macro_coupled_step, grid, quad, material, config, lr_config, schur=schur
-        )
-    elif scheme.schur:
-        advance = partial(imex_s_step, grid, quad, material, config, schur)
-    else:
-        advance = partial(imex_step, grid, quad, material, config)
+    # the step, chosen once: (ctx, rho, micro, t_next) -> (rho, micro[, StepInfo])
+    step = (lowrank_macro_coupled_step if lr_config is not None
+            else imex_s_step if schur is not None else imex_step)
 
     t0 = time.perf_counter()
     for k in range(1, n_steps + 1):
         t_next = k * dt
         try:
-            rho, micro, *info = advance(rho, micro, t_next)
+            rho, micro, *info = step(ctx, rho, micro, t_next)
             step_infos.extend(info)
         except (DivergenceError, np.linalg.LinAlgError):
             status = "diverged"
@@ -184,7 +179,7 @@ def execute_run(manifest: RunManifest) -> RunResult:
         if status != "completed":
             failed_step = k
             break
-        rec = _record(k, t_next, grid, quad, rho, micro, config, material, theta)
+        rec = _record(k, t_next, ctx, rho, micro, theta)
         if not all(
             np.isfinite(v)
             for v in (rec.energy, rec.rho_norm, rec.micro_norm_w, rec.mass)
@@ -217,7 +212,13 @@ def execute_run(manifest: RunManifest) -> RunResult:
         summary["failed_step"] = failed_step
 
     if status == "completed" and _want_error(manifest, scen):
-        err, rel = _reference_error(scen, grid, quad, material, rho, summary["t_final"], eps)
+        try:
+            err, rel = _reference_error(
+                scen, grid, quad, material, rho, summary["t_final"], eps
+            )
+        except (DivergenceError, LinearSolveError):
+            summary["status"] = "reference_failed"
+            err = None
         if err is not None:
             summary["l2_error"] = err
             summary["l2_error_rel"] = rel
@@ -243,7 +244,8 @@ def _want_error(manifest, scen) -> bool:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _record(step, t, grid, quad, rho, micro, config, material, theta) -> EnergyRecord:
+def _record(step, t, ctx, rho, micro, theta) -> EnergyRecord:
+    grid, quad, config = ctx.grid, ctx.quad, ctx.config
     is_lr = isinstance(micro, MicroStateLowRank)
     gw = diagnostics.micro_norm_w(grid, quad, micro)
     return EnergyRecord(
@@ -251,7 +253,7 @@ def _record(step, t, grid, quad, rho, micro, config, material, theta) -> EnergyR
         time=t,
         dt=config.dt,
         energy=diagnostics.energy(
-            grid, quad, rho, micro, config, material, theta, micro_norm=gw
+            grid, quad, rho, micro, config, ctx.material, theta, micro_norm=gw
         ),
         rho_norm=math.sqrt(grid.cell_volume) * float(np.linalg.norm(rho)),
         micro_norm_w=gw,
@@ -293,10 +295,10 @@ def _self_reference(scen, grid, t_final, eps, refine: int = 4):
     dt = diagnostics.dt_explicit(fine, material, eps)
     n = max(1, math.ceil(t_final / dt - 1e-9))
     dt = t_final / n
-    config = SolverConfig(epsilon=eps, dt=dt)
+    ctx = step_context(fine, quad, material, SolverConfig(epsilon=eps, dt=dt))
     rho, G = np.asarray(rho0, dtype=float), np.asarray(G0, dtype=float)
     for k in range(1, n + 1):
-        rho, G = imex_step(fine, quad, material, config, rho, G, k * dt)
+        rho, G = imex_step(ctx, rho, G, k * dt)
 
     # match coarse density points to fine ones through half-step lattice indices
     lo = np.array([b[0] for b in fine.bounds])
@@ -323,39 +325,24 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
     _write_summary(result.summary, out_dir / "summary.txt")
 
 
+def _write_csv(path: Path, header: str, fmt: str, rows) -> None:
+    """``header``, then ``fmt % row`` for each row (a tuple of Python scalars)."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(fmt % row + "\n" for row in rows)
+
+
 def _write_trace(records, path: Path):
-    cols = (
-        "step,time,dt,energy,rho_norm,micro_norm_w,rank,zero_density_residual,mass"
-    )
-    lines = [cols]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    str(r.step),
-                    _CSV_FMT % r.time,
-                    _CSV_FMT % r.dt,
-                    _CSV_FMT % r.energy,
-                    _CSV_FMT % r.rho_norm,
-                    _CSV_FMT % r.micro_norm_w,
-                    str(r.rank),
-                    _CSV_FMT % r.zero_density_residual,
-                    _CSV_FMT % r.mass,
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+    names = [f.name for f in fields(EnergyRecord)]
+    fmt = ",".join("%d" if name in ("step", "rank") else _CSV_FMT for name in names)
+    _write_csv(path, ",".join(names), fmt, map(astuple, records))
 
 
 def _write_density(result: RunResult, path: Path):
     grid = result.grid
-    coords = grid.rho_coords
     header = "x,rho" if grid.dim == 1 else "x,y,rho"
-    lines = [header]
-    for i in range(grid.n_points):
-        vals = [_CSV_FMT % c for c in coords[i]] + [_CSV_FMT % result.rho_final[i]]
-        lines.append(",".join(vals))
-    path.write_text("\n".join(lines) + "\n")
+    fmt = ",".join([_CSV_FMT] * (grid.dim + 1))
+    _write_csv(path, header, fmt, zip(*grid.rho_coords.T.tolist(), result.rho_final.tolist()))
 
 
 def extract_slice(grid, rho, axis: str, value: float):
@@ -380,10 +367,8 @@ def extract_slice(grid, rho, axis: str, value: float):
 def _write_slice(result: RunResult, axis: str, value: float, out_dir: Path):
     pos, vals = extract_slice(result.grid, result.rho_final, axis, value)
     free = "y" if axis == "x" else "x"
-    lines = [f"{free},rho"]
-    for p, v in zip(pos, vals):
-        lines.append(f"{_CSV_FMT % p},{_CSV_FMT % v}")
-    (out_dir / f"slice_{axis}={value:g}.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out_dir / f"slice_{axis}={value:g}.csv", f"{free},rho",
+               f"{_CSV_FMT},{_CSV_FMT}", zip(pos.tolist(), vals.tolist()))
 
 
 def _write_summary(summary: dict, path: Path):

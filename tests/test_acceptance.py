@@ -13,7 +13,14 @@ import pytest
 import lrtrans as lt
 from lrtrans import scenarios
 from lrtrans.diagnostics import UNCONDITIONAL, dt_explicit, dt_implicit
-from lrtrans.fullrank import SCHEMES, SolverConfig, build_schur, imex_s_step, imex_step
+from lrtrans.fullrank import (
+    SCHEMES,
+    SolverConfig,
+    build_schur,
+    imex_s_step,
+    imex_step,
+    step_context,
+)
 from lrtrans.grid import build_grid, diff
 from lrtrans.lowrank import (
     LowRankConfig,
@@ -83,14 +90,14 @@ def test_c1_small_instance_oracle_equivalence():
     # explicit-density step: lower-triangular block solve
     G_o = np.linalg.solve(A22, explicit - Jmat @ rho / eps2).reshape(n, no)
     rho_o = np.linalg.solve(A11, rho / config.dt - lt.flux_div(grid, quad, G_o))
-    r1, G1 = imex_step(grid, quad, material, config, rho, G.copy())
+    r1, G1 = imex_step(step_context(grid, quad, material, config), rho, G.copy())
     err_imex = max(np.abs(r1 - rho_o).max(), np.abs(G1 - G_o).max())
 
     # implicit-density step: full coupled block solve
     Afull = np.block([[A11, Hmat], [Jmat / eps2, A22]])
     sol = np.linalg.solve(Afull, np.concatenate([rho / config.dt, explicit]))
     schur = build_schur(grid, quad, material, config)
-    r2, G2 = imex_s_step(grid, quad, material, config, schur, rho, G)
+    r2, G2 = imex_s_step(step_context(grid, quad, material, config, schur), rho, G)
     err_s = max(np.abs(r2 - sol[:n]).max(), np.abs(G2 - sol[n:].reshape(n, no)).max())
 
     elapsed = time.perf_counter() - t0
@@ -154,10 +161,9 @@ def test_c7_constraint_preservation(suite2_runs):
     G = project_out_mean(quad, np.outer(np.sin(2 * np.pi * x / 3), quad.q(0)))
     st = factorize_micro(grid, quad, G, 4, seed=0)  # numerical rank 1 of 4
     rho, _ = scen.init(grid, quad, eps)
+    ctx = step_context(grid, quad, material, config, lr=lr)
     for k in range(25):
-        rho, st, _ = lowrank_macro_coupled_step(
-            grid, quad, material, config, lr, rho, st, (k + 1) * dt
-        )
+        rho, st, _ = lowrank_macro_coupled_step(ctx, rho, st, (k + 1) * dt)
         fro = np.linalg.norm(st.S)
         res = lt.zero_density_residual(quad, st)
         if fro > 0:
@@ -351,7 +357,8 @@ def test_c8_identity_suite():
             Gc = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
             st = factorize_micro(grid, quad, Gc, 3, seed=int(rng.integers(1 << 30)))
             rho = rng.standard_normal(grid.n_points)
-            X1, S_tilde, S1, V1 = galerkin_stage(grid, quad, material, config, st, rho)
+            stage = galerkin_stage(step_context(grid, quad, material, config), st, rho)
+            X1, S_tilde, S1, V1 = stage.X1, stage.S_tilde, stage.S1, stage.V1
             PX, PV = X1 @ X1.T, V1 @ V1.T
             m = quad.m[None, :]
             eps, dt = config.epsilon, config.dt

@@ -21,6 +21,7 @@ from lrtrans.fullrank import (
     parse_scheme,
     relaxation_factor,
     spd_solver,
+    step_context,
 )
 from lrtrans.grid import build_grid, diff
 from lrtrans.ops import (
@@ -89,11 +90,11 @@ def test_equilibrium_fixed_point():
     grid, quad, material, config = make_setup(varying=False)
     rho = np.full(grid.n_points, 2.0)
     G = np.zeros((grid.n_points, quad.n))
-    r1, G1 = imex_step(grid, quad, material, config, rho, G)
+    r1, G1 = imex_step(step_context(grid, quad, material, config), rho, G)
     assert np.allclose(r1, rho, atol=1e-14)
     assert np.max(np.abs(G1)) == 0.0
     schur = build_schur(grid, quad, material, config)
-    r2, G2 = imex_s_step(grid, quad, material, config, schur, rho, G)
+    r2, G2 = imex_s_step(step_context(grid, quad, material, config, schur), rho, G)
     assert np.allclose(r2, rho, atol=1e-12)
     assert np.max(np.abs(G2)) <= 1e-14
 
@@ -107,7 +108,7 @@ def test_imex_matches_dense_oracle(rng):
     rho_oracle = np.linalg.solve(
         A11, rho / config.dt - flux_div(grid, quad, G_oracle)
     )
-    r1, G1 = imex_step(grid, quad, material, config, rho, G)
+    r1, G1 = imex_step(step_context(grid, quad, material, config), rho, G)
     assert np.max(np.abs(G1 - G_oracle)) <= 1e-12
     assert np.max(np.abs(r1 - rho_oracle)) <= 1e-12
 
@@ -121,7 +122,7 @@ def test_imex_s_matches_dense_block_oracle(rng):
     b = np.concatenate([rho / config.dt, micro_rhs(grid, quad, config, G).reshape(-1)])
     sol = np.linalg.solve(Afull, b)
     schur = build_schur(grid, quad, material, config)
-    r1, G1 = imex_s_step(grid, quad, material, config, schur, rho, G)
+    r1, G1 = imex_s_step(step_context(grid, quad, material, config, schur), rho, G)
     assert np.max(np.abs(r1 - sol[:n])) <= 1e-10
     assert np.max(np.abs(G1 - sol[n:].reshape(n, no))) <= 1e-10
 
@@ -129,14 +130,11 @@ def test_imex_s_matches_dense_block_oracle(rng):
 def test_zero_density_preserved(rng):
     grid, quad, material, config = make_setup()
     rho, G = random_state(grid, quad, rng)
-    schur = build_schur(grid, quad, material, config)
-    for stepper in (
-        lambda r, g: imex_step(grid, quad, material, config, r, g),
-        lambda r, g: imex_s_step(grid, quad, material, config, schur, r, g),
-    ):
+    ctx = step_context(grid, quad, material, config, build_schur(grid, quad, material, config))
+    for stepper in (imex_step, imex_s_step):
         r, g = rho.copy(), G.copy()
         for _ in range(5):
-            r, g = stepper(r, g)
+            r, g = stepper(ctx, r, g)
             assert np.max(np.abs(g @ quad.w)) <= 1e-12 * max(np.abs(g).max(), 1.0)
 
 
@@ -144,9 +142,10 @@ def test_mass_conserved_without_absorption(rng):
     grid, quad, material, config = make_setup(varying=False)
     rho, G = random_state(grid, quad, rng)
     total0 = np.sum(rho)
+    ctx = step_context(grid, quad, material, config)
     r, g = rho, G
     for _ in range(20):
-        r, g = imex_step(grid, quad, material, config, r, g)
+        r, g = imex_step(ctx, r, g)
     assert abs(np.sum(r) - total0) <= 1e-11 * max(abs(total0), 1.0)
 
 
@@ -163,9 +162,10 @@ def test_energy_decay_under_explicit_bound(rng):
     def energy(r, g):
         return quad.domain_measure * vol * r @ r + norm_w(grid, quad, g) ** 2
 
+    ctx = step_context(grid, quad, material, config)
     e = energy(rho, G)
     for _ in range(40):
-        rho, G = imex_step(grid, quad, material, config, rho, G)
+        rho, G = imex_step(ctx, rho, G)
         e_new = energy(rho, G)
         assert e_new <= e * (1 + 1e-12)
         e = e_new
@@ -220,7 +220,7 @@ def test_divergence_detection():
     G = np.zeros((grid.n_points, quad.n))
     G[0, 0] = np.inf
     with pytest.raises(DivergenceError):
-        imex_step(grid, quad, material, config, rho, G)
+        imex_step(step_context(grid, quad, material, config), rho, G)
 
 
 def test_macroscopic_source_enters_at_new_time():
@@ -235,7 +235,7 @@ def test_macroscopic_source_enters_at_new_time():
     )
     rho = np.ones(grid.n_points)
     G = np.zeros((grid.n_points, quad.n))
-    imex_step(grid, quad, material, config, rho, G, t_next=0.37)
+    imex_step(step_context(grid, quad, material, config), rho, G, t_next=0.37)
     assert seen == [0.37]
 
 
@@ -299,6 +299,14 @@ def _step_setup(name, scheme):
     return grid, quad, material, config, schur
 
 
+def _sized_context(monkeypatch, grid, quad, material, config, schur, rows):
+    """The step context with the sweep's blocks sized to ``rows`` outer-axis
+    rows (see :func:`_set_block_rows`), or the default blocks for ``None``."""
+    if rows is not None:
+        _set_block_rows(monkeypatch, grid, quad, rows)
+    return step_context(grid, quad, material, config, schur)
+
+
 # mms2d-16 carries a micro source and is one block at the default budget;
 # 3-row blocks of mms2d-16 (48 points) and 7-row blocks of bimodal1d (rounded
 # to 8 points; its families meet at point 50) straddle the family boundary
@@ -319,9 +327,8 @@ def test_steps_match_reference_formulas_bitwise_with_micro_source(
 ):
     grid, quad, material, config, schur = _step_setup(name, scheme)
     assert (material.micro_source is not None) == name.startswith("mms2d")
-    if rows is not None:
-        _set_block_rows(monkeypatch, grid, quad, rows)
-    blocks = fullrank._row_blocks(grid, quad.n)
+    ctx = _sized_context(monkeypatch, grid, quad, material, config, schur, rows)
+    blocks = ctx.blocks
     if rows is None:
         assert blocks == [(0, grid.n_points)]
     else:
@@ -333,12 +340,12 @@ def test_steps_match_reference_formulas_bitwise_with_micro_source(
     ref_rho, ref_G = rho.copy(), G.copy()
     for k in range(1, 4):
         if schur is None:
-            rho, G = imex_step(grid, quad, material, config, rho, G, k * dt)
+            rho, G = imex_step(ctx, rho, G, k * dt)
             ref_rho, ref_G = _reference_imex_step(
                 grid, quad, material, config, ref_rho, ref_G, k * dt
             )
         else:
-            rho, G = imex_s_step(grid, quad, material, config, schur, rho, G, k * dt)
+            rho, G = imex_s_step(ctx, rho, G, k * dt)
             ref_rho, ref_G = _reference_imex_s_step(
                 grid, quad, material, config, schur, ref_rho, ref_G, k * dt
             )
@@ -349,20 +356,17 @@ def test_steps_match_reference_formulas_bitwise_with_micro_source(
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 def test_non_finite_value_in_any_block_raises(rng, monkeypatch, where):
     grid, quad, material, config, schur = _step_setup("mms2d-16", "IMEX-S")
-    _set_block_rows(monkeypatch, grid, quad, 3)
-    blocks = fullrank._row_blocks(grid, quad.n)
-    lo, hi = blocks[{"first": 0, "middle": len(blocks) // 2, "last": -1}[where]]
+    ctx = _sized_context(monkeypatch, grid, quad, material, config, schur, 3)
+    lo, hi = ctx.blocks[{"first": 0, "middle": len(ctx.blocks) // 2, "last": -1}[where]]
     rho, G = random_state(grid, quad, rng)
     G[(lo + hi) // 2, 1] = np.nan
     with pytest.raises(DivergenceError):
-        imex_step(grid, quad, material, config, rho, G.copy(), config.dt)
+        imex_step(ctx, rho, G.copy(), config.dt)
     with pytest.raises(DivergenceError):
-        imex_s_step(grid, quad, material, config, schur, rho, G.copy(), config.dt)
+        imex_s_step(ctx, rho, G.copy(), config.dt)
     # the second IMEX-S sweep alone, where the density is finite
     with pytest.raises(DivergenceError):
-        fullrank._micro_sweep(
-            grid, quad, material, config, G, grad=density_grad(grid, quad, rho)
-        )
+        fullrank._micro_sweep(ctx, G, grad=density_grad(grid, quad, rho))
 
 
 def test_imex_s_step_allocates_one_dense_array(rng):
@@ -371,18 +375,14 @@ def test_imex_s_step_allocates_one_dense_array(rng):
     scen = scenarios.get_scenario("gaussian2d", mesh_div=4)
     grid, quad, material = scenarios.build_objects(scen)
     config = SolverConfig(epsilon=scen.epsilon, dt=1e-3)
-    schur = build_schur(grid, quad, material, config)
-    assert len(fullrank._row_blocks(grid, quad.n)) >= 8
+    ctx = step_context(grid, quad, material, config, build_schur(grid, quad, material, config))
+    assert len(ctx.blocks) >= 8
     rho, G = random_state(grid, quad, rng)
-    steps = (
-        lambda: imex_step(grid, quad, material, config, rho, G, config.dt),
-        lambda: imex_s_step(grid, quad, material, config, schur, rho, G, config.dt),
-    )
-    for step in steps:
+    for step in (imex_step, imex_s_step):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            step()
+            step(ctx, rho, G, config.dt)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -394,10 +394,8 @@ def test_imex_s_step_allocates_one_dense_array(rng):
 def test_steps_update_the_micro_state_in_place(rng, scheme):
     grid, quad, material, config, schur = _step_setup("mms2d-16", scheme)
     rho, G = random_state(grid, quad, rng)
-    if schur is None:
-        _, G1 = imex_step(grid, quad, material, config, rho, G, config.dt)
-    else:
-        _, G1 = imex_s_step(grid, quad, material, config, schur, rho, G, config.dt)
+    step = imex_step if schur is None else imex_s_step
+    _, G1 = step(step_context(grid, quad, material, config, schur), rho, G, config.dt)
     assert G1 is G
 
 
@@ -414,8 +412,8 @@ def _held_blocks(grid, blocks):
 @pytest.mark.parametrize("which", ["held-first", "held-second", "rolling", "last"])
 def test_non_finite_value_in_held_or_rolling_block_raises(rng, monkeypatch, which):
     grid, quad, material, config, schur = _step_setup("mms2d-16", "IMEX-S")
-    _set_block_rows(monkeypatch, grid, quad, 3)
-    blocks = fullrank._row_blocks(grid, quad.n)
+    ctx = _sized_context(monkeypatch, grid, quad, material, config, schur, 3)
+    blocks = ctx.blocks
     held = _held_blocks(grid, blocks)
     assert len(held) == 2 and held[0] == 0
     k = {"held-first": 0, "held-second": held[1], "rolling": 1, "last": len(blocks) - 1}
@@ -423,9 +421,9 @@ def test_non_finite_value_in_held_or_rolling_block_raises(rng, monkeypatch, whic
     rho, G = random_state(grid, quad, rng)
     G[blocks[k[which]][0], 2] = np.nan
     with pytest.raises(DivergenceError):
-        imex_step(grid, quad, material, config, rho, G.copy(), config.dt)
+        imex_step(ctx, rho, G.copy(), config.dt)
     with pytest.raises(DivergenceError):
-        imex_s_step(grid, quad, material, config, schur, rho, G.copy(), config.dt)
+        imex_s_step(ctx, rho, G.copy(), config.dt)
 
 
 def test_record_evaluates_dense_micro_norm_once(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 
 from lrtrans.angular import chebyshev_legendre_2d, gauss_legendre_1d
 from lrtrans.diagnostics import micro_norm_w_exact, zero_density_residual
-from lrtrans.fullrank import SolverConfig, build_schur, imex_step
+from lrtrans.fullrank import SolverConfig, build_schur, imex_step, step_context
 from lrtrans.grid import build_grid, diff
 from lrtrans.lowrank import (
     LowRankConfig,
@@ -143,7 +143,8 @@ def test_bug_step_pure_decay_fixed_point():
     V = constrained_qr(np.linspace(1, 2, quad.n)[:, None] * quad.m[:, None], quad)
     st = MicroStateLowRank(X=X, S=np.array([[2.0]]), V=V)
     rho = np.ones(grid.n_points)
-    st1 = micro_step(grid, quad, material, config, LowRankConfig(), st, rho)[0]
+    ctx = step_context(grid, quad, material, config, lr=LowRankConfig())
+    st1 = micro_step(ctx, st, rho)[0]
     decay = (1.0 / config.dt) / (1.0 / config.dt + 1.0)
     assert abs(st1.S[0, 0] - decay * 2.0) <= 1e-13
     assert np.max(np.abs(st1.X - X)) <= 1e-13
@@ -157,7 +158,8 @@ def test_bug_step_rank_and_invariants(rng):
     G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
     st = factorize_micro(grid, quad, G, 4, seed=0)
     rho = rng.standard_normal(grid.n_points)
-    st1 = micro_step(grid, quad, material, config, LowRankConfig(), st, rho)[0]
+    ctx = step_context(grid, quad, material, config, lr=LowRankConfig())
+    st1 = micro_step(ctx, st, rho)[0]
     assert st1.rank == 4
     assert np.allclose(st1.X.T @ st1.X, np.eye(4), atol=1e-12)
     assert np.allclose(st1.V.T @ st1.V, np.eye(4), atol=1e-12)
@@ -181,7 +183,8 @@ def test_diffusion_limit_relations():
     for eps in (1e-4, 1e-6):
         config = SolverConfig(epsilon=eps, dt=0.01)
         st = factorize_micro(grid, quad, G, 3, seed=0)
-        X1, _, S1, V1 = galerkin_stage(grid, quad, material, config, st, rho)
+        stage = galerkin_stage(step_context(grid, quad, material, config), st, rho)
+        X1, S1, V1 = stage.X1, stage.S1, stage.V1
         PJ, AJ = density_grad(grid, quad, rho)
         JM = (PJ @ AJ.T) * quad.m[None, :]
         r_s = np.abs((X1.T * material.sigma_s_g) @ X1 @ S1 + X1.T @ JM @ V1).max()
@@ -218,7 +221,8 @@ def test_galerkin_stage_residual(rng):
         G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
         st = factorize_micro(grid, quad, G, 3, seed=1)
         rho = rng.standard_normal(grid.n_points)
-        X1, S_tilde, S1, V1 = galerkin_stage(grid, quad, material, config, st, rho)
+        stage = galerkin_stage(step_context(grid, quad, material, config), st, rho)
+        X1, S_tilde, S1, V1 = stage.X1, stage.S_tilde, stage.S1, stage.V1
         PX = X1 @ X1.T
         PV = V1 @ V1.T
         m = quad.m[None, :]
@@ -245,8 +249,9 @@ def test_bug_vs_dense_projected_difference(rng):
     st = factorize_micro(grid, quad, G, 8, seed=0)  # capped at 7
     assert st.rank == 7
     rho = rng.standard_normal(grid.n_points)
-    st1 = micro_step(grid, quad, material, config, LowRankConfig(), st, rho)[0]
-    _, G_full = imex_step(grid, quad, material, config, rho, reconstruct(st, quad))
+    ctx = step_context(grid, quad, material, config, lr=LowRankConfig())
+    st1 = micro_step(ctx, st, rho)[0]
+    _, G_full = imex_step(ctx, rho, reconstruct(st, quad))
     D = st1.X @ st1.X.T @ ((G_full - reconstruct(st1, quad)) * quad.m[None, :]) @ (
         st1.V @ st1.V.T
     )
@@ -265,7 +270,8 @@ def test_abug_large_tolerance_keeps_rank_one(rng):
     X = np.ones((grid.n_points, 1)) / np.sqrt(grid.n_points)
     V = constrained_qr(rng.standard_normal((quad.n, 1)), quad)
     st = MicroStateLowRank(X=X, S=np.array([[1.0]]), V=V)
-    st1 = micro_step(grid, quad, material, config, lr, st, np.ones(grid.n_points))[0]
+    ctx = step_context(grid, quad, material, config, lr=lr)
+    st1 = micro_step(ctx, st, np.ones(grid.n_points))[0]
     assert st1.rank == 1
 
 
@@ -286,13 +292,11 @@ def test_abug_tracks_full_rank_on_rank_preserving_data(rng):
     st = factorize_micro(grid, quad, G, 2, seed=0)
     rho = np.cos(2 * np.pi * grid.rho_coords[:, 0])
     rho_lr, rho_full, G_full = rho.copy(), rho.copy(), G.copy()
+    ctx = step_context(grid, quad, material, config, lr=lr)
+    ctx_full = step_context(grid, quad, material, config_full)
     for k in range(10):
-        rho_lr, st, _ = lowrank_macro_coupled_step(
-            grid, quad, material, config, lr, rho_lr, st, (k + 1) * dt
-        )
-        rho_full, G_full = imex_step(
-            grid, quad, material, config_full, rho_full, G_full, (k + 1) * dt
-        )
+        rho_lr, st, _ = lowrank_macro_coupled_step(ctx, rho_lr, st, (k + 1) * dt)
+        rho_full, G_full = imex_step(ctx_full, rho_full, G_full, (k + 1) * dt)
     assert st.rank <= 7
     assert np.linalg.norm(rho_lr - rho_full) <= 1e-6 * np.linalg.norm(rho_full)
     assert np.linalg.norm(reconstruct(st, quad) - G_full) <= 1e-6 * np.linalg.norm(G_full)
@@ -306,7 +310,7 @@ def test_ap_abug_protects_limit_directions(rng):
     G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
     st = factorize_micro(grid, quad, G, 3, seed=0)
     rho = 2.0 + np.sin(2 * np.pi * grid.rho_coords[:, 0])
-    st1, info = micro_step(grid, quad, material, config, lr, st, rho, 0.0)
+    st1, info = micro_step(step_context(grid, quad, material, config, lr=lr), st, rho, 0.0)
     ap_x = -diff(grid, 0, +1, rho) / material.sigma_s_g
     ap_v = quad.m * quad.q(0)
     rx = np.linalg.norm(ap_x - st1.X @ (st1.X.T @ ap_x)) / np.linalg.norm(ap_x)
@@ -340,11 +344,10 @@ def test_carried_sbp_matrices_match_fresh_products(rng, integrator):
     # either truncation
     grid, quad, material, config, schur, st, rho = setup_2d_step(rng, "IMEX-S-aBUG")
     lr = LowRankConfig(integrator=integrator, rank=3, tau=1e-3)
+    ctx = step_context(grid, quad, material, config, schur, lr)
     sig = material.sigma_s_g / config.epsilon**2 + material.sigma_a_g
     for k in range(2):
-        rho, st, _ = lowrank_macro_coupled_step(
-            grid, quad, material, config, lr, rho, st, (k + 1) * config.dt, schur
-        )
+        rho, st, _ = lowrank_macro_coupled_step(ctx, rho, st, (k + 1) * config.dt)
         assert st.C.shape == (grid.dim + 1, st.rank, st.rank)
         fresh = [st.X.T @ diff(grid, j, +1, st.X) for j in range(grid.dim)]
         fresh.append(st.X.T @ (sig[:, None] * st.X))
@@ -356,7 +359,7 @@ def test_abug_extension_keeps_old_basis_and_embeds_coupling(rng):
     # plain aBUG keeps X verbatim as the leading block of X1, and its block
     # embedding S_tilde = [S V^T V1; 0] equals the projection X1^T X S V^T V1
     grid, quad, material, config, schur, st, rho = setup_2d_step(rng, "IMEX-S-aBUG")
-    stage = galerkin_stage(grid, quad, material, config, st, rho, augment=True)
+    stage = galerkin_stage(step_context(grid, quad, material, config), st, rho, augment=True)
     r = st.rank
     assert stage.X1.shape[1] == 2 * r
     assert np.array_equal(stage.X1[:, :r], st.X)
@@ -423,7 +426,8 @@ def test_step_differences_each_array_once(rng, monkeypatch):
     for module in (lrtrans.lowrank, lrtrans.ops):
         monkeypatch.setattr(module, "diff", counting_diff)
     lr = LowRankConfig(integrator="BUG", rank=3)
-    lowrank_macro_coupled_step(grid, quad, material, config, lr, rho, st, config.dt, schur)
+    ctx = step_context(grid, quad, material, config, schur, lr)
+    lowrank_macro_coupled_step(ctx, rho, st, config.dt)
     assert len(calls) <= 10
 
 
@@ -455,11 +459,10 @@ def test_spatial_qr_factorizes_column_major_blocks(rng, integrator, monkeypatch)
         return qr(a, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "qr", recording_qr)
-    lr = LowRankConfig(integrator=integrator, rank=3, tau=1e-3)
+    ctx = step_context(grid, quad, material, config, schur,
+                       LowRankConfig(integrator=integrator, rank=3, tau=1e-3))
     for k in range(2):
-        rho, st, _ = lowrank_macro_coupled_step(
-            grid, quad, material, config, lr, rho, st, (k + 1) * config.dt, schur
-        )
+        rho, st, _ = lowrank_macro_coupled_step(ctx, rho, st, (k + 1) * config.dt)
         assert st.X.flags.f_contiguous
     assert len(layouts) >= 2 and all(layouts)
 
@@ -479,7 +482,8 @@ def test_step_stacks_no_spatial_blocks(rng, integrator, monkeypatch):
 
     monkeypatch.setattr(np, "hstack", recording_hstack)
     lr = LowRankConfig(integrator=integrator, rank=3, tau=1e-3)
-    lowrank_macro_coupled_step(grid, quad, material, config, lr, rho, st, config.dt, schur)
+    lowrank_macro_coupled_step(step_context(grid, quad, material, config, schur, lr),
+                               rho, st, config.dt)
     assert quad.n != grid.n_points and grid.n_points not in rows
 
 
@@ -502,7 +506,8 @@ def test_rank_overflow_raises(rng):
     G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
     st = factorize_micro(grid, quad, G, 4, seed=0)
     with pytest.raises(RankOverflowError):
-        micro_step(grid, quad, material, config, lr, st, rng.standard_normal(grid.n_points))
+        micro_step(step_context(grid, quad, material, config, lr=lr), st,
+                   rng.standard_normal(grid.n_points))
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +523,8 @@ def test_coupled_equilibrium_fixed_point():
         schur = build_schur(grid, quad, material, config) if "S" in scheme.split("-") else None
         rho = np.full(grid.n_points, 1.5)
         st = zero_micro_state(grid, quad, 2, seed=0)
-        rho1, st1, _ = lowrank_macro_coupled_step(
-            grid, quad, material, config, lr, rho, st, 0.05, schur
-        )
+        ctx = step_context(grid, quad, material, config, schur, lr)
+        rho1, st1, _ = lowrank_macro_coupled_step(ctx, rho, st, 0.05)
         assert np.max(np.abs(rho1 - rho)) <= 1e-12
         assert np.max(np.abs(st1.S)) <= 1e-12
 
@@ -536,14 +540,11 @@ def test_schur_macro_rhs_matches_dense(rng):
     G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
     st = factorize_micro(grid, quad, G, 3, seed=2)
     rho = rng.standard_normal(grid.n_points)
-    rho_lr, _, _ = lowrank_macro_coupled_step(
-        grid, quad, material, config, lr, rho, st, 0.02, schur
-    )
+    ctx = step_context(grid, quad, material, config, schur, lr)
+    rho_lr, _, _ = lowrank_macro_coupled_step(ctx, rho, st, 0.02)
     from lrtrans.fullrank import imex_s_step
 
-    rho_full, _ = imex_s_step(
-        grid, quad, material, config, schur, rho, reconstruct(st, quad), 0.02
-    )
+    rho_full, _ = imex_s_step(ctx, rho, reconstruct(st, quad), 0.02)
     assert np.max(np.abs(rho_lr - rho_full)) <= 1e-12 * max(np.abs(rho_full).max(), 1.0)
 
 
@@ -569,12 +570,11 @@ def test_energy_chain_projected_state(rng):
     def energy(r, fro):
         return quad.domain_measure * vol * r @ r + coeff * vol * fro**2
 
+    ctx = step_context(grid, quad, material, config, schur, lr)
     e_prev = energy(rho, np.linalg.norm(st.S))
     for k in range(40):
         rho_prev, s_prev_fro = rho, np.linalg.norm(st.S)
-        rho, st, info = lowrank_macro_coupled_step(
-            grid, quad, material, config, lr, rho, st, (k + 1) * dt, schur
-        )
+        rho, st, info = lowrank_macro_coupled_step(ctx, rho, st, (k + 1) * dt)
         e_tilde = energy(rho_prev, info.s_tilde_fro)
         e_new = energy(rho, np.linalg.norm(st.S))
         assert info.s_tilde_fro <= s_prev_fro * (1 + 1e-12)
@@ -596,6 +596,7 @@ def test_unweighted_counterexample_vs_weighted(rng):
     config = SolverConfig(epsilon=eps, dt=dt)
     schur = build_schur(grid, quad, material, config)
     lr = LowRankConfig(integrator="BUG", rank=2)
+    ctx = step_context(grid, quad, material, config, schur, lr)
     rho0, G0 = scen.init(grid, quad, eps)
     vol = grid.cell_volume
     growth = {}
@@ -606,9 +607,7 @@ def test_unweighted_counterexample_vs_weighted(rng):
         E_true = [quad.domain_measure * vol * rho @ rho
                   + eps**2 * micro_norm_w_exact(grid, quad, st) ** 2]
         for k in range(20):
-            rho, st, _ = lowrank_macro_coupled_step(
-                grid, quad, material, config, lr, rho, st, (k + 1) * dt, schur
-            )
+            rho, st, _ = lowrank_macro_coupled_step(ctx, rho, st, (k + 1) * dt)
             E.append(quad.domain_measure * vol * rho @ rho
                      + eps**2 * vol * np.linalg.norm(st.S) ** 2)
             E_true.append(quad.domain_measure * vol * rho @ rho

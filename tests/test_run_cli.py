@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from lrtrans import cli as cli_module
+from lrtrans import diagnostics, fullrank
 from lrtrans import run as run_module
 from lrtrans.cli import main, parse_config_file
 from lrtrans.fullrank import LinearSolveError, SchurOperator
@@ -148,6 +149,51 @@ def test_self_reference_error():
                     mesh_div=8, max_steps=2)
     )
     assert "l2_error_rel" not in res2.summary
+
+
+def test_failed_reference_solve_recorded_as_status(tmp_path, monkeypatch):
+    # the diffusion reference's CG solve stalls, and only that solve: the run
+    # keeps its steps and artifacts, records reference_failed and no error,
+    # and the command line exits 1
+    spd_solver = fullrank.spd_solver
+
+    def stalling_solver(T):
+        monkeypatch.setattr(fullrank, "DIRECT_SOLVE_MAX", 0)
+        monkeypatch.setattr(fullrank, "CG_MAXITER_PER_UNKNOWN", 2 / T.shape[0])
+        return spd_solver(T)
+
+    monkeypatch.setattr(diagnostics, "spd_solver", stalling_solver)
+    out = tmp_path / "ref"
+    res = execute_run(quick_manifest(out=str(out), max_steps=3, with_error=True))
+    assert res.summary["status"] == "reference_failed"
+    assert res.summary["steps_completed"] == 3
+    assert "l2_error" not in res.summary and "l2_error_rel" not in res.summary
+    summary_text = (out / "summary.txt").read_text()
+    assert "status = reference_failed" in summary_text and "l2_error" not in summary_text
+    assert len((out / "trace.csv").read_text().strip().splitlines()) == 1 + 4
+    rc = main(["run", "--scenario", "gaussian1d-diff", "--mesh-div", "8", "--error",
+               "--out", str(tmp_path / "cli")])
+    assert rc == 1
+    assert (tmp_path / "cli" / "rho_final.csv").exists()
+
+
+@pytest.mark.parametrize("scheme", ["IMEX-S", "IMEX-S-BUG"])
+def test_step_constants_formed_once_per_run(monkeypatch, scheme):
+    # the step context, and with it the sweep's block plan, is built once
+    # per run, not once per step or sweep
+    calls = {"context": 0, "blocks": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(run_module, "step_context", counting("context", run_module.step_context))
+    monkeypatch.setattr(fullrank, "_row_blocks", counting("blocks", fullrank._row_blocks))
+    res = execute_run(quick_manifest(scheme=scheme, max_steps=5, with_error=False))
+    assert res.summary["steps_completed"] == 5
+    assert calls == {"context": 1, "blocks": 1}
 
 
 def test_manifest_validation():

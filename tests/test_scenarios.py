@@ -131,7 +131,7 @@ def test_lattice_source_free_energy_monotone():
 
     scen = replace(scen, cells=(32, 32), mesh_div=4)
     grid, quad, material = scenarios.build_objects(scen)
-    from lrtrans.fullrank import SolverConfig, build_schur
+    from lrtrans.fullrank import SolverConfig, build_schur, step_context
     from lrtrans.lowrank import LowRankConfig, lowrank_macro_coupled_step, zero_micro_state
     from lrtrans.diagnostics import energy
 
@@ -139,13 +139,12 @@ def test_lattice_source_free_energy_monotone():
     config = SolverConfig(epsilon=scen.epsilon, dt=dt)
     schur = build_schur(grid, quad, material, config)
     lr = LowRankConfig(integrator="BUG", rank=20)
+    ctx = step_context(grid, quad, material, config, schur, lr)
     rho, _ = scen.init(grid, quad, scen.epsilon)
     st = zero_micro_state(grid, quad, 20, seed=0)
     e = energy(grid, quad, rho, st, config, material, 0.0)
     for k in range(15):
-        rho, st, _ = lowrank_macro_coupled_step(
-            grid, quad, material, config, lr, rho, st, (k + 1) * dt, schur
-        )
+        rho, st, _ = lowrank_macro_coupled_step(ctx, rho, st, (k + 1) * dt)
         e_new = energy(grid, quad, rho, st, config, material, 0.0)
         assert e_new <= e * (1 + 1e-12)
         e = e_new
