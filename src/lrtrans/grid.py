@@ -27,7 +27,8 @@ Point families
 Within each block, points are ordered row-major (y outer, x inner), so the
 same index permutation implements a one-cell shift on every block of either
 family.  Grids are immutable; all operations here are pure functions
-(``diff`` writes only into an ``out`` array its caller passes).
+(``diff`` and ``shift`` write only into an ``out`` array their caller
+passes).
 """
 
 from __future__ import annotations
@@ -287,6 +288,29 @@ def _stencil(f, d, side, lo=0, hi=None):
             np.subtract(f[k:hi], f[k - 1:hi - 1], out=d[k - lo:], where=where)
             if lo == 0:
                 np.subtract(f[:1], f[-1:], out=d[:1], where=where)
+
+
+def shift(
+    grid: StaggeredGrid, axis: int, field: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``field`` moved one cell forward along ``axis``: ``out[k]`` is
+    ``field`` at the point one cell back, periodically.
+
+    The backward difference is the shifted forward one, bit for bit:
+    ``shift(grid, j, diff(grid, j, +1, f))`` equals ``diff(grid, j, -1, f)``.
+    Along the leading axis, each point is ``step`` rows after the point one
+    cell back (1 for x, ``nx`` for y), so one flat copy down the column
+    places every point but the first cell of each line, which a second copy
+    takes from the line's last cell.  ``out`` must not overlap ``field``.
+    """
+    a = np.asarray(field, dtype=float)
+    if out is None:
+        out = np.empty_like(a)
+    step = int(np.prod(grid.cells[:axis]))
+    out[step:] = a[:-step]
+    lines = (-1, grid.cells[axis], step) + a.shape[1:]
+    out.reshape(lines)[:, 0] = a.reshape(lines)[:, -1]
+    return out
 
 
 def _wrap(values: np.ndarray, lo: float, hi: float) -> np.ndarray:

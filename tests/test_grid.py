@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lrtrans.grid import build_grid, diff
+from lrtrans.grid import build_grid, diff, shift
 from conftest import dense_diff_matrix
 
 
@@ -204,3 +204,27 @@ def test_diff_rejects_bad_out_and_side_shapes():
         diff(g, 0, +1, u, out=np.empty(g.n_points))
     with pytest.raises(ValueError):
         diff(g, 0, np.ones(2), u)
+
+
+@pytest.mark.parametrize(
+    "dim,bounds,cells",
+    [(1, (0.0, 1.3), 7), (2, ((0.0, 1.0), (-1.0, 2.1)), (5, 3))],
+)
+def test_shifted_forward_difference_is_backward_difference_bitwise(rng, dim, bounds, cells):
+    g = build_grid(dim, bounds, cells)
+    fields = [rng.standard_normal(g.n_points)]
+    u = rng.standard_normal((g.n_points, 4))
+    fields += [np.ascontiguousarray(u), np.asfortranarray(u)]
+    for f in fields:
+        for axis in range(dim):
+            back = diff(g, axis, -1, f)
+            assert np.array_equal(shift(g, axis, diff(g, axis, +1, f)), back)
+            # into a column slab of a wider column-major block, as the K step does
+            if f.ndim == 2:
+                block = np.full((g.n_points, 8), np.nan, order="F")
+                view = block[:, 4:]
+                assert shift(g, axis, diff(g, axis, +1, f), out=view) is view
+                assert np.array_equal(block[:, 4:], back)
+                assert np.isnan(block[:, :4]).all()
+    p = g.shift_permutation(dim - 1, -1)
+    assert np.array_equal(shift(g, dim - 1, u), u[p])

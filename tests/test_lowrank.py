@@ -14,6 +14,7 @@ from lrtrans.lowrank import (
     RankOverflowError,
     _extend_basis,
     _k_differences,
+    _qr,
     constrained_qr,
     factorize_micro,
     galerkin_stage,
@@ -395,12 +396,12 @@ def test_basis_extension_orthonormal_and_spanning(rng, case, monkeypatch):
 
     qr_calls = []
     qr = lrtrans.lowrank._qr
-    monkeypatch.setattr(lrtrans.lowrank, "_qr", lambda B: qr_calls.append(1) or qr(B))
+    monkeypatch.setattr(lrtrans.lowrank, "_qr", lambda *a: qr_calls.append(1) or qr(*a))
     X, B = _extension_case(rng, case)
     n, r = X.shape
-    Q = _extend_basis(X, B)
-    assert Q.shape == (n, min(B.shape[1], n - r))
-    X1 = np.hstack([X, Q])
+    X1 = _extend_basis(X, B)
+    assert X1.shape == (n, r + min(B.shape[1], n - r))
+    assert X1.flags.f_contiguous and np.array_equal(X1[:, :r], X)
     assert np.abs(X1.T @ X1 - np.eye(X1.shape[1])).max() <= 1e-13
     residual = B - X1 @ (X1.T @ B)
     assert np.abs(residual).max() <= 1e-12 * max(np.abs(B).max(), 1.0)
@@ -408,6 +409,56 @@ def test_basis_extension_orthonormal_and_spanning(rng, case, monkeypatch):
         # QR of a zero block completes with coordinate directions, which the
         # re-projection moves out of range(X)
         assert len(qr_calls) == 2
+
+
+def _same_up_to_column_signs(Q, P, tol):
+    signs = np.sign(np.sum(Q * P, axis=0))
+    return np.abs(Q - P * signs).max() <= tol
+
+
+def test_qr_contract(rng, monkeypatch):
+    import scipy.linalg
+    import scipy.linalg.lapack
+
+    for m, n in [(200, 1), (200, 7), (300, 64), (300, 150), (40, 40)]:
+        A = rng.standard_normal((m, n))
+        Q = _qr(A.copy(order="F"))
+        assert Q.shape == (m, n) and Q.flags.f_contiguous
+        assert np.abs(Q.T @ Q - np.eye(n)).max() <= 1e-14
+        ref = scipy.linalg.qr(A, mode="economic")[0]
+        assert _same_up_to_column_signs(Q, ref, 1e-12)
+        # the same factor from a row-major input, which LAPACK copies
+        assert np.array_equal(_qr(np.ascontiguousarray(A)), Q)
+    # wide input: as many columns as rows
+    W = rng.standard_normal((30, 50))
+    Q = _qr(W.copy())
+    assert Q.shape == (30, 30) and np.abs(Q.T @ Q - np.eye(30)).max() <= 1e-14
+    assert _qr(np.zeros((30, 0))).shape == (30, 0)
+    # rank-deficient input: still orthonormal, and spanning the input
+    B = rng.standard_normal((200, 3)) @ rng.standard_normal((3, 8))
+    Q = _qr(B.copy(order="F"))
+    assert np.abs(Q.T @ Q - np.eye(8)).max() <= 1e-14
+    assert np.abs(B - Q @ (Q.T @ B)).max() <= 1e-12 * np.abs(B).max()
+    # a column-major input is factorized in place, and out receives the
+    # leading columns of Q in place
+    A = rng.standard_normal((200, 10))
+    ref = _qr(A.copy(order="F"))
+    F = A.copy(order="F")
+    seen = []
+    dgeqrt = scipy.linalg.lapack.dgeqrt
+
+    def recording_dgeqrt(nb, a, *args, **kwargs):
+        result = dgeqrt(nb, a, *args, **kwargs)
+        seen.append(result[0] is a)
+        return result
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgeqrt", recording_dgeqrt)
+    block = np.full((200, 9), np.nan, order="F")
+    view = block[:, 3:9]
+    assert _qr(F, view) is view
+    assert seen == [True] and not np.array_equal(F, A)
+    assert np.allclose(np.abs(np.diag(F)), np.abs(np.diag(scipy.linalg.qr(A)[1])))
+    assert np.array_equal(block[:, 3:], ref[:, :6]) and np.isnan(block[:, :3]).all()
 
 
 def test_step_differences_each_array_once(rng, monkeypatch):
@@ -447,18 +498,18 @@ def test_k_difference_slabs_equal_row_major_differences(rng):
 def test_spatial_qr_factorizes_column_major_blocks(rng, integrator, monkeypatch):
     # K1 and the aBUG extension block reach LAPACK column-major, so it
     # factorizes them in place without a transposing copy
-    import scipy.linalg
+    import scipy.linalg.lapack
 
     grid, quad, material, config, schur, st, rho = setup_2d_step(rng, "IMEX-S-BUG")
     layouts = []
-    qr = scipy.linalg.qr
+    dgeqrt = scipy.linalg.lapack.dgeqrt
 
-    def recording_qr(a, *args, **kwargs):
+    def recording_dgeqrt(nb, a, *args, **kwargs):
         if a.shape[0] == grid.n_points:
             layouts.append(a.flags.f_contiguous)
-        return qr(a, *args, **kwargs)
+        return dgeqrt(nb, a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "qr", recording_qr)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgeqrt", recording_dgeqrt)
     ctx = step_context(grid, quad, material, config, schur,
                        LowRankConfig(integrator=integrator, rank=3, tau=1e-3))
     for k in range(2):
