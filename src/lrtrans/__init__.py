@@ -34,7 +34,6 @@ from .grid import StaggeredGrid, build_grid, diff
 from .lowrank import (
     LowRankConfig,
     MicroStateLowRank,
-    RankOverflowError,
     constrained_qr,
     factorize_micro,
     galerkin_stage,

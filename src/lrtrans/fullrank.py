@@ -257,7 +257,7 @@ class StepContext:
     # view of qw_rows would change the rounding of its BLAS product
     qw: np.ndarray
     qw_rows: np.ndarray  # the same, one contiguous row per axis (the sweep)
-    q_split: dict  # (axis, sign) -> q_plus(axis) for sign > 0, else q_minus
+    ang_splits: dict  # (q, a, b) of the low-rank angular factor, _angular_splits
     sides: tuple  # ops.upwind_sides: each ordinate's upwind side per axis
     ap_angular: np.ndarray  # angular diffusion-limit directions M Q^(j) 1
     blocks: list  # the sweep's block plan, _row_blocks
@@ -277,12 +277,23 @@ def step_context(grid, quad, material, config, schur=None, lr=None) -> StepConte
         rho_denom=1.0 / dt + material.sigma_a_rho,
         qw=qw,
         qw_rows=np.ascontiguousarray(qw.T),
-        q_split={(j, s): quad.q_plus(j) if s > 0 else quad.q_minus(j)
-                 for j in range(grid.dim) for s in (-1, +1)},
+        ang_splits=_angular_splits(quad),
         sides=upwind_sides(quad),
         ap_angular=np.column_stack([quad.m * quad.q(j) for j in range(quad.dim)]),
         blocks=_row_blocks(grid, quad.n),
     )
+
+
+def _angular_splits(quad: QuadratureSet) -> dict:
+    """``(weighted, axis, sign) -> (q, a, b)`` of ``lowrank._ang``: ``q_plus(axis)``
+    or ``q_minus(axis)`` by sign; ``(m, m q)`` weighted, ``(1, w q)`` unweighted."""
+    ones, splits = np.ones(quad.n), {}
+    for j in range(quad.dim):
+        for s in (-1, +1):
+            q = quad.q_plus(j) if s > 0 else quad.q_minus(j)
+            splits[True, j, s] = (q, quad.m, quad.m * q)
+            splits[False, j, s] = (q, ones, quad.w * q)
+    return splits
 
 
 def _micro_sweep(ctx, G, explicit=False, t_next=0.0, grad=None):

@@ -43,6 +43,7 @@ only ``X^T D^(j,+) X``.  The S step forms the stack ``C = [X1^T D^(j,+) X1
 per axis, X1^T diag(sigma) X1]`` once (after an extension only the ``Q``
 blocks are new); it travels as ``MicroStateLowRank.C``, truncation rotates
 it with ``X``, and the next L step reads it with no ``n_points``-row work.
+The initial state carries ``C = None``; its first step forms the stack.
 
 Layout
 ------
@@ -70,16 +71,7 @@ from scipy.linalg import lapack
 from .angular import QuadratureSet
 from .fullrank import DivergenceError, StepContext, _macro_source
 from .grid import StaggeredGrid, diff, shift
-from .ops import (
-    _angular_factor_unweighted,
-    _angular_factor_weighted,
-    density_grad,
-    flux_div_factored,
-)
-
-
-class RankOverflowError(RuntimeError):
-    """Truncation would need more columns than the configured maximum rank."""
+from .ops import density_grad, flux_div_factored, moment_div
 
 
 @dataclass
@@ -90,9 +82,9 @@ class MicroStateLowRank:
     rank-capped corner cases), ``V`` is ``(n_ordinates, r)``; ``X`` and ``V``
     have orthonormal columns.  ``weighted=True`` means the factors represent
     ``G M`` and ``V`` satisfies the zero-density constraint ``1^T M V = 0``.
-    ``C`` stacks ``C[j] = X^T D^(j,+) X`` per axis and, once a step has run,
-    ``C[dim] = X^T diag(sigma) X`` (the initial state does not know sigma);
-    with ``C = None`` a step computes them from ``X``.
+    ``C`` stacks ``C[j] = X^T D^(j,+) X`` per axis and ``C[dim] = X^T
+    diag(sigma) X``.  It is ``None`` until the first step (the initial state
+    does not know sigma), which computes it from ``X``.
     """
 
     X: np.ndarray
@@ -108,23 +100,17 @@ class MicroStateLowRank:
 
 @dataclass
 class LowRankConfig:
-    """Integrator selection: fixed rank for BUG, tolerance for aBUG variants."""
+    """Integrator selection, and the truncation tolerance of the aBUG variants."""
 
     integrator: str = "BUG"
-    rank: int = 1
     tau: float = 1e-5
-    max_rank: Optional[int] = None
 
     def __post_init__(self):
         if self.integrator not in ("BUG", "aBUG", "AP-aBUG"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
-        # negated comparisons, so that NaN fails them
-        if not self.rank >= 1:
-            raise ValueError("rank must be >= 1")
+        # a negated comparison, so that NaN fails it
         if not 0 < self.tau < np.inf:
             raise ValueError("tau must be positive and finite")
-        if self.max_rank is not None and not self.max_rank >= 1:
-            raise ValueError("max_rank must be None (no cap) or >= 1")
 
 
 @dataclass
@@ -234,13 +220,12 @@ def _complete_basis(Q: np.ndarray, extra: int, rng: np.random.Generator) -> np.n
     return _hcat([Q, _fix_signs(full[:, k : k + extra])])
 
 
-def _sbp_matrices(grid: StaggeredGrid, X: np.ndarray, sig=None) -> np.ndarray:
-    """``(dim, r, r)`` stack of ``X^T D^(j,+) X``, followed by
-    ``X^T diag(sig) X`` if ``sig`` is given; the backward-difference
-    matrices follow by summation by parts, ``X^T D^(j,-) X = -(.)^T``."""
+def _sbp_matrices(grid: StaggeredGrid, X: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """``(dim + 1, r, r)`` stack of ``X^T D^(j,+) X``, followed by
+    ``X^T diag(sig) X``; the backward-difference matrices follow by
+    summation by parts, ``X^T D^(j,-) X = -(.)^T``."""
     blocks = [X.T @ diff(grid, j, +1, X) for j in range(grid.dim)]
-    if sig is not None:
-        blocks.append(X.T @ (sig[:, None] * X))
+    blocks.append(X.T @ (sig[:, None] * X))
     return np.stack(blocks)
 
 
@@ -320,7 +305,7 @@ def factorize_micro(
     signs = _signs(U[:, :keep])
     X = U[:, :keep] * signs[None, :]
     Vm = Vt[:keep].T * signs[None, :]
-    return _seeded_state(grid, quad, X, s[:keep], Vm, r_eff, weighted, rng)
+    return _seeded_state(quad, X, s[:keep], Vm, r_eff, weighted, rng)
 
 
 def zero_micro_state(
@@ -337,12 +322,12 @@ def zero_micro_state(
     """
     r_eff = min(rank, grid.n_points, quad.z_dim if weighted else quad.n)
     return _seeded_state(
-        grid, quad, np.zeros((grid.n_points, 0)), np.zeros(0), np.zeros((quad.n, 0)),
+        quad, np.zeros((grid.n_points, 0)), np.zeros(0), np.zeros((quad.n, 0)),
         r_eff, weighted, np.random.default_rng(seed),
     )
 
 
-def _seeded_state(grid, quad, X, s, Vm, r_eff, weighted, rng):
+def _seeded_state(quad, X, s, Vm, r_eff, weighted, rng):
     """State from leading singular triplets ``(X, s, Vm)`` of ``G M``, padded
     to rank ``r_eff`` with seeded orthonormal columns and zero couplings."""
     keep = s.size
@@ -354,7 +339,7 @@ def _seeded_state(grid, quad, X, s, Vm, r_eff, weighted, rng):
         V = _complete_basis(Vm, r_eff - keep, rng)
     S = np.zeros((r_eff, r_eff))
     S[:keep, :keep] = np.diag(s)
-    return MicroStateLowRank(X=X, S=S, V=V, weighted=weighted, C=_sbp_matrices(grid, X))
+    return MicroStateLowRank(X=X, S=S, V=V, weighted=weighted)
 
 
 def reconstruct(state: MicroStateLowRank, quad: QuadratureSet) -> np.ndarray:
@@ -395,8 +380,10 @@ def _block_order(dim):
 
 
 def _ang(ctx, Y, axis, sign, weighted):
-    f = _angular_factor_weighted if weighted else _angular_factor_unweighted
-    return f(ctx.quad, Y, ctx.q_split[axis, sign])
+    """``(M^-1 Q Pi M)^T Y`` weighted, ``(Q Pi)^T Y`` unweighted, for ``Q =
+    Q^(axis,sign)`` and ``Pi = I - w 1^T / |D|``: ``q Y - a (Y^T b)^T / |D|``."""
+    q, a, b = ctx.ang_splits[weighted, axis, sign]
+    return q[:, None] * Y - np.outer(a, Y.T @ b) / ctx.quad.domain_measure
 
 
 def _k_differences(grid: StaggeredGrid, state: MicroStateLowRank) -> tuple:
@@ -443,8 +430,6 @@ def galerkin_stage(
     eps, dt = ctx.config.epsilon, ctx.config.dt
     eps2 = eps * eps
     C = state.C if state.C is not None else _sbp_matrices(grid, X, sig)
-    if len(C) == grid.dim:  # a state built without the material
-        C = np.concatenate([C, (X.T @ (sig[:, None] * X))[None]])
     K, DK = k_diffs if k_diffs is not None else _k_differences(grid, state)
 
     PJ, AJ = density_grad(grid, quad, rho_for_grad)
@@ -515,21 +500,16 @@ def micro_step(ctx: StepContext, state, rho_for_grad, t_next=0.0, k_diffs=None):
 
     aBUG and AP-aBUG truncate at the relative tolerance ``ctx.lr.tau``.
     """
-    lr_config = ctx.lr
-    augment = lr_config.integrator != "BUG"
-    ap = lr_config.integrator == "AP-aBUG"
+    augment = ctx.lr.integrator != "BUG"
+    ap = ctx.lr.integrator == "AP-aBUG"
     st = galerkin_stage(
         ctx, state, rho_for_grad, t_next, augment=augment, ap_enrich=ap, k_diffs=k_diffs
     )
     factors = (st.X1, st.S1, st.V1, st.C1)
-    if augment:
-        rmax = lr_config.max_rank
-        if rmax is None:
-            rmax = min(ctx.grid.n_points, ctx.quad.z_dim if state.weighted else ctx.quad.n)
-        if ap:
-            factors = _truncate_pinned(*factors, ctx.grid.dim, lr_config.tau, rmax)
-        else:
-            factors = _truncate_plain(*factors, lr_config.tau, rmax)
+    if ap:
+        factors = _truncate_pinned(*factors, ctx.grid.dim, ctx.lr.tau)
+    elif augment:
+        factors = _truncate_plain(*factors, ctx.lr.tau)
     X, S, V, C = factors
     info = StepInfo(
         s_tilde_fro=float(np.linalg.norm(st.S_tilde)),
@@ -547,21 +527,17 @@ def _kept_rank(s: np.ndarray, tau: float, total: float) -> int:
     return int(np.argmax(below)) if below.any() else s.size
 
 
-def _truncate_plain(X1, S1, V1, C1, tau, rmax):
+def _truncate_plain(X1, S1, V1, C1, tau):
     """Keep the leading singular directions of ``S1``; ``X2 = X1 U`` and the
     carried matrices rotate to ``U^T C1 U``."""
     U, s, Wt = np.linalg.svd(S1)
     k = max(_kept_rank(s, tau, float(np.linalg.norm(s))), 1)
-    if k > rmax:
-        raise RankOverflowError(
-            f"truncation needs rank {k} > max_rank {rmax}; raise the cap"
-        )
     signs = _signs(U[:, :k])
     Uk = U[:, :k] * signs
     return _fmul(X1, Uk), np.diag(s[:k]), V1 @ (Wt[:k].T * signs), Uk.T @ C1 @ Uk
 
 
-def _truncate_pinned(X1, S1, V1, C1, n_pinned, tau, rmax):
+def _truncate_pinned(X1, S1, V1, C1, n_pinned, tau):
     """Truncate only the complement of the pinned leading basis columns.
 
     The first ``n_pinned`` columns of each basis are kept verbatim; the
@@ -584,10 +560,6 @@ def _truncate_pinned(X1, S1, V1, C1, n_pinned, tau, rmax):
     )
     k = max(_kept_rank(sa, tau, total), _kept_rank(sb, tau, total))
     k = min(k, S1.shape[0] - d, S1.shape[1] - d)
-    if d + k > rmax:
-        raise RankOverflowError(
-            f"truncation needs rank {d + k} > max_rank {rmax}; raise the cap"
-        )
     T = scipy.linalg.block_diag(np.eye(d), _fix_signs(Ua[:, :k]))
     W = scipy.linalg.block_diag(np.eye(d), _fix_signs(Wbt[:k].T))
     return _fmul(X1, T), T.T @ S1 @ W, V1 @ W, T.T @ C1 @ T
@@ -647,8 +619,5 @@ def _schur_macro_solve(ctx: StepContext, rho, state, k_diffs, t_next):
         Ps, As = material.micro_source(t_next)
         fluxT += (As.T @ ctx.qw).T @ Ps.T
     fluxT *= ctx.R
-    div = np.zeros(grid.n_points)
-    for j in range(grid.dim):
-        div += diff(grid, j, -1, fluxT[j])
     b = _macro_source(material, dt, rho, t_next)
-    return ctx.schur.solve(b - div / quad.domain_measure)
+    return ctx.schur.solve(b - moment_div(grid, quad, fluxT))

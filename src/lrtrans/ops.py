@@ -219,19 +219,6 @@ def project_out_mean(
     return np.subtract(F, ((F @ quad.w) / quad.domain_measure)[:, None], out=out)
 
 
-def _angular_factor_weighted(quad, V, q_split):
-    # (M^{-1} Q^{+-} (I - w 1^T/|D|) M)^T V = Q^{+-} V - (M1)(V^T M Q^{+-} 1)/|D|
-    mq = quad.m * q_split
-    return q_split[:, None] * V - np.outer(quad.m, V.T @ mq) / quad.domain_measure
-
-
-def _angular_factor_unweighted(quad, V, q_split):
-    # ((I - w 1^T/|D|)^T Q^{+-})^T ... = Q^{+-} V - 1 (w Q^{+-})^T V / |D|
-    return q_split[:, None] * V - np.outer(
-        np.ones(quad.n), V.T @ (quad.w * q_split)
-    ) / quad.domain_measure
-
-
 # ---------------------------------------------------------------------------
 # inner products and norms
 # ---------------------------------------------------------------------------

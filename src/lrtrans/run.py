@@ -37,7 +37,6 @@ from .fullrank import (
 from .lowrank import (
     LowRankConfig,
     MicroStateLowRank,
-    RankOverflowError,
     factorize_micro,
     lowrank_macro_coupled_step,
     zero_micro_state,
@@ -109,13 +108,13 @@ def execute_run(manifest: RunManifest) -> RunResult:
     """Execute one run and (optionally) write its artifacts.
 
     A step that fails ends the loop with ``summary["status"]`` set to
-    ``diverged`` (non-finite state or a singular dense solve),
-    ``solve_stalled`` (the Schur CG solve did not converge) or
-    ``rank_overflow`` (truncation exceeded the rank cap), and
+    ``diverged`` (non-finite state or a singular dense solve) or
+    ``solve_stalled`` (the Schur CG solve did not converge), and
     ``summary["failed_step"]`` set; the steps done so far are still recorded
     and written.  A reference solve that fails (a stalled CG solve, a
     diverging self reference) sets ``reference_failed`` and no ``l2_error``;
-    the artifacts are written all the same.
+    the artifacts are written all the same.  A low-rank initial state has
+    ``C = None``; its first step forms the Galerkin stack.
     """
     scheme = manifest.validate()
     scen = scenarios.get_scenario(manifest.scenario, manifest.mesh_div)
@@ -138,7 +137,7 @@ def execute_run(manifest: RunManifest) -> RunResult:
             scen, grid, material, eps
         ):
             integrator = "AP-aBUG"
-        lr_config = LowRankConfig(integrator=integrator, rank=rank, tau=tau)
+        lr_config = LowRankConfig(integrator=integrator, tau=tau)
 
     rho, G0 = scen.init(grid, quad, eps)
     rho = np.asarray(rho, dtype=float)
@@ -174,8 +173,6 @@ def execute_run(manifest: RunManifest) -> RunResult:
             status = "diverged"
         except LinearSolveError:
             status = "solve_stalled"
-        except RankOverflowError:
-            status = "rank_overflow"
         if status != "completed":
             failed_step = k
             break

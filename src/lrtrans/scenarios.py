@@ -46,8 +46,7 @@ class Scenario:
     dim: int
     bounds: tuple
     cells: tuple
-    quad_kind: str                  # "gl" (1D) or "cl" (2D)
-    quad_n: int
+    quad_n: int                     # Gauss-Legendre in 1D, Chebyshev-Legendre in 2D
     epsilon: float
     t_final: float
     rank: int
@@ -139,7 +138,6 @@ def gaussian_1d(regime: str) -> Scenario:
         dim=1,
         bounds=((-1.5, 1.5),),
         cells=(500,),
-        quad_kind="gl",
         quad_n=200,
         epsilon=eps,
         t_final=t_final,
@@ -178,7 +176,6 @@ def bimodal_1d() -> Scenario:
         dim=1,
         bounds=((-1.5, 1.5),),
         cells=(50,),
-        quad_kind="gl",
         quad_n=50,
         epsilon=1.0,
         t_final=2.5,
@@ -267,7 +264,6 @@ def manufactured_2d(n: int) -> Scenario:
         dim=2,
         bounds=((0.0, 1.0), (0.0, 1.0)),
         cells=(n, n),
-        quad_kind="cl",
         quad_n=n // 8,
         epsilon=eps_default,
         t_final=0.1,
@@ -329,7 +325,6 @@ def gaussian_2d() -> Scenario:
         dim=2,
         bounds=((-1.0, 1.0), (-1.0, 1.0)),
         cells=(128, 128),
-        quad_kind="cl",
         quad_n=16,
         epsilon=1e-6,
         t_final=0.1,
@@ -391,7 +386,6 @@ def lattice_2d(source_on: bool = True) -> Scenario:
         dim=2,
         bounds=((0.0, 7.0), (0.0, 7.0)),
         cells=(128, 128),
-        quad_kind="cl",
         quad_n=16,
         epsilon=1.0,
         t_final=2.0,
@@ -418,10 +412,7 @@ def build_objects(scen: Scenario, epsilon: Optional[float] = None):
     """
     eps = scen.epsilon if epsilon is None else epsilon
     grid = build_grid(scen.dim, scen.bounds, scen.cells)
-    if scen.quad_kind == "gl":
-        quad = gauss_legendre_1d(scen.quad_n)
-    else:
-        quad = chebyshev_legendre_2d(scen.quad_n)
+    quad = (gauss_legendre_1d if scen.dim == 1 else chebyshev_legendre_2d)(scen.quad_n)
     phi, micro_source = (
         scen.sources(grid, quad, eps) if scen.sources is not None else (None, None)
     )

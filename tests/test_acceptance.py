@@ -156,7 +156,7 @@ def test_c7_constraint_preservation(suite2_runs):
     eps = scen.epsilon
     dt = scenarios.select_dt(scen, "IMEX-aBUG", grid, material, eps)
     config = SolverConfig(epsilon=eps, dt=dt)
-    lr = LowRankConfig(integrator="aBUG", rank=4, tau=1e-5)
+    lr = LowRankConfig(integrator="aBUG", tau=1e-5)
     x = grid.g_coords[:, 0]
     G = project_out_mean(quad, np.outer(np.sin(2 * np.pi * x / 3), quad.q(0)))
     st = factorize_micro(grid, quad, G, 4, seed=0)  # numerical rank 1 of 4

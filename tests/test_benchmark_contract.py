@@ -4,25 +4,37 @@
 identity in the globals of every ``lrtrans`` module, and sizes ``grid.diff``
 spans from its fourth positional argument.  A rename, a signature change or
 a module that stops importing ``diff`` by name would not fail the benchmark;
-its per-layer metrics would read "absent" instead.  These checks fail first.
+its per-layer metrics would read "absent" instead.  ``perfbench/child.py``
+recomputes a workload's step size with ``scenarios.select_dt`` from its
+scheme tag, and ``tracer.layer_metrics`` reads ``rank`` and
+``pre_truncation_rank`` of every ``StepInfo`` in ``RunResult.step_infos``.
+These checks fail first.
 """
 
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
-from lrtrans import diagnostics, grid, lowrank, ops
+import pytest
+
+from lrtrans import diagnostics, grid, lowrank, ops, scenarios
 from lrtrans.run import RunManifest, execute_run
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracer")
 
 
 def test_every_traced_target_resolves_to_a_callable():
@@ -51,3 +63,23 @@ def test_energy_evaluated_once_per_record(monkeypatch):
     result = execute_run(RunManifest(scenario="gaussian1d-diff", scheme="IMEX-S-BUG",
                                      mesh_div=8, max_steps=3, with_error=False))
     assert len(calls) == len(result.records) == 4
+
+
+@pytest.mark.parametrize("name", ["diffusive2d-bug", "kinetic2d-abug", "diffusive2d-full"])
+def test_workload_run_exposes_step_size_and_ranks(name):
+    # a reduced copy of each workload: its step size follows from the scheme
+    # tag alone, and a low-rank run reports one StepInfo per step
+    m = _load("workloads").WORKLOADS[name].reduced(mesh_div=8, max_steps=3).manifest
+    scen = scenarios.get_scenario(m["scenario"], m["mesh_div"])
+    grid_, quad, material = scenarios.build_objects(scen)
+    dt = scenarios.select_dt(scen, m["scheme"], grid_, material, scen.epsilon)
+    result = execute_run(RunManifest(**m, with_error=False))
+    assert result.summary["dt"] == dt
+    infos = result.step_infos
+    if "BUG" not in m["scheme"]:
+        assert infos == []
+        return
+    assert len(infos) == result.summary["steps_completed"] == 3
+    for info, rec in zip(infos, result.records[1:]):
+        assert isinstance(info.rank, int) and isinstance(info.pre_truncation_rank, int)
+        assert info.rank == rec.rank <= info.pre_truncation_rank

@@ -11,7 +11,7 @@ from lrtrans.grid import build_grid, diff
 from lrtrans.lowrank import (
     LowRankConfig,
     MicroStateLowRank,
-    RankOverflowError,
+    _ang,
     _extend_basis,
     _k_differences,
     _qr,
@@ -130,6 +130,28 @@ def test_constrained_qr_random_input_projected_span(rng):
     Pp, _ = np.linalg.qr(proj)
     assert np.max(np.abs(V - Pp @ (Pp.T @ V))) <= 1e-12
     assert np.max(np.abs(Pp - V @ (V.T @ Pp))) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_angular_factor_matches_dense_operators(rng, dim):
+    # weighted: (M^-1 Q Pi M)^T V, unweighted: (Q Pi)^T V, for every split
+    # Q = Q^(axis,sign) and Pi = I - w 1^T / |D|
+    if dim == 1:
+        grid, quad = setup_1d()
+    else:
+        grid = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (6, 5))
+        quad = chebyshev_legendre_2d(2)
+    ctx = step_context(grid, quad, unit_material(grid), SolverConfig(epsilon=0.5, dt=0.01))
+    V = rng.standard_normal((quad.n, 3))
+    M = np.diag(quad.m)
+    Pi = np.eye(quad.n) - np.outer(quad.w, np.ones(quad.n)) / quad.domain_measure
+    for axis in range(dim):
+        for sign in (-1, +1):
+            Q = np.diag(quad.q_plus(axis) if sign > 0 else quad.q_minus(axis))
+            dense = {True: (np.linalg.inv(M) @ Q @ Pi @ M).T @ V, False: (Q @ Pi).T @ V}
+            for weighted, ref in dense.items():
+                got = _ang(ctx, V, axis, sign, weighted)
+                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +289,7 @@ def test_abug_large_tolerance_keeps_rank_one(rng):
     grid, quad = setup_1d()
     material = unit_material(grid)
     config = SolverConfig(epsilon=1.0, dt=0.05)
-    lr = LowRankConfig(integrator="aBUG", rank=1, tau=0.9)
+    lr = LowRankConfig(integrator="aBUG", tau=0.9)
     X = np.ones((grid.n_points, 1)) / np.sqrt(grid.n_points)
     V = constrained_qr(rng.standard_normal((quad.n, 1)), quad)
     st = MicroStateLowRank(X=X, S=np.array([[1.0]]), V=V)
@@ -281,7 +303,7 @@ def test_abug_tracks_full_rank_on_rank_preserving_data(rng):
     quad = gauss_legendre_1d(8)
     material = unit_material(grid)
     dt = 0.01
-    lr = LowRankConfig(integrator="aBUG", rank=2, tau=1e-8)
+    lr = LowRankConfig(integrator="aBUG", tau=1e-8)
     config = SolverConfig(epsilon=1.0, dt=dt)
     config_full = SolverConfig(epsilon=1.0, dt=dt)
     x = grid.g_coords[:, 0]
@@ -307,7 +329,7 @@ def test_ap_abug_protects_limit_directions(rng):
     grid, quad = setup_1d(16, 8)
     material = unit_material(grid)
     config = SolverConfig(epsilon=1e-6, dt=0.01)
-    lr = LowRankConfig(integrator="AP-aBUG", rank=3, tau=1e-5)
+    lr = LowRankConfig(integrator="AP-aBUG", tau=1e-5)
     G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
     st = factorize_micro(grid, quad, G, 3, seed=0)
     rho = 2.0 + np.sin(2 * np.pi * grid.rho_coords[:, 0])
@@ -344,7 +366,7 @@ def test_carried_sbp_matrices_match_fresh_products(rng, integrator):
     # X^T diag(sigma) X of the state's own basis, after the S step and after
     # either truncation
     grid, quad, material, config, schur, st, rho = setup_2d_step(rng, "IMEX-S-aBUG")
-    lr = LowRankConfig(integrator=integrator, rank=3, tau=1e-3)
+    lr = LowRankConfig(integrator=integrator, tau=1e-3)
     ctx = step_context(grid, quad, material, config, schur, lr)
     sig = material.sigma_s_g / config.epsilon**2 + material.sigma_a_g
     for k in range(2):
@@ -476,7 +498,7 @@ def test_step_differences_each_array_once(rng, monkeypatch):
 
     for module in (lrtrans.lowrank, lrtrans.ops):
         monkeypatch.setattr(module, "diff", counting_diff)
-    lr = LowRankConfig(integrator="BUG", rank=3)
+    lr = LowRankConfig(integrator="BUG")
     ctx = step_context(grid, quad, material, config, schur, lr)
     lowrank_macro_coupled_step(ctx, rho, st, config.dt)
     assert len(calls) <= 10
@@ -511,7 +533,7 @@ def test_spatial_qr_factorizes_column_major_blocks(rng, integrator, monkeypatch)
 
     monkeypatch.setattr(scipy.linalg.lapack, "dgeqrt", recording_dgeqrt)
     ctx = step_context(grid, quad, material, config, schur,
-                       LowRankConfig(integrator=integrator, rank=3, tau=1e-3))
+                       LowRankConfig(integrator=integrator, tau=1e-3))
     for k in range(2):
         rho, st, _ = lowrank_macro_coupled_step(ctx, rho, st, (k + 1) * config.dt)
         assert st.X.flags.f_contiguous
@@ -532,7 +554,7 @@ def test_step_stacks_no_spatial_blocks(rng, integrator, monkeypatch):
         return out
 
     monkeypatch.setattr(np, "hstack", recording_hstack)
-    lr = LowRankConfig(integrator=integrator, rank=3, tau=1e-3)
+    lr = LowRankConfig(integrator=integrator, tau=1e-3)
     lowrank_macro_coupled_step(step_context(grid, quad, material, config, schur, lr),
                                rho, st, config.dt)
     assert quad.n != grid.n_points and grid.n_points not in rows
@@ -540,25 +562,37 @@ def test_step_stacks_no_spatial_blocks(rng, integrator, monkeypatch):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("rank", 0), ("tau", 0.0), ("tau", -1e-5), ("tau", np.nan), ("tau", np.inf),
-     ("max_rank", 0), ("max_rank", -1), ("max_rank", np.nan)],
+    [("tau", 0.0), ("tau", -1e-5), ("tau", np.nan), ("tau", np.inf)],
 )
 def test_low_rank_config_rejects_invalid(field, value):
     with pytest.raises(ValueError, match=field):
         LowRankConfig(integrator="aBUG", **{field: value})
-    LowRankConfig(integrator="aBUG", max_rank=1)
+    LowRankConfig(integrator="aBUG")
 
 
-def test_rank_overflow_raises(rng):
-    grid, quad = setup_1d()
-    material = unit_material(grid)
-    config = SolverConfig(epsilon=1.0, dt=0.05)
-    lr = LowRankConfig(integrator="aBUG", rank=4, tau=1e-16, max_rank=2)
-    G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
-    st = factorize_micro(grid, quad, G, 4, seed=0)
-    with pytest.raises(RankOverflowError):
-        micro_step(step_context(grid, quad, material, config, lr=lr), st,
-                   rng.standard_normal(grid.n_points))
+@pytest.mark.parametrize("nx", [16, 2])
+@pytest.mark.parametrize(
+    "integrator, weighted", [("aBUG", True), ("aBUG", False), ("AP-aBUG", True)]
+)
+def test_abug_rank_bounded_by_mesh_and_ordinates(rng, nx, integrator, weighted):
+    # the augmented bases hold at most n_points spatial and N - 1 (weighted)
+    # or N (unweighted) angular columns, so truncation never keeps more than
+    # min(n_points, N - 1 or N); at a tolerance of 1e-16 from rank 1 the
+    # augmented rank reaches that bound within 8 steps.  nx = 2 has 4 points,
+    # so there the spatial bound binds
+    grid, quad = setup_1d(nx=nx)
+    bound = min(grid.n_points, quad.z_dim if weighted else quad.n)
+    ctx = step_context(grid, quad, unit_material(grid), SolverConfig(epsilon=1.0, dt=0.05),
+                       lr=LowRankConfig(integrator=integrator, tau=1e-16))
+    G = rng.standard_normal((grid.n_points, quad.n))
+    st = factorize_micro(grid, quad, G, 1, weighted=weighted, seed=0)
+    rho = rng.standard_normal(grid.n_points)
+    pre = []
+    for _ in range(10):
+        st, info = micro_step(ctx, st, rho)
+        assert st.X.shape[1] == st.V.shape[1] == info.rank <= info.pre_truncation_rank
+        pre.append(info.pre_truncation_rank)
+    assert max(pre) == bound and pre.index(bound) < 8
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +604,7 @@ def test_coupled_equilibrium_fixed_point():
     material = unit_material(grid)
     for scheme in ("IMEX-BUG", "IMEX-S-BUG"):
         config = SolverConfig(epsilon=1.0, dt=0.05)
-        lr = LowRankConfig(integrator="BUG", rank=2)
+        lr = LowRankConfig(integrator="BUG")
         schur = build_schur(grid, quad, material, config) if "S" in scheme.split("-") else None
         rho = np.full(grid.n_points, 1.5)
         st = zero_micro_state(grid, quad, 2, seed=0)
@@ -586,7 +620,7 @@ def test_schur_macro_rhs_matches_dense(rng):
     grid, quad = setup_1d()
     material = unit_material(grid, sigma_a=0.2)
     config = SolverConfig(epsilon=0.6, dt=0.02)
-    lr = LowRankConfig(integrator="BUG", rank=3)
+    lr = LowRankConfig(integrator="BUG")
     schur = build_schur(grid, quad, material, config)
     G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
     st = factorize_micro(grid, quad, G, 3, seed=2)
@@ -610,7 +644,7 @@ def test_energy_chain_projected_state(rng):
     dt = dt_implicit(grid, material, eps)
     assert np.isfinite(dt)
     config = SolverConfig(epsilon=eps, dt=dt)
-    lr = LowRankConfig(integrator="BUG", rank=4)
+    lr = LowRankConfig(integrator="BUG")
     schur = build_schur(grid, quad, material, config)
     rho = np.exp(-40 * (grid.rho_coords[:, 0] - 0.5) ** 2)
     st = zero_micro_state(grid, quad, 4, seed=0)
@@ -646,7 +680,7 @@ def test_unweighted_counterexample_vs_weighted(rng):
     dt = scenarios.select_dt(scen, "IMEX-S-BUG", grid, material, eps)
     config = SolverConfig(epsilon=eps, dt=dt)
     schur = build_schur(grid, quad, material, config)
-    lr = LowRankConfig(integrator="BUG", rank=2)
+    lr = LowRankConfig(integrator="BUG")
     ctx = step_context(grid, quad, material, config, schur, lr)
     rho0, G0 = scen.init(grid, quad, eps)
     vol = grid.cell_volume

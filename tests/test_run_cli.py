@@ -12,7 +12,6 @@ from lrtrans import diagnostics, fullrank
 from lrtrans import run as run_module
 from lrtrans.cli import main, parse_config_file
 from lrtrans.fullrank import LinearSolveError, SchurOperator
-from lrtrans.lowrank import RankOverflowError
 from lrtrans.run import RunManifest, execute_run, extract_slice
 
 
@@ -106,8 +105,6 @@ def test_divergence_recorded(tmp_path):
     [
         (SchurOperator, "solve",
          LinearSolveError("conjugate gradients stopped", 1e-3), "solve_stalled"),
-        (run_module, "lowrank_macro_coupled_step",
-         RankOverflowError("truncation needs rank 9 > max_rank 8"), "rank_overflow"),
     ],
 )
 def test_step_failure_recorded_as_status(tmp_path, monkeypatch, owner, attr, exc, status):

@@ -138,7 +138,7 @@ def test_lattice_source_free_energy_monotone():
     dt = scenarios.select_dt(scen, "IMEX-S-BUG", grid, material, scen.epsilon)
     config = SolverConfig(epsilon=scen.epsilon, dt=dt)
     schur = build_schur(grid, quad, material, config)
-    lr = LowRankConfig(integrator="BUG", rank=20)
+    lr = LowRankConfig(integrator="BUG")
     ctx = step_context(grid, quad, material, config, schur, lr)
     rho, _ = scen.init(grid, quad, scen.epsilon)
     st = zero_micro_state(grid, quad, 20, seed=0)
