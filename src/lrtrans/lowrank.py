@@ -82,9 +82,9 @@ class MicroStateLowRank:
     rank-capped corner cases), ``V`` is ``(n_ordinates, r)``; ``X`` and ``V``
     have orthonormal columns.  ``weighted=True`` means the factors represent
     ``G M`` and ``V`` satisfies the zero-density constraint ``1^T M V = 0``.
-    ``C`` stacks ``C[j] = X^T D^(j,+) X`` per axis and ``C[dim] = X^T
-    diag(sigma) X``.  It is ``None`` until the first step (the initial state
-    does not know sigma), which computes it from ``X``.
+    ``C`` stacks ``C[j] = X^T D^(j,+) X`` per axis and
+    ``C[dim] = X^T diag(sigma) X``.  It is ``None`` until the first step (the
+    initial state does not know sigma), which computes it from ``X``.
     """
 
     X: np.ndarray
@@ -380,8 +380,8 @@ def _block_order(dim):
 
 
 def _ang(ctx, Y, axis, sign, weighted):
-    """``(M^-1 Q Pi M)^T Y`` weighted, ``(Q Pi)^T Y`` unweighted, for ``Q =
-    Q^(axis,sign)`` and ``Pi = I - w 1^T / |D|``: ``q Y - a (Y^T b)^T / |D|``."""
+    """Angular factor ``q Y - a (Y^T b)^T / |D|``: ``(M^-1 Q Pi M)^T Y`` weighted,
+    ``(Q Pi)^T Y`` unweighted, for ``Q = Q^(axis,sign)`` and ``Pi = I - w 1^T / |D|``."""
     q, a, b = ctx.ang_splits[weighted, axis, sign]
     return q[:, None] * Y - np.outer(a, Y.T @ b) / ctx.quad.domain_measure
 
