@@ -45,10 +45,8 @@ from .lowrank import (
 from .ops import (
     MaterialField,
     advect,
-    advect_adjoint,
     density_grad,
     flux_div,
-    inner,
     inner_w,
     norm_w,
     sample_material,

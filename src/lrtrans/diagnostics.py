@@ -12,7 +12,7 @@ import scipy.sparse as sp
 from .angular import QuadratureSet
 from .fullrank import SolverConfig, _difference_matrix, _macro_source, spd_solver
 from .grid import StaggeredGrid
-from .lowrank import MicroStateLowRank, gm_frobenius
+from .lowrank import MicroStateLowRank
 from .ops import MaterialField, norm_w
 
 #: Returned by :func:`dt_implicit` when no step-size restriction applies.
@@ -48,13 +48,6 @@ def micro_norm_w(grid: StaggeredGrid, quad: QuadratureSet, micro: MicroState) ->
     """
     if isinstance(micro, MicroStateLowRank):
         return math.sqrt(grid.cell_volume) * float(np.linalg.norm(micro.S))
-    return norm_w(grid, quad, micro)
-
-
-def micro_norm_w_exact(grid: StaggeredGrid, quad: QuadratureSet, micro: MicroState) -> float:
-    """True weighted norm regardless of representation (reconstruction-free)."""
-    if isinstance(micro, MicroStateLowRank):
-        return math.sqrt(grid.cell_volume) * gm_frobenius(micro, quad)
     return norm_w(grid, quad, micro)
 
 

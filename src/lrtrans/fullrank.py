@@ -23,10 +23,15 @@ subtraction, relaxation and moment contractions all run while it sits in
 cache.  ``imex_step`` needs one sweep, since its density gradient is known
 up front; ``imex_s_step`` sweeps twice, solving for the density in between
 from the moments of the first sweep.  Both steppers update the micro state
-``G`` in place and return it: a step allocates no array of ``G``'s size,
-only six block-sized buffers and vectors of ``n_points``, and every value
-keeps the bits of the whole-array formulas.  Callers that still need the old
-state pass a copy.
+``G`` in place, block by block with no copy-back, and return it: a step
+allocates no array of ``G``'s size, only two block buffers, three halo rows
+and vectors of ``n_points``, and every value keeps the bits of the
+whole-array formulas.  Callers that still need the old state pass a copy.  The step's
+last sweep also forms the norms of the trace record (``ctx.swept``), so the
+record does not read ``G`` again.
+
+Dense runs order their ordinates by upwind quadrant (:func:`upwind_grouped`),
+so the per-column upwind sides form a few long runs.
 
 :data:`SCHEMES` maps each of the six scheme tags to its :class:`Scheme`, one
 of two couplings times three micro updates.  :func:`spd_solver` solves the
@@ -36,14 +41,14 @@ sparse SPD systems of the Schur operator and of the diffusion reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .angular import QuadratureSet
+from .angular import QuadratureSet, _make
 from .grid import StaggeredGrid
 from .ops import (
     BLOCK_BYTES,
@@ -203,9 +208,6 @@ class SchurOperator:
         self.matrix = T
         self._solve = spd_solver(T)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
-
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self._solve(b)
 
@@ -261,6 +263,9 @@ class StepContext:
     sides: tuple  # ops.upwind_sides: each ordinate's upwind side per axis
     ap_angular: np.ndarray  # angular diffusion-limit directions M Q^(j) 1
     blocks: list  # the sweep's block plan, _row_blocks
+    # (micro_norm_w, zero_density_residual) of the micro state the last
+    # full-rank sweep with a density gradient wrote (_micro_sweep)
+    swept: np.ndarray
 
 
 def step_context(grid, quad, material, config, schur=None, lr=None) -> StepContext:
@@ -281,7 +286,34 @@ def step_context(grid, quad, material, config, schur=None, lr=None) -> StepConte
         sides=upwind_sides(quad),
         ap_angular=np.column_stack([quad.m * quad.q(j) for j in range(quad.dim)]),
         blocks=_row_blocks(grid, quad.n),
+        swept=np.full(2, np.nan),
     )
+
+
+def upwind_grouped(quad: QuadratureSet, material: MaterialField) -> tuple:
+    """``(quad, material)`` with the ordinates in upwind quadrant order.
+
+    The ordinates are sorted, stably, into the sign quadrants (-,-), (-,+),
+    (+,+), (+,-) of ``(Omega_x, Omega_y)``, so the signs along x form at most
+    two runs and along y at most three, and the masked upwind stencil
+    (:func:`lrtrans.grid._stencil`) runs over long stretches of columns.  The
+    angular factors of ``material.micro_source`` are permuted to match.  In
+    1D the Gauss-Legendre nodes already ascend, and the inputs are returned.
+    Only dense states use this order: a low-rank initial basis depends on
+    which ordinate comes first.
+    """
+    sx = quad.q(0) > 0
+    key = 2 * sx + ((quad.q(1) > 0) != sx if quad.dim == 2 else 0)
+    perm = np.argsort(key, kind="stable")
+    if np.array_equal(perm, np.arange(quad.n)):
+        return quad, material
+    grouped = _make(quad.dim, quad.omega[perm], quad.w[perm], quad.domain_measure)
+
+    def source(t):
+        P, A = material.micro_source(t)
+        return P, A[perm]
+
+    return grouped, replace(material, micro_source=source if material.micro_source else None)
 
 
 def _angular_splits(quad: QuadratureSet) -> dict:
@@ -302,73 +334,70 @@ def _micro_sweep(ctx, G, explicit=False, t_next=0.0, grad=None):
     With ``explicit``, replaces ``G`` by the explicit part ``G/dt - (1/eps)
     A(G)(I - w 1^T/|D|) + source(t_next)``.  With ``grad = (PJ, AJ)`` it then
     subtracts ``PJ AJ^T / eps^2``, multiplies by the relaxation factor ``R``
-    and raises :class:`DivergenceError` on a non-finite value, leaving ``G``
-    partly updated.  An explicit sweep returns the first angular moments
-    ``M[j] = (R B) Q^(j) w``, ``(dim, n_points)``, of the update ``B`` before
-    relaxation, from which the density update takes its flux divergence;
-    other sweeps return ``None``.
+    and raises :class:`DivergenceError` on a non-finite value (or one whose
+    square overflows), leaving ``G`` partly updated.  An explicit sweep
+    returns the first angular moments ``M[j] = (R B) Q^(j) w``, ``(dim,
+    n_points)``, of the update ``B`` before relaxation, from which the
+    density update takes its flux divergence; other sweeps return ``None``.
+    A sweep with ``grad`` is the step's last write of each block, so it also
+    forms the row sums ``(G * G) w`` and ``G w`` of the trace record and
+    leaves ``(micro_norm_w, zero_density_residual)`` in ``ctx.swept``, bit
+    for bit those :mod:`lrtrans.diagnostics` would compute from ``G``
+    (:func:`~lrtrans.ops.inner_w` sums the same row products).
 
-    The explicit part of a block reads the outer-axis rows next to it, so it
-    is formed in a block buffer and copied into ``G`` one block late, once
-    the next block has read the old halo row.  The blocks that hold the first
-    outer row of a point family are the periodic halo of that family's last
-    block and are copied back last.  Scratch is six block-sized buffers; a
-    sweep without ``explicit`` works on ``G`` directly and needs one.
+    Each block is written straight into ``G``.  Its explicit part reads the
+    outer-axis rows next to it, so two kinds of old rows are kept before they
+    are overwritten: the block's last outer row, the halo of the next block,
+    and the first outer row of each point family, the periodic halo of the
+    family's last row.
     """
     grid, quad, config, R = ctx.grid, ctx.quad, ctx.config, ctx.R
     size = ctx.blocks[0][1] - ctx.blocks[0][0]
+    row, half = math.prod(grid.block_shape[2:]), grid.n_points // 2
+    # one allocation, freed before the density solve; with ``explicit`` also
+    # scratch for the second axis and the three halo rows (the last block's
+    # last row, each family's first)
+    buf = np.empty((2 * size + 3 * row if explicit else size, quad.n))
+    work, scratch, halo = buf[:size], buf[size:2 * size], buf[2 * size:].reshape(-1, row, quad.n)
+    sums = np.empty((2, grid.n_points)) if grad is not None else None
     source = None
     if explicit:
-        # one allocation: six separate block-sized ones are returned to the
-        # system at the end of each sweep and paged in again by the next
-        work, scratch, *spare = np.empty((6, size, quad.n))
         moments = np.empty((grid.dim, grid.n_points))
         if ctx.material.micro_source is not None:
             source = ctx.material.micro_source(t_next)
-        half = grid.n_points // 2
-        late, held = [], []  # blocks not yet copied back
-    else:
-        work = np.empty((size, quad.n))
     for lo, hi in ctx.blocks:
-        a = work[: hi - lo]
+        a, g = work[: hi - lo], G[lo:hi]
         if explicit:
-            # at most two held blocks, one late and this one: four buffers
-            buf = spare.pop()
-            g = buf[: hi - lo]
-            advect_rows(grid, quad, G, lo, hi, a, scratch[: hi - lo], ctx.sides)
+            for f in (0, 1):
+                if lo <= f * half < hi:
+                    halo[1 + f] = G[f * half:f * half + row]
+            advect_rows(grid, quad, G, lo, hi, a, scratch[: hi - lo], ctx.sides,
+                        halo[0], halo[1:])
+            halo[0] = G[hi - row:hi]
             project_out_mean(quad, a, out=a)
             a /= config.epsilon
-            np.divide(G[lo:hi], config.dt, out=g)
+            g /= config.dt
             g -= a
             if source is not None:
                 P, A = source
                 g += np.matmul(P[lo:hi], A.T, out=a)
-        else:
-            g = G[lo:hi]
         if grad is not None:
             PJ, AJ = grad
             np.matmul(PJ[lo:hi], AJ.T, out=a)
             a /= config.epsilon**2
             g -= a
             g *= R[lo:hi, None]
-            _require_finite(g)
+            np.matmul(g, quad.w, out=sums[1, lo:hi])
+            # a non-finite value of g makes its row's sum of squares non-finite
+            _require_finite(np.matmul(np.multiply(g, g, out=a), quad.w, out=sums[0, lo:hi]))
         if explicit:
             m = g if grad is not None else np.multiply(g, R[lo:hi, None], out=a)
             for j in range(grid.dim):
                 np.matmul(m, ctx.qw_rows[j], out=moments[j, lo:hi])
-            _copy_back(G, late)
-            spare += [b for _, _, b in late]
-            late = []
-            (held if lo == 0 or lo <= half < hi else late).append((lo, hi, buf))
-    if not explicit:
-        return None
-    _copy_back(G, late + held)
-    return moments
-
-
-def _copy_back(G, blocks):
-    for lo, hi, buf in blocks:
-        G[lo:hi] = buf[: hi - lo]
+    if sums is not None:
+        ctx.swept[:] = (np.sqrt(max(grid.cell_volume * float(np.sum(sums[0])), 0.0)),
+                        np.max(np.abs(sums[1])))
+    return moments if explicit else None
 
 
 def _macro_source(material, dt, rho, t_next):

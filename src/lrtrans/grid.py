@@ -261,14 +261,17 @@ def diff(
     return out
 
 
-def _stencil(f, d, side, lo=0, hi=None):
+def _stencil(f, d, side, lo=0, hi=None, prev=None, first=None):
     """Rows ``lo:hi`` of the periodic one-cell increment along axis 0 of ``f``.
 
     Writes ``d[k] = f[lo + k + 1] - f[lo + k]`` forward (``side > 0``) and
     ``f[lo + k] - f[lo + k - 1]`` backward, indices modulo ``len(f)``, so
     rows outside ``lo:hi`` serve as the halo; ``side`` is a scalar or an
-    array of +-1 broadcast against the trailing axes.  The caller divides by
-    the spacing, on its own (usually contiguous) output.
+    array of +-1 broadcast against the trailing axes.  ``prev`` and
+    ``first``, shaped like ``f[:1]``, stand in for the halo rows ``f[lo - 1]``
+    (when ``lo > 0``) and ``f[0]`` (read by the last row) where a caller has
+    already overwritten them.  The caller divides by the spacing, on its own
+    (usually contiguous) output.
     """
     n = len(f)
     hi = n if hi is None else hi
@@ -282,9 +285,12 @@ def _stencil(f, d, side, lo=0, hi=None):
             m = min(hi, n - 1)
             np.subtract(f[lo + 1:m + 1], f[lo:m], out=d[:m - lo], where=where)
             if hi == n:
-                np.subtract(f[:1], f[-1:], out=d[-1:], where=where)
+                np.subtract(f[:1] if first is None else first, f[-1:], out=d[-1:], where=where)
         else:
             k = max(lo, 1)
+            if prev is not None and lo > 0:
+                np.subtract(f[lo:lo + 1], prev, out=d[:1], where=where)
+                k += 1
             np.subtract(f[k:hi], f[k - 1:hi - 1], out=d[k - lo:], where=where)
             if lo == 0:
                 np.subtract(f[:1], f[-1:], out=d[:1], where=where)

@@ -348,14 +348,6 @@ def reconstruct(state: MicroStateLowRank, quad: QuadratureSet) -> np.ndarray:
     return GM / quad.m[None, :] if state.weighted else GM
 
 
-def gm_frobenius(state: MicroStateLowRank, quad: QuadratureSet) -> float:
-    """Frobenius norm of ``G M`` computed from the factors alone."""
-    if state.weighted:
-        return float(np.linalg.norm(state.S))
-    C = state.V.T @ (quad.w[:, None] * state.V)
-    return float(np.sqrt(max(np.sum((state.S @ C) * state.S), 0.0)))
-
-
 def g_factors(state: MicroStateLowRank, quad: QuadratureSet) -> tuple:
     """Factors ``(P, A)`` with ``P @ A.T = G``, without reconstruction."""
     return state.X @ state.S, _g_angular(quad, state, state.V)

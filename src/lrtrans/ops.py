@@ -27,8 +27,8 @@ from .angular import QuadratureSet
 from .grid import StaggeredGrid, _stencil, diff
 
 #: Bytes of one block of the row-blocked full-rank kernels (the micro sweep
-#: of :mod:`lrtrans.fullrank`) and of one leaf of :func:`inner_w`'s sum, so
-#: their working sets stay in a 2 MiB L2 cache.
+#: of :mod:`lrtrans.fullrank` and :func:`inner_w`), so their working sets
+#: stay in a 2 MiB L2 cache.
 BLOCK_BYTES = 2**19
 
 
@@ -115,7 +115,7 @@ def upwind_sides(quad: QuadratureSet) -> tuple:
     return tuple(np.where(quad.q(j) > 0, -1, +1) for j in range(quad.dim))
 
 
-def advect_rows(grid, quad, G, lo, hi, out, work, sides):
+def advect_rows(grid, quad, G, lo, hi, out, work, sides, prev=None, first=(None, None)):
     """Rows ``lo:hi`` of :func:`advect` of ``G``, written into ``out``.
 
     ``Q^(j,+) Q^(j,-) = 0``: each ordinate moves either way along an axis,
@@ -127,14 +127,19 @@ def advect_rows(grid, quad, G, lo, hi, out, work, sides):
     ``lo`` and ``hi`` are multiples of the points in one row of the outer
     axis (``nx`` in 2D, 1 in 1D); the rows may straddle the two point
     families.  The outer-axis difference reads its periodic halo rows from
-    ``G``.  ``out`` and ``work`` are ``(hi - lo, N)`` arrays; ``work`` is
-    scratch for the second axis.
+    ``G``, except where a caller that overwrites ``G`` block by block passes
+    their old values: ``prev``, the outer row before ``lo``, and ``first[f]``,
+    the first outer row of family ``f`` (each ``(points per row, N)``).
+    ``out`` and ``work`` are ``(hi - lo, N)`` arrays; ``work`` is scratch for
+    the second axis.
     """
     fam_shape = grid.block_shape[1:]
     L = fam_shape[0]
     row = math.prod(fam_shape[1:])
     r0, r1 = lo // row, hi // row
     fams = G.reshape((2,) + fam_shape + G.shape[1:])
+    halo = [None if h is None else h.reshape((1,) + fam_shape[1:] + G.shape[1:])
+            for h in (prev, *first)]
     for j in range(grid.dim):
         d = out if j == 0 else work
         rows = d.reshape((r1 - r0,) + fam_shape[1:] + G.shape[1:])
@@ -143,7 +148,7 @@ def advect_rows(grid, quad, G, lo, hi, out, work, sides):
                 s0, s1 = max(r0, fam * L), min(r1, (fam + 1) * L)
                 if s0 < s1:
                     _stencil(fams[fam], rows[s0 - r0:s1 - r0], sides[j],
-                             s0 - fam * L, s1 - fam * L)
+                             s0 - fam * L, s1 - fam * L, halo[0], halo[1 + fam])
         else:
             inner = G[lo:hi].reshape(rows.shape)
             _stencil(inner.swapaxes(0, 1), rows.swapaxes(0, 1), sides[j])
@@ -151,19 +156,6 @@ def advect_rows(grid, quad, G, lo, hi, out, work, sides):
         d *= quad.q(j)
         if j:
             out += d
-    return out
-
-
-def advect_adjoint(grid: StaggeredGrid, quad: QuadratureSet, G: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`advect` in the weighted inner product (test oracle).
-
-    Equals ``-sum_j (D^(j,-) G Q^(j,-) + D^(j,+) G Q^(j,+))``.
-    """
-    _check_micro(grid, quad, G)
-    out = np.zeros_like(G, dtype=float)
-    for j in range(grid.dim):
-        out -= diff(grid, j, -1, G) * quad.q_minus(j)[None, :]
-        out -= diff(grid, j, +1, G) * quad.q_plus(j)[None, :]
     return out
 
 
@@ -223,58 +215,28 @@ def project_out_mean(
 # inner products and norms
 # ---------------------------------------------------------------------------
 
-def inner(grid: StaggeredGrid, f1: np.ndarray, f2: np.ndarray) -> float:
-    """Mesh-scaled Euclidean inner product ``(prod_j dx_j) f1^T f2``."""
-    if f1.shape != f2.shape:
-        raise ValueError("shape mismatch in inner")
-    return grid.cell_volume * float(np.dot(f1, f2))
-
-
-def norm(grid: StaggeredGrid, f: np.ndarray) -> float:
-    return np.sqrt(max(inner(grid, f, f), 0.0))
-
-
 def inner_w(grid: StaggeredGrid, quad: QuadratureSet, F1: np.ndarray, F2: np.ndarray) -> float:
     """Weighted inner product ``(prod_j dx_j) tr(F1 M^2 F2^T)``.
 
-    Equals ``cell_volume * np.sum(F1 * F2 * w)`` bit for bit without forming
-    the product array.  numpy sums a C-contiguous array as one pairwise tree
-    over its raveled values: a range of more than 128 values splits at
-    ``n2 = n // 2 - (n // 2) % 8``, and each half is summed the same way.
-    This walks that split down to leaves of at most ``max(128, BLOCK_BYTES
-    / 8)`` values (numpy never splits 128 values or fewer) and sums each
-    leaf with ``np.sum`` of ``(F1 * F2) * w``, formed over the whole rows it
-    touches in a leaf-sized buffer; the leaves are added back up the tree
-    in numpy's order.  ``test_inner_w_matches_numpy_sum_bitwise`` guards the
-    assumption about numpy.  Other layouts are summed in C order too.
+    Equals ``cell_volume * np.sum((F1 * F2) @ w)`` bit for bit without
+    forming the product array: the row products ``(F1 * F2) @ w`` are formed
+    in blocks of about ``BLOCK_BYTES`` that start at multiples of four rows,
+    where the BLAS matrix-vector product keeps the bits of the whole-array
+    one, and their vector is summed once.  The last sweep of a full-rank step
+    (:mod:`lrtrans.fullrank`) forms the same row products of its blocks, so
+    its record norm equals this one.
     """
     if F1.shape != F2.shape:
         raise ValueError("shape mismatch in inner_w")
-    n_cols = F1.shape[1]
-    leaf = max(128, BLOCK_BYTES // 8)
-    buf = np.empty((min(F1.shape[0], leaf // n_cols + 2), n_cols))
-
-    def leaf_sum(lo, hi):
-        r0, r1 = lo // n_cols, -(-hi // n_cols)
-        rows = np.multiply(F1[r0:r1], F2[r0:r1], out=buf[: r1 - r0], dtype=float)
-        rows *= quad.w
-        return np.sum(rows.reshape(-1)[lo - r0 * n_cols:hi - r0 * n_cols])
-
-    return grid.cell_volume * float(_pairwise(leaf_sum, 0, F1.size, leaf))
-
-
-def _pairwise(leaf_sum, lo, hi, leaf):
-    """``leaf_sum`` added up numpy's pairwise tree over ``lo:hi``.
-
-    A module function, not a closure that calls itself: such a closure is a
-    reference cycle that keeps its caller's buffer alive until the garbage
-    collector runs, so every call would page in a fresh one.
-    """
-    if hi - lo > leaf:
-        half = (hi - lo) // 2
-        half -= half % 8
-        return _pairwise(leaf_sum, lo, lo + half, leaf) + _pairwise(leaf_sum, lo + half, hi, leaf)
-    return leaf_sum(lo, hi)
+    n, n_cols = F1.shape
+    size = max(4, BLOCK_BYTES // (8 * n_cols) // 4 * 4)
+    buf = np.empty((min(n, size), n_cols))
+    rows = np.empty(n)
+    for lo in range(0, n, size):
+        hi = min(lo + size, n)
+        b = np.multiply(F1[lo:hi], F2[lo:hi], out=buf[: hi - lo], dtype=float)
+        np.matmul(b, quad.w, out=rows[lo:hi])
+    return grid.cell_volume * float(np.sum(rows))
 
 
 def norm_w(grid: StaggeredGrid, quad: QuadratureSet, F: np.ndarray) -> float:

@@ -33,6 +33,7 @@ from .fullrank import (
     imex_step,
     parse_scheme,
     step_context,
+    upwind_grouped,
 )
 from .lowrank import (
     LowRankConfig,
@@ -114,7 +115,9 @@ def execute_run(manifest: RunManifest) -> RunResult:
     and written.  A reference solve that fails (a stalled CG solve, a
     diverging self reference) sets ``reference_failed`` and no ``l2_error``;
     the artifacts are written all the same.  A low-rank initial state has
-    ``C = None``; its first step forms the Galerkin stack.
+    ``C = None``; its first step forms the Galerkin stack.  A full-rank run
+    holds its ordinates in upwind quadrant order (``fullrank.upwind_grouped``)
+    from the initial state on.
     """
     scheme = manifest.validate()
     scen = scenarios.get_scenario(manifest.scenario, manifest.mesh_div)
@@ -138,6 +141,8 @@ def execute_run(manifest: RunManifest) -> RunResult:
         ):
             integrator = "AP-aBUG"
         lr_config = LowRankConfig(integrator=integrator, tau=tau)
+    else:
+        quad, material = upwind_grouped(quad, material)
 
     rho, G0 = scen.init(grid, quad, eps)
     rho = np.asarray(rho, dtype=float)
@@ -242,9 +247,16 @@ def _want_error(manifest, scen) -> bool:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _record(step, t, ctx, rho, micro, theta) -> EnergyRecord:
+    """The trace row of ``step``.  After a full-rank step the micro norms are
+    those its last sweep left in ``ctx.swept``, with the same bits as a fresh
+    evaluation."""
     grid, quad, config = ctx.grid, ctx.quad, ctx.config
     is_lr = isinstance(micro, MicroStateLowRank)
-    gw = diagnostics.micro_norm_w(grid, quad, micro)
+    if step and not is_lr:
+        gw, zero = ctx.swept
+    else:
+        gw = diagnostics.micro_norm_w(grid, quad, micro)
+        zero = diagnostics.zero_density_residual(quad, micro)
     return EnergyRecord(
         step=step,
         time=t,
@@ -255,7 +267,7 @@ def _record(step, t, ctx, rho, micro, theta) -> EnergyRecord:
         rho_norm=math.sqrt(grid.cell_volume) * float(np.linalg.norm(rho)),
         micro_norm_w=gw,
         rank=micro.rank if is_lr else min(grid.n_points, quad.n),
-        zero_density_residual=diagnostics.zero_density_residual(quad, micro),
+        zero_density_residual=zero,
         mass=diagnostics.mass(grid, rho),
     )
 
@@ -288,6 +300,7 @@ def _self_reference(scen, grid, t_final, eps, refine: int = 4):
     restricted to the coincident density points of the coarse mesh."""
     fine_cells = tuple(c * refine for c in scen.cells)
     fine, quad, material = scenarios.build_objects(replace(scen, cells=fine_cells), eps)
+    quad, material = upwind_grouped(quad, material)
     rho0, G0 = scen.init(fine, quad, eps)
     dt = diagnostics.dt_explicit(fine, material, eps)
     n = max(1, math.ceil(t_final / dt - 1e-9))

@@ -65,6 +65,21 @@ def test_energy_evaluated_once_per_record(monkeypatch):
     assert len(calls) == len(result.records) == 4
 
 
+def test_full_rank_workload_marks_every_step_and_reports_no_step_infos(monkeypatch):
+    # a full-rank record takes its norms from the step's last sweep, but still
+    # evaluates the energy once per record; a non-empty step_infos would make
+    # the tracer treat the run as low-rank
+    calls = []
+    energy = diagnostics.energy
+    monkeypatch.setattr(diagnostics, "energy", lambda *a, **k: calls.append(1) or energy(*a, **k))
+    m = _load("workloads").WORKLOADS["diffusive2d-full"].reduced(mesh_div=8, max_steps=3).manifest
+    result = execute_run(RunManifest(**m, with_error=False))
+    steps = result.summary["steps_completed"]
+    assert steps == 3
+    assert len(calls) == steps + 1
+    assert result.step_infos == []
+
+
 @pytest.mark.parametrize("name", ["diffusive2d-bug", "kinetic2d-abug", "diffusive2d-full"])
 def test_workload_run_exposes_step_size_and_ranks(name):
     # a reduced copy of each workload: its step size follows from the scheme

@@ -197,7 +197,7 @@ def test_micro_norm_surrogate_vs_exact(rng):
     grid, quad, _ = setup()
     G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
     st = factorize_micro(grid, quad, G, 4, seed=0)
-    from lrtrans.diagnostics import micro_norm_w_exact
+    from oracles import micro_norm_w_exact
 
     assert micro_norm_w(grid, quad, st) == pytest.approx(
         micro_norm_w_exact(grid, quad, st), rel=1e-12

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from lrtrans import diagnostics, fullrank, scenarios
+from lrtrans import run as run_module
 from lrtrans.angular import chebyshev_legendre_2d, gauss_legendre_1d
 from lrtrans.fullrank import (
     SCHEMES,
@@ -34,6 +35,7 @@ from lrtrans.ops import (
 )
 from lrtrans.run import RunManifest, execute_run
 from conftest import dense_diff_matrix
+from oracles import schur_apply
 
 
 def make_setup(eps=0.5, dt=0.01, nx=8, n_ord=4, varying=True):
@@ -186,7 +188,7 @@ def test_schur_assembled_equals_application():
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
-        assert np.allclose(schur.apply(e), schur.matrix.toarray()[:, i], atol=1e-14)
+        assert np.allclose(schur_apply(schur, e), schur.matrix.toarray()[:, i], atol=1e-14)
 
 
 def test_schur_large_epsilon_limit(rng):
@@ -195,7 +197,7 @@ def test_schur_large_epsilon_limit(rng):
     schur = build_schur(grid, quad, material, config)
     x = rng.standard_normal(grid.n_points)
     expected = (1.0 / config.dt + material.sigma_a_rho) * x
-    assert np.max(np.abs(schur.apply(x) - expected)) <= 1e-8 * np.max(np.abs(expected))
+    assert np.max(np.abs(schur_apply(schur, x) - expected)) <= 1e-8 * np.max(np.abs(expected))
 
 
 def test_schur_diffusion_limit():
@@ -211,7 +213,7 @@ def test_schur_diffusion_limit():
         grid, 0, -1, (mu2 / material.sigma_s_g) * diff(grid, 0, +1, rho)
     )
     bound = 10 * eps**2 / config.dt * np.max(np.abs(rho)) / config.dt
-    assert np.max(np.abs(schur.apply(rho) - limit)) <= max(bound, 1e-8)
+    assert np.max(np.abs(schur_apply(schur, rho) - limit)) <= max(bound, 1e-8)
 
 
 def test_divergence_detection():
@@ -406,9 +408,9 @@ def _held_blocks(grid, blocks):
 
 
 # a NaN in the first row of a block, the halo row its predecessor reads: in
-# the first family's held block, in the second family's held block, in the
-# rolling block after the first one, and in the last block, whose periodic
-# halo is held
+# the block holding the first family's first row, in the one holding the
+# second family's first row (both kept as the periodic halo of their
+# family's last row), in the block after the first one, and in the last block
 @pytest.mark.parametrize("which", ["held-first", "held-second", "rolling", "last"])
 def test_non_finite_value_in_held_or_rolling_block_raises(rng, monkeypatch, which):
     grid, quad, material, config, schur = _step_setup("mms2d-16", "IMEX-S")
@@ -439,7 +441,115 @@ def test_record_evaluates_dense_micro_norm_once(monkeypatch):
         RunManifest(scenario="mms2d-16", scheme="IMEX-S", max_steps=2, with_error=False)
     )
     assert len(result.records) == 3
-    assert len(calls) == len(result.records)
+    # the initial record only: after a step the sweep's row sums give the norm
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# upwind-grouped ordinates and the fused record
+# ---------------------------------------------------------------------------
+
+def _sign_runs(x):
+    return 1 + int(np.count_nonzero(np.diff(x > 0)))
+
+
+def _grouping_permutation(quad, grouped):
+    """``perm`` with ``grouped.omega == quad.omega[perm]``."""
+    perm = np.array([np.flatnonzero((quad.omega == o).all(axis=1))[0] for o in grouped.omega])
+    assert np.array_equal(np.sort(perm), np.arange(quad.n))
+    return perm
+
+
+@pytest.mark.parametrize("n_polar", [2, 4, 16])
+def test_upwind_grouped_permutes_ordinates_into_sign_runs(n_polar):
+    grid = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (4, 4))
+    quad = chebyshev_legendre_2d(n_polar)
+    material = sample_material(grid, lambda c: np.ones(len(c)), lambda c: np.zeros(len(c)), 1.0)
+    grouped, same = fullrank.upwind_grouped(quad, material)
+    perm = _grouping_permutation(quad, grouped)
+    # each (omega, w) pair travels together
+    assert np.array_equal(grouped.omega, quad.omega[perm])
+    assert np.array_equal(grouped.w, quad.w[perm])
+    assert _sign_runs(quad.q(0)) > 2 and _sign_runs(quad.q(1)) > 3
+    assert _sign_runs(grouped.q(0)) <= 2 and _sign_runs(grouped.q(1)) <= 3
+    assert same.micro_source is None
+
+
+@pytest.mark.parametrize("n", [2, 8, 50, 200])
+def test_upwind_grouped_is_the_identity_in_1d(n):
+    grid, quad, material, _ = make_setup(n_ord=n)
+    assert fullrank.upwind_grouped(quad, material) == (quad, material)
+
+
+def _grouped_pair(name, scheme):
+    """Contexts of ``name`` in constructor and in grouped order, and the
+    permutation between them."""
+    grid, quad, material, config, schur = _step_setup(name, scheme)
+    gquad, gmaterial = fullrank.upwind_grouped(quad, material)
+    gschur = build_schur(grid, gquad, gmaterial, config) if schur is not None else None
+    return (step_context(grid, quad, material, config, schur),
+            step_context(grid, gquad, gmaterial, config, gschur),
+            _grouping_permutation(quad, gquad))
+
+
+# The per-ordinate parts of a step (the upwind advection, the source, the
+# density gradient and the relaxation) commute with the column permutation
+# bit for bit.  The sums over ordinates (the angular mean, the moments, the
+# Schur coefficients) add in the new order, so the explicit sweep and the
+# steps agree to rounding only.
+def test_grouped_ordinates_match_permuted_columns(rng):
+    ctx, gctx, perm = _grouped_pair("mms2d-16", "IMEX")
+    (P, A), (gP, gA) = ctx.material.micro_source(0.1), gctx.material.micro_source(0.1)
+    assert np.array_equal(gP, P) and np.array_equal(gA, A[perm])
+    grid = ctx.grid
+    rho, G = random_state(grid, ctx.quad, rng)
+    gG = np.ascontiguousarray(G[:, perm])
+    assert np.array_equal(advect(grid, gctx.quad, gG), advect(grid, ctx.quad, G)[:, perm])
+    G1, gG1 = G.copy(), gG.copy()
+    fullrank._micro_sweep(ctx, G1, grad=density_grad(grid, ctx.quad, rho))
+    fullrank._micro_sweep(gctx, gG1, grad=density_grad(grid, gctx.quad, rho))
+    assert np.array_equal(gG1, G1[:, perm])
+    G1, gG1 = G.copy(), gG.copy()
+    M = fullrank._micro_sweep(ctx, G1, explicit=True, t_next=0.1)
+    gM = fullrank._micro_sweep(gctx, gG1, explicit=True, t_next=0.1)
+    assert np.max(np.abs(gG1 - G1[:, perm])) <= 1e-14 * np.max(np.abs(G1))
+    assert np.max(np.abs(gM - M)) <= 1e-14 * np.max(np.abs(M))
+
+
+@pytest.mark.parametrize("scheme", ["IMEX", "IMEX-S"])
+def test_grouped_steps_match_permuted_columns(rng, scheme):
+    ctx, gctx, perm = _grouped_pair("mms2d-16", scheme)
+    step = imex_step if scheme == "IMEX" else imex_s_step
+    rho, G = random_state(ctx.grid, ctx.quad, rng)
+    grho, gG = rho.copy(), np.ascontiguousarray(G[:, perm])
+    for k in range(1, 4):
+        t = k * ctx.config.dt
+        rho, G = step(ctx, rho, G, t)
+        grho, gG = step(gctx, grho, gG, t)
+        assert np.max(np.abs(grho - rho)) <= 1e-13 * np.max(np.abs(rho))
+        assert np.max(np.abs(gG - G[:, perm])) <= 1e-13 * np.max(np.abs(G))
+
+
+# one block, 3-row blocks of mms2d-16 and 7-row blocks of bimodal1d
+@pytest.mark.parametrize("scheme", ["IMEX", "IMEX-S"])
+@pytest.mark.parametrize("name, rows", [("mms2d-16", None), ("mms2d-16", 3), ("bimodal1d", 7)])
+def test_record_after_a_step_equals_fresh_norms_bitwise(rng, monkeypatch, scheme, name, rows):
+    grid, quad, material, config, schur = _step_setup(name, scheme)
+    quad, material = fullrank.upwind_grouped(quad, material)
+    if schur is not None:
+        schur = build_schur(grid, quad, material, config)
+    ctx = _sized_context(monkeypatch, grid, quad, material, config, schur, rows)
+    rho, G = random_state(grid, quad, rng)
+    step = imex_step if schur is None else imex_s_step
+    for k in range(1, 3):
+        rho, G = step(ctx, rho, G, k * config.dt)
+        rec = run_module._record(k, k * config.dt, ctx, rho, G, 1.0)
+        assert rec.micro_norm_w == norm_w(grid, quad, G)
+        assert rec.micro_norm_w == diagnostics.micro_norm_w(grid, quad, G)
+        assert rec.zero_density_residual == diagnostics.zero_density_residual(quad, G)
+        exact = np.sqrt(grid.cell_volume * np.sum(G * G * quad.w))
+        assert abs(rec.micro_norm_w - exact) <= 1e-14 * exact
+        assert rec.zero_density_residual == np.max(np.abs(G @ quad.w))
 
 
 # ---------------------------------------------------------------------------

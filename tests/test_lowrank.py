@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lrtrans.angular import chebyshev_legendre_2d, gauss_legendre_1d
-from lrtrans.diagnostics import micro_norm_w_exact, zero_density_residual
+from lrtrans.diagnostics import zero_density_residual
 from lrtrans.fullrank import SolverConfig, build_schur, imex_step, step_context
 from lrtrans.grid import build_grid, diff
 from lrtrans.lowrank import (
@@ -18,13 +18,13 @@ from lrtrans.lowrank import (
     constrained_qr,
     factorize_micro,
     galerkin_stage,
-    gm_frobenius,
     lowrank_macro_coupled_step,
     micro_step,
     reconstruct,
     zero_micro_state,
 )
 from lrtrans.ops import advect, density_grad, project_out_mean, sample_material
+from oracles import gm_frobenius, micro_norm_w_exact
 
 
 def unit_material(grid, sigma_a=0.0):

@@ -13,17 +13,16 @@ from lrtrans.grid import build_grid, diff
 from lrtrans.ops import (
     MaterialField,
     advect,
-    advect_adjoint,
     density_grad,
     flux_div,
     flux_div_factored,
-    inner,
     inner_w,
     norm_w,
     project_out_mean,
     sample_material,
 )
 from conftest import dense_diff_matrix
+from oracles import advect_adjoint, inner
 
 
 def small_1d():
@@ -92,7 +91,7 @@ def test_project_out_mean_and_inner_w_match_outer_formulas_bitwise(setup, rng):
     inplace = F1.copy()
     assert project_out_mean(quad, inplace, out=inplace) is inplace
     assert np.array_equal(inplace, ref)
-    expected = grid.cell_volume * float(np.sum(F1 * F2 * quad.w[None, :]))
+    expected = grid.cell_volume * float(np.sum((F1 * F2) @ quad.w))
     assert inner_w(grid, quad, F1, F2) == expected
 
 
@@ -214,9 +213,9 @@ def test_inner_products(setup, rng):
     assert np.sqrt(inner(grid, F1[:, 0], F1[:, 0])) >= 0.0
 
 
-# (rows, columns, BLOCK_BYTES): several leaves of the streamed sum at the
+# (rows, columns, BLOCK_BYTES): several blocks of the row sums at the
 # default budget and at small ones, sizes that are not powers of two, one
-# column, leaves at numpy's 128-value floor, and a field of one leaf
+# column, blocks at the four-row floor, and a field of one block
 @pytest.mark.parametrize(
     "rows, cols, budget",
     [
@@ -236,8 +235,9 @@ def test_inner_w_matches_numpy_sum_bitwise(rng, monkeypatch, rows, cols, budget)
     quad = SimpleNamespace(w=rng.random(cols))
     F1 = rng.standard_normal((rows, cols))
     F2 = rng.standard_normal((rows, cols))
-    assert inner_w(grid, quad, F1, F2) == float(np.sum(F1 * F2 * quad.w))
-    assert inner_w(grid, quad, F1, F1) == float(np.sum(F1 * F1 * quad.w))
+    # the row products of the whole array, summed once
+    assert inner_w(grid, quad, F1, F2) == float(np.sum((F1 * F2) @ quad.w))
+    assert inner_w(grid, quad, F1, F1) == float(np.sum((F1 * F1) @ quad.w))
     # a transposed (Fortran-ordered) input is summed in C order
     T1, T2 = np.asfortranarray(F1), np.asfortranarray(F2)
     assert cols == 1 or not T1.flags.c_contiguous
@@ -245,7 +245,7 @@ def test_inner_w_matches_numpy_sum_bitwise(rng, monkeypatch, rows, cols, budget)
 
 
 def test_norm_w_scratch_stays_below_two_leaves(rng):
-    # 2048 x 512 float64 = 8 MiB, sixteen leaves of BLOCK_BYTES
+    # 2048 x 512 float64 = 8 MiB, sixteen blocks of BLOCK_BYTES
     grid = SimpleNamespace(cell_volume=1.0)
     quad = SimpleNamespace(w=rng.random(512))
     F = rng.standard_normal((2048, 512))
@@ -258,7 +258,7 @@ def test_norm_w_scratch_stays_below_two_leaves(rng):
     finally:
         tracemalloc.stop()
         gc.enable()
-    assert value == np.sqrt(float(np.sum(F * F * quad.w)))
+    assert value == np.sqrt(float(np.sum((F * F) @ quad.w)))
     assert peak < 2 * ops.BLOCK_BYTES
     assert held < ops.BLOCK_BYTES // 8
 
