@@ -545,11 +545,9 @@ def test_record_after_a_step_equals_fresh_norms_bitwise(rng, monkeypatch, scheme
         rho, G = step(ctx, rho, G, k * config.dt)
         rec = run_module._record(k, k * config.dt, ctx, rho, G, 1.0)
         assert rec.micro_norm_w == norm_w(grid, quad, G)
-        assert rec.micro_norm_w == diagnostics.micro_norm_w(grid, quad, G)
         assert rec.zero_density_residual == diagnostics.zero_density_residual(quad, G)
         exact = np.sqrt(grid.cell_volume * np.sum(G * G * quad.w))
         assert abs(rec.micro_norm_w - exact) <= 1e-14 * exact
-        assert rec.zero_density_residual == np.max(np.abs(G @ quad.w))
 
 
 # ---------------------------------------------------------------------------
