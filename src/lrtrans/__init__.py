@@ -40,7 +40,6 @@ from .lowrank import (
     lowrank_macro_coupled_step,
     micro_step,
     reconstruct,
-    zero_micro_state,
 )
 from .ops import (
     MaterialField,

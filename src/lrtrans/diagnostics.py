@@ -7,10 +7,9 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .angular import QuadratureSet
-from .fullrank import SolverConfig, _difference_matrix, _macro_source, spd_solver
+from .fullrank import SolverConfig, _macro_source, div_grad_operator, spd_solver
 from .grid import StaggeredGrid
 from .lowrank import MicroStateLowRank
 from .ops import MaterialField, norm_w
@@ -150,18 +149,14 @@ def diffusion_reference(
 
     Advances ``(1/dt + sigma_a) rho' - sum_j D^(j,-)((1/(3 sigma_s)) D^(j,+)
     rho') = rho/dt + phi`` for ``n_steps`` steps, with the conductivity
-    sampled on the g family.  The operator is assembled once and solved by
+    sampled on the g family.  The operator is assembled once
+    (:func:`~lrtrans.fullrank.div_grad_operator`) and solved by
     :func:`~lrtrans.fullrank.spd_solver`.
     """
     if np.any(material.sigma_s_g <= 0):
         raise ValueError("diffusion reference requires sigma_s > 0 on the g family")
-    cond = sp.diags(1.0 / (3.0 * material.sigma_s_g))
-    T = sp.diags(1.0 / dt + material.sigma_a_rho).tocsr()
-    for j in range(grid.dim):
-        Dm = _difference_matrix(grid, j, -1)
-        Dp = _difference_matrix(grid, j, +1)
-        T = T - Dm @ cond @ Dp
-    solve = spd_solver(T.tocsr())
+    solve = spd_solver(div_grad_operator(grid, 1.0 / dt + material.sigma_a_rho,
+                                         1.0 / (3.0 * material.sigma_s_g), np.eye(grid.dim)))
 
     rho = np.asarray(rho0, dtype=float).copy()
     for k in range(n_steps):

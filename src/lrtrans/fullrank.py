@@ -31,7 +31,7 @@ last sweep also forms the norms of the trace record (``ctx.swept``), so the
 record does not read ``G`` again.
 
 Dense runs order their ordinates by upwind quadrant (:func:`upwind_grouped`),
-so the per-column upwind sides form a few long runs.
+so the columns that share an upwind side form a few long runs.
 
 :data:`SCHEMES` maps each of the six scheme tags to its :class:`Scheme`, one
 of two couplings times three micro updates.  :func:`spd_solver` solves the
@@ -57,7 +57,7 @@ from .ops import (
     density_grad,
     moment_div,
     project_out_mean,
-    upwind_sides,
+    upwind_runs,
 )
 
 
@@ -135,6 +135,20 @@ def _difference_matrix(grid: StaggeredGrid, axis: int, side: int) -> sp.csr_matr
     return (shift - eye) / h if side > 0 else (eye - shift) / h
 
 
+def div_grad_operator(grid: StaggeredGrid, diag, coef, c) -> sp.csr_matrix:
+    """``diag(diag) - sum_{j,k} c[j, k] D^(j,-) diag(coef) D^(k,+)``, the sparse
+    operator of the Schur density solve and of the diffusion reference; the
+    zero entries of ``c`` are skipped."""
+    T = sp.diags(diag).tocsr()
+    C = sp.diags(coef)
+    for j in range(grid.dim):
+        Dm = _difference_matrix(grid, j, -1)
+        for k in range(grid.dim):
+            if c[j, k] != 0:
+                T = T - c[j, k] * (Dm @ C @ _difference_matrix(grid, k, +1))
+    return T.tocsr()
+
+
 #: SPD systems with fewer unknowns are factorized (sparse LU); larger ones
 #: are solved by Jacobi-preconditioned conjugate gradients to relative
 #: residual ``CG_RTOL`` within ``CG_MAXITER_PER_UNKNOWN * n`` iterations.
@@ -178,25 +192,16 @@ class SchurOperator:
     """
 
     def __init__(self, grid, quad, material: MaterialField, config: SolverConfig):
-        R = relaxation_factor(material, config)
-        T = sp.diags(1.0 / config.dt + material.sigma_a_rho).tocsr()
         c = np.array(
             [
                 [float(np.sum(quad.w * quad.q(j) * quad.q(k))) for k in range(grid.dim)]
                 for j in range(grid.dim)
             ]
         )
-        drop = 1e-13 * np.max(np.abs(c))
+        c[np.abs(c) <= 1e-13 * np.max(np.abs(c))] = 0.0
         scale = 1.0 / (quad.domain_measure * config.epsilon**2)
-        Rdiag = sp.diags(R)
-        for j in range(grid.dim):
-            Dm = _difference_matrix(grid, j, -1)
-            for k in range(grid.dim):
-                if abs(c[j, k]) <= drop:
-                    continue
-                Dp = _difference_matrix(grid, k, +1)
-                T = T - (c[j, k] * scale) * (Dm @ Rdiag @ Dp)
-        T = T.tocsr()
+        T = div_grad_operator(grid, 1.0 / config.dt + material.sigma_a_rho,
+                              relaxation_factor(material, config), c * scale)
         T.eliminate_zeros()
 
         asym = sp.linalg.norm(T - T.T, np.inf)
@@ -260,7 +265,7 @@ class StepContext:
     qw: np.ndarray
     qw_rows: np.ndarray  # the same, one contiguous row per axis (the sweep)
     ang_splits: dict  # (q, a, b) of the low-rank angular factor, _angular_splits
-    sides: tuple  # ops.upwind_sides: each ordinate's upwind side per axis
+    sides: tuple  # ops.upwind_runs: per axis, (c0, c1, side) column runs
     ap_angular: np.ndarray  # angular diffusion-limit directions M Q^(j) 1
     blocks: list  # the sweep's block plan, _row_blocks
     # (micro_norm_w, zero_density_residual) of the micro state the last
@@ -283,7 +288,7 @@ def step_context(grid, quad, material, config, schur=None, lr=None) -> StepConte
         qw=qw,
         qw_rows=np.ascontiguousarray(qw.T),
         ang_splits=_angular_splits(quad),
-        sides=upwind_sides(quad),
+        sides=upwind_runs(quad),
         ap_angular=np.column_stack([quad.m * quad.q(j) for j in range(quad.dim)]),
         blocks=_row_blocks(grid, quad.n),
         swept=np.full(2, np.nan),
@@ -295,8 +300,8 @@ def upwind_grouped(quad: QuadratureSet, material: MaterialField) -> tuple:
 
     The ordinates are sorted, stably, into the sign quadrants (-,-), (-,+),
     (+,+), (+,-) of ``(Omega_x, Omega_y)``, so the signs along x form at most
-    two runs and along y at most three, and the masked upwind stencil
-    (:func:`lrtrans.grid._stencil`) runs over long stretches of columns.  The
+    two runs and along y at most three (:func:`lrtrans.ops.upwind_runs`), and
+    the upwind advection makes two and three stencil calls per block.  The
     angular factors of ``material.micro_source`` are permuted to match.  In
     1D the Gauss-Legendre nodes already ascend, and the inputs are returned.
     Only dense states use this order: a low-rank initial basis depends on

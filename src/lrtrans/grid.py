@@ -210,14 +210,15 @@ def build_grid(dim: int, bounds, cells) -> StaggeredGrid:
 def diff(
     grid: StaggeredGrid,
     axis: int,
-    side: int | np.ndarray,
+    side: int,
     field: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """One-sided one-cell difference ``(f(shifted) - f) / spacing[axis]``.
 
     ``side=+1`` differences forward (``(f_{+1 cell} - f)/dx``), ``side=-1``
-    backward.  Rows of matrix-valued fields are differenced independently.
+    backward; any other ``side`` raises ``ValueError``.  Rows of
+    matrix-valued fields are differenced independently.
     The result is read on the complementary point family: differencing a rho
     field forward in ``x`` yields values centered on the paired g points, and
     differencing a g field backward in ``x`` yields values centered on the
@@ -225,21 +226,18 @@ def diff(
     ``diff(grid, j, +1, .)``, which gives exact summation by parts on the
     periodic lattice.
 
-    ``side`` may also be an array of +-1 with one entry per column of a
-    matrix-valued field; each column is then differenced toward its own side
-    only, with the same bits as a scalar-side call on that column (upwind
-    advection needs only one difference per ordinate).
-
     The stencil is :func:`_stencil`, which the row-blocked upwind advection
-    :func:`lrtrans.ops.advect_rows` also calls on its blocks: two slice
-    subtractions into one output array (interior cells, then the periodic
-    wrap-around cell; masked per side when ``side`` is an array), then an
-    in-place division, so no shifted copy of the field is made.  ``out``,
+    :func:`lrtrans.ops.advect_rows` also calls on its blocks, once per run
+    of ordinate columns that share a side: two slice subtractions into one
+    output array (interior cells, then the periodic wrap-around cell), then
+    an in-place division, so no shifted copy of the field is made.  ``out``,
     if given, receives the result and may be any view of the field's shape,
     e.g. a column slice of a wider block.
     """
     if axis < 0 or axis >= grid.dim:
         raise ValueError(f"axis {axis} invalid for a {grid.dim}D grid")
+    if np.ndim(side) != 0 or side not in (-1, +1):
+        raise ValueError(f"side must be +1 or -1, got {side!r}")
     a = np.asarray(field, dtype=float)
     if a.shape[0] != grid.n_points:
         raise ValueError(
@@ -249,8 +247,6 @@ def diff(
         out = np.empty_like(a)
     elif out.shape != a.shape:
         raise ValueError(f"out has shape {out.shape}, expected {a.shape}")
-    if np.ndim(side) != 0 and np.shape(side) != a.shape[1:]:
-        raise ValueError(f"side has shape {np.shape(side)}, expected {a.shape[1:]}")
     lead = grid.block_shape
     ax = len(lead) - 1 - axis
     # splitting the leading axis of ``out`` is always a view, even for slices
@@ -266,34 +262,27 @@ def _stencil(f, d, side, lo=0, hi=None, prev=None, first=None):
 
     Writes ``d[k] = f[lo + k + 1] - f[lo + k]`` forward (``side > 0``) and
     ``f[lo + k] - f[lo + k - 1]`` backward, indices modulo ``len(f)``, so
-    rows outside ``lo:hi`` serve as the halo; ``side`` is a scalar or an
-    array of +-1 broadcast against the trailing axes.  ``prev`` and
-    ``first``, shaped like ``f[:1]``, stand in for the halo rows ``f[lo - 1]``
-    (when ``lo > 0``) and ``f[0]`` (read by the last row) where a caller has
+    rows outside ``lo:hi`` serve as the halo.  ``prev`` and ``first``,
+    shaped like ``f[:1]``, stand in for the halo rows ``f[lo - 1]`` (when
+    ``lo > 0``) and ``f[0]`` (read by the last row) where a caller has
     already overwritten them.  The caller divides by the spacing, on its own
     (usually contiguous) output.
     """
     n = len(f)
     hi = n if hi is None else hi
-    if np.ndim(side) == 0:
-        parts = ((side > 0, True),)
-    else:
-        fwd = np.asarray(side) > 0
-        parts = ((True, fwd), (False, ~fwd))
-    for forward, where in parts:
-        if forward:
-            m = min(hi, n - 1)
-            np.subtract(f[lo + 1:m + 1], f[lo:m], out=d[:m - lo], where=where)
-            if hi == n:
-                np.subtract(f[:1] if first is None else first, f[-1:], out=d[-1:], where=where)
-        else:
-            k = max(lo, 1)
-            if prev is not None and lo > 0:
-                np.subtract(f[lo:lo + 1], prev, out=d[:1], where=where)
-                k += 1
-            np.subtract(f[k:hi], f[k - 1:hi - 1], out=d[k - lo:], where=where)
-            if lo == 0:
-                np.subtract(f[:1], f[-1:], out=d[:1], where=where)
+    if side > 0:
+        m = min(hi, n - 1)
+        np.subtract(f[lo + 1:m + 1], f[lo:m], out=d[:m - lo])
+        if hi == n:
+            np.subtract(f[:1] if first is None else first, f[-1:], out=d[-1:])
+        return
+    k = max(lo, 1)
+    if prev is not None and lo > 0:
+        np.subtract(f[lo:lo + 1], prev, out=d[:1])
+        k += 1
+    np.subtract(f[k:hi], f[k - 1:hi - 1], out=d[k - lo:])
+    if lo == 0:
+        np.subtract(f[:1], f[-1:], out=d[:1])
 
 
 def shift(

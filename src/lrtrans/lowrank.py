@@ -289,16 +289,20 @@ def factorize_micro(
     cannot hold), and the rank is capped at the zero-density subspace
     dimension ``n_ordinates - 1``.  If the input has lower numerical rank,
     the bases are padded with deterministic (seeded) orthonormal columns and
-    zero coupling entries.
+    zero coupling entries.  An all-zero input (isotropic initial data) is
+    tested first: it is all padding, with no product array and no SVD.
     """
     rng = np.random.default_rng(seed)
+    r_eff = min(rank, grid.n_points, quad.z_dim if weighted else quad.n)
+    if not np.any(G):
+        return _seeded_state(quad, np.zeros((grid.n_points, 0)), np.zeros(0),
+                             np.zeros((quad.n, 0)), r_eff, weighted, rng)
     if weighted:
         A = G * quad.m[None, :]
         mhat = quad.m / np.linalg.norm(quad.m)
         A = A - np.outer(A @ mhat, mhat)
     else:
         A = np.asarray(G, dtype=float)
-    r_eff = min(rank, grid.n_points, quad.z_dim if weighted else quad.n)
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     keep = int(np.sum(s > (s[0] * 1e-14 if s.size and s[0] > 0 else np.inf)))
     keep = min(keep, r_eff)
@@ -306,25 +310,6 @@ def factorize_micro(
     X = U[:, :keep] * signs[None, :]
     Vm = Vt[:keep].T * signs[None, :]
     return _seeded_state(quad, X, s[:keep], Vm, r_eff, weighted, rng)
-
-
-def zero_micro_state(
-    grid: StaggeredGrid,
-    quad: QuadratureSet,
-    rank: int,
-    weighted: bool = True,
-    seed: int = 0,
-) -> MicroStateLowRank:
-    """Zero state with seeded orthonormal bases, for isotropic initial data.
-
-    Equal to :func:`factorize_micro` of an all-zero state with the same
-    ``seed``; the bases are drawn directly, without the SVD.
-    """
-    r_eff = min(rank, grid.n_points, quad.z_dim if weighted else quad.n)
-    return _seeded_state(
-        quad, np.zeros((grid.n_points, 0)), np.zeros(0), np.zeros((quad.n, 0)),
-        r_eff, weighted, np.random.default_rng(seed),
-    )
 
 
 def _seeded_state(quad, X, s, Vm, r_eff, weighted, rng):

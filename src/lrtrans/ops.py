@@ -106,23 +106,30 @@ def advect(grid: StaggeredGrid, quad: QuadratureSet, G: np.ndarray) -> np.ndarra
     _check_micro(grid, quad, G)
     out = np.empty(G.shape)
     return advect_rows(grid, quad, np.asarray(G, dtype=float), 0, grid.n_points,
-                       out, np.empty_like(out), upwind_sides(quad))
+                       out, np.empty_like(out), upwind_runs(quad))
 
 
-def upwind_sides(quad: QuadratureSet) -> tuple:
-    """Per axis, the side of every ordinate's upwind difference:
-    ``-1`` (backward) where ``q_j > 0`` and ``+1`` elsewhere."""
-    return tuple(np.where(quad.q(j) > 0, -1, +1) for j in range(quad.dim))
+def upwind_runs(quad: QuadratureSet) -> tuple:
+    """Per axis, the ``(c0, c1, side)`` runs of ordinates ``c0:c1`` that share
+    the side of their upwind difference: ``-1`` (backward) where ``q_j > 0``
+    and ``+1`` elsewhere.  The runs of an axis tile ``[0, n)`` in order."""
+    runs = []
+    for j in range(quad.dim):
+        side = np.where(quad.q(j) > 0, -1, +1)
+        cuts = [0, *(np.flatnonzero(np.diff(side)) + 1).tolist(), quad.n]
+        runs.append(tuple((c0, c1, int(side[c0])) for c0, c1 in zip(cuts, cuts[1:])))
+    return tuple(runs)
 
 
-def advect_rows(grid, quad, G, lo, hi, out, work, sides, prev=None, first=(None, None)):
+def advect_rows(grid, quad, G, lo, hi, out, work, runs, prev=None, first=(None, None)):
     """Rows ``lo:hi`` of :func:`advect` of ``G``, written into ``out``.
 
     ``Q^(j,+) Q^(j,-) = 0``: each ordinate moves either way along an axis,
-    never both, so only its upwind difference is formed, toward
-    ``sides[j]`` (:func:`upwind_sides`), and scaled by ``q_j`` itself.
-    This is exact, bit for bit: ``q_j^+ == q_j`` on positive columns,
-    ``q_j^- == q_j`` on the others, and the dropped term is a zero.
+    never both, so only its upwind difference is formed, one stencil call
+    per run of columns ``(c0, c1, side)`` in ``runs[j]``
+    (:func:`upwind_runs`), and scaled by ``q_j`` itself.  This is exact, bit
+    for bit: ``q_j^+ == q_j`` on positive columns, ``q_j^- == q_j`` on the
+    others, and the dropped term is a zero.
 
     ``lo`` and ``hi`` are multiples of the points in one row of the outer
     axis (``nx`` in 2D, 1 in 1D); the rows may straddle the two point
@@ -143,15 +150,18 @@ def advect_rows(grid, quad, G, lo, hi, out, work, sides, prev=None, first=(None,
     for j in range(grid.dim):
         d = out if j == 0 else work
         rows = d.reshape((r1 - r0,) + fam_shape[1:] + G.shape[1:])
-        if j == grid.dim - 1:
+        for c0, c1, side in runs[j]:
+            c = np.s_[..., c0:c1]
+            if j < grid.dim - 1:
+                inner = G[lo:hi].reshape(rows.shape).swapaxes(0, 1)
+                _stencil(inner[c], rows.swapaxes(0, 1)[c], side)
+                continue
+            prev_c, *first_c = (None if h is None else h[c] for h in halo)
             for fam in range(2):
                 s0, s1 = max(r0, fam * L), min(r1, (fam + 1) * L)
                 if s0 < s1:
-                    _stencil(fams[fam], rows[s0 - r0:s1 - r0], sides[j],
-                             s0 - fam * L, s1 - fam * L, halo[0], halo[1 + fam])
-        else:
-            inner = G[lo:hi].reshape(rows.shape)
-            _stencil(inner.swapaxes(0, 1), rows.swapaxes(0, 1), sides[j])
+                    _stencil(fams[fam][c], rows[s0 - r0:s1 - r0][c], side,
+                             s0 - fam * L, s1 - fam * L, prev_c, first_c[fam])
         d /= grid.spacing[j]
         d *= quad.q(j)
         if j:

@@ -40,7 +40,6 @@ from .lowrank import (
     MicroStateLowRank,
     factorize_micro,
     lowrank_macro_coupled_step,
-    zero_micro_state,
 )
 
 _CSV_FMT = "%.17g"
@@ -148,13 +147,9 @@ def execute_run(manifest: RunManifest) -> RunResult:
     rho = np.asarray(rho, dtype=float)
     if integrator is None:
         micro = np.asarray(G0, dtype=float)
-    elif np.any(G0):
+    else:
         micro = factorize_micro(
             grid, quad, G0, rank, weighted=not manifest.unweighted, seed=manifest.seed
-        )
-    else:
-        micro = zero_micro_state(
-            grid, quad, rank, weighted=not manifest.unweighted, seed=manifest.seed
         )
     schur = build_schur(grid, quad, material, config) if scheme.schur else None
     ctx = step_context(grid, quad, material, config, schur, lr_config)

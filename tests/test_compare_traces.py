@@ -1,6 +1,6 @@
 """The trace gate of ``tools/compare_traces.py`` on synthetic run directories
 (no solver runs): byte identity by default, the ``--rtol`` tolerance gate
-otherwise."""
+otherwise; and its line count of the two source trees."""
 
 import importlib.util
 from pathlib import Path
@@ -117,3 +117,24 @@ def test_summary_entries_are_compared(tmp_path):
 def test_missing_run_fails(tmp_path):
     a = write_run(tmp_path / "a")
     assert not ct.compare_run(a, tmp_path / "b", 1e-10)[1]
+
+
+def write_tree(path, files):
+    pkg = path / "src" / "lrtrans"
+    pkg.mkdir(parents=True)
+    for name, text in files.items():
+        (pkg / name).write_text(text)
+    return path
+
+
+def test_line_counts_of_both_trees(tmp_path):
+    a = write_tree(tmp_path / "a", {"grid.py": "x = 1\ny = 2\n", "ops.py": "z = 3\n"})
+    b = write_tree(tmp_path / "b", {"grid.py": "x = 1\n", "__init__.py": ""})
+    # only the package's Python files count
+    (b / "src" / "lrtrans" / "notes.txt").write_text("a\nb\nc\n")
+    (b / "tests").mkdir()
+    (b / "tests" / "test_grid.py").write_text("a\nb\n")
+    assert ct.src_lines(a) == 3
+    assert ct.src_lines(b) == 1
+    assert ct.line_counts(a, b) == f"src/lrtrans lines: 3 in {a}, 1 in {b} (-2)"
+    assert ct.line_counts(b, a).endswith("(+2)")

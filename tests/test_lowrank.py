@@ -21,7 +21,6 @@ from lrtrans.lowrank import (
     lowrank_macro_coupled_step,
     micro_step,
     reconstruct,
-    zero_micro_state,
 )
 from lrtrans.ops import advect, density_grad, project_out_mean, sample_material
 from oracles import gm_frobenius, micro_norm_w_exact
@@ -36,6 +35,10 @@ def unit_material(grid, sigma_a=0.0):
     )
 
 
+def zeros(grid, quad):
+    return np.zeros((grid.n_points, quad.n))
+
+
 def setup_1d(nx=16, n_ord=8):
     grid = build_grid(1, (0.0, 1.0), nx)
     quad = gauss_legendre_1d(n_ord)
@@ -48,7 +51,7 @@ def setup_1d(nx=16, n_ord=8):
 
 def test_reconstruct_zero_coupling(rng):
     grid, quad = setup_1d()
-    st = zero_micro_state(grid, quad, 3, seed=5)
+    st = factorize_micro(grid, quad, zeros(grid, quad), 3, seed=5)
     assert np.max(np.abs(reconstruct(st, quad))) == 0.0
     assert st.rank == 3
     assert np.allclose(st.X.T @ st.X, np.eye(3), atol=1e-13)
@@ -69,7 +72,7 @@ def test_full_rank_factorization_roundtrip(rng):
 
 def test_factorization_rank_cap():
     grid, quad = setup_1d(8, 4)
-    st = factorize_micro(grid, quad, np.zeros((grid.n_points, quad.n)), 10, seed=0)
+    st = factorize_micro(grid, quad, zeros(grid, quad), 10, seed=0)
     assert st.rank == quad.z_dim  # capped at the constraint-subspace dimension
 
 
@@ -86,16 +89,26 @@ def test_unweighted_factorization(rng):
 @pytest.mark.parametrize("weighted", [True, False])
 @pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize("rank", [1, 5, 12])
-def test_zero_state_equals_factorized_zeros(weighted, seed, rank):
-    # the direct construction draws the same seeded bases as factorizing an
-    # all-zero state; rank 12 lies above the cap of 7 (weighted) or 8
+def test_zero_state_equals_factorized_zeros(monkeypatch, weighted, seed, rank):
+    # an all-zero state has no singular triplets: it is all seeded padding,
+    # drawn without the SVD; rank 12 lies above the cap of 7 (weighted) or 8
     grid, quad = setup_1d()
-    st = zero_micro_state(grid, quad, rank, weighted=weighted, seed=seed)
-    ref = factorize_micro(
-        grid, quad, np.zeros((grid.n_points, quad.n)), rank, weighted=weighted, seed=seed
-    )
-    for name in ("X", "S", "V", "C"):
-        assert np.array_equal(getattr(st, name), getattr(ref, name)), name
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called on an all-zero state")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    st = factorize_micro(grid, quad, zeros(grid, quad), rank, weighted=weighted, seed=seed)
+    r = min(rank, quad.z_dim if weighted else quad.n)
+    assert st.rank == r and st.C is None
+    assert not np.any(st.S)
+    assert np.allclose(st.X.T @ st.X, np.eye(r), atol=1e-13)
+    assert np.allclose(st.V.T @ st.V, np.eye(r), atol=1e-13)
+    if weighted:
+        assert np.max(np.abs(quad.m @ st.V)) <= 1e-12
+    again = factorize_micro(grid, quad, zeros(grid, quad), rank, weighted=weighted, seed=seed)
+    for name in ("X", "V"):
+        assert np.array_equal(getattr(st, name), getattr(again, name)), name
     assert st.weighted is weighted
 
 
@@ -607,7 +620,7 @@ def test_coupled_equilibrium_fixed_point():
         lr = LowRankConfig(integrator="BUG")
         schur = build_schur(grid, quad, material, config) if "S" in scheme.split("-") else None
         rho = np.full(grid.n_points, 1.5)
-        st = zero_micro_state(grid, quad, 2, seed=0)
+        st = factorize_micro(grid, quad, zeros(grid, quad), 2, seed=0)
         ctx = step_context(grid, quad, material, config, schur, lr)
         rho1, st1, _ = lowrank_macro_coupled_step(ctx, rho, st, 0.05)
         assert np.max(np.abs(rho1 - rho)) <= 1e-12
@@ -647,7 +660,7 @@ def test_energy_chain_projected_state(rng):
     lr = LowRankConfig(integrator="BUG")
     schur = build_schur(grid, quad, material, config)
     rho = np.exp(-40 * (grid.rho_coords[:, 0] - 0.5) ** 2)
-    st = zero_micro_state(grid, quad, 4, seed=0)
+    st = factorize_micro(grid, quad, zeros(grid, quad), 4, seed=0)
     vol = grid.cell_volume
     theta = 0.0
     coeff = eps**2 + (1 - theta) * dt * material.sigma_s_floor

@@ -20,7 +20,9 @@ from lrtrans.ops import (
     norm_w,
     project_out_mean,
     sample_material,
+    upwind_runs,
 )
+from lrtrans.fullrank import upwind_grouped
 from conftest import dense_diff_matrix
 from oracles import advect_adjoint, inner
 
@@ -80,6 +82,37 @@ def four_term_advect(grid, quad, G):
 def test_advect_matches_four_term_formula_bitwise(rng, grid, quad):
     G = rng.standard_normal((grid.n_points, quad.n))
     assert np.array_equal(advect(grid, quad, G), four_term_advect(grid, quad, G))
+
+
+def _grouped_cl(n_polar):
+    grid = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (4, 4))
+    material = sample_material(grid, lambda c: np.ones(len(c)), lambda c: np.zeros(len(c)), 1.0)
+    return upwind_grouped(chebyshev_legendre_2d(n_polar), material)[0]
+
+
+@pytest.mark.parametrize(
+    "quad, counts",
+    [
+        (chebyshev_legendre_2d(16), (33, 32)),  # constructor order, 512 ordinates
+        (_grouped_cl(16), (2, 3)),
+        (_grouped_cl(2), (2, 3)),
+        (gauss_legendre_1d(2), (2,)),
+        (gauss_legendre_1d(8), (2,)),
+    ],
+)
+def test_upwind_runs_partition_the_ordinates_by_side(quad, counts):
+    runs = upwind_runs(quad)
+    assert tuple(len(r) for r in runs) == counts
+    for j, axis_runs in enumerate(runs):
+        # the runs tile [0, n) in order
+        assert axis_runs[0][0] == 0 and axis_runs[-1][1] == quad.n
+        assert all(a[1] == b[0] for a, b in zip(axis_runs, axis_runs[1:]))
+        assert all(c0 < c1 for c0, c1, _ in axis_runs)
+        # neighbouring runs differ in side, so no run could be merged
+        assert all(a[2] != b[2] for a, b in zip(axis_runs, axis_runs[1:]))
+        side = np.where(quad.q(j) > 0, -1, +1)
+        for c0, c1, s in axis_runs:
+            assert s in (-1, +1) and np.all(side[c0:c1] == s)
 
 
 def test_project_out_mean_and_inner_w_match_outer_formulas_bitwise(setup, rng):

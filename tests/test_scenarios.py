@@ -132,7 +132,7 @@ def test_lattice_source_free_energy_monotone():
     scen = replace(scen, cells=(32, 32), mesh_div=4)
     grid, quad, material = scenarios.build_objects(scen)
     from lrtrans.fullrank import SolverConfig, build_schur, step_context
-    from lrtrans.lowrank import LowRankConfig, lowrank_macro_coupled_step, zero_micro_state
+    from lrtrans.lowrank import LowRankConfig, factorize_micro, lowrank_macro_coupled_step
     from lrtrans.diagnostics import energy
 
     dt = scenarios.select_dt(scen, "IMEX-S-BUG", grid, material, scen.epsilon)
@@ -141,7 +141,7 @@ def test_lattice_source_free_energy_monotone():
     lr = LowRankConfig(integrator="BUG")
     ctx = step_context(grid, quad, material, config, schur, lr)
     rho, _ = scen.init(grid, quad, scen.epsilon)
-    st = zero_micro_state(grid, quad, 20, seed=0)
+    st = factorize_micro(grid, quad, np.zeros((grid.n_points, quad.n)), 20, seed=0)
     e = energy(grid, quad, rho, st, config, material, 0.0)
     for k in range(15):
         rho, st, _ = lowrank_macro_coupled_step(ctx, rho, st, (k + 1) * dt)

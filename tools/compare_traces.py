@@ -24,6 +24,9 @@ micro_norm_w)`` in both trees.  That column holds roundoff, so it is held to
 the bound and not compared; only where ``SRC_A`` itself breaks the bound
 (unweighted aBUG, whose angular basis does not carry the constraint) is it
 compared like the others.  The exit status is 0 when every run passes.
+
+Under the verdict the script prints the line count of ``src/lrtrans/*.py``
+in each tree, the size of the solver that the roadmap tracks.
 """
 
 from __future__ import annotations
@@ -208,6 +211,16 @@ def compare_run(dir_a: Path, dir_b: Path, rtol=None) -> tuple:
     return lines, not failures
 
 
+def src_lines(tree: Path) -> int:
+    """Lines of ``src/lrtrans/*.py`` in ``tree`` (``cat ... | wc -l``)."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "lrtrans").glob("*.py"))
+
+
+def line_counts(src_a: Path, src_b: Path) -> str:
+    a, b = src_lines(src_a), src_lines(src_b)
+    return f"src/lrtrans lines: {a} in {src_a}, {b} in {src_b} ({b - a:+d})"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src_a", type=Path)
@@ -233,6 +246,7 @@ def main(argv=None) -> int:
             print("\n".join(lines))
         rule = "byte-identical" if args.rtol is None else f"within --rtol {args.rtol:g}"
         print(f"{passed} of {len(RUNS)} runs {rule}")
+        print(line_counts(args.src_a, args.src_b))
     return 0 if passed == len(RUNS) else 1
 
 
