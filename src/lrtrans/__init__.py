@@ -39,7 +39,6 @@ from .lowrank import (
     galerkin_stage,
     lowrank_macro_coupled_step,
     micro_step,
-    reconstruct,
 )
 from .ops import (
     MaterialField,

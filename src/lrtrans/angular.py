@@ -56,9 +56,6 @@ class QuadratureSet:
     def q(self, axis: int) -> np.ndarray:
         return self.omega[:, axis]
 
-    def q_abs(self, axis: int) -> np.ndarray:
-        return np.abs(self.omega[:, axis])
-
     def q_plus(self, axis: int) -> np.ndarray:
         o = self.omega[:, axis]
         return 0.5 * (o + np.abs(o))

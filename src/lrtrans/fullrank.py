@@ -25,10 +25,17 @@ up front; ``imex_s_step`` sweeps twice, solving for the density in between
 from the moments of the first sweep.  Both steppers update the micro state
 ``G`` in place, block by block with no copy-back, and return it: a step
 allocates no array of ``G``'s size, only two block buffers, three halo rows
-and vectors of ``n_points``, and every value keeps the bits of the
-whole-array formulas.  Callers that still need the old state pass a copy.  The step's
-last sweep also forms the norms of the trace record (``ctx.swept``), so the
-record does not read ``G`` again.
+and vectors of ``n_points``.  Callers that still need the old state pass a
+copy.  The sweep folds every constant into one factor per pass: the
+advection multiplies each axis once by ``q_j dt / (eps h_j)``, so the
+explicit part is formed as ``dt B`` (which ``G`` holds between the two
+IMEX-S sweeps), the density gradient is accumulated into ``G`` by one
+``dgemm`` with ``dt/eps^2`` folded into its spatial factor, and the
+relaxation multiplies by ``R / dt``.  Every value keeps the bits of the
+whole-array formulas in that association (blocks start at multiples of four
+points, so each row contraction keeps its bits).  The step's last sweep also
+forms the norms of the trace record (``ctx.swept``), so the record does not
+read ``G`` again.
 
 Dense runs order their ordinates by upwind quadrant (:func:`upwind_grouped`),
 so the columns that share an upwind side form a few long runs.
@@ -47,6 +54,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import dgemm
 
 from .angular import QuadratureSet, _make
 from .grid import StaggeredGrid
@@ -250,8 +258,9 @@ class StepContext:
     """The run objects and the constants every step of a run reads.
 
     Built once per run by :func:`step_context`; every stepper takes it
-    first, ``step(ctx, rho, micro, t_next)``.  Each constant keeps the
-    expression it had inside the step, so the steps keep their bits.
+    first, ``step(ctx, rho, micro, t_next)``.  Each constant is formed once,
+    by the expression the steps' whole-array formulas use, so the steps keep
+    their bits.
     """
 
     grid: StaggeredGrid
@@ -261,6 +270,7 @@ class StepContext:
     schur: Optional[SchurOperator]  # IMEX-S coupling
     lr: Optional[object]  # the lowrank.LowRankConfig of a low-rank micro update
     R: np.ndarray  # relaxation factor (1/dt + sigma_s/eps^2 + sigma_a)^-1
+    R_dt: np.ndarray  # R / dt, the full-rank sweep's relaxation of dt B
     sig: np.ndarray  # sigma_s/eps^2 + sigma_a on the g family
     k_denom: np.ndarray  # 1/dt + sig, the low-rank K-step denominator
     rho_denom: np.ndarray  # 1/dt + sigma_a, the IMEX density denominator
@@ -270,6 +280,7 @@ class StepContext:
     qw_rows: np.ndarray  # the same, one contiguous row per axis (the sweep)
     ang_splits: dict  # (q, a, b) of the low-rank angular factor, _angular_splits
     sides: tuple  # ops.upwind_runs: per axis, (c0, c1, side) column runs
+    scales: tuple  # q_j dt / (eps h_j) per axis, the sweep's advection scales
     ap_angular: np.ndarray  # angular diffusion-limit directions M Q^(j) 1
     blocks: list  # the sweep's block plan, _row_blocks
     # (micro_norm_w, zero_density_residual) of the micro state the last
@@ -283,9 +294,11 @@ def step_context(grid, quad, material, config, schur=None, lr=None) -> StepConte
     eps, dt = config.epsilon, config.dt
     sig = material.sigma_s_g / (eps * eps) + material.sigma_a_g
     qw = quad.omega * quad.w[:, None]
+    R = relaxation_factor(material, config)
     return StepContext(
         grid=grid, quad=quad, material=material, config=config, schur=schur, lr=lr,
-        R=relaxation_factor(material, config),
+        R=R,
+        R_dt=R / dt,
         sig=sig,
         k_denom=1.0 / dt + sig,
         rho_denom=1.0 / dt + material.sigma_a_rho,
@@ -293,6 +306,7 @@ def step_context(grid, quad, material, config, schur=None, lr=None) -> StepConte
         qw_rows=np.ascontiguousarray(qw.T),
         ang_splits=_angular_splits(quad),
         sides=upwind_runs(quad),
+        scales=tuple(quad.q(j) * (dt / (eps * grid.spacing[j])) for j in range(grid.dim)),
         ap_angular=np.column_stack([quad.m * quad.q(j) for j in range(quad.dim)]),
         blocks=_row_blocks(grid, quad.n),
         swept=np.full(2, np.nan),
@@ -340,27 +354,37 @@ def _angular_splits(quad: QuadratureSet) -> dict:
 def _micro_sweep(ctx, G, explicit=False, t_next=0.0, grad=None):
     """Micro update of one step in place on ``G``, one block of rows at a time.
 
-    With ``explicit``, replaces ``G`` by the explicit part ``G/dt - (1/eps)
-    A(G)(I - w 1^T/|D|) + source(t_next)``.  With ``grad = (PJ, AJ)`` it then
-    subtracts ``PJ AJ^T / eps^2``, multiplies by the relaxation factor ``R``
-    and raises :class:`DivergenceError` on a non-finite value (or one whose
-    square overflows), leaving ``G`` partly updated.  An explicit sweep
+    With ``explicit``, replaces ``G`` by ``dt B``, where ``B = G/dt - (1/eps)
+    A(G)(I - w 1^T/|D|) + source(t_next)`` is the explicit part, formed as
+    ``G - (sum_j scales[j] * increment_j G)(I - w 1^T/|D|) + (dt P) A^T``
+    with the raw upwind increments and ``ctx.scales[j] = q_j dt / (eps h_j)``.  With ``grad = (PJ, AJ)`` it
+    then subtracts ``(dt/eps^2 PJ) AJ^T``, accumulated into ``G`` by one BLAS
+    ``dgemm``, multiplies by ``ctx.R_dt = R / dt`` and raises
+    :class:`DivergenceError` on a non-finite value (or one whose square
+    overflows), leaving ``G`` partly updated.  Between the two sweeps of
+    :func:`imex_s_step`, ``G`` therefore holds ``dt B``.  An explicit sweep
     returns the first angular moments ``M[j] = (R B) Q^(j) w``, ``(dim,
-    n_points)``, of the update ``B`` before relaxation, from which the
-    density update takes its flux divergence; other sweeps return ``None``.
-    A sweep with ``grad`` is the step's last write of each block, so it also
-    forms the row sums ``(G * G) w`` and ``G w`` of the trace record and
-    leaves ``(micro_norm_w, zero_density_residual)`` in ``ctx.swept``, bit
-    for bit those :mod:`lrtrans.diagnostics` would compute from ``G``
+    n_points)``, formed as ``((R/dt) dt B) Q^(j) w``, from which the density
+    update takes its flux divergence; other sweeps return ``None``.  A sweep
+    with ``grad`` is the step's last write of each block, so it also forms
+    the row sums ``(G * G) w`` and ``G w`` of the trace record and leaves
+    ``(micro_norm_w, zero_density_residual)`` in ``ctx.swept``, bit for bit
+    those :mod:`lrtrans.diagnostics` would compute from ``G``
     (:func:`~lrtrans.ops.inner_w` sums the same row products).
 
-    Each block is written straight into ``G``.  Its explicit part reads the
-    outer-axis rows next to it, so two kinds of old rows are kept before they
-    are overwritten: the block's last outer row, the halo of the next block,
-    and the first outer row of each point family, the periodic halo of the
+    Each block is written straight into ``G``, so ``G`` must be C-contiguous
+    (``ValueError`` otherwise): the ``dgemm`` writes into the transposed
+    block, which f2py would silently copy were it not Fortran-contiguous.
+    A block's explicit part reads the outer-axis rows next to it, so two
+    kinds of old values are kept before they are overwritten, each only in
+    the columns that read it: the block's last outer row in the backward
+    runs of the outer axis, the halo of the next block, and the first outer
+    row of each point family in its forward runs, the periodic halo of the
     family's last row.
     """
-    grid, quad, config, R = ctx.grid, ctx.quad, ctx.config, ctx.R
+    if not G.flags.c_contiguous:
+        raise ValueError("the micro state of a full-rank step must be C-contiguous")
+    grid, quad, dt = ctx.grid, ctx.quad, ctx.config.dt
     size = ctx.blocks[0][1] - ctx.blocks[0][0]
     row, half = math.prod(grid.block_shape[2:]), grid.n_points // 2
     # one allocation, freed before the density solve; with ``explicit`` also
@@ -373,34 +397,37 @@ def _micro_sweep(ctx, G, explicit=False, t_next=0.0, grad=None):
     if explicit:
         moments = np.empty((grid.dim, grid.n_points))
         if ctx.material.micro_source is not None:
-            source = ctx.material.micro_source(t_next)
+            P, A = ctx.material.micro_source(t_next)
+            source = (P * dt, np.asfortranarray(A))
+        # the columns of the outer axis that read the previous row / first rows
+        back, fwd = ([np.s_[:, c0:c1] for c0, c1, side in ctx.sides[-1] if side == s]
+                     for s in (-1, +1))
+    if grad is not None:
+        PJ, AJ = grad
+        PJ_s, AJ = PJ * (dt / ctx.config.epsilon**2), np.asfortranarray(AJ)
     for lo, hi in ctx.blocks:
         a, g = work[: hi - lo], G[lo:hi]
         if explicit:
             for f in (0, 1):
                 if lo <= f * half < hi:
-                    halo[1 + f] = G[f * half:f * half + row]
-            advect_rows(grid, quad, G, lo, hi, a, scratch[: hi - lo], ctx.sides,
+                    for c in fwd:
+                        halo[1 + f][c] = G[f * half:f * half + row][c]
+            advect_rows(grid, G, lo, hi, a, scratch[: hi - lo], ctx.sides, ctx.scales,
                         halo[0], halo[1:])
-            halo[0] = G[hi - row:hi]
+            for c in back:
+                halo[0][c] = G[hi - row:hi][c]
             project_out_mean(quad, a, out=a)
-            a /= config.epsilon
-            g /= config.dt
             g -= a
             if source is not None:
-                P, A = source
-                g += np.matmul(P[lo:hi], A.T, out=a)
+                dgemm(1.0, source[1], source[0][lo:hi].T, beta=1.0, c=g.T, overwrite_c=True)
         if grad is not None:
-            PJ, AJ = grad
-            np.matmul(PJ[lo:hi], AJ.T, out=a)
-            a /= config.epsilon**2
-            g -= a
-            g *= R[lo:hi, None]
+            dgemm(-1.0, AJ, PJ_s[lo:hi].T, beta=1.0, c=g.T, overwrite_c=True)
+            g *= ctx.R_dt[lo:hi, None]
             np.matmul(g, quad.w, out=sums[1, lo:hi])
             # a non-finite value of g makes its row's sum of squares non-finite
             _require_finite(np.matmul(np.multiply(g, g, out=a), quad.w, out=sums[0, lo:hi]))
         if explicit:
-            m = g if grad is not None else np.multiply(g, R[lo:hi, None], out=a)
+            m = g if grad is not None else np.multiply(g, ctx.R_dt[lo:hi, None], out=a)
             for j in range(grid.dim):
                 np.matmul(m, ctx.qw_rows[j], out=moments[j, lo:hi])
     if sums is not None:
@@ -421,7 +448,8 @@ def imex_step(ctx: StepContext, rho: np.ndarray, G: np.ndarray, t_next: float = 
 
     Updates ``G`` in place and returns ``(rho_new, G)``.  Raises
     :class:`DivergenceError` if the update produces non-finite values; ``G``
-    is then partly updated.
+    is then partly updated.  ``G`` must be C-contiguous (``ValueError``
+    otherwise, before anything is written).
     """
     grid, quad = ctx.grid, ctx.quad
     with np.errstate(over="ignore", invalid="ignore"):
@@ -441,7 +469,8 @@ def imex_s_step(ctx: StepContext, rho: np.ndarray, G: np.ndarray, t_next: float 
 
     The density solves the reduced system assembled in ``ctx.schur``; the
     fluctuation is then recovered pointwise from the new density.  Like
-    :func:`imex_step`, updates ``G`` in place and returns ``(rho_new, G)``.
+    :func:`imex_step`, updates a C-contiguous ``G`` in place and returns
+    ``(rho_new, G)``.
     """
     grid, quad = ctx.grid, ctx.quad
     with np.errstate(over="ignore", invalid="ignore"):

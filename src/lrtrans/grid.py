@@ -83,35 +83,6 @@ class StaggeredGrid:
             return (2, self.cells[0])
         return (2, self.cells[1], self.cells[0])
 
-    # -- index maps --------------------------------------------------------
-
-    def rho_index(self, block: int, ix: int, iy: int = 0) -> int:
-        """Linear index of the point ``(block, ix[, iy])``; both point
-        families share the index map."""
-        nx = self.cells[0]
-        if not 0 <= block < 2 or not 0 <= ix < nx:
-            raise IndexError("grid location out of range")
-        if self.dim == 1:
-            if iy != 0:
-                raise IndexError("iy must be 0 on a 1D grid")
-            return block * nx + ix
-        ny = self.cells[1]
-        if not 0 <= iy < ny:
-            raise IndexError("grid location out of range")
-        return (block * ny + iy) * nx + ix
-
-    def location(self, k: int) -> tuple:
-        """Inverse index map: ``(block, ix)`` in 1D, ``(block, ix, iy)`` in 2D."""
-        if not 0 <= k < self.n_points:
-            raise IndexError("linear index out of range")
-        nx = self.cells[0]
-        if self.dim == 1:
-            return divmod(k, nx)
-        ny = self.cells[1]
-        block, rest = divmod(k, nx * ny)
-        iy, ix = divmod(rest, nx)
-        return block, ix, iy
-
     def shift_permutation(self, axis: int, step: int = 1) -> np.ndarray:
         """Index permutation ``p`` with ``u[p][k] = u`` shifted ``+step`` cells.
 
@@ -230,7 +201,8 @@ def diff(
     :func:`lrtrans.ops.advect_rows` also calls on its blocks, once per run
     of ordinate columns that share a side: two slice subtractions into one
     output array (interior cells, then the periodic wrap-around cell), then
-    an in-place division, so no shifted copy of the field is made.  ``out``,
+    an in-place division here (the advection multiplies by its own per-column
+    scale instead), so no shifted copy of the field is made.  ``out``,
     if given, receives the result and may be any view of the field's shape,
     e.g. a column slice of a wider block.
     """
@@ -265,8 +237,8 @@ def _stencil(f, d, side, lo=0, hi=None, prev=None, first=None):
     rows outside ``lo:hi`` serve as the halo.  ``prev`` and ``first``,
     shaped like ``f[:1]``, stand in for the halo rows ``f[lo - 1]`` (when
     ``lo > 0``) and ``f[0]`` (read by the last row) where a caller has
-    already overwritten them.  The caller divides by the spacing, on its own
-    (usually contiguous) output.
+    already overwritten them.  The caller scales the increments (``diff``
+    divides by the spacing), on its own (usually contiguous) output.
     """
     n = len(f)
     hi = n if hi is None else hi

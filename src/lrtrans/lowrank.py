@@ -327,12 +327,6 @@ def _seeded_state(quad, X, s, Vm, r_eff, weighted, rng):
     return MicroStateLowRank(X=X, S=S, V=V, weighted=weighted)
 
 
-def reconstruct(state: MicroStateLowRank, quad: QuadratureSet) -> np.ndarray:
-    """Dense microscopic state ``G`` represented by the factors."""
-    GM = (state.X @ state.S) @ state.V.T
-    return GM / quad.m[None, :] if state.weighted else GM
-
-
 def g_factors(state: MicroStateLowRank, quad: QuadratureSet) -> tuple:
     """Factors ``(P, A)`` with ``P @ A.T = G``, without reconstruction."""
     return state.X @ state.S, _g_angular(quad, state, state.V)

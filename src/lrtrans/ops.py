@@ -101,12 +101,13 @@ def sample_material(
 def advect(grid: StaggeredGrid, quad: QuadratureSet, G: np.ndarray) -> np.ndarray:
     """Upwind advection: sum_j D^(j,-) G Q^(j,+) + D^(j,+) G Q^(j,-).
 
-    :func:`advect_rows` over all rows.
+    :func:`advect_rows` over all rows, with the scales ``q_j / h_j``.
     """
     _check_micro(grid, quad, G)
     out = np.empty(G.shape)
-    return advect_rows(grid, quad, np.asarray(G, dtype=float), 0, grid.n_points,
-                       out, np.empty_like(out), upwind_runs(quad))
+    scales = [quad.q(j) / grid.spacing[j] for j in range(grid.dim)]
+    return advect_rows(grid, np.asarray(G, dtype=float), 0, grid.n_points,
+                       out, np.empty_like(out), upwind_runs(quad), scales)
 
 
 def upwind_runs(quad: QuadratureSet) -> tuple:
@@ -121,24 +122,27 @@ def upwind_runs(quad: QuadratureSet) -> tuple:
     return tuple(runs)
 
 
-def advect_rows(grid, quad, G, lo, hi, out, work, runs, prev=None, first=(None, None)):
-    """Rows ``lo:hi`` of :func:`advect` of ``G``, written into ``out``.
+def advect_rows(grid, G, lo, hi, out, work, runs, scales, prev=None, first=(None, None)):
+    """Rows ``lo:hi`` of ``sum_j (raw upwind increment of G along j) * scales[j]``,
+    written into ``out``; with ``scales[j] = q_j / h_j`` this is :func:`advect`.
 
     ``Q^(j,+) Q^(j,-) = 0``: each ordinate moves either way along an axis,
-    never both, so only its upwind difference is formed, one stencil call
+    never both, so only its upwind increment is formed, one stencil call
     per run of columns ``(c0, c1, side)`` in ``runs[j]``
-    (:func:`upwind_runs`), and scaled by ``q_j`` itself.  This is exact, bit
-    for bit: ``q_j^+ == q_j`` on positive columns, ``q_j^- == q_j`` on the
-    others, and the dropped term is a zero.
+    (:func:`upwind_runs`), and multiplied once by ``scales[j]``, a
+    per-column scale that folds ``q_j``, ``1/h_j`` and any constant of the
+    caller.  The dropped term is a zero.
 
     ``lo`` and ``hi`` are multiples of the points in one row of the outer
     axis (``nx`` in 2D, 1 in 1D); the rows may straddle the two point
     families.  The outer-axis difference reads its periodic halo rows from
     ``G``, except where a caller that overwrites ``G`` block by block passes
-    their old values: ``prev``, the outer row before ``lo``, and ``first[f]``,
-    the first outer row of family ``f`` (each ``(points per row, N)``).
-    ``out`` and ``work`` are ``(hi - lo, N)`` arrays; ``work`` is scratch for
-    the second axis.
+    their old values: ``prev``, the outer row before ``lo``, read only by
+    the backward (``-1``) runs of the outer axis, and ``first[f]``, the first
+    outer row of family ``f``, read only by its forward (``+1``) runs (each
+    ``(points per row, N)``; the other columns are not read).  ``out`` and
+    ``work`` are ``(hi - lo, N)`` arrays; ``work`` is scratch for the second
+    axis.
     """
     fam_shape = grid.block_shape[1:]
     L = fam_shape[0]
@@ -162,8 +166,7 @@ def advect_rows(grid, quad, G, lo, hi, out, work, runs, prev=None, first=(None, 
                 if s0 < s1:
                     _stencil(fams[fam][c], rows[s0 - r0:s1 - r0][c], side,
                              s0 - fam * L, s1 - fam * L, prev_c, first_c[fam])
-        d /= grid.spacing[j]
-        d *= quad.q(j)
+        d *= scales[j]
         if j:
             out += d
     return out

@@ -1,8 +1,10 @@
 """Reference formulas that only the tests evaluate.
 
 The solver never calls these: the adjoint advection and the unweighted
-inner product state the proof-level identities, and the factored weighted
-norm and the Schur product check the solver's own shortcuts.
+inner product state the proof-level identities, the factored weighted
+norm and the Schur product check the solver's own shortcuts, and the dense
+reconstruction, the grid's index maps and ``|Omega_j|`` spell out what the
+solver's factored and linear-index forms stand for.
 """
 
 import math
@@ -56,3 +58,43 @@ def micro_norm_w_exact(grid, quad, micro) -> float:
 def schur_apply(schur, x: np.ndarray) -> np.ndarray:
     """The Schur operator of :class:`lrtrans.fullrank.SchurOperator` applied to ``x``."""
     return schur.matrix @ x
+
+
+def reconstruct(state: MicroStateLowRank, quad) -> np.ndarray:
+    """Dense microscopic state ``G`` represented by the factors."""
+    GM = (state.X @ state.S) @ state.V.T
+    return GM / quad.m[None, :] if state.weighted else GM
+
+
+def q_abs(quad, axis: int) -> np.ndarray:
+    """``|Omega_j|`` of every ordinate."""
+    return np.abs(quad.omega[:, axis])
+
+
+def rho_index(grid, block: int, ix: int, iy: int = 0) -> int:
+    """Linear index of the point ``(block, ix[, iy])`` of ``grid``; both point
+    families share the index map."""
+    nx = grid.cells[0]
+    if not 0 <= block < 2 or not 0 <= ix < nx:
+        raise IndexError("grid location out of range")
+    if grid.dim == 1:
+        if iy != 0:
+            raise IndexError("iy must be 0 on a 1D grid")
+        return block * nx + ix
+    ny = grid.cells[1]
+    if not 0 <= iy < ny:
+        raise IndexError("grid location out of range")
+    return (block * ny + iy) * nx + ix
+
+
+def location(grid, k: int) -> tuple:
+    """Inverse of :func:`rho_index`: ``(block, ix)`` in 1D, ``(block, ix, iy)`` in 2D."""
+    if not 0 <= k < grid.n_points:
+        raise IndexError("linear index out of range")
+    nx = grid.cells[0]
+    if grid.dim == 1:
+        return divmod(k, nx)
+    ny = grid.cells[1]
+    block, rest = divmod(k, nx * ny)
+    iy, ix = divmod(rest, nx)
+    return block, ix, iy

@@ -91,6 +91,24 @@ def test_zero_density_residual_is_held_to_its_bound(tmp_path):
     assert "zero-density residual above bound in b" in lines[-1]
 
 
+def test_held_zero_density_residual_is_labelled_not_scaled(tmp_path):
+    # under --rtol a residual held to its bound is roundoff: its scaled
+    # difference (0.26 here) says nothing, so the report names the bound
+    trace = with_row(TRACE, 2, 4, 1.2e-16 * 0.74)
+    lines, ok = gate(tmp_path / "rtol", 1e-10, trace=trace)
+    assert ok
+    assert "zero_density_residual held to bound" in lines[0]
+    assert "zero_density_residual 0." not in lines[0]
+    # byte identity reports the relative difference as before
+    lines, ok = gate(tmp_path / "bytes", trace=trace)
+    assert not ok and "zero_density_residual 0.26" in lines[0]
+    # where the first tree breaks the bound the column is compared and shown
+    broken, moved = with_row(TRACE, 2, 4, 0.7), with_row(TRACE, 2, 4, 0.7 * (1 + 1e-8))
+    a = write_run(tmp_path / "a", trace=broken)
+    lines, ok = ct.compare_run(a, write_run(tmp_path / "b", trace=moved), 1e-10)
+    assert "held to bound" not in lines[0] and "zero_density_residual 1e-08" in lines[0]
+
+
 def test_zero_density_residual_beyond_bound_in_both_trees_is_compared(tmp_path):
     # a run that does not hold the constraint (the unweighted mode) passes if
     # its residuals agree to the tolerance, and fails if they do not

@@ -20,8 +20,9 @@ from lrtrans.diagnostics import (
 from lrtrans import fullrank
 from lrtrans.fullrank import LinearSolveError, SolverConfig
 from lrtrans.grid import build_grid
-from lrtrans.lowrank import factorize_micro, reconstruct
+from lrtrans.lowrank import factorize_micro
 from lrtrans.ops import project_out_mean, sample_material
+from oracles import reconstruct
 
 
 def setup(nx=16, n_ord=8, floor=1.0, sigma_s=None, sigma_a=None):

@@ -32,6 +32,7 @@ from lrtrans.ops import (
     norm_w,
     project_out_mean,
     sample_material,
+    upwind_runs,
 )
 from lrtrans.run import RunManifest, execute_run
 from conftest import dense_diff_matrix
@@ -241,9 +242,57 @@ def test_macroscopic_source_enters_at_new_time():
     assert seen == [0.37]
 
 
-# -- pre-change step formulas, kept as a bitwise reference -----------------
+# -- step formulas in the sweep's association, a bitwise reference ---------
 
-def _reference_micro_rhs(grid, quad, material, config, G, t_next):
+def _reference_dt_explicit(grid, quad, material, config, G, t_next):
+    """``dt B``, the explicit part times ``dt``: ``G - (sum_j increment_j G *
+    q_j dt / (eps h_j))(I - w 1^T/|D|) + (dt P) A^T``, the raw one-sided
+    increments being the subtractions :func:`lrtrans.grid._stencil` makes."""
+    dt, eps = config.dt, config.epsilon
+    adv = np.zeros_like(G)
+    for j in range(grid.dim):
+        c = dt / (eps * grid.spacing[j])
+        fwd = G[grid.shift_permutation(j, +1)] - G
+        bwd = -(G[grid.shift_permutation(j, -1)] - G)
+        adv += bwd * (quad.q_plus(j) * c) + fwd * (quad.q_minus(j) * c)
+    rhs = G - project_out_mean(quad, adv)
+    if material.micro_source is not None:
+        P, A = material.micro_source(t_next)
+        rhs += (P * dt) @ A.T
+    return rhs
+
+
+def _reference_macro_source(material, config, rho, t_next):
+    b = rho / config.dt
+    if material.phi is not None:
+        b = b + material.phi(t_next)
+    return b
+
+
+def _reference_imex_step(grid, quad, material, config, rho, G, t_next):
+    R_dt = relaxation_factor(material, config) / config.dt
+    PJ, AJ = density_grad(grid, quad, rho)
+    rhs = _reference_dt_explicit(grid, quad, material, config, G, t_next)
+    rhs -= (PJ * (config.dt / config.epsilon**2)) @ AJ.T
+    G_new = R_dt[:, None] * rhs
+    b = _reference_macro_source(material, config, rho, t_next)
+    rho_new = (b - flux_div(grid, quad, G_new)) / (1.0 / config.dt + material.sigma_a_rho)
+    return rho_new, G_new
+
+
+def _reference_imex_s_step(grid, quad, material, config, schur, rho, G, t_next):
+    R_dt = relaxation_factor(material, config) / config.dt
+    dtB = _reference_dt_explicit(grid, quad, material, config, G, t_next)
+    b1 = _reference_macro_source(material, config, rho, t_next)
+    rho_new = schur.solve(b1 - flux_div(grid, quad, R_dt[:, None] * dtB))
+    PJ, AJ = density_grad(grid, quad, rho_new)
+    G_new = R_dt[:, None] * (dtB - (PJ * (config.dt / config.epsilon**2)) @ AJ.T)
+    return rho_new, G_new
+
+
+# -- the step formulas before the sweep folded its scalings, a second oracle
+
+def _pre_change_micro_rhs(grid, quad, material, config, G, t_next):
     adv = np.zeros_like(G)
     for j in range(grid.dim):
         adv += diff(grid, j, -1, G) * quad.q_plus(j)[None, :]
@@ -257,17 +306,10 @@ def _reference_micro_rhs(grid, quad, material, config, G, t_next):
     return rhs
 
 
-def _reference_macro_source(material, config, rho, t_next):
-    b = rho / config.dt
-    if material.phi is not None:
-        b = b + material.phi(t_next)
-    return b
-
-
-def _reference_imex_step(grid, quad, material, config, rho, G, t_next):
+def _pre_change_imex_step(grid, quad, material, config, rho, G, t_next):
     R = relaxation_factor(material, config)
     PJ, AJ = density_grad(grid, quad, rho)
-    rhs = _reference_micro_rhs(grid, quad, material, config, G, t_next)
+    rhs = _pre_change_micro_rhs(grid, quad, material, config, G, t_next)
     rhs -= (PJ @ AJ.T) / config.epsilon**2
     G_new = R[:, None] * rhs
     b = _reference_macro_source(material, config, rho, t_next)
@@ -275,9 +317,9 @@ def _reference_imex_step(grid, quad, material, config, rho, G, t_next):
     return rho_new, G_new
 
 
-def _reference_imex_s_step(grid, quad, material, config, schur, rho, G, t_next):
+def _pre_change_imex_s_step(grid, quad, material, config, schur, rho, G, t_next):
     R = relaxation_factor(material, config)
-    b2 = _reference_micro_rhs(grid, quad, material, config, G, t_next)
+    b2 = _pre_change_micro_rhs(grid, quad, material, config, G, t_next)
     b1 = _reference_macro_source(material, config, rho, t_next)
     rho_new = schur.solve(b1 - flux_div(grid, quad, R[:, None] * b2))
     PJ, AJ = density_grad(grid, quad, rho_new)
@@ -312,23 +354,32 @@ def _sized_context(monkeypatch, grid, quad, material, config, schur, rows):
 # mms2d-16 carries a micro source and is one block at the default budget;
 # 3-row blocks of mms2d-16 (48 points) and 7-row blocks of bimodal1d (rounded
 # to 8 points; its families meet at point 50) straddle the family boundary
-# and end with a ragged block.
+# and end with a ragged block.  The grouped case runs the ordinates in upwind
+# quadrant order, as dense runs do, so each halo row is kept in its own runs
+# of columns only.
 @pytest.mark.parametrize(
-    "scheme, name, rows",
+    "scheme, name, rows, grouped",
     [
-        pytest.param("IMEX", "mms2d-16", None, id="IMEX"),
-        pytest.param("IMEX-S", "mms2d-16", None, id="IMEX-S"),
-        pytest.param("IMEX", "mms2d-16", 3, id="IMEX-mms2d-16-3rows"),
-        pytest.param("IMEX-S", "mms2d-16", 3, id="IMEX-S-mms2d-16-3rows"),
-        pytest.param("IMEX", "bimodal1d", 7, id="IMEX-bimodal1d-7rows"),
-        pytest.param("IMEX-S", "bimodal1d", 7, id="IMEX-S-bimodal1d-7rows"),
+        pytest.param("IMEX", "mms2d-16", None, False, id="IMEX"),
+        pytest.param("IMEX-S", "mms2d-16", None, False, id="IMEX-S"),
+        pytest.param("IMEX", "mms2d-16", 3, False, id="IMEX-mms2d-16-3rows"),
+        pytest.param("IMEX-S", "mms2d-16", 3, False, id="IMEX-S-mms2d-16-3rows"),
+        pytest.param("IMEX", "mms2d-16", 3, True, id="IMEX-mms2d-16-3rows-grouped"),
+        pytest.param("IMEX-S", "mms2d-16", 3, True, id="IMEX-S-mms2d-16-3rows-grouped"),
+        pytest.param("IMEX", "bimodal1d", 7, False, id="IMEX-bimodal1d-7rows"),
+        pytest.param("IMEX-S", "bimodal1d", 7, False, id="IMEX-S-bimodal1d-7rows"),
     ],
 )
 def test_steps_match_reference_formulas_bitwise_with_micro_source(
-    rng, monkeypatch, scheme, name, rows
+    rng, monkeypatch, scheme, name, rows, grouped
 ):
     grid, quad, material, config, schur = _step_setup(name, scheme)
     assert (material.micro_source is not None) == name.startswith("mms2d")
+    if grouped:
+        quad, material = fullrank.upwind_grouped(quad, material)
+        assert tuple(len(r) for r in upwind_runs(quad)) == (2, 3)
+        if schur is not None:
+            schur = build_schur(grid, quad, material, config)
     ctx = _sized_context(monkeypatch, grid, quad, material, config, schur, rows)
     blocks = ctx.blocks
     if rows is None:
@@ -340,19 +391,41 @@ def test_steps_match_reference_formulas_bitwise_with_micro_source(
     dt = config.dt
     rho, G = random_state(grid, quad, rng)
     ref_rho, ref_G = rho.copy(), G.copy()
+    old_rho, old_G = rho.copy(), G.copy()
     for k in range(1, 4):
         if schur is None:
             rho, G = imex_step(ctx, rho, G, k * dt)
             ref_rho, ref_G = _reference_imex_step(
                 grid, quad, material, config, ref_rho, ref_G, k * dt
             )
+            old_rho, old_G = _pre_change_imex_step(
+                grid, quad, material, config, old_rho, old_G, k * dt
+            )
         else:
             rho, G = imex_s_step(ctx, rho, G, k * dt)
             ref_rho, ref_G = _reference_imex_s_step(
                 grid, quad, material, config, schur, ref_rho, ref_G, k * dt
             )
+            old_rho, old_G = _pre_change_imex_s_step(
+                grid, quad, material, config, schur, old_rho, old_G, k * dt
+            )
         assert np.array_equal(rho, ref_rho)
         assert np.array_equal(G, ref_G)
+        # the pre-change association agrees to rounding
+        assert np.max(np.abs(rho - old_rho)) <= 1e-13 * np.max(np.abs(old_rho))
+        assert np.max(np.abs(G - old_G)) <= 1e-13 * np.max(np.abs(old_G))
+
+
+@pytest.mark.parametrize("step", [imex_step, imex_s_step])
+def test_steps_reject_a_fortran_ordered_micro_state(rng, step):
+    # the sweep's dgemm writes into the transposed blocks of G in place; on a
+    # Fortran-ordered G f2py would update a copy and the result would be lost
+    grid, quad, material, config, schur = _step_setup("mms2d-16", "IMEX-S")
+    rho, G = random_state(grid, quad, rng)
+    F = np.asfortranarray(G)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        step(step_context(grid, quad, material, config, schur), rho, F, config.dt)
+    assert np.array_equal(F, G)
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])

@@ -20,10 +20,9 @@ from lrtrans.lowrank import (
     galerkin_stage,
     lowrank_macro_coupled_step,
     micro_step,
-    reconstruct,
 )
 from lrtrans.ops import advect, density_grad, project_out_mean, sample_material
-from oracles import gm_frobenius, micro_norm_w_exact
+from oracles import gm_frobenius, micro_norm_w_exact, reconstruct
 
 
 def unit_material(grid, sigma_a=0.0):

@@ -24,7 +24,7 @@ from lrtrans.ops import (
 )
 from lrtrans.fullrank import upwind_grouped
 from conftest import dense_diff_matrix
-from oracles import advect_adjoint, inner
+from oracles import advect_adjoint, inner, q_abs
 
 
 def small_1d():
@@ -64,7 +64,21 @@ def test_advect_dense_oracle(setup, rng):
 
 
 def four_term_advect(grid, quad, G):
-    """Reference: both one-sided differences per axis, weighted by Q^(j,+-)."""
+    """Reference: both raw one-sided increments per axis, the subtractions
+    :func:`lrtrans.grid._stencil` makes, weighted by ``Q^(j,+-) / h_j``."""
+    out = np.zeros_like(G)
+    for j in range(grid.dim):
+        h = grid.spacing[j]
+        fwd = G[grid.shift_permutation(j, +1)] - G
+        bwd = -(G[grid.shift_permutation(j, -1)] - G)
+        out += bwd * (quad.q_plus(j) / h) + fwd * (quad.q_minus(j) / h)
+    return out
+
+
+def pre_change_four_term_advect(grid, quad, G):
+    """The same sum with the differences divided by ``h_j`` before ``Q^(j,+-)``
+    weights them, the association :func:`advect` had before its scales were
+    folded into one factor per axis."""
     out = np.zeros_like(G)
     for j in range(grid.dim):
         out += diff(grid, j, -1, G) * quad.q_plus(j)[None, :]
@@ -81,7 +95,9 @@ def four_term_advect(grid, quad, G):
 )
 def test_advect_matches_four_term_formula_bitwise(rng, grid, quad):
     G = rng.standard_normal((grid.n_points, quad.n))
-    assert np.array_equal(advect(grid, quad, G), four_term_advect(grid, quad, G))
+    A = advect(grid, quad, G)
+    assert np.array_equal(A, four_term_advect(grid, quad, G))
+    assert np.max(np.abs(A - pre_change_four_term_advect(grid, quad, G))) <= 1e-13 * np.max(np.abs(A))
 
 
 def _grouped_cl(n_polar):
@@ -192,7 +208,7 @@ def test_adjoint_advection_bound(setup, rng):
         lhs = norm_w(grid, quad, advect_adjoint(grid, quad, G)) ** 2
         rhs = 0.0
         for j in range(d):
-            rhs += norm_w(grid, quad, diff(grid, j, +1, G) * quad.q_abs(j)[None, :]) ** 2
+            rhs += norm_w(grid, quad, diff(grid, j, +1, G) * q_abs(quad, j)[None, :]) ** 2
         assert lhs <= d * rhs * (1 + 1e-12)
 
 
@@ -206,7 +222,7 @@ def test_advection_energy_identity(setup, rng):
         for j in range(grid.dim):
             DG = diff(grid, j, +1, Gn1)
             rhs += 0.5 * grid.spacing[j] * inner_w(
-                grid, quad, DG * quad.q_abs(j)[None, :], DG
+                grid, quad, DG * q_abs(quad, j)[None, :], DG
             )
         assert abs(lhs - rhs) <= 1e-11 * max(abs(lhs), 1.0)
 
