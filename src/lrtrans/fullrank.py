@@ -357,9 +357,10 @@ def _micro_sweep(ctx, G, explicit=False, t_next=0.0, grad=None):
     With ``explicit``, replaces ``G`` by ``dt B``, where ``B = G/dt - (1/eps)
     A(G)(I - w 1^T/|D|) + source(t_next)`` is the explicit part, formed as
     ``G - (sum_j scales[j] * increment_j G)(I - w 1^T/|D|) + (dt P) A^T``
-    with the raw upwind increments and ``ctx.scales[j] = q_j dt / (eps h_j)``.  With ``grad = (PJ, AJ)`` it
-    then subtracts ``(dt/eps^2 PJ) AJ^T``, accumulated into ``G`` by one BLAS
-    ``dgemm``, multiplies by ``ctx.R_dt = R / dt`` and raises
+    with the raw upwind increments and ``ctx.scales[j] = q_j dt / (eps
+    h_j)``.  With ``grad = (PJ, AJ)`` it then subtracts ``(dt/eps^2 PJ)
+    AJ^T``, accumulated into ``G`` by one BLAS ``dgemm``, multiplies by
+    ``ctx.R_dt = R / dt`` and raises
     :class:`DivergenceError` on a non-finite value (or one whose square
     overflows), leaving ``G`` partly updated.  Between the two sweeps of
     :func:`imex_s_step`, ``G`` therefore holds ``dt B``.  An explicit sweep

@@ -23,7 +23,8 @@ zero-density residual is at most ``ZERO_DENSITY_BOUND * max(1,
 micro_norm_w)`` in both trees.  That column holds roundoff, so it is held to
 the bound and not compared, and the report labels it ``held to bound``; only
 where ``SRC_A`` itself breaks the bound (unweighted aBUG, whose angular
-basis does not carry the constraint) is it compared like the others.  The exit status is 0 when every run passes.
+basis does not carry the constraint) is it compared like the others.  The
+exit status is 0 when every run passes.
 
 Under the verdict the script prints the line count of ``src/lrtrans/*.py``
 in each tree, the size of the solver that the roadmap tracks.
