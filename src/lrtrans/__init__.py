@@ -32,7 +32,6 @@ from .fullrank import (
 )
 from .grid import StaggeredGrid, build_grid, diff
 from .lowrank import (
-    LowRankConfig,
     MicroStateLowRank,
     constrained_qr,
     factorize_micro,

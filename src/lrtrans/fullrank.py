@@ -268,7 +268,8 @@ class StepContext:
     material: MaterialField
     config: SolverConfig
     schur: Optional[SchurOperator]  # IMEX-S coupling
-    lr: Optional[object]  # the lowrank.LowRankConfig of a low-rank micro update
+    integrator: Optional[str]  # "BUG", "aBUG" or "AP-aBUG"; None for full rank
+    tau: float  # relative truncation tolerance of aBUG and AP-aBUG
     R: np.ndarray  # relaxation factor (1/dt + sigma_s/eps^2 + sigma_a)^-1
     R_dt: np.ndarray  # R / dt, the full-rank sweep's relaxation of dt B
     sig: np.ndarray  # sigma_s/eps^2 + sigma_a on the g family
@@ -288,15 +289,21 @@ class StepContext:
     swept: np.ndarray
 
 
-def step_context(grid, quad, material, config, schur=None, lr=None) -> StepContext:
+def step_context(grid, quad, material, config, schur=None, integrator=None,
+                 tau=1e-5) -> StepContext:
     """The :class:`StepContext` of a run; ``schur`` for IMEX-S coupling,
-    ``lr`` (a ``LowRankConfig``) for a low-rank micro update."""
+    ``integrator`` (``"BUG"``, ``"aBUG"`` or ``"AP-aBUG"``) for a low-rank
+    micro update, which :func:`lrtrans.lowrank.micro_step` runs."""
+    # a negated comparison, so that NaN fails it
+    if not 0 < tau < np.inf:
+        raise ValueError("tau must be positive and finite")
     eps, dt = config.epsilon, config.dt
     sig = material.sigma_s_g / (eps * eps) + material.sigma_a_g
     qw = quad.omega * quad.w[:, None]
     R = relaxation_factor(material, config)
     return StepContext(
-        grid=grid, quad=quad, material=material, config=config, schur=schur, lr=lr,
+        grid=grid, quad=quad, material=material, config=config, schur=schur,
+        integrator=integrator, tau=tau,
         R=R,
         R_dt=R / dt,
         sig=sig,

@@ -11,14 +11,14 @@ demonstrate how that choice breaks the energy alignment, and is selected with
 
 Integrators
 -----------
-:func:`micro_step` runs one step of ``ctx.lr``, the run's
-``LowRankConfig`` in its :class:`~lrtrans.fullrank.StepContext`.  ``BUG`` is
+:func:`micro_step` runs one step of ``ctx.integrator``, the integrator the
+run resolved into its :class:`~lrtrans.fullrank.StepContext`.  ``BUG`` is
 the fixed-rank basis-update & Galerkin step: implicit pointwise K step,
 implicit r x r L step, re-orthonormalization, implicit r x r Galerkin S
 step.  ``aBUG`` augments the bases with the K/L updates (rank <= 2r) and
-truncates the S-step result by a relative singular-value tolerance;
-``AP-aBUG`` also adds the discrete diffusion-limit directions, pinned as
-untruncatable leading columns.
+truncates the S-step result by the relative singular-value tolerance
+``ctx.tau``; ``AP-aBUG`` also adds the discrete diffusion-limit directions,
+pinned as untruncatable leading columns.
 Weighted angular bases come from :func:`constrained_qr`, so ``1^T M V = 0``
 holds to machine precision.
 
@@ -40,9 +40,10 @@ Carried Galerkin blocks
 the K step and the Schur right-hand side.  On the periodic lattice
 ``D^(j,-) = -(D^(j,+))^T`` (summation by parts), so the L and S steps need
 only ``X^T D^(j,+) X``.  The S step forms the stack ``C = [X1^T D^(j,+) X1
-per axis, X1^T diag(sigma) X1]`` once (after an extension only the ``Q``
-blocks are new); it travels as ``MicroStateLowRank.C``, truncation rotates
-it with ``X``, and the next L step reads it with no ``n_points``-row work.
+per axis, X1^T diag(sigma) X1]`` once, by :func:`_galerkin_stack` (after
+an extension only the ``Q`` blocks are new); it travels as
+``MicroStateLowRank.C``, truncation rotates it with ``X``, and the next L
+step reads it with no ``n_points``-row work.
 The initial state carries ``C = None``; its first step forms the stack.
 
 Layout
@@ -96,21 +97,6 @@ class MicroStateLowRank:
     @property
     def rank(self) -> int:
         return self.X.shape[1]
-
-
-@dataclass
-class LowRankConfig:
-    """Integrator selection, and the truncation tolerance of the aBUG variants."""
-
-    integrator: str = "BUG"
-    tau: float = 1e-5
-
-    def __post_init__(self):
-        if self.integrator not in ("BUG", "aBUG", "AP-aBUG"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
-        # a negated comparison, so that NaN fails it
-        if not 0 < self.tau < np.inf:
-            raise ValueError("tau must be positive and finite")
 
 
 @dataclass
@@ -220,15 +206,6 @@ def _complete_basis(Q: np.ndarray, extra: int, rng: np.random.Generator) -> np.n
     return _hcat([Q, _fix_signs(full[:, k : k + extra])])
 
 
-def _sbp_matrices(grid: StaggeredGrid, X: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    """``(dim + 1, r, r)`` stack of ``X^T D^(j,+) X``, followed by
-    ``X^T diag(sig) X``; the backward-difference matrices follow by
-    summation by parts, ``X^T D^(j,-) X = -(.)^T``."""
-    blocks = [X.T @ diff(grid, j, +1, X) for j in range(grid.dim)]
-    blocks.append(X.T @ (sig[:, None] * X))
-    return np.stack(blocks)
-
-
 #: Largest accepted ``max |X^T Q|`` of a basis extension after its two
 #: projections; above it the block is projected once more and factorized again.
 _REORTH_BOUND = 1e-14
@@ -257,18 +234,30 @@ def _extend_basis(X: np.ndarray, B: np.ndarray) -> np.ndarray:
     return X1
 
 
-def _extended_blocks(grid, X1, r, C, sig):
-    """Galerkin stack of ``X1 = [X, Q]`` from the stack ``C`` of its leading
-    ``r`` columns ``X``: only ``Q`` is differenced and weighted.  Summation
-    by parts gives ``Q^T D^(j,+) X = -(X^T D^(j,-) Q)^T``, and ``D^(j,-) Q``
-    is the shifted ``D^(j,+) Q``."""
+def _galerkin_stack(grid, X1, sig, C=None):
+    """``(dim + 1, k, k)`` stack of ``X1^T D^(j,+) X1`` per axis, followed by
+    ``X1^T diag(sig) X1``; the backward-difference matrices follow by
+    summation by parts, ``X1^T D^(j,-) X1 = -(.)^T``.
+
+    ``C``, the stack of the leading ``r`` columns ``X`` of ``X1 = [X, Q]``,
+    is reused, and only ``Q`` is differenced and weighted: summation by
+    parts gives ``Q^T D^(j,+) X = -(X^T D^(j,-) Q)^T``, and ``D^(j,-) Q`` is
+    the shifted ``D^(j,+) Q``.  Without ``C`` all of ``X1`` is ``Q``.
+    """
+    r = 0 if C is None else C.shape[1]
     X, Q = X1[:, :r], X1[:, r:]
-    C1 = np.empty((len(C), X1.shape[1], X1.shape[1]))
-    C1[:, :r, :r] = C
+    C1 = np.empty((grid.dim + 1, X1.shape[1], X1.shape[1]))
+    if r:
+        C1[:, :r, :r] = C
     for j in range(grid.dim):
         DQ = diff(grid, j, +1, Q)
         C1[j, :, r:] = X1.T @ DQ
-        C1[j, r:, :r] = -(X.T @ shift(grid, j, DQ)).T
+        if r:
+            C1[j, r:, :r] = -(X.T @ shift(grid, j, DQ)).T
+        # free DQ before the next diff allocates its successor: two live
+        # n_points-row blocks let glibc trim the heap after each step, and
+        # the pages fault back in on the next one
+        del DQ
     C1[-1, :, r:] = X1.T @ (sig[:, None] * Q)
     C1[-1, r:, :r] = C1[-1, :r, r:].T
     return C1
@@ -379,20 +368,19 @@ def galerkin_stage(
     state: MicroStateLowRank,
     rho_for_grad: np.ndarray,
     t_next: float = 0.0,
-    augment: bool = False,
-    ap_enrich: bool = False,
     k_diffs: Optional[tuple] = None,
 ) -> GalerkinStage:
-    """K/L/basis/S sequence; returns the new ``X1, S_tilde, S1, V1`` and ``C1``.
+    """K/L/basis/S sequence of ``ctx.integrator``; returns the new ``X1,
+    S_tilde, S1, V1`` and ``C1``.
 
     ``S1`` solves the Galerkin-projected implicit update started from the
-    projected coupling matrix ``S_tilde = X1^T X S V^T V1``; with
-    ``augment=True`` the new bases also contain the previous ones, and with
-    ``ap_enrich=True`` additionally the diffusion-limit directions
+    projected coupling matrix ``S_tilde = X1^T X S V^T V1``.  For aBUG the
+    new bases also contain the previous ones, the spatial one as the
+    extension ``[X, Q]`` of :func:`_extend_basis`; for AP-aBUG they contain
+    the previous ones and the diffusion-limit directions
     ``-(sigma_s)^{-1} D^(j,+) rho`` (spatial) and ``M Q^(j) 1`` (angular) as
-    leading columns.  Without ``ap_enrich`` the augmented spatial basis is
-    the extension ``[X, Q]`` of :func:`_extend_basis`.  ``k_diffs`` is
-    ``_k_differences(grid, state)`` when the caller has formed it already.
+    leading columns.  ``k_diffs`` is ``_k_differences(grid, state)`` when
+    the caller has formed it already.
     """
     grid, quad, material, sig = ctx.grid, ctx.quad, ctx.material, ctx.sig
     X, S, V = state.X, state.S, state.V
@@ -400,7 +388,7 @@ def galerkin_stage(
     wgt = state.weighted
     eps, dt = ctx.config.epsilon, ctx.config.dt
     eps2 = eps * eps
-    C = state.C if state.C is not None else _sbp_matrices(grid, X, sig)
+    C = state.C if state.C is not None else _galerkin_stack(grid, X, sig)
     K, DK = k_diffs if k_diffs is not None else _k_differences(grid, state)
 
     PJ, AJ = density_grad(grid, quad, rho_for_grad)
@@ -433,24 +421,23 @@ def galerkin_stage(
     Mimp = np.eye(r) / dt + C[-1]
     L1 = np.linalg.solve(Mimp.T, rhsL.T).T
 
-    kb, lb = [K1], [L1]
-    if augment:
-        kb.append(X)
-        lb.append(V)
-    if ap_enrich:
+    integrator = ctx.integrator
+    kb = [K1]
+    lb = [L1] if integrator == "BUG" else [L1, V]
+    if integrator == "AP-aBUG":
         if not wgt:
             raise ValueError("diffusion-limit enrichment requires weighted factors")
-        kb.insert(0, -PJ / material.sigma_s_g[:, None])
+        kb = [-PJ / material.sigma_s_g[:, None], K1, X]
         lb.insert(0, ctx.ap_angular)
     V1 = constrained_qr(_hcat(lb), quad) if wgt else _fix_signs(_qr(_hcat(lb)))
-    if augment and not ap_enrich:
+    if integrator == "aBUG":
         X1 = _extend_basis(X, K1)
-        C1 = _extended_blocks(grid, X1, r, C, sig)
+        C1 = _galerkin_stack(grid, X1, sig, C)
         S_tilde = np.zeros((X1.shape[1], V1.shape[1]))
         S_tilde[:r] = S @ (V.T @ V1)
     else:
         X1 = _fix_signs(_qr(_hcat(kb)))
-        C1 = _sbp_matrices(grid, X1, sig)
+        C1 = _galerkin_stack(grid, X1, sig)
         S_tilde = (X1.T @ X) @ S @ (V.T @ V1)
 
     # X1^T D^(j,-) X1 = -C1[j]^T
@@ -467,20 +454,16 @@ def galerkin_stage(
 
 
 def micro_step(ctx: StepContext, state, rho_for_grad, t_next=0.0, k_diffs=None):
-    """One step of ``ctx.lr``'s integrator; returns ``(state, StepInfo)``.
+    """One step of ``ctx.integrator``; returns ``(state, StepInfo)``.
 
-    aBUG and AP-aBUG truncate at the relative tolerance ``ctx.lr.tau``.
+    aBUG and AP-aBUG truncate at the relative tolerance ``ctx.tau``.
     """
-    augment = ctx.lr.integrator != "BUG"
-    ap = ctx.lr.integrator == "AP-aBUG"
-    st = galerkin_stage(
-        ctx, state, rho_for_grad, t_next, augment=augment, ap_enrich=ap, k_diffs=k_diffs
-    )
+    st = galerkin_stage(ctx, state, rho_for_grad, t_next, k_diffs)
     factors = (st.X1, st.S1, st.V1, st.C1)
-    if ap:
-        factors = _truncate_pinned(*factors, ctx.grid.dim, ctx.lr.tau)
-    elif augment:
-        factors = _truncate_plain(*factors, ctx.lr.tau)
+    if ctx.integrator == "AP-aBUG":
+        factors = _truncate_pinned(*factors, ctx.grid.dim, ctx.tau)
+    elif ctx.integrator == "aBUG":
+        factors = _truncate_plain(*factors, ctx.tau)
     X, S, V, C = factors
     info = StepInfo(
         s_tilde_fro=float(np.linalg.norm(st.S_tilde)),

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import diagnostics, scenarios
-from .diagnostics import EnergyRecord
+from .diagnostics import UNCONDITIONAL, EnergyRecord
 from .fullrank import (
     DivergenceError,
     LinearSolveError,
@@ -35,12 +35,7 @@ from .fullrank import (
     step_context,
     upwind_grouped,
 )
-from .lowrank import (
-    LowRankConfig,
-    MicroStateLowRank,
-    factorize_micro,
-    lowrank_macro_coupled_step,
-)
+from .lowrank import MicroStateLowRank, factorize_micro, lowrank_macro_coupled_step
 
 _CSV_FMT = "%.17g"
 
@@ -116,10 +111,13 @@ def execute_run(manifest: RunManifest) -> RunResult:
     the artifacts are written all the same.  A low-rank initial state has
     ``C = None``; its first step forms the Galerkin stack.  A full-rank run
     holds its ordinates in upwind quadrant order (``fullrank.upwind_grouped``)
-    from the initial state on.
+    from the initial state on.  ``with_error=True`` on a scenario without a
+    reference raises ``ValueError`` before any work.
     """
     scheme = manifest.validate()
     scen = scenarios.get_scenario(manifest.scenario, manifest.mesh_div)
+    if manifest.with_error and scen.reference is None:
+        raise ValueError(f"scenario {manifest.scenario!r} has no reference solution")
     eps = manifest.epsilon if manifest.epsilon is not None else scen.epsilon
     grid, quad, material = scenarios.build_objects(scen, epsilon=eps)
 
@@ -132,15 +130,11 @@ def execute_run(manifest: RunManifest) -> RunResult:
 
     rank = manifest.rank if manifest.rank is not None else scen.rank
     tau = manifest.tau if manifest.tau is not None else scen.tau
-    integrator = lr_config = None
-    if scheme.micro != "full":
-        integrator = scheme.micro
-        if integrator == "aBUG" and not manifest.unweighted and scenarios.ap_enrichment_active(
-            scen, grid, material, eps
-        ):
-            integrator = "AP-aBUG"
-        lr_config = LowRankConfig(integrator=integrator, tau=tau)
-    else:
+    integrator = None if scheme.micro == "full" else scheme.micro
+    if (integrator == "aBUG" and not manifest.unweighted
+            and diagnostics.dt_implicit(grid, material, eps) == UNCONDITIONAL):
+        integrator = "AP-aBUG"
+    if integrator is None:
         quad, material = upwind_grouped(quad, material)
 
     rho, G0 = scen.init(grid, quad, eps)
@@ -152,7 +146,7 @@ def execute_run(manifest: RunManifest) -> RunResult:
             grid, quad, G0, rank, weighted=not manifest.unweighted, seed=manifest.seed
         )
     schur = build_schur(grid, quad, material, config) if scheme.schur else None
-    ctx = step_context(grid, quad, material, config, schur, lr_config)
+    ctx = step_context(grid, quad, material, config, schur, integrator, tau)
 
     records = [_record(0, 0.0, ctx, rho, micro, theta)]
     step_infos = []
@@ -160,7 +154,7 @@ def execute_run(manifest: RunManifest) -> RunResult:
     failed_step = None
 
     # the step, chosen once: (ctx, rho, micro, t_next) -> (rho, micro[, StepInfo])
-    step = (lowrank_macro_coupled_step if lr_config is not None
+    step = (lowrank_macro_coupled_step if integrator is not None
             else imex_s_step if schur is not None else imex_step)
 
     t0 = time.perf_counter()
@@ -281,10 +275,8 @@ def _reference_error(scen, grid, quad, material, rho, t_final, eps):
         ref = diagnostics.diffusion_reference(
             grid, quad, material, np.asarray(rho0, dtype=float), t_final / n, n
         )
-    elif scen.reference == "self":
+    else:  # "self"
         ref = _self_reference(scen, grid, t_final, eps)
-    else:
-        return None, None
     err = diagnostics.l2_error(grid, rho, ref)
     scale = diagnostics.l2_error(grid, np.zeros_like(ref), ref)
     return err, err / scale if scale > 0 else math.inf

@@ -1,15 +1,13 @@
 """Built-in experiment definitions: grids, materials, initial data, references.
 
-Scenario names form the CLI vocabulary::
-
-    gaussian1d-kinetic  gaussian1d-mid  gaussian1d-diff  bimodal1d
-    mms2d-16 .. mms2d-256  gaussian2d  lattice2d
-
-Each scenario fixes the mesh, quadrature, Knudsen number, horizon, material
-coefficients, initial data, default rank/tolerance, reference solution kind,
-and slice lines.  ``get_scenario`` optionally divides the spatial cell counts
-(floor division, minimum 2 cells) for reduced-size runs; quadrature size is
-never divided.
+The keys of :data:`SCENARIOS` form the CLI vocabulary: three 1D Gaussian
+regimes, a 1D two-beam state, five manufactured 2D meshes, a 2D Gaussian
+and a 2D lattice.  Each scenario fixes the mesh, quadrature, Knudsen
+number, horizon, material coefficients, initial data, default
+rank/tolerance, reference solution kind, and slice lines.
+``get_scenario`` optionally divides the spatial cell counts (floor
+division, minimum 2 cells) for reduced-size runs; quadrature size is never
+divided.
 
 Conventions adopted here (reconstructed, not prescribed elsewhere):
 
@@ -18,10 +16,11 @@ Conventions adopted here (reconstructed, not prescribed elsewhere):
   unit blocks are purely absorbing (``sigma_s = 0, sigma_a = 10``), and a
   unit source sits on the central block ``[3, 4]^2``.  Points on block
   boundaries belong to the cell to their upper right (half-open cells).
-* For rank-adaptive schemes the diffusion-limit basis enrichment is switched
-  on exactly when the Schur-type scheme is unconditionally stable
-  (``eps * dim / (2 min dx) <= sigma_s_floor / 4``), i.e. in diffusive
-  regimes with positive scattering floor.
+* For rank-adaptive schemes on weighted factors the diffusion-limit basis
+  enrichment (AP-aBUG) is switched on exactly when the Schur-type scheme is
+  unconditionally stable, ``dt_implicit(...) == UNCONDITIONAL`` (``eps *
+  dim / (2 min dx) <= sigma_s_floor / 4``), i.e. in diffusive regimes with
+  positive scattering floor; :func:`lrtrans.run.execute_run` applies it.
 * The kinetic 1D Gaussian case uses a four-times-refined full-rank reference
   computed on demand instead of an external analytic benchmark.
 """
@@ -29,6 +28,7 @@ Conventions adopted here (reconstructed, not prescribed elsewhere):
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -66,66 +66,29 @@ class Scenario:
 
 
 def scenario_names() -> list:
-    return [
-        "gaussian1d-kinetic",
-        "gaussian1d-mid",
-        "gaussian1d-diff",
-        "bimodal1d",
-        "mms2d-16",
-        "mms2d-32",
-        "mms2d-64",
-        "mms2d-128",
-        "mms2d-256",
-        "gaussian2d",
-        "lattice2d",
-    ]
+    return list(SCENARIOS)
 
 
 def get_scenario(name: str, mesh_div: int = 1) -> Scenario:
     """Look up a scenario by name, optionally shrinking the mesh."""
     if mesh_div < 1:
         raise ValueError("mesh divisor must be >= 1")
-    base = _registry_build(name)
+    if name not in SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}")
+    base = SCENARIOS[name]()
     if mesh_div > 1:
         cells = tuple(max(2, c // mesh_div) for c in base.cells)
         base = replace(base, cells=cells, mesh_div=mesh_div)
     return base
 
 
-def _registry_build(name: str) -> Scenario:
-    if name.startswith("mms2d-"):
-        try:
-            n = int(name.split("-", 1)[1])
-        except ValueError:
-            raise ValueError(f"unknown scenario {name!r}") from None
-        return manufactured_2d(n)
-    builders = {
-        "gaussian1d-kinetic": lambda: gaussian_1d("kinetic"),
-        "gaussian1d-mid": lambda: gaussian_1d("intermediate"),
-        "gaussian1d-diff": lambda: gaussian_1d("diffusive"),
-        "bimodal1d": bimodal_1d,
-        "gaussian2d": gaussian_2d,
-        "lattice2d": lattice_2d,
-    }
-    if name not in builders:
-        raise ValueError(f"unknown scenario {name!r}")
-    return builders[name]()
-
-
 # ---------------------------------------------------------------------------
 # scenario constructors
 # ---------------------------------------------------------------------------
 
-def gaussian_1d(regime: str) -> Scenario:
-    """1D slab Gaussian pulse; regime selects (epsilon, horizon, rank)."""
-    params = {
-        "kinetic": (1.0, 1.0, 50, "gaussian1d-kinetic", "self"),
-        "intermediate": (1e-2, 0.2, 10, "gaussian1d-mid", None),
-        "diffusive": (1e-6, 0.2, 3, "gaussian1d-diff", "diffusion"),
-    }
-    if regime not in params:
-        raise ValueError(f"unknown regime {regime!r}")
-    eps, t_final, rank, name, ref = params[regime]
+def gaussian_1d(name: str, eps: float, t_final: float, rank: int,
+                reference: Optional[str]) -> Scenario:
+    """1D slab Gaussian pulse; the regime is set by ``eps``."""
     sigma2 = 9e-4
 
     def init(grid, quad, _eps):
@@ -147,7 +110,7 @@ def gaussian_1d(regime: str) -> Scenario:
         sigma_a=lambda c: np.zeros(c.shape[0]),
         sigma_s_floor=1.0,
         init=init,
-        reference=ref,
+        reference=reference,
     )
 
 
@@ -195,27 +158,6 @@ def mms_exact_rho(t, coords):
     return 2.0 + np.exp(-t) * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
 
 
-def mms_exact_f(eps, t, x, y, ox, oy):
-    """Manufactured phase-space density at scalar or array arguments."""
-    s = np.exp(-t) * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
-    return 2.0 + s + eps * s * oy
-
-
-def mms_source(eps, t, x, y, ox, oy):
-    """Angular-resolved source that makes :func:`mms_exact_f` exact.
-
-    Obtained by substituting the manufactured density into the transport
-    equation with ``sigma_s = 1`` and ``sigma_a = 0``.
-    """
-    et = np.exp(-t)
-    sx, cx = np.sin(2 * np.pi * x), np.cos(2 * np.pi * x)
-    sy, cy = np.sin(2 * np.pi * y), np.cos(2 * np.pi * y)
-    dt_f = -et * sx * sy * (1.0 + eps * oy)
-    grad = 2 * np.pi * et * (1.0 + eps * oy) * (ox * cx * sy + oy * sx * cy) / eps
-    collision = et * sx * sy * oy / eps
-    return dt_f + grad + collision
-
-
 def _mms_spatial_profiles(eps, coords, coords_y):
     """Spatial factors paired with angular profiles ``[1, Ox, Oy, Ox*Oy, Oy^2]``.
 
@@ -248,8 +190,8 @@ def _mms_spatial_profiles(eps, coords, coords_y):
 
 def manufactured_2d(n: int) -> Scenario:
     """Manufactured smooth solution on the unit square for order studies."""
-    if n not in (16, 32, 64, 128, 256):
-        raise ValueError(f"mms2d mesh must be one of 16/32/64/128/256, got {n}")
+    if n < 16 or n % 8:
+        raise ValueError(f"mms2d mesh must be a multiple of 8 and at least 16, got {n}")
     eps_default = 1.0  # order studies override this through the run manifest
 
     def init(grid, quad, eps):
@@ -360,7 +302,7 @@ def _lattice_mask(coords):
     return table[i, j]
 
 
-def lattice_2d(source_on: bool = True) -> Scenario:
+def lattice_2d() -> Scenario:
     """Checkerboard fuel-assembly problem in the kinetic regime."""
 
     def sigma_s(coords):
@@ -395,9 +337,21 @@ def lattice_2d(source_on: bool = True) -> Scenario:
         sigma_a=sigma_a,
         sigma_s_floor=0.0,
         init=init,
-        sources=sources if source_on else None,
+        sources=sources,
         slices=(("x", 3.5), ("y", 4.047)),
     )
+
+
+#: Every scenario's constructor by name, in CLI order.
+SCENARIOS = {
+    "gaussian1d-kinetic": lambda: gaussian_1d("gaussian1d-kinetic", 1.0, 1.0, 50, "self"),
+    "gaussian1d-mid": lambda: gaussian_1d("gaussian1d-mid", 1e-2, 0.2, 10, None),
+    "gaussian1d-diff": lambda: gaussian_1d("gaussian1d-diff", 1e-6, 0.2, 3, "diffusion"),
+    "bimodal1d": bimodal_1d,
+    **{f"mms2d-{n}": partial(manufactured_2d, n) for n in (16, 32, 64, 128, 256)},
+    "gaussian2d": gaussian_2d,
+    "lattice2d": lattice_2d,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +399,3 @@ def select_dt(scen: Scenario, scheme: str, grid, material, epsilon: float) -> fl
         return dte
     dti = dt_implicit(grid, material, epsilon)
     return dti if np.isfinite(dti) else 10.0 * dte
-
-
-def ap_enrichment_active(scen: Scenario, grid, material, epsilon: float) -> bool:
-    """Diffusion-limit enrichment rule for rank-adaptive integrators."""
-    s0 = material.sigma_s_floor
-    if s0 <= 0:
-        return False
-    return epsilon * grid.dim / (2.0 * min(grid.spacing)) <= s0 / 4.0

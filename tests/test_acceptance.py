@@ -23,7 +23,6 @@ from lrtrans.fullrank import (
 )
 from lrtrans.grid import build_grid, diff
 from lrtrans.lowrank import (
-    LowRankConfig,
     factorize_micro,
     galerkin_stage,
     lowrank_macro_coupled_step,
@@ -156,12 +155,11 @@ def test_c7_constraint_preservation(suite2_runs):
     eps = scen.epsilon
     dt = scenarios.select_dt(scen, "IMEX-aBUG", grid, material, eps)
     config = SolverConfig(epsilon=eps, dt=dt)
-    lr = LowRankConfig(integrator="aBUG", tau=1e-5)
     x = grid.g_coords[:, 0]
     G = project_out_mean(quad, np.outer(np.sin(2 * np.pi * x / 3), quad.q(0)))
     st = factorize_micro(grid, quad, G, 4, seed=0)  # numerical rank 1 of 4
     rho, _ = scen.init(grid, quad, eps)
-    ctx = step_context(grid, quad, material, config, lr=lr)
+    ctx = step_context(grid, quad, material, config, integrator="aBUG")
     for k in range(25):
         rho, st, _ = lowrank_macro_coupled_step(ctx, rho, st, (k + 1) * dt)
         fro = np.linalg.norm(st.S)
@@ -357,7 +355,8 @@ def test_c8_identity_suite():
             Gc = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
             st = factorize_micro(grid, quad, Gc, 3, seed=int(rng.integers(1 << 30)))
             rho = rng.standard_normal(grid.n_points)
-            stage = galerkin_stage(step_context(grid, quad, material, config), st, rho)
+            ctx = step_context(grid, quad, material, config, integrator="BUG")
+            stage = galerkin_stage(ctx, st, rho)
             X1, S_tilde, S1, V1 = stage.X1, stage.S_tilde, stage.S1, stage.V1
             PX, PV = X1 @ X1.T, V1 @ V1.T
             m = quad.m[None, :]

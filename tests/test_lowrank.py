@@ -9,7 +9,6 @@ from lrtrans.diagnostics import zero_density_residual
 from lrtrans.fullrank import SolverConfig, build_schur, imex_step, step_context
 from lrtrans.grid import build_grid, diff
 from lrtrans.lowrank import (
-    LowRankConfig,
     MicroStateLowRank,
     _ang,
     _extend_basis,
@@ -178,7 +177,7 @@ def test_bug_step_pure_decay_fixed_point():
     V = constrained_qr(np.linspace(1, 2, quad.n)[:, None] * quad.m[:, None], quad)
     st = MicroStateLowRank(X=X, S=np.array([[2.0]]), V=V)
     rho = np.ones(grid.n_points)
-    ctx = step_context(grid, quad, material, config, lr=LowRankConfig())
+    ctx = step_context(grid, quad, material, config, integrator="BUG")
     st1 = micro_step(ctx, st, rho)[0]
     decay = (1.0 / config.dt) / (1.0 / config.dt + 1.0)
     assert abs(st1.S[0, 0] - decay * 2.0) <= 1e-13
@@ -193,7 +192,7 @@ def test_bug_step_rank_and_invariants(rng):
     G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
     st = factorize_micro(grid, quad, G, 4, seed=0)
     rho = rng.standard_normal(grid.n_points)
-    ctx = step_context(grid, quad, material, config, lr=LowRankConfig())
+    ctx = step_context(grid, quad, material, config, integrator="BUG")
     st1 = micro_step(ctx, st, rho)[0]
     assert st1.rank == 4
     assert np.allclose(st1.X.T @ st1.X, np.eye(4), atol=1e-12)
@@ -218,7 +217,8 @@ def test_diffusion_limit_relations():
     for eps in (1e-4, 1e-6):
         config = SolverConfig(epsilon=eps, dt=0.01)
         st = factorize_micro(grid, quad, G, 3, seed=0)
-        stage = galerkin_stage(step_context(grid, quad, material, config), st, rho)
+        ctx = step_context(grid, quad, material, config, integrator="BUG")
+        stage = galerkin_stage(ctx, st, rho)
         X1, S1, V1 = stage.X1, stage.S1, stage.V1
         PJ, AJ = density_grad(grid, quad, rho)
         JM = (PJ @ AJ.T) * quad.m[None, :]
@@ -256,7 +256,8 @@ def test_galerkin_stage_residual(rng):
         G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
         st = factorize_micro(grid, quad, G, 3, seed=1)
         rho = rng.standard_normal(grid.n_points)
-        stage = galerkin_stage(step_context(grid, quad, material, config), st, rho)
+        ctx = step_context(grid, quad, material, config, integrator="BUG")
+        stage = galerkin_stage(ctx, st, rho)
         X1, S_tilde, S1, V1 = stage.X1, stage.S_tilde, stage.S1, stage.V1
         PX = X1 @ X1.T
         PV = V1 @ V1.T
@@ -284,7 +285,7 @@ def test_bug_vs_dense_projected_difference(rng):
     st = factorize_micro(grid, quad, G, 8, seed=0)  # capped at 7
     assert st.rank == 7
     rho = rng.standard_normal(grid.n_points)
-    ctx = step_context(grid, quad, material, config, lr=LowRankConfig())
+    ctx = step_context(grid, quad, material, config, integrator="BUG")
     st1 = micro_step(ctx, st, rho)[0]
     _, G_full = imex_step(ctx, rho, reconstruct(st, quad))
     D = st1.X @ st1.X.T @ ((G_full - reconstruct(st1, quad)) * quad.m[None, :]) @ (
@@ -301,11 +302,10 @@ def test_abug_large_tolerance_keeps_rank_one(rng):
     grid, quad = setup_1d()
     material = unit_material(grid)
     config = SolverConfig(epsilon=1.0, dt=0.05)
-    lr = LowRankConfig(integrator="aBUG", tau=0.9)
     X = np.ones((grid.n_points, 1)) / np.sqrt(grid.n_points)
     V = constrained_qr(rng.standard_normal((quad.n, 1)), quad)
     st = MicroStateLowRank(X=X, S=np.array([[1.0]]), V=V)
-    ctx = step_context(grid, quad, material, config, lr=lr)
+    ctx = step_context(grid, quad, material, config, integrator="aBUG", tau=0.9)
     st1 = micro_step(ctx, st, np.ones(grid.n_points))[0]
     assert st1.rank == 1
 
@@ -315,7 +315,6 @@ def test_abug_tracks_full_rank_on_rank_preserving_data(rng):
     quad = gauss_legendre_1d(8)
     material = unit_material(grid)
     dt = 0.01
-    lr = LowRankConfig(integrator="aBUG", tau=1e-8)
     config = SolverConfig(epsilon=1.0, dt=dt)
     config_full = SolverConfig(epsilon=1.0, dt=dt)
     x = grid.g_coords[:, 0]
@@ -327,7 +326,7 @@ def test_abug_tracks_full_rank_on_rank_preserving_data(rng):
     st = factorize_micro(grid, quad, G, 2, seed=0)
     rho = np.cos(2 * np.pi * grid.rho_coords[:, 0])
     rho_lr, rho_full, G_full = rho.copy(), rho.copy(), G.copy()
-    ctx = step_context(grid, quad, material, config, lr=lr)
+    ctx = step_context(grid, quad, material, config, integrator="aBUG", tau=1e-8)
     ctx_full = step_context(grid, quad, material, config_full)
     for k in range(10):
         rho_lr, st, _ = lowrank_macro_coupled_step(ctx, rho_lr, st, (k + 1) * dt)
@@ -341,11 +340,11 @@ def test_ap_abug_protects_limit_directions(rng):
     grid, quad = setup_1d(16, 8)
     material = unit_material(grid)
     config = SolverConfig(epsilon=1e-6, dt=0.01)
-    lr = LowRankConfig(integrator="AP-aBUG", tau=1e-5)
     G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
     st = factorize_micro(grid, quad, G, 3, seed=0)
     rho = 2.0 + np.sin(2 * np.pi * grid.rho_coords[:, 0])
-    st1, info = micro_step(step_context(grid, quad, material, config, lr=lr), st, rho, 0.0)
+    st1, info = micro_step(step_context(grid, quad, material, config, integrator="AP-aBUG"),
+                          st, rho, 0.0)
     ap_x = -diff(grid, 0, +1, rho) / material.sigma_s_g
     ap_v = quad.m * quad.q(0)
     rx = np.linalg.norm(ap_x - st1.X @ (st1.X.T @ ap_x)) / np.linalg.norm(ap_x)
@@ -378,8 +377,7 @@ def test_carried_sbp_matrices_match_fresh_products(rng, integrator):
     # X^T diag(sigma) X of the state's own basis, after the S step and after
     # either truncation
     grid, quad, material, config, schur, st, rho = setup_2d_step(rng, "IMEX-S-aBUG")
-    lr = LowRankConfig(integrator=integrator, tau=1e-3)
-    ctx = step_context(grid, quad, material, config, schur, lr)
+    ctx = step_context(grid, quad, material, config, schur, integrator, tau=1e-3)
     sig = material.sigma_s_g / config.epsilon**2 + material.sigma_a_g
     for k in range(2):
         rho, st, _ = lowrank_macro_coupled_step(ctx, rho, st, (k + 1) * config.dt)
@@ -394,7 +392,7 @@ def test_abug_extension_keeps_old_basis_and_embeds_coupling(rng):
     # plain aBUG keeps X verbatim as the leading block of X1, and its block
     # embedding S_tilde = [S V^T V1; 0] equals the projection X1^T X S V^T V1
     grid, quad, material, config, schur, st, rho = setup_2d_step(rng, "IMEX-S-aBUG")
-    stage = galerkin_stage(step_context(grid, quad, material, config), st, rho, augment=True)
+    stage = galerkin_stage(step_context(grid, quad, material, config, integrator="aBUG"), st, rho)
     r = st.rank
     assert stage.X1.shape[1] == 2 * r
     assert np.array_equal(stage.X1[:, :r], st.X)
@@ -510,8 +508,7 @@ def test_step_differences_each_array_once(rng, monkeypatch):
 
     for module in (lrtrans.lowrank, lrtrans.ops):
         monkeypatch.setattr(module, "diff", counting_diff)
-    lr = LowRankConfig(integrator="BUG")
-    ctx = step_context(grid, quad, material, config, schur, lr)
+    ctx = step_context(grid, quad, material, config, schur, "BUG")
     lowrank_macro_coupled_step(ctx, rho, st, config.dt)
     assert len(calls) <= 10
 
@@ -544,8 +541,7 @@ def test_spatial_qr_factorizes_column_major_blocks(rng, integrator, monkeypatch)
         return dgeqrt(nb, a, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg.lapack, "dgeqrt", recording_dgeqrt)
-    ctx = step_context(grid, quad, material, config, schur,
-                       LowRankConfig(integrator=integrator, tau=1e-3))
+    ctx = step_context(grid, quad, material, config, schur, integrator, tau=1e-3)
     for k in range(2):
         rho, st, _ = lowrank_macro_coupled_step(ctx, rho, st, (k + 1) * config.dt)
         assert st.X.flags.f_contiguous
@@ -566,8 +562,8 @@ def test_step_stacks_no_spatial_blocks(rng, integrator, monkeypatch):
         return out
 
     monkeypatch.setattr(np, "hstack", recording_hstack)
-    lr = LowRankConfig(integrator=integrator, tau=1e-3)
-    lowrank_macro_coupled_step(step_context(grid, quad, material, config, schur, lr),
+    lowrank_macro_coupled_step(step_context(grid, quad, material, config, schur, integrator,
+                                            tau=1e-3),
                                rho, st, config.dt)
     assert quad.n != grid.n_points and grid.n_points not in rows
 
@@ -577,9 +573,12 @@ def test_step_stacks_no_spatial_blocks(rng, integrator, monkeypatch):
     [("tau", 0.0), ("tau", -1e-5), ("tau", np.nan), ("tau", np.inf)],
 )
 def test_low_rank_config_rejects_invalid(field, value):
+    # the low-rank configuration of a run is its step context's integrator and tau
+    grid, quad = setup_1d()
+    args = (grid, quad, unit_material(grid), SolverConfig(epsilon=1.0, dt=0.05))
     with pytest.raises(ValueError, match=field):
-        LowRankConfig(integrator="aBUG", **{field: value})
-    LowRankConfig(integrator="aBUG")
+        step_context(*args, integrator="aBUG", **{field: value})
+    step_context(*args, integrator="aBUG")
 
 
 @pytest.mark.parametrize("nx", [16, 2])
@@ -595,7 +594,7 @@ def test_abug_rank_bounded_by_mesh_and_ordinates(rng, nx, integrator, weighted):
     grid, quad = setup_1d(nx=nx)
     bound = min(grid.n_points, quad.z_dim if weighted else quad.n)
     ctx = step_context(grid, quad, unit_material(grid), SolverConfig(epsilon=1.0, dt=0.05),
-                       lr=LowRankConfig(integrator=integrator, tau=1e-16))
+                       integrator=integrator, tau=1e-16)
     G = rng.standard_normal((grid.n_points, quad.n))
     st = factorize_micro(grid, quad, G, 1, weighted=weighted, seed=0)
     rho = rng.standard_normal(grid.n_points)
@@ -616,11 +615,10 @@ def test_coupled_equilibrium_fixed_point():
     material = unit_material(grid)
     for scheme in ("IMEX-BUG", "IMEX-S-BUG"):
         config = SolverConfig(epsilon=1.0, dt=0.05)
-        lr = LowRankConfig(integrator="BUG")
         schur = build_schur(grid, quad, material, config) if "S" in scheme.split("-") else None
         rho = np.full(grid.n_points, 1.5)
         st = factorize_micro(grid, quad, zeros(grid, quad), 2, seed=0)
-        ctx = step_context(grid, quad, material, config, schur, lr)
+        ctx = step_context(grid, quad, material, config, schur, "BUG")
         rho1, st1, _ = lowrank_macro_coupled_step(ctx, rho, st, 0.05)
         assert np.max(np.abs(rho1 - rho)) <= 1e-12
         assert np.max(np.abs(st1.S)) <= 1e-12
@@ -632,12 +630,11 @@ def test_schur_macro_rhs_matches_dense(rng):
     grid, quad = setup_1d()
     material = unit_material(grid, sigma_a=0.2)
     config = SolverConfig(epsilon=0.6, dt=0.02)
-    lr = LowRankConfig(integrator="BUG")
     schur = build_schur(grid, quad, material, config)
     G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
     st = factorize_micro(grid, quad, G, 3, seed=2)
     rho = rng.standard_normal(grid.n_points)
-    ctx = step_context(grid, quad, material, config, schur, lr)
+    ctx = step_context(grid, quad, material, config, schur, "BUG")
     rho_lr, _, _ = lowrank_macro_coupled_step(ctx, rho, st, 0.02)
     from lrtrans.fullrank import imex_s_step
 
@@ -656,7 +653,6 @@ def test_energy_chain_projected_state(rng):
     dt = dt_implicit(grid, material, eps)
     assert np.isfinite(dt)
     config = SolverConfig(epsilon=eps, dt=dt)
-    lr = LowRankConfig(integrator="BUG")
     schur = build_schur(grid, quad, material, config)
     rho = np.exp(-40 * (grid.rho_coords[:, 0] - 0.5) ** 2)
     st = factorize_micro(grid, quad, zeros(grid, quad), 4, seed=0)
@@ -667,7 +663,7 @@ def test_energy_chain_projected_state(rng):
     def energy(r, fro):
         return quad.domain_measure * vol * r @ r + coeff * vol * fro**2
 
-    ctx = step_context(grid, quad, material, config, schur, lr)
+    ctx = step_context(grid, quad, material, config, schur, "BUG")
     e_prev = energy(rho, np.linalg.norm(st.S))
     for k in range(40):
         rho_prev, s_prev_fro = rho, np.linalg.norm(st.S)
@@ -692,8 +688,7 @@ def test_unweighted_counterexample_vs_weighted(rng):
     dt = scenarios.select_dt(scen, "IMEX-S-BUG", grid, material, eps)
     config = SolverConfig(epsilon=eps, dt=dt)
     schur = build_schur(grid, quad, material, config)
-    lr = LowRankConfig(integrator="BUG")
-    ctx = step_context(grid, quad, material, config, schur, lr)
+    ctx = step_context(grid, quad, material, config, schur, "BUG")
     rho0, G0 = scen.init(grid, quad, eps)
     vol = grid.cell_volume
     growth = {}

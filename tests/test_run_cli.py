@@ -131,6 +131,44 @@ def test_step_failure_recorded_as_status(tmp_path, monkeypatch, owner, attr, exc
     assert len((out / "trace.csv").read_text().strip().splitlines()) == 1 + 3
 
 
+def test_error_requested_without_reference_is_rejected(tmp_path, capsys):
+    # gaussian1d-mid has no reference solution: --error is an input error,
+    # raised before any step or artifact
+    out = tmp_path / "mid"
+    with pytest.raises(ValueError, match="no reference"):
+        execute_run(RunManifest(scenario="gaussian1d-mid", scheme="IMEX", mesh_div=8,
+                                with_error=True, out=str(out)))
+    assert not out.exists()
+    rc = main(["run", "--scenario", "gaussian1d-mid", "--mesh-div", "8", "--error"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "no reference" in captured.err and "status" not in captured.out
+
+
+def test_cli_sweep_records_member_without_reference(tmp_path, capsys):
+    rc = main([
+        "sweep", "--scheme", "IMEX-S-BUG", "--mesh-div", "8", "--error",
+        "--vary", "scenario=gaussian1d-mid,gaussian1d-diff", "--vary", "max_steps=2",
+    ])
+    assert rc == 1
+    rows = capsys.readouterr().out.splitlines()
+    mid = next(r for r in rows if r.startswith("scenario-gaussian1d-mid"))
+    diff = next(r for r in rows if r.startswith("scenario-gaussian1d-diff"))
+    assert "failed: scenario 'gaussian1d-mid' has no reference" in mid
+    assert ",completed," in diff and float(diff.split(",")[-1]) > 0
+
+
+def test_cli_unweighted_flag_selects_plain_abug(capsys):
+    # the diffusive scenario runs IMEX-aBUG as AP-aBUG on weighted factors
+    # and as plain aBUG with --unweighted; full-rank schemes reject the flag
+    base = ["run", "--scenario", "gaussian1d-diff", "--mesh-div", "8", "--no-error"]
+    for flags, integrator in (([], "AP-aBUG"), (["--unweighted"], "aBUG")):
+        assert main(base + ["--scheme", "IMEX-aBUG"] + flags) == 0
+        assert f"integrator = {integrator}\n" in capsys.readouterr().out
+    assert main(base + ["--scheme", "IMEX", "--unweighted"]) == 2
+    assert "--unweighted only applies to low-rank schemes" in capsys.readouterr().err
+
+
 def test_self_reference_error():
     # kinetic scenario compares against a four-times-refined full-rank run,
     # restricted to coincident density points
@@ -325,15 +363,29 @@ def test_cli_sweep_mesh_refinement_order(tmp_path):
 
 
 def test_cli_sweep_records_member_failure(tmp_path):
-    # one stable member, one that overflows; the sweep finishes and reports both
+    # one stable member, one that overflows (at step 96); the sweep finishes
+    # and reports both
     out = tmp_path / "sweepfail"
     rc = main([
         "sweep", "--scenario", "gaussian1d-mid", "--scheme", "IMEX",
-        "--vary", "dt_mult=1.0,30.0", "--out", str(out),
+        "--vary", "dt_mult=1.0,30.0", "--vary", "max_steps=120", "--out", str(out),
     ])
     assert rc == 1
     table = (out / "combined.csv").read_text()
     assert "completed" in table and "diverged" in table
+
+
+def test_cli_sweep_records_invalid_member(tmp_path, capsys):
+    # a member whose manifest fails validation is recorded as failed; the
+    # other member still runs
+    rc = main([
+        "sweep", "--scenario", "gaussian1d-diff", "--scheme", "IMEX-S-BUG",
+        "--mesh-div", "8", "--vary", "rank=0,2", "--vary", "max_steps=2",
+    ])
+    assert rc == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert "failed: rank override must be >= 1" in next(r for r in rows if r.startswith("rank-0"))
+    assert ",completed," in next(r for r in rows if r.startswith("rank-2"))
 
 
 def test_cli_empty_sweep_is_single_run(tmp_path, capsys):

@@ -1,19 +1,16 @@
 """Built-in scenarios: parameters, sources, initial data, self-validation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from lrtrans import scenarios
-from lrtrans.diagnostics import zero_density_residual
+from lrtrans.diagnostics import UNCONDITIONAL, dt_implicit, zero_density_residual
 from lrtrans.fullrank import SCHEMES
 from lrtrans.run import RunManifest, execute_run
-from lrtrans.scenarios import (
-    LATTICE_ABSORBERS,
-    get_scenario,
-    mms_exact_f,
-    mms_source,
-    scenario_names,
-)
+from lrtrans.scenarios import LATTICE_ABSORBERS, get_scenario, scenario_names
+from oracles import mms_exact_f, mms_source
 
 
 def test_gaussian_regimes():
@@ -24,8 +21,6 @@ def test_gaussian_regimes():
     dif = get_scenario("gaussian1d-diff")
     assert (dif.epsilon, dif.t_final, dif.rank) == (1e-6, 0.2, 3)
     assert dif.cells == (500,) and dif.quad_n == 200
-    with pytest.raises(ValueError):
-        scenarios.gaussian_1d("ballistic")
 
 
 def test_unknown_scenario():
@@ -91,8 +86,10 @@ def test_mms_sampled_sources_are_consistent():
 
 
 def test_mms_requires_multiple_of_eight():
-    with pytest.raises(ValueError):
-        scenarios.manufactured_2d(20)
+    # quad_n = n // 8, so the mesh is a multiple of 8 and at least 16
+    for n in (20, 8):
+        with pytest.raises(ValueError):
+            scenarios.manufactured_2d(n)
 
 
 def test_gaussian2d_literal_steps():
@@ -126,20 +123,16 @@ def test_lattice_layout():
 
 
 def test_lattice_source_free_energy_monotone():
-    scen = scenarios.lattice_2d(source_on=False)
-    from dataclasses import replace
-
-    scen = replace(scen, cells=(32, 32), mesh_div=4)
+    scen = replace(scenarios.lattice_2d(), sources=None, cells=(32, 32), mesh_div=4)
     grid, quad, material = scenarios.build_objects(scen)
     from lrtrans.fullrank import SolverConfig, build_schur, step_context
-    from lrtrans.lowrank import LowRankConfig, factorize_micro, lowrank_macro_coupled_step
+    from lrtrans.lowrank import factorize_micro, lowrank_macro_coupled_step
     from lrtrans.diagnostics import energy
 
     dt = scenarios.select_dt(scen, "IMEX-S-BUG", grid, material, scen.epsilon)
     config = SolverConfig(epsilon=scen.epsilon, dt=dt)
     schur = build_schur(grid, quad, material, config)
-    lr = LowRankConfig(integrator="BUG")
-    ctx = step_context(grid, quad, material, config, schur, lr)
+    ctx = step_context(grid, quad, material, config, schur, "BUG")
     rho, _ = scen.init(grid, quad, scen.epsilon)
     st = factorize_micro(grid, quad, np.zeros((grid.n_points, quad.n)), 20, seed=0)
     e = energy(grid, quad, rho, st, config, material, 0.0)
@@ -169,15 +162,23 @@ def test_lattice_schur_small_step_approaches_explicit_coupling():
 
 
 def test_ap_enrichment_rule():
-    dif = get_scenario("gaussian1d-diff")
-    grid, _, material = scenarios.build_objects(dif)
-    assert scenarios.ap_enrichment_active(dif, grid, material, dif.epsilon)
-    kin = get_scenario("gaussian1d-kinetic")
-    grid_k, _, material_k = scenarios.build_objects(kin)
-    assert not scenarios.ap_enrichment_active(kin, grid_k, material_k, kin.epsilon)
-    lat = get_scenario("lattice2d", mesh_div=4)
-    grid_l, _, material_l = scenarios.build_objects(lat)
-    assert not scenarios.ap_enrichment_active(lat, grid_l, material_l, lat.epsilon)
+    # IMEX-aBUG runs as AP-aBUG exactly where the Schur-type scheme is
+    # unconditionally stable, and never on unweighted factors
+    cases = [
+        ("gaussian1d-diff", 8, True),
+        ("gaussian1d-mid", 8, True),  # coarse enough for the diffusive rule
+        ("gaussian1d-mid", 1, False),
+        ("gaussian1d-kinetic", 8, False),
+        ("lattice2d", 4, False),  # sigma_s_floor = 0
+    ]
+    for name, mesh_div, ap in cases:
+        scen = get_scenario(name, mesh_div)
+        grid, _, material = scenarios.build_objects(scen)
+        assert (dt_implicit(grid, material, scen.epsilon) == UNCONDITIONAL) == ap
+        for unweighted in (False, True):
+            res = execute_run(RunManifest(scenario=name, scheme="IMEX-aBUG", mesh_div=mesh_div,
+                                          unweighted=unweighted, max_steps=1, with_error=False))
+            assert res.summary["integrator"] == ("AP-aBUG" if ap and not unweighted else "aBUG")
 
 
 @pytest.mark.parametrize("name", scenario_names())
