@@ -145,7 +145,7 @@ def test_error_requested_without_reference_is_rejected(tmp_path, capsys):
     assert "no reference" in captured.err and "status" not in captured.out
 
 
-def test_cli_sweep_records_member_without_reference(tmp_path, capsys):
+def test_cli_sweep_records_member_without_reference(capsys):
     rc = main([
         "sweep", "--scheme", "IMEX-S-BUG", "--mesh-div", "8", "--error",
         "--vary", "scenario=gaussian1d-mid,gaussian1d-diff", "--vary", "max_steps=2",
@@ -363,7 +363,7 @@ def test_cli_sweep_mesh_refinement_order(tmp_path):
 
 
 def test_cli_sweep_records_member_failure(tmp_path):
-    # one stable member, one that overflows (at step 96); the sweep finishes
+    # one stable member, one that overflows (at step 97); the sweep finishes
     # and reports both
     out = tmp_path / "sweepfail"
     rc = main([
@@ -375,7 +375,7 @@ def test_cli_sweep_records_member_failure(tmp_path):
     assert "completed" in table and "diverged" in table
 
 
-def test_cli_sweep_records_invalid_member(tmp_path, capsys):
+def test_cli_sweep_records_invalid_member(capsys):
     # a member whose manifest fails validation is recorded as failed; the
     # other member still runs
     rc = main([
