@@ -132,33 +132,79 @@ def relaxation_factor(material: MaterialField, config: SolverConfig) -> np.ndarr
     return 1.0 / (1.0 / config.dt + material.sigma_s_g / eps2 + material.sigma_a_g)
 
 
-def _difference_matrix(grid: StaggeredGrid, axis: int, side: int) -> sp.csr_matrix:
+def _product_term(grid: StaggeredGrid, coef, j: int, k: int, scale) -> sp.csr_matrix:
+    """``scale * (D^(j,-) diag(coef) D^(k,+))`` as scipy's sparse product of
+    the three matrices stores it, from the grid's shift permutations.
+
+    Row ``i`` of ``D^(j,-) diag(coef)`` holds ``+-coef[m]/h_j`` at ``m = i``
+    and at ``p = i - e_j``, larger column first; row ``m`` of ``D^(k,+)``
+    holds ``-+1/h_k`` at ``m`` and at ``q_m = m + e_k``, in ascending
+    columns.  The product (scipy ``csr_matmat``) visits the four products
+    in that order, sums those that share a column (at ``i`` when
+    ``j == k``, and at ``p`` as well when axis ``j`` has two cells), and
+    stores the columns in the reverse of the order it first visited them.
+    Each value is formed by the same operations, ``(1/h_j * coef[m]) *
+    (1/h_k)``, and the scaling multiplies the stored values.  Where
+    ``coef`` has a zero, the product stores and visits fewer entries; this
+    matrix holds explicit zeros there, which the subtraction of
+    :func:`div_grad_operator` drops, so only the order of that row can
+    differ.  (A relaxation factor or a conductivity has no zero.)
+    """
     n = grid.n_points
-    h = grid.spacing[axis]
-    perm = grid.shift_permutation(axis, +1 if side > 0 else -1)
-    eye = sp.identity(n, format="csr")
-    shift = sp.csr_matrix(
-        (np.ones(n), (np.arange(n), perm)), shape=(n, n)
-    )
-    return (shift - eye) / h if side > 0 else (eye - shift) / h
+    i = np.arange(n)
+    p = grid.shift_permutation(j, -1)
+    q = grid.shift_permutation(k, +1)
+    qp = q[p]
+    a = (1.0 / grid.spacing[j]) * coef
+    w = a * (1.0 / grid.spacing[k])
+    wp = w[p]
+    # the four products: column, value and when it is visited (0 to 3)
+    first = np.where(i > p, np.int8(0), np.int8(2))
+    cols = [i, q, p, qp]
+    vals = [-w, w, wp, -wp]
+    visit = [first + (q < i), first + (q > i), 2 - first + (qp < p), 2 - first + (qp > p)]
+    if j == k:
+        # q[p] is i, and with two cells along j, q is p: a column of two products
+        for kept, merged in ((0, 3), (1, 2))[:1 + (grid.cells[j] == 2)]:
+            cols.pop(merged)
+            vals[kept] = vals[kept] + vals.pop(merged)
+            visit[kept] = np.minimum(visit[kept], visit.pop(merged))
+    # the slot of a column in its row is the number of columns visited after it
+    size = len(cols)
+    slots = [np.zeros(n, np.int8) for _ in cols]
+    for x in range(size):
+        for y in range(x + 1, size):
+            after = visit[y] > visit[x]
+            slots[x] += after
+            slots[y] += ~after
+    data = np.empty(size * n)
+    indices = np.empty(size * n, dtype=np.int32 if size * n < 2**31 else np.int64)
+    for col, val, slot in zip(cols, vals, slots):
+        at = size * i + slot
+        indices[at] = col
+        data[at] = val
+    data *= scale
+    indptr = np.arange(0, size * n + 1, size, dtype=indices.dtype)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def div_grad_operator(grid: StaggeredGrid, diag, coef, c) -> sp.csr_matrix:
     """``diag(diag) - sum_{j,k} c[j, k] D^(j,-) diag(coef) D^(k,+)``, the sparse
     operator of the Schur density solve and of the diffusion reference; the
-    zero entries of ``c`` are skipped."""
+    zero entries of ``c`` are skipped.
+
+    Each term is assembled by :func:`_product_term` straight from the
+    grid's shift permutations and subtracted by scipy, so for a ``coef``
+    without zeros every entry and the order of every row are those of the
+    product of the difference matrices (``tests/oracles.py``), and a sparse
+    matrix-vector product keeps its bits.
+    """
     T = sp.diags(diag).tocsr()
-    C = sp.diags(coef)
     for j in range(grid.dim):
-        Dm = _difference_matrix(grid, j, -1)
         for k in range(grid.dim):
             if c[j, k] != 0:
-                # bound to a name, so it is freed only when the next one
-                # replaces it: freed at once, the malloc heap of a low-rank
-                # run ends 1.2 MiB higher at peak (perfbench diffusive2d-bug)
-                Dp = _difference_matrix(grid, k, +1)
-                T = T - c[j, k] * (Dm @ C @ Dp)
-    return T.tocsr()
+                T = T - _product_term(grid, coef, j, k, c[j, k])
+    return T
 
 
 #: SPD systems with fewer unknowns are factorized (sparse LU); larger ones
@@ -293,7 +339,12 @@ def step_context(grid, quad, material, config, schur=None, integrator=None,
                  tau=1e-5) -> StepContext:
     """The :class:`StepContext` of a run; ``schur`` for IMEX-S coupling,
     ``integrator`` (``"BUG"``, ``"aBUG"`` or ``"AP-aBUG"``) for a low-rank
-    micro update, which :func:`lrtrans.lowrank.micro_step` runs."""
+    micro update, which :func:`lrtrans.lowrank.micro_step` runs; any other
+    ``integrator`` raises ``ValueError``."""
+    if integrator not in (None, "BUG", "aBUG", "AP-aBUG"):
+        raise ValueError(
+            f"unknown integrator {integrator!r}; expected None, 'BUG', 'aBUG' or 'AP-aBUG'"
+        )
     # a negated comparison, so that NaN fails it
     if not 0 < tau < np.inf:
         raise ValueError("tau must be positive and finite")

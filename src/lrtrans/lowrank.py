@@ -266,39 +266,45 @@ def _galerkin_stack(grid, X1, sig, C=None):
 def factorize_micro(
     grid: StaggeredGrid,
     quad: QuadratureSet,
-    G: np.ndarray,
+    factors: tuple,
     rank: int,
     weighted: bool = True,
     seed: int = 0,
 ) -> MicroStateLowRank:
-    """Best rank-``rank`` factorization of a dense microscopic state.
+    """Best rank-``rank`` factorization of the microscopic state ``G = P A^T``
+    given by its factors ``(P, A)``, ``(n_points, k)`` and ``(n_ordinates, k)``.
 
-    In weighted mode the SVD is taken of ``G M`` after removing its density
-    mode (the component along ``M 1``, which the constrained representation
-    cannot hold), and the rank is capped at the zero-density subspace
-    dimension ``n_ordinates - 1``.  If the input has lower numerical rank,
+    In weighted mode the factorization is of ``G M = P (M A)^T`` after
+    removing its density mode (the component along ``M 1``, which the
+    constrained representation cannot hold) from ``M A``, and the rank is
+    capped at the zero-density subspace dimension ``n_ordinates - 1``.  The
+    singular triplets come from the QR factorizations of both factors and
+    the SVD of the ``k x k`` product of their triangular factors, so the
+    cost is ``O((n_points + n_ordinates) k^2)`` and no ``n_points x
+    n_ordinates`` array is formed.  If the state has lower numerical rank,
     the bases are padded with deterministic (seeded) orthonormal columns and
-    zero coupling entries.  An all-zero input (isotropic initial data) is
-    tested first: it is all padding, with no product array and no SVD.
+    zero coupling entries; isotropic initial data (``k = 0``) is all
+    padding, with no factorization.
     """
     rng = np.random.default_rng(seed)
     r_eff = min(rank, grid.n_points, quad.z_dim if weighted else quad.n)
-    if not np.any(G):
-        return _seeded_state(quad, np.zeros((grid.n_points, 0)), np.zeros(0),
-                             np.zeros((quad.n, 0)), r_eff, weighted, rng)
-    if weighted:
-        A = G * quad.m[None, :]
-        mhat = quad.m / np.linalg.norm(quad.m)
-        A = A - np.outer(A @ mhat, mhat)
-    else:
-        A = np.asarray(G, dtype=float)
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    keep = int(np.sum(s > (s[0] * 1e-14 if s.size and s[0] > 0 else np.inf)))
-    keep = min(keep, r_eff)
-    signs = _signs(U[:, :keep])
-    X = U[:, :keep] * signs[None, :]
-    Vm = Vt[:keep].T * signs[None, :]
-    return _seeded_state(quad, X, s[:keep], Vm, r_eff, weighted, rng)
+    X, Vm = factors
+    s = np.zeros(0)
+    if X.shape[1]:
+        if weighted:
+            Vm = quad.m[:, None] * Vm
+            mhat = quad.m / np.linalg.norm(quad.m)
+            Vm = Vm - np.outer(mhat, mhat @ Vm)
+        Qx, Rx = np.linalg.qr(X)
+        Qv, Rv = np.linalg.qr(Vm)
+        U, s, Wt = np.linalg.svd(Rx @ Rv.T, full_matrices=False)
+        keep = min(int(np.sum(s > (s[0] * 1e-14 if s[0] > 0 else np.inf))), r_eff)
+        X = Qx @ U[:, :keep]
+        signs = _signs(X)
+        X *= signs
+        Vm = (Qv @ Wt[:keep].T) * signs
+        s = s[:keep]
+    return _seeded_state(quad, X, s, Vm, r_eff, weighted, rng)
 
 
 def _seeded_state(quad, X, s, Vm, r_eff, weighted, rng):

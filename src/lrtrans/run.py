@@ -137,13 +137,13 @@ def execute_run(manifest: RunManifest) -> RunResult:
     if integrator is None:
         quad, material = upwind_grouped(quad, material)
 
-    rho, G0 = scen.init(grid, quad, eps)
+    rho, (P, A) = scen.init(grid, quad, eps)
     rho = np.asarray(rho, dtype=float)
     if integrator is None:
-        micro = np.asarray(G0, dtype=float)
+        micro = _dense(P, A)
     else:
         micro = factorize_micro(
-            grid, quad, G0, rank, weighted=not manifest.unweighted, seed=manifest.seed
+            grid, quad, (P, A), rank, weighted=not manifest.unweighted, seed=manifest.seed
         )
     schur = build_schur(grid, quad, material, config) if scheme.schur else None
     ctx = step_context(grid, quad, material, config, schur, integrator, tau)
@@ -228,6 +228,19 @@ def execute_run(manifest: RunManifest) -> RunResult:
     return result
 
 
+def _dense(P, A) -> np.ndarray:
+    """The dense micro state ``P A^T`` of initial factors, C-contiguous.
+
+    It is written into a fresh zero array, so a state with no columns is
+    left to the zero pages of the allocation, which the first step faults
+    in as it writes them, rather than written here.
+    """
+    G = np.zeros((len(P), len(A)))
+    if P.shape[1]:
+        np.matmul(P, A.T, out=G)
+    return G
+
+
 def _want_error(manifest, scen) -> bool:
     if manifest.with_error is not None:
         return manifest.with_error
@@ -288,12 +301,12 @@ def _self_reference(scen, grid, t_final, eps, refine: int = 4):
     fine_cells = tuple(c * refine for c in scen.cells)
     fine, quad, material = scenarios.build_objects(replace(scen, cells=fine_cells), eps)
     quad, material = upwind_grouped(quad, material)
-    rho0, G0 = scen.init(fine, quad, eps)
+    rho0, (P, A) = scen.init(fine, quad, eps)
     dt = diagnostics.dt_explicit(fine, material, eps)
     n = max(1, math.ceil(t_final / dt - 1e-9))
     dt = t_final / n
     ctx = step_context(fine, quad, material, SolverConfig(epsilon=eps, dt=dt))
-    rho, G = np.asarray(rho0, dtype=float), np.asarray(G0, dtype=float)
+    rho, G = np.asarray(rho0, dtype=float), _dense(P, A)
     for k in range(1, n + 1):
         rho, G = imex_step(ctx, rho, G, k * dt)
 

@@ -54,7 +54,7 @@ class Scenario:
     sigma_s: Callable
     sigma_a: Callable
     sigma_s_floor: float
-    init: Callable                  # (grid, quad, eps) -> (rho0, G0 dense)
+    init: Callable                  # (grid, quad, eps) -> (rho0, (P, A)), G0 = P A^T
     sources: Optional[Callable] = None  # (grid, quad, eps) -> (phi, micro_source)
     reference: Optional[str] = None  # "diffusion" | "manufactured" | "self"
     exact_rho: Optional[Callable] = None             # (t, coords) -> values
@@ -63,6 +63,11 @@ class Scenario:
     dt_literal_explicit: Optional[float] = None
     dt_literal_implicit: Optional[float] = None
     mesh_div: int = 1
+
+
+def _isotropic(grid, quad) -> tuple:
+    """Factors ``(P, A)`` of the zero microscopic state: no columns."""
+    return np.zeros((grid.n_points, 0)), np.zeros((quad.n, 0))
 
 
 def scenario_names() -> list:
@@ -94,7 +99,7 @@ def gaussian_1d(name: str, eps: float, t_final: float, rank: int,
     def init(grid, quad, _eps):
         x = grid.rho_coords[:, 0]
         rho0 = np.exp(-(x**2) / (2 * sigma2)) / np.sqrt(2 * np.pi * sigma2)
-        return rho0, np.zeros((grid.n_points, quad.n))
+        return rho0, _isotropic(grid, quad)
 
     return Scenario(
         name=name,
@@ -123,16 +128,14 @@ def bimodal_1d() -> Scenario:
         beams = np.exp(-((mu - 1.0) ** 2) / (2 * sigma2)) + np.exp(
             -((mu + 1.0) ** 2) / (2 * sigma2)
         )
+        mean = (beams @ quad.w) / quad.domain_measure
 
-        def f(x):
-            return np.outer(np.exp(-(x**2) / (2 * sigma2)), beams) / (2 * np.pi * sigma2)
+        def profile(x):
+            return np.exp(-(x**2) / (2 * sigma2)) / (2 * np.pi * sigma2)
 
-        f_rho = f(grid.rho_coords[:, 0])
-        f_g = f(grid.g_coords[:, 0])
-        rho0 = (f_rho @ quad.w) / quad.domain_measure
-        rho_g = (f_g @ quad.w) / quad.domain_measure
-        G0 = (f_g - rho_g[:, None]) / eps
-        return rho0, G0
+        # f = profile(x) beams(mu), so G0 = (f - <f>) / eps has rank 1
+        rho0 = profile(grid.rho_coords[:, 0]) * mean
+        return rho0, ((profile(grid.g_coords[:, 0]) / eps)[:, None], (beams - mean)[:, None])
 
     return Scenario(
         name="bimodal1d",
@@ -198,8 +201,7 @@ def manufactured_2d(n: int) -> Scenario:
         rho0 = mms_exact_rho(0.0, grid.rho_coords)
         xg, yg = grid.g_coords_y[:, 0], grid.g_coords_y[:, 1]
         shape = np.sin(2 * np.pi * xg) * np.sin(2 * np.pi * yg)
-        G0 = np.outer(shape, quad.omega[:, 1])
-        return rho0, G0
+        return rho0, (shape[:, None], quad.omega[:, 1:])
 
     return Scenario(
         name=f"mms2d-{n}",
@@ -260,7 +262,7 @@ def gaussian_2d() -> Scenario:
     def init(grid, quad, _eps):
         x, y = grid.rho_coords[:, 0], grid.rho_coords[:, 1]
         rho0 = np.exp(-(x**2 + y**2) / (4 * sigma2)) / (4 * np.pi * sigma2)
-        return rho0, np.zeros((grid.n_points, quad.n))
+        return rho0, _isotropic(grid, quad)
 
     return Scenario(
         name="gaussian2d",
@@ -316,7 +318,7 @@ def lattice_2d() -> Scenario:
         rho0 = np.exp(-((x - 3.5) ** 2 + (y - 3.5) ** 2) / (4 * 1e-2)) / (
             4 * np.pi * 1e-2
         )
-        return rho0, np.zeros((grid.n_points, quad.n))
+        return rho0, _isotropic(grid, quad)
 
     def sources(grid, _quad, _eps):
         x, y = grid.rho_coords[:, 0], grid.rho_coords[:, 1]

@@ -4,17 +4,21 @@ The solver never calls these: the adjoint advection and the unweighted
 inner product state the proof-level identities, the factored weighted
 norm and the Schur product check the solver's own shortcuts, and the dense
 reconstruction, the grid's index maps and ``|Omega_j|`` spell out what the
-solver's factored and linear-index forms stand for.  The manufactured
+solver's factored and linear-index forms stand for; the dense
+factorization is what the factored one of the initial state reproduces.  The manufactured
 phase-space density and its source are what the sampled ``mms2d`` sources
-of :mod:`lrtrans.scenarios` are checked against.
+of :mod:`lrtrans.scenarios` are checked against.  The sparse difference
+matrices and their product form of ``div_grad_operator`` are what the
+solver's stencil assembly of that operator reproduces bit for bit.
 """
 
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
-from lrtrans.grid import diff
-from lrtrans.lowrank import MicroStateLowRank
+from lrtrans.grid import StaggeredGrid, diff
+from lrtrans.lowrank import MicroStateLowRank, _seeded_state, _signs
 from lrtrans.ops import _check_micro, norm_w
 
 
@@ -60,6 +64,33 @@ def micro_norm_w_exact(grid, quad, micro) -> float:
 def schur_apply(schur, x: np.ndarray) -> np.ndarray:
     """The Schur operator of :class:`lrtrans.fullrank.SchurOperator` applied to ``x``."""
     return schur.matrix @ x
+
+
+def dense_factors(G: np.ndarray) -> tuple:
+    """Factors ``(G, I)`` of a dense microscopic state, as
+    :func:`lrtrans.lowrank.factorize_micro` takes them."""
+    return G, np.eye(G.shape[1])
+
+
+def factorize_dense(grid, quad, G, rank, weighted=True, seed=0) -> MicroStateLowRank:
+    """:func:`lrtrans.lowrank.factorize_micro` of a dense state, by an SVD of
+    the whole ``n_points x n_ordinates`` array (of ``G M`` without its
+    density mode in weighted mode)."""
+    rng = np.random.default_rng(seed)
+    r_eff = min(rank, grid.n_points, quad.z_dim if weighted else quad.n)
+    if weighted:
+        A = G * quad.m[None, :]
+        mhat = quad.m / np.linalg.norm(quad.m)
+        A = A - np.outer(A @ mhat, mhat)
+    else:
+        A = np.asarray(G, dtype=float)
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    keep = int(np.sum(s > (s[0] * 1e-14 if s.size and s[0] > 0 else np.inf)))
+    keep = min(keep, r_eff)
+    signs = _signs(U[:, :keep])
+    X = U[:, :keep] * signs[None, :]
+    Vm = Vt[:keep].T * signs[None, :]
+    return _seeded_state(quad, X, s[:keep], Vm, r_eff, weighted, rng)
 
 
 def reconstruct(state: MicroStateLowRank, quad) -> np.ndarray:
@@ -121,3 +152,32 @@ def mms_source(eps, t, x, y, ox, oy):
     grad = 2 * np.pi * et * (1.0 + eps * oy) * (ox * cx * sy + oy * sx * cy) / eps
     collision = et * sx * sy * oy / eps
     return dt_f + grad + collision
+
+
+def _difference_matrix(grid: StaggeredGrid, axis: int, side: int) -> sp.csr_matrix:
+    n = grid.n_points
+    h = grid.spacing[axis]
+    perm = grid.shift_permutation(axis, +1 if side > 0 else -1)
+    eye = sp.identity(n, format="csr")
+    shift = sp.csr_matrix(
+        (np.ones(n), (np.arange(n), perm)), shape=(n, n)
+    )
+    return (shift - eye) / h if side > 0 else (eye - shift) / h
+
+
+def div_grad_product(grid: StaggeredGrid, diag, coef, c) -> sp.csr_matrix:
+    """``diag(diag) - sum_{j,k} c[j, k] D^(j,-) diag(coef) D^(k,+)``, the sparse
+    operator of the Schur density solve and of the diffusion reference; the
+    zero entries of ``c`` are skipped."""
+    T = sp.diags(diag).tocsr()
+    C = sp.diags(coef)
+    for j in range(grid.dim):
+        Dm = _difference_matrix(grid, j, -1)
+        for k in range(grid.dim):
+            if c[j, k] != 0:
+                # bound to a name, so it is freed only when the next one
+                # replaces it: freed at once, the malloc heap of a low-rank
+                # run ends 1.2 MiB higher at peak (perfbench diffusive2d-bug)
+                Dp = _difference_matrix(grid, k, +1)
+                T = T - c[j, k] * (Dm @ C @ Dp)
+    return T.tocsr()

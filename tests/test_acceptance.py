@@ -37,7 +37,7 @@ from lrtrans.ops import (
 )
 from lrtrans.run import RunManifest, execute_run
 from conftest import dense_diff_matrix
-from oracles import advect_adjoint, inner, q_abs
+from oracles import advect_adjoint, dense_factors, inner, q_abs
 
 
 def report(cid: str, ok: bool, detail: str = ""):
@@ -157,7 +157,7 @@ def test_c7_constraint_preservation(suite2_runs):
     config = SolverConfig(epsilon=eps, dt=dt)
     x = grid.g_coords[:, 0]
     G = project_out_mean(quad, np.outer(np.sin(2 * np.pi * x / 3), quad.q(0)))
-    st = factorize_micro(grid, quad, G, 4, seed=0)  # numerical rank 1 of 4
+    st = factorize_micro(grid, quad, dense_factors(G), 4, seed=0)  # numerical rank 1 of 4
     rho, _ = scen.init(grid, quad, eps)
     ctx = step_context(grid, quad, material, config, integrator="aBUG")
     for k in range(25):
@@ -353,7 +353,7 @@ def test_c8_identity_suite():
         # Galerkin residual of the projected implicit update (50 trials per case)
         for _ in range(50):
             Gc = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
-            st = factorize_micro(grid, quad, Gc, 3, seed=int(rng.integers(1 << 30)))
+            st = factorize_micro(grid, quad, dense_factors(Gc), 3, seed=int(rng.integers(1 << 30)))
             rho = rng.standard_normal(grid.n_points)
             ctx = step_context(grid, quad, material, config, integrator="BUG")
             stage = galerkin_stage(ctx, st, rho)

@@ -22,7 +22,7 @@ from lrtrans.fullrank import LinearSolveError, SolverConfig
 from lrtrans.grid import build_grid
 from lrtrans.lowrank import factorize_micro
 from lrtrans.ops import project_out_mean, sample_material
-from oracles import reconstruct
+from oracles import dense_factors, reconstruct
 
 
 def setup(nx=16, n_ord=8, floor=1.0, sigma_s=None, sigma_a=None):
@@ -62,7 +62,7 @@ def test_energy_factored_equals_dense(rng):
     config = SolverConfig(epsilon=0.8, dt=0.02)
     rho = rng.standard_normal(grid.n_points)
     G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
-    st = factorize_micro(grid, quad, G, quad.z_dim, seed=0)
+    st = factorize_micro(grid, quad, dense_factors(G), quad.z_dim, seed=0)
     e_fact = energy(grid, quad, rho, st, config, material, 0.3)
     e_dense = energy(grid, quad, rho, reconstruct(st, quad), config, material, 0.3)
     assert abs(e_fact - e_dense) <= 1e-12 * e_dense
@@ -73,7 +73,7 @@ def test_energy_with_given_micro_norm_is_bitwise_equal(rng):
     config = SolverConfig(epsilon=0.8, dt=0.02)
     rho = rng.standard_normal(grid.n_points)
     G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
-    st = factorize_micro(grid, quad, G, quad.z_dim, seed=0)
+    st = factorize_micro(grid, quad, dense_factors(G), quad.z_dim, seed=0)
     for micro in (G, st):
         gw = micro_norm_w(grid, quad, micro)
         given = energy(grid, quad, rho, micro, config, material, 0.3, micro_norm=gw)
@@ -197,13 +197,13 @@ def test_diffusion_reference_variance_growth():
 def test_micro_norm_surrogate_vs_exact(rng):
     grid, quad, _ = setup()
     G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
-    st = factorize_micro(grid, quad, G, 4, seed=0)
+    st = factorize_micro(grid, quad, dense_factors(G), 4, seed=0)
     from oracles import micro_norm_w_exact
 
     assert micro_norm_w(grid, quad, st) == pytest.approx(
         micro_norm_w_exact(grid, quad, st), rel=1e-12
     )
-    stu = factorize_micro(grid, quad, G, 4, weighted=False, seed=0)
+    stu = factorize_micro(grid, quad, dense_factors(G), 4, weighted=False, seed=0)
     # plainly orthonormal factors: the surrogate is the plain factor norm and
     # differs from the true weighted norm
     assert micro_norm_w(grid, quad, stu) != pytest.approx(

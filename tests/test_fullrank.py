@@ -15,8 +15,8 @@ from lrtrans.fullrank import (
     DivergenceError,
     LinearSolveError,
     SolverConfig,
-    _difference_matrix,
     build_schur,
+    div_grad_operator,
     imex_s_step,
     imex_step,
     parse_scheme,
@@ -36,7 +36,7 @@ from lrtrans.ops import (
 )
 from lrtrans.run import RunManifest, execute_run
 from conftest import dense_diff_matrix
-from oracles import schur_apply
+from oracles import _difference_matrix, div_grad_product, schur_apply
 
 
 def make_setup(eps=0.5, dt=0.01, nx=8, n_ord=4, varying=True):
@@ -709,3 +709,43 @@ def test_schur_cg_stall_reports_relative_residual(monkeypatch):
     # relative: independent of the scale of the right-hand side
     assert 0.0 < residuals[0] < 1.0
     assert residuals[1] == pytest.approx(residuals[0], rel=1e-8)
+
+
+def assert_same_csr(A, B):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(A, name), getattr(B, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("name,mesh_div", [("gaussian1d-diff", 4), ("gaussian2d", 1),
+                                           ("lattice2d", 2)])
+def test_schur_matrix_equals_product_form_bitwise(monkeypatch, name, mesh_div):
+    # the stencil assembly stores every entry and row order of the product
+    # of the difference matrices, so CG and the sparse products keep their bits
+    scen = scenarios.get_scenario(name, mesh_div)
+    grid, quad, material = scenarios.build_objects(scen)
+    dt = scenarios.select_dt(scen, "IMEX-S", grid, material, scen.epsilon)
+    config = SolverConfig(epsilon=scen.epsilon, dt=dt)
+    new = build_schur(grid, quad, material, config).matrix
+    monkeypatch.setattr(fullrank, "div_grad_operator", div_grad_product)
+    assert_same_csr(new, build_schur(grid, quad, material, config).matrix)
+
+
+@pytest.mark.parametrize("cells", [(7,), (2,), (5, 3), (2, 4), (4, 2), (2, 2)])
+@pytest.mark.parametrize("kind", ["diagonal", "full", "zeros"])
+def test_div_grad_operator_equals_product_form_bitwise(rng, cells, kind):
+    # two cells on an axis make a point's two neighbours along it coincide;
+    # "full" has off-diagonal c[j, k]; "zeros" puts exact zeros in diag,
+    # whose entries are then not stored
+    dim = len(cells)
+    grid = build_grid(dim, ((0.0, 1.3), (-1.0, 2.1))[:dim], cells)
+    n = grid.n_points
+    c = rng.standard_normal((dim, dim)) if kind == "full" else np.diag(rng.uniform(0.5, 2.0, dim))
+    diag, coef = rng.uniform(1.0, 2.0, n), rng.uniform(0.5, 2.0, n)
+    if kind == "zeros":
+        diag[[0, 1]] = 0.0
+    assert_same_csr(div_grad_operator(grid, diag, coef, c), div_grad_product(grid, diag, coef, c))
+    # zeros in coef leave the matrix and its stored entries as they are
+    coef[[1, *rng.choice(n, 3, replace=False)]] = 0.0
+    new, old = div_grad_operator(grid, diag, coef, c), div_grad_product(grid, diag, coef, c)
+    assert new.nnz == old.nnz and np.array_equal(new.toarray(), old.toarray())

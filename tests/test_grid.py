@@ -157,15 +157,25 @@ def _roll_diff(grid, axis, side, field):
 
 @pytest.mark.parametrize(
     "dim,bounds,cells",
-    [(1, (0.0, 1.3), 7), (2, ((0.0, 1.0), (-1.0, 2.1)), (5, 3))],
+    [(1, (0.0, 1.3), 7), (2, ((0.0, 1.0), (-1.0, 2.1)), (5, 3)),
+     (2, ((0.0, 1.0), (0.0, 1.0)), (2, 3))],
 )
 def test_diff_matches_roll_reference_bitwise(rng, dim, bounds, cells):
     g = build_grid(dim, bounds, cells)
-    for shape in ((g.n_points,), (g.n_points, 4)):
-        u = rng.standard_normal(shape)
+    # row-major and column-major fields (x takes the flat column stencil on
+    # the latter), and column slices of a column-major block as ``out``
+    u = rng.standard_normal((g.n_points, 4))
+    for field in (u[:, 0], u, np.asfortranarray(u)):
         for axis in range(dim):
             for side in (+1, -1):
-                assert np.array_equal(diff(g, axis, side, u), _roll_diff(g, axis, side, u))
+                ref = _roll_diff(g, axis, side, field)
+                assert np.array_equal(diff(g, axis, side, field), ref)
+                if field.ndim == 2:
+                    block = np.full((g.n_points, 8), np.nan, order="F")
+                    view = block[:, 2:6]
+                    assert diff(g, axis, side, field, out=view) is view
+                    assert np.array_equal(view, ref)
+                    assert np.isnan(block[:, :2]).all() and np.isnan(block[:, 6:]).all()
 
 
 def test_diff_out_into_column_slice(rng):

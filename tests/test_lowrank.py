@@ -1,9 +1,12 @@
 """Basis-update & Galerkin integrators: factorization, constraint handling,
 Galerkin consistency, adaptivity, and the energy-alignment counterexample."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from lrtrans import scenarios
 from lrtrans.angular import chebyshev_legendre_2d, gauss_legendre_1d
 from lrtrans.diagnostics import zero_density_residual
 from lrtrans.fullrank import SolverConfig, build_schur, imex_step, step_context
@@ -21,7 +24,13 @@ from lrtrans.lowrank import (
     micro_step,
 )
 from lrtrans.ops import advect, density_grad, project_out_mean, sample_material
-from oracles import gm_frobenius, micro_norm_w_exact, reconstruct
+from oracles import (
+    dense_factors,
+    factorize_dense,
+    gm_frobenius,
+    micro_norm_w_exact,
+    reconstruct,
+)
 
 
 def unit_material(grid, sigma_a=0.0):
@@ -34,7 +43,8 @@ def unit_material(grid, sigma_a=0.0):
 
 
 def zeros(grid, quad):
-    return np.zeros((grid.n_points, quad.n))
+    """Factors of the zero microscopic state: no columns."""
+    return np.zeros((grid.n_points, 0)), np.zeros((quad.n, 0))
 
 
 def setup_1d(nx=16, n_ord=8):
@@ -60,7 +70,7 @@ def test_reconstruct_zero_coupling(rng):
 def test_full_rank_factorization_roundtrip(rng):
     grid, quad = setup_1d(8, 8)
     G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
-    st = factorize_micro(grid, quad, G, quad.n - 1, seed=0)
+    st = factorize_micro(grid, quad, dense_factors(G), quad.n - 1, seed=0)
     assert np.max(np.abs(reconstruct(st, quad) - G)) <= 1e-12 * np.abs(G).max()
     # re-factorizing the reconstruction reproduces the coupling spectrum
     sv1 = np.linalg.svd(st.S, compute_uv=False)
@@ -77,10 +87,10 @@ def test_factorization_rank_cap():
 def test_unweighted_factorization(rng):
     grid, quad = setup_1d()
     G = rng.standard_normal((grid.n_points, quad.n))
-    st = factorize_micro(grid, quad, G, 8, weighted=False, seed=0)
+    st = factorize_micro(grid, quad, dense_factors(G), 8, weighted=False, seed=0)
     assert st.weighted is False
     assert np.allclose(st.V.T @ st.V, np.eye(8), atol=1e-13)
-    full = factorize_micro(grid, quad, G, quad.n, weighted=False, seed=0)
+    full = factorize_micro(grid, quad, dense_factors(G), quad.n, weighted=False, seed=0)
     assert np.max(np.abs(reconstruct(full, quad) - G)) <= 1e-12 * np.abs(G).max()
 
 
@@ -190,7 +200,7 @@ def test_bug_step_rank_and_invariants(rng):
     material = unit_material(grid, sigma_a=0.1)
     config = SolverConfig(epsilon=0.7, dt=0.01)
     G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
-    st = factorize_micro(grid, quad, G, 4, seed=0)
+    st = factorize_micro(grid, quad, dense_factors(G), 4, seed=0)
     rho = rng.standard_normal(grid.n_points)
     ctx = step_context(grid, quad, material, config, integrator="BUG")
     st1 = micro_step(ctx, st, rho)[0]
@@ -216,7 +226,7 @@ def test_diffusion_limit_relations():
     residuals = {}
     for eps in (1e-4, 1e-6):
         config = SolverConfig(epsilon=eps, dt=0.01)
-        st = factorize_micro(grid, quad, G, 3, seed=0)
+        st = factorize_micro(grid, quad, dense_factors(G), 3, seed=0)
         ctx = step_context(grid, quad, material, config, integrator="BUG")
         stage = galerkin_stage(ctx, st, rho)
         X1, S1, V1 = stage.X1, stage.S1, stage.V1
@@ -254,7 +264,7 @@ def test_galerkin_stage_residual(rng):
         )
         config = SolverConfig(epsilon=0.9, dt=0.004)
         G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
-        st = factorize_micro(grid, quad, G, 3, seed=1)
+        st = factorize_micro(grid, quad, dense_factors(G), 3, seed=1)
         rho = rng.standard_normal(grid.n_points)
         ctx = step_context(grid, quad, material, config, integrator="BUG")
         stage = galerkin_stage(ctx, st, rho)
@@ -282,7 +292,7 @@ def test_bug_vs_dense_projected_difference(rng):
     material = unit_material(grid)
     config = SolverConfig(epsilon=1.0, dt=1e-6)
     G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
-    st = factorize_micro(grid, quad, G, 8, seed=0)  # capped at 7
+    st = factorize_micro(grid, quad, dense_factors(G), 8, seed=0)  # capped at 7
     assert st.rank == 7
     rho = rng.standard_normal(grid.n_points)
     ctx = step_context(grid, quad, material, config, integrator="BUG")
@@ -323,7 +333,7 @@ def test_abug_tracks_full_rank_on_rank_preserving_data(rng):
         np.outer(np.sin(2 * np.pi * x), quad.q(0))
         + np.outer(np.cos(2 * np.pi * x), quad.q(0) ** 3),
     )
-    st = factorize_micro(grid, quad, G, 2, seed=0)
+    st = factorize_micro(grid, quad, dense_factors(G), 2, seed=0)
     rho = np.cos(2 * np.pi * grid.rho_coords[:, 0])
     rho_lr, rho_full, G_full = rho.copy(), rho.copy(), G.copy()
     ctx = step_context(grid, quad, material, config, integrator="aBUG", tau=1e-8)
@@ -341,7 +351,7 @@ def test_ap_abug_protects_limit_directions(rng):
     material = unit_material(grid)
     config = SolverConfig(epsilon=1e-6, dt=0.01)
     G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
-    st = factorize_micro(grid, quad, G, 3, seed=0)
+    st = factorize_micro(grid, quad, dense_factors(G), 3, seed=0)
     rho = 2.0 + np.sin(2 * np.pi * grid.rho_coords[:, 0])
     st1, info = micro_step(step_context(grid, quad, material, config, integrator="AP-aBUG"),
                           st, rho, 0.0)
@@ -366,7 +376,7 @@ def setup_2d_step(rng, scheme):
     config = SolverConfig(epsilon=0.05, dt=0.004)
     schur = build_schur(grid, quad, material, config) if "IMEX-S" in scheme else None
     G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
-    st = factorize_micro(grid, quad, G, 3, seed=0)
+    st = factorize_micro(grid, quad, dense_factors(G), 3, seed=0)
     rho = 1.0 + 0.1 * rng.standard_normal(grid.n_points)
     return grid, quad, material, config, schur, st, rho
 
@@ -581,6 +591,17 @@ def test_low_rank_config_rejects_invalid(field, value):
     step_context(*args, integrator="aBUG")
 
 
+@pytest.mark.parametrize("name", ["abug", "bug", ""])
+def test_step_context_rejects_unknown_integrator(name):
+    # a misspelt name would otherwise run a hybrid of the integrators
+    grid, quad = setup_1d()
+    args = (grid, quad, unit_material(grid), SolverConfig(epsilon=1.0, dt=0.05))
+    with pytest.raises(ValueError, match="integrator"):
+        step_context(*args, integrator=name)
+    for known in (None, "BUG", "aBUG", "AP-aBUG"):
+        assert step_context(*args, integrator=known).integrator == known
+
+
 @pytest.mark.parametrize("nx", [16, 2])
 @pytest.mark.parametrize(
     "integrator, weighted", [("aBUG", True), ("aBUG", False), ("AP-aBUG", True)]
@@ -596,7 +617,7 @@ def test_abug_rank_bounded_by_mesh_and_ordinates(rng, nx, integrator, weighted):
     ctx = step_context(grid, quad, unit_material(grid), SolverConfig(epsilon=1.0, dt=0.05),
                        integrator=integrator, tau=1e-16)
     G = rng.standard_normal((grid.n_points, quad.n))
-    st = factorize_micro(grid, quad, G, 1, weighted=weighted, seed=0)
+    st = factorize_micro(grid, quad, dense_factors(G), 1, weighted=weighted, seed=0)
     rho = rng.standard_normal(grid.n_points)
     pre = []
     for _ in range(10):
@@ -632,7 +653,7 @@ def test_schur_macro_rhs_matches_dense(rng):
     config = SolverConfig(epsilon=0.6, dt=0.02)
     schur = build_schur(grid, quad, material, config)
     G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
-    st = factorize_micro(grid, quad, G, 3, seed=2)
+    st = factorize_micro(grid, quad, dense_factors(G), 3, seed=2)
     rho = rng.standard_normal(grid.n_points)
     ctx = step_context(grid, quad, material, config, schur, "BUG")
     rho_lr, _, _ = lowrank_macro_coupled_step(ctx, rho, st, 0.02)
@@ -689,11 +710,11 @@ def test_unweighted_counterexample_vs_weighted(rng):
     config = SolverConfig(epsilon=eps, dt=dt)
     schur = build_schur(grid, quad, material, config)
     ctx = step_context(grid, quad, material, config, schur, "BUG")
-    rho0, G0 = scen.init(grid, quad, eps)
+    rho0, factors = scen.init(grid, quad, eps)
     vol = grid.cell_volume
     growth = {}
     for weighted in (True, False):
-        st = factorize_micro(grid, quad, G0, 2, weighted=weighted, seed=0)
+        st = factorize_micro(grid, quad, factors, 2, weighted=weighted, seed=0)
         rho = rho0.copy()
         E = [quad.domain_measure * vol * rho @ rho + eps**2 * vol * np.linalg.norm(st.S) ** 2]
         E_true = [quad.domain_measure * vol * rho @ rho
@@ -713,7 +734,7 @@ def test_unweighted_counterexample_vs_weighted(rng):
 def test_zero_density_residual_low_rank(rng):
     grid, quad = setup_1d()
     G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
-    st = factorize_micro(grid, quad, G, 4, seed=0)
+    st = factorize_micro(grid, quad, dense_factors(G), 4, seed=0)
     dense_val = zero_density_residual(quad, reconstruct(st, quad))
     fact_val = zero_density_residual(quad, st)
     assert abs(dense_val - fact_val) <= 1e-12 * max(dense_val, 1e-30) + 1e-13
@@ -729,7 +750,64 @@ def test_gm_frobenius_both_modes(rng):
     grid, quad = setup_1d()
     G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
     for weighted in (True, False):
-        st = factorize_micro(grid, quad, G, quad.n - 1 if weighted else quad.n,
+        st = factorize_micro(grid, quad, dense_factors(G), quad.n - 1 if weighted else quad.n,
                              weighted=weighted, seed=0)
         dense = np.linalg.norm(reconstruct(st, quad) * quad.m[None, :])
         assert abs(gm_frobenius(st, quad) - dense) <= 1e-11 * dense
+
+
+# ---------------------------------------------------------------------------
+# factored initial states
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["mms2d-16", "bimodal1d"])
+@pytest.mark.parametrize("weighted", [True, False])
+def test_factored_initial_state_matches_dense_factorization(name, weighted):
+    scen = scenarios.get_scenario(name)
+    grid, quad, _ = scenarios.build_objects(scen)
+    _, (P, A) = scen.init(grid, quad, scen.epsilon)
+    assert P.shape == (grid.n_points, 1) and A.shape == (quad.n, 1)
+    st = factorize_micro(grid, quad, (P, A), scen.rank, weighted=weighted, seed=0)
+    ref = factorize_dense(grid, quad, P @ A.T, scen.rank, weighted=weighted, seed=0)
+    assert st.rank == ref.rank == scen.rank
+    assert np.max(np.abs(st.S - ref.S)) <= 1e-12 * np.linalg.norm(ref.S)
+    # the sign of a column follows its largest-magnitude entry, which the
+    # sine profile of mms2d attains at several points of either sign
+    for new, old in ((st.X, ref.X), (st.V, ref.V)):
+        signs = np.sign(np.sum(new * old, axis=0))
+        assert np.max(np.abs(new * signs - old)) <= 1e-12
+
+
+def test_factorization_removes_the_density_mode(rng):
+    # weighted factors cannot hold the angular mean: it is removed from M A
+    # before the truncation to rank 2 picks the leading singular triplets
+    grid, quad = setup_1d()
+    P = rng.standard_normal((grid.n_points, 3))
+    A = rng.standard_normal((quad.n, 3)) + 1.0
+    st = factorize_micro(grid, quad, (P, A), 2, seed=0)
+    G = project_out_mean(quad, P @ A.T)
+    U, s, Vt = np.linalg.svd(G * quad.m, full_matrices=False)
+    assert np.allclose(np.diag(st.S), s[:2], rtol=1e-12, atol=0)
+    best = (U[:, :2] * s[:2]) @ Vt[:2] / quad.m
+    assert np.max(np.abs(reconstruct(st, quad) - best)) <= 1e-12 * np.abs(G).max()
+    assert np.max(np.abs(quad.m @ st.V)) <= 1e-13
+
+
+def test_lowrank_setup_allocates_less_than_one_dense_state():
+    # init, factorization and Schur assembly of a gaussian2d --mesh-div 2
+    # IMEX-S-BUG run (8192 points x 512 ordinates) without a dense state
+    scen = scenarios.get_scenario("gaussian2d", mesh_div=2)
+    grid, quad, material = scenarios.build_objects(scen)
+    dt = scenarios.select_dt(scen, "IMEX-S-BUG", grid, material, scen.epsilon)
+    config = SolverConfig(epsilon=scen.epsilon, dt=dt)
+    dense = 8 * grid.n_points * quad.n
+    tracemalloc.start()
+    try:
+        rho, factors = scen.init(grid, quad, scen.epsilon)
+        st = factorize_micro(grid, quad, factors, scen.rank, seed=0)
+        build_schur(grid, quad, material, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert st.rank == scen.rank
+    assert peak < dense

@@ -34,7 +34,9 @@ def test_bimodal_initial_residual():
     scen = get_scenario("bimodal1d")
     assert scen.cells == (50,) and scen.quad_n == 50 and scen.rank == 2
     grid, quad, _ = scenarios.build_objects(scen)
-    rho0, G0 = scen.init(grid, quad, scen.epsilon)
+    rho0, (P, A) = scen.init(grid, quad, scen.epsilon)
+    assert P.shape == (grid.n_points, 1) and A.shape == (quad.n, 1)
+    G0 = P @ A.T
     assert zero_density_residual(quad, G0) <= 1e-12 * np.abs(G0).max()
 
 
@@ -133,8 +135,8 @@ def test_lattice_source_free_energy_monotone():
     config = SolverConfig(epsilon=scen.epsilon, dt=dt)
     schur = build_schur(grid, quad, material, config)
     ctx = step_context(grid, quad, material, config, schur, "BUG")
-    rho, _ = scen.init(grid, quad, scen.epsilon)
-    st = factorize_micro(grid, quad, np.zeros((grid.n_points, quad.n)), 20, seed=0)
+    rho, factors = scen.init(grid, quad, scen.epsilon)
+    st = factorize_micro(grid, quad, factors, 20, seed=0)
     e = energy(grid, quad, rho, st, config, material, 0.0)
     for k in range(15):
         rho, st, _ = lowrank_macro_coupled_step(ctx, rho, st, (k + 1) * dt)
