@@ -202,9 +202,8 @@ def diff(
     of ordinate columns that share a side: two slice subtractions into one
     output array (interior cells, then the periodic wrap-around cell), then
     an in-place division here (the advection multiplies by its own per-column
-    scale instead), so no shifted copy of the field is made.  Along x, a
-    field with contiguous columns (column-major, or a vector) takes
-    :func:`_flat_x_stencil` instead, with the same bits.  ``out``, if
+    scale instead), so no shifted copy of the field is made.  Along x,
+    :func:`_flat_x_stencil` takes its place, with the same bits.  ``out``, if
     given, receives the result and may be any view of the field's shape,
     e.g. a column slice of a wider block.
     """
@@ -221,7 +220,7 @@ def diff(
         out = np.empty_like(a)
     elif out.shape != a.shape:
         raise ValueError(f"out has shape {out.shape}, expected {a.shape}")
-    if axis == 0 and a.flags.f_contiguous:
+    if axis == 0:
         _flat_x_stencil(grid, a, out, side)
     else:
         lead = grid.block_shape
@@ -235,12 +234,13 @@ def diff(
 
 
 def _flat_x_stencil(grid, a, out, side):
-    """:func:`_stencil` along x for a field whose columns are contiguous.
+    """:func:`_stencil` along x.
 
     x is the innermost axis of the linear index, so one flat subtraction
     down each column gives every increment but the periodic one of each
     x line, which a second subtraction then writes over; each value is
-    the same subtraction as in :func:`_stencil`.
+    the same subtraction as in :func:`_stencil`.  Splitting the leading
+    axis is a view for any layout, ``out`` slices included.
     """
     lines = (-1, grid.cells[0]) + a.shape[1:]
     f, d = a.reshape(lines), out.reshape(lines)

@@ -162,10 +162,10 @@ def _roll_diff(grid, axis, side, field):
 )
 def test_diff_matches_roll_reference_bitwise(rng, dim, bounds, cells):
     g = build_grid(dim, bounds, cells)
-    # row-major and column-major fields (x takes the flat column stencil on
-    # the latter), and column slices of a column-major block as ``out``
+    # contiguous and strided vectors, row-major and column-major fields, and
+    # column slices of a column-major block as ``out``
     u = rng.standard_normal((g.n_points, 4))
-    for field in (u[:, 0], u, np.asfortranarray(u)):
+    for field in (np.ascontiguousarray(u[:, 0]), u[:, 0], u, np.asfortranarray(u)):
         for axis in range(dim):
             for side in (+1, -1):
                 ref = _roll_diff(g, axis, side, field)
