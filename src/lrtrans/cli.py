@@ -50,7 +50,7 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--epsilon", type=float, default=None,
                    help="override the scenario Knudsen number")
-    p.add_argument("--unweighted", action="store_true")
+    p.add_argument("--unweighted", action="store_true", default=None)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--error", dest="with_error", action="store_true", default=None,
@@ -107,13 +107,10 @@ def manifest_from_args(args) -> RunManifest:
             if key not in _MANIFEST_TYPES:
                 raise ValueError(f"unknown configuration key {key!r}")
             values[key] = _MANIFEST_TYPES[key](val)
-    for key in ("scenario", "scheme", "rank", "tau", "dt_mult", "mesh_div",
-                "theta", "epsilon", "out", "seed", "with_error"):
+    for key in _MANIFEST_TYPES:  # a flag that is absent reads None
         arg = getattr(args, key, None)
         if arg is not None:
             values[key] = arg
-    if getattr(args, "unweighted", False):
-        values["unweighted"] = True
     if "scenario" not in values or values["scenario"] is None:
         raise ValueError("a scenario is required (flag --scenario or config key)")
     values.setdefault("scheme", "IMEX-S-BUG")

@@ -314,7 +314,7 @@ class StepContext:
     material: MaterialField
     config: SolverConfig
     schur: Optional[SchurOperator]  # IMEX-S coupling
-    integrator: Optional[str]  # "BUG", "aBUG" or "AP-aBUG"; None for full rank
+    integrator: Optional[str]  # a key of lowrank.INTEGRATORS; None for full rank
     tau: float  # relative truncation tolerance of aBUG and AP-aBUG
     R: np.ndarray  # relaxation factor (1/dt + sigma_s/eps^2 + sigma_a)^-1
     R_dt: np.ndarray  # R / dt, the full-rank sweep's relaxation of dt B
@@ -328,7 +328,6 @@ class StepContext:
     ang_splits: dict  # (q, a, b) of the low-rank angular factor, _angular_splits
     sides: tuple  # ops.upwind_runs: per axis, (c0, c1, side) column runs
     scales: tuple  # q_j dt / (eps h_j) per axis, the sweep's advection scales
-    ap_angular: np.ndarray  # angular diffusion-limit directions M Q^(j) 1
     blocks: list  # the sweep's block plan, _row_blocks
     # (micro_norm_w, zero_density_residual) of the micro state the last
     # full-rank sweep with a density gradient wrote (_micro_sweep)
@@ -338,13 +337,12 @@ class StepContext:
 def step_context(grid, quad, material, config, schur=None, integrator=None,
                  tau=1e-5) -> StepContext:
     """The :class:`StepContext` of a run; ``schur`` for IMEX-S coupling,
-    ``integrator`` (``"BUG"``, ``"aBUG"`` or ``"AP-aBUG"``) for a low-rank
-    micro update, which :func:`lrtrans.lowrank.micro_step` runs; any other
-    ``integrator`` raises ``ValueError``."""
-    if integrator not in (None, "BUG", "aBUG", "AP-aBUG"):
-        raise ValueError(
-            f"unknown integrator {integrator!r}; expected None, 'BUG', 'aBUG' or 'AP-aBUG'"
-        )
+    ``integrator``, a key of :data:`lrtrans.lowrank.INTEGRATORS`, for a
+    low-rank micro update, which :func:`lrtrans.lowrank.micro_step` runs; any
+    other ``integrator`` raises ``ValueError``."""
+    from .lowrank import INTEGRATORS  # lowrank imports this module
+    if integrator not in (None, *INTEGRATORS):
+        raise ValueError(f"unknown integrator {integrator!r}, not in {(None, *INTEGRATORS)}")
     # a negated comparison, so that NaN fails it
     if not 0 < tau < np.inf:
         raise ValueError("tau must be positive and finite")
@@ -365,7 +363,6 @@ def step_context(grid, quad, material, config, schur=None, integrator=None,
         ang_splits=_angular_splits(quad),
         sides=upwind_runs(quad),
         scales=tuple(quad.q(j) * (dt / (eps * grid.spacing[j])) for j in range(grid.dim)),
-        ap_angular=np.column_stack([quad.m * quad.q(j) for j in range(quad.dim)]),
         blocks=_row_blocks(grid, quad.n),
         swept=np.full(2, np.nan),
     )

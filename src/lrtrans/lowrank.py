@@ -12,13 +12,15 @@ demonstrate how that choice breaks the energy alignment, and is selected with
 Integrators
 -----------
 :func:`micro_step` runs one step of ``ctx.integrator``, the integrator the
-run resolved into its :class:`~lrtrans.fullrank.StepContext`.  ``BUG`` is
-the fixed-rank basis-update & Galerkin step: implicit pointwise K step,
-implicit r x r L step, re-orthonormalization, implicit r x r Galerkin S
-step.  ``aBUG`` augments the bases with the K/L updates (rank <= 2r) and
-truncates the S-step result by the relative singular-value tolerance
-``ctx.tau``; ``AP-aBUG`` also adds the discrete diffusion-limit directions,
-pinned as untruncatable leading columns.
+run resolved into its :class:`~lrtrans.fullrank.StepContext`: the implicit
+pointwise K step :func:`_k_step`, the implicit r x r L step :func:`_l_step`,
+the integrator's basis update, the implicit r x r Galerkin S step
+:func:`_s_step`, and the integrator's truncation; :data:`INTEGRATORS` maps
+each name to its basis update and truncation.  ``BUG`` re-orthonormalizes
+and keeps rank r.  ``aBUG`` augments the bases with the K/L updates (rank
+<= 2r) and truncates the S-step result by the relative singular-value
+tolerance ``ctx.tau``; ``AP-aBUG`` also adds the discrete diffusion-limit
+directions, pinned as untruncatable leading columns.
 Weighted angular bases come from :func:`constrained_qr`, so ``1^T M V = 0``
 holds to machine precision.
 
@@ -62,7 +64,7 @@ into the backward slab, the QR factorizes ``K1`` in place, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -106,18 +108,6 @@ class StepInfo:
     s_tilde_fro: float
     pre_truncation_rank: int
     rank: int
-
-
-@dataclass
-class GalerkinStage:
-    """Result of :func:`galerkin_stage`; ``C1`` is the Galerkin stack of
-    ``X1`` (see :class:`MicroStateLowRank`)."""
-
-    X1: np.ndarray
-    S_tilde: np.ndarray
-    S1: np.ndarray
-    V1: np.ndarray
-    C1: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +312,6 @@ def _seeded_state(quad, X, s, Vm, r_eff, weighted, rng):
     return MicroStateLowRank(X=X, S=S, V=V, weighted=weighted)
 
 
-def g_factors(state: MicroStateLowRank, quad: QuadratureSet) -> tuple:
-    """Factors ``(P, A)`` with ``P @ A.T = G``, without reconstruction."""
-    return state.X @ state.S, _g_angular(quad, state, state.V)
-
-
 def _g_angular(quad, state, A):
     """Angular factor of ``G`` from the matching factor of the represented
     matrix (``G M`` in weighted mode, where the rows are divided by ``m``)."""
@@ -369,114 +354,120 @@ def _k_differences(grid: StaggeredGrid, state: MicroStateLowRank) -> tuple:
     return K, DK
 
 
-def galerkin_stage(
-    ctx: StepContext,
-    state: MicroStateLowRank,
-    rho_for_grad: np.ndarray,
-    t_next: float = 0.0,
-    k_diffs: Optional[tuple] = None,
-) -> GalerkinStage:
-    """K/L/basis/S sequence of ``ctx.integrator``; returns the new ``X1,
-    S_tilde, S1, V1`` and ``C1``.
+def _angular_basis(quad, B, weighted):
+    """Orthonormal basis for ``range(B)``: :func:`constrained_qr` if weighted, else plain QR."""
+    return constrained_qr(B, quad) if weighted else _fix_signs(_qr(B))
 
-    ``S1`` solves the Galerkin-projected implicit update started from the
-    projected coupling matrix ``S_tilde = X1^T X S V^T V1``.  For aBUG the
-    new bases also contain the previous ones, the spatial one as the
-    extension ``[X, Q]`` of :func:`_extend_basis`; for AP-aBUG they contain
-    the previous ones and the diffusion-limit directions
-    ``-(sigma_s)^{-1} D^(j,+) rho`` (spatial) and ``M Q^(j) 1`` (angular) as
-    leading columns.  ``k_diffs`` is ``_k_differences(grid, state)`` when
-    the caller has formed it already.
-    """
-    grid, quad, material, sig = ctx.grid, ctx.quad, ctx.material, ctx.sig
-    X, S, V = state.X, state.S, state.V
-    r = X.shape[1]
-    wgt = state.weighted
-    eps, dt = ctx.config.epsilon, ctx.config.dt
-    eps2 = eps * eps
-    C = state.C if state.C is not None else _galerkin_stack(grid, X, sig)
-    K, DK = k_diffs if k_diffs is not None else _k_differences(grid, state)
 
-    PJ, AJ = density_grad(grid, quad, rho_for_grad)
-    AJr = quad.m[:, None] * AJ if wgt else AJ
-    src = material.micro_source(t_next) if material.micro_source is not None else None
-    if src is not None:
-        Ps, As = src
-        Asr = quad.m[:, None] * As if wgt else As
-
+def _k_step(ctx, state, k_diffs, PJ, AJ, src):
+    """``K1`` of the implicit pointwise K step from ``K = X S``, ``V`` fixed;
+    ``k_diffs`` is ``_k_differences(grid, state)`` or ``None``."""
+    K, DK = k_diffs if k_diffs is not None else _k_differences(ctx.grid, state)
+    V, wgt = state.V, state.weighted
+    eps = ctx.config.epsilon
     ang_V = np.vstack(
-        [_ang(ctx, V, j, -side, wgt).T @ V for j, side in _block_order(grid.dim)]
+        [_ang(ctx, V, j, -side, wgt).T @ V for j, side in _block_order(ctx.grid.dim)]
     )
     # K step transposed: K1^T is row-major, so K1 is column-major
-    rhsT = K.T / dt - (ang_V / eps).T @ DK.T
-    rhsT -= ((AJr.T @ V) / eps2).T @ PJ.T
+    rhsT = K.T / ctx.config.dt - (ang_V / eps).T @ DK.T
+    rhsT -= ((AJ.T @ V) / (eps * eps)).T @ PJ.T
     if src is not None:
-        rhsT += (Asr.T @ V).T @ Ps.T
+        rhsT += (src[1].T @ V).T @ src[0].T
     rhsT /= ctx.k_denom
-    K1 = rhsT.T
+    return rhsT.T
 
+
+def _l_step(ctx, state, PJ, AJ, src):
+    """``L1`` of the implicit r x r L step from ``L = V S^T``, ``X`` fixed."""
+    X, S, V, C, wgt = state.X, state.S, state.V, state.C, state.weighted
+    eps, dt = ctx.config.epsilon, ctx.config.dt
     # (D^(j,-) X)^T X = -C[j] and (D^(j,+) X)^T X = C[j]^T
     L = V @ S.T
     rhsL = L / dt
-    for j in range(grid.dim):
+    for j in range(ctx.grid.dim):
         rhsL += _ang(ctx, L, j, +1, wgt) @ C[j] / eps
         rhsL -= _ang(ctx, L, j, -1, wgt) @ C[j].T / eps
-    rhsL -= AJr @ (PJ.T @ X) / eps2
+    rhsL -= AJ @ (PJ.T @ X) / (eps * eps)
     if src is not None:
-        rhsL += Asr @ (Ps.T @ X)
-    Mimp = np.eye(r) / dt + C[-1]
-    L1 = np.linalg.solve(Mimp.T, rhsL.T).T
+        rhsL += src[1] @ (src[0].T @ X)
+    return np.linalg.solve((np.eye(X.shape[1]) / dt + C[-1]).T, rhsL.T).T
 
-    integrator = ctx.integrator
-    kb = [K1]
-    lb = [L1] if integrator == "BUG" else [L1, V]
-    if integrator == "AP-aBUG":
-        if not wgt:
-            raise ValueError("diffusion-limit enrichment requires weighted factors")
-        kb = [-PJ / material.sigma_s_g[:, None], K1, X]
-        lb.insert(0, ctx.ap_angular)
-    V1 = constrained_qr(_hcat(lb), quad) if wgt else _fix_signs(_qr(_hcat(lb)))
-    if integrator == "aBUG":
-        X1 = _extend_basis(X, K1)
-        C1 = _galerkin_stack(grid, X1, sig, C)
-        S_tilde = np.zeros((X1.shape[1], V1.shape[1]))
-        S_tilde[:r] = S @ (V.T @ V1)
-    else:
-        X1 = _fix_signs(_qr(_hcat(kb)))
-        C1 = _galerkin_stack(grid, X1, sig)
-        S_tilde = (X1.T @ X) @ S @ (V.T @ V1)
 
+def _s_step(ctx, stage, PJ, AJ, src):
+    """``S1`` of the implicit Galerkin S step on the new bases of ``stage``,
+    from its coupling matrix ``S_tilde``."""
+    X1, S_tilde, V1, C1, wgt = stage.X, stage.S, stage.V, stage.C, stage.weighted
+    eps, dt = ctx.config.epsilon, ctx.config.dt
     # X1^T D^(j,-) X1 = -C1[j]^T
     rhsS = S_tilde / dt
-    for j in range(grid.dim):
+    for j in range(ctx.grid.dim):
         rhsS += C1[j].T @ S_tilde @ (_ang(ctx, V1, j, +1, wgt).T @ V1) / eps
         rhsS -= C1[j] @ S_tilde @ (_ang(ctx, V1, j, -1, wgt).T @ V1) / eps
-    rhsS -= (X1.T @ PJ) @ (AJr.T @ V1) / eps2
+    rhsS -= (X1.T @ PJ) @ (AJ.T @ V1) / (eps * eps)
     if src is not None:
-        rhsS += (X1.T @ Ps) @ (Asr.T @ V1)
-    Mimp1 = np.eye(X1.shape[1]) / dt + C1[-1]
-    S1 = np.linalg.solve(Mimp1, rhsS)
-    return GalerkinStage(X1, S_tilde, S1, V1, C1)
+        rhsS += (X1.T @ src[0]) @ (src[1].T @ V1)
+    return np.linalg.solve(np.eye(X1.shape[1]) / dt + C1[-1], rhsS)
+
+
+def _bug_bases(ctx, state, K1, L1, PJ):
+    """BUG: the bases of ``K1`` and ``L1``, ``S_tilde = X1^T X S V^T V1``."""
+    V1 = _angular_basis(ctx.quad, L1, state.weighted)
+    X1 = _fix_signs(_qr(K1))
+    S_tilde = (X1.T @ state.X) @ state.S @ (state.V.T @ V1)
+    return X1, S_tilde, V1, _galerkin_stack(ctx.grid, X1, ctx.sig)
+
+
+def _abug_bases(ctx, state, K1, L1, PJ):
+    """aBUG: ``X1 = [X, Q]`` (:func:`_extend_basis`) and the basis of
+    ``[L1, V]``; ``S_tilde`` is the embedding ``[S V^T V1; 0]``."""
+    V1 = _angular_basis(ctx.quad, _hcat([L1, state.V]), state.weighted)
+    X1 = _extend_basis(state.X, K1)
+    S_tilde = np.zeros((X1.shape[1], V1.shape[1]))
+    S_tilde[:state.rank] = state.S @ (state.V.T @ V1)
+    return X1, S_tilde, V1, _galerkin_stack(ctx.grid, X1, ctx.sig, state.C)
+
+
+def _ap_abug_bases(ctx, state, K1, L1, PJ):
+    """AP-aBUG: BUG's bases of ``[-(sigma_s)^{-1} D^(j,+) rho, K1, X]`` and
+    ``[M Q^(j) 1, L1, V]``, led by the diffusion-limit directions."""
+    if not state.weighted:
+        raise ValueError("diffusion-limit enrichment requires weighted factors")
+    limit = np.column_stack([ctx.quad.m * ctx.quad.q(j) for j in range(ctx.quad.dim)])
+    K1 = _hcat([-PJ / ctx.material.sigma_s_g[:, None], K1, state.X])
+    return _bug_bases(ctx, state, K1, _hcat([limit, L1, state.V]), PJ)
+
+
+def galerkin_stage(ctx: StepContext, state: MicroStateLowRank, rho_for_grad: np.ndarray,
+                   t_next: float = 0.0, k_diffs: Optional[tuple] = None) -> tuple:
+    """K step, L step, basis update and S step of ``ctx.integrator``.
+
+    Returns ``(stage, S_tilde)``: the new state before truncation, and the
+    coupling matrix ``S_tilde = X1^T X S V^T V1`` its S step started from.
+    ``k_diffs`` is ``_k_differences(grid, state)`` if the caller formed it.
+    """
+    grid, quad, material, wgt = ctx.grid, ctx.quad, ctx.material, state.weighted
+    if state.C is None:
+        state = replace(state, C=_galerkin_stack(grid, state.X, ctx.sig))
+    PJ, AJ = density_grad(grid, quad, rho_for_grad)
+    src = material.micro_source(t_next) if material.micro_source is not None else None
+    if wgt:  # the steps take J M and the source times M, in factored form
+        AJ = quad.m[:, None] * AJ
+        if src is not None:
+            src = (src[0], quad.m[:, None] * src[1])
+    K1 = _k_step(ctx, state, k_diffs, PJ, AJ, src)
+    L1 = _l_step(ctx, state, PJ, AJ, src)
+    bases, _ = INTEGRATORS[ctx.integrator]
+    X1, S_tilde, V1, C1 = bases(ctx, state, K1, L1, PJ)
+    stage = MicroStateLowRank(X=X1, S=S_tilde, V=V1, weighted=wgt, C=C1)
+    return replace(stage, S=_s_step(ctx, stage, PJ, AJ, src)), S_tilde
 
 
 def micro_step(ctx: StepContext, state, rho_for_grad, t_next=0.0, k_diffs=None):
-    """One step of ``ctx.integrator``; returns ``(state, StepInfo)``.
-
-    aBUG and AP-aBUG truncate at the relative tolerance ``ctx.tau``.
-    """
-    st = galerkin_stage(ctx, state, rho_for_grad, t_next, k_diffs)
-    factors = (st.X1, st.S1, st.V1, st.C1)
-    if ctx.integrator == "AP-aBUG":
-        factors = _truncate_pinned(*factors, ctx.grid.dim, ctx.tau)
-    elif ctx.integrator == "aBUG":
-        factors = _truncate_plain(*factors, ctx.tau)
-    X, S, V, C = factors
-    info = StepInfo(
-        s_tilde_fro=float(np.linalg.norm(st.S_tilde)),
-        pre_truncation_rank=min(st.S1.shape),
-        rank=X.shape[1],
-    )
-    return MicroStateLowRank(X=X, S=S, V=V, weighted=state.weighted, C=C), info
+    """One step of ``ctx.integrator``, truncated; returns ``(state, StepInfo)``."""
+    stage, S_tilde = galerkin_stage(ctx, state, rho_for_grad, t_next, k_diffs)
+    _, truncate = INTEGRATORS[ctx.integrator]
+    new = truncate(ctx, stage)
+    return new, StepInfo(float(np.linalg.norm(S_tilde)), min(stage.S.shape), new.rank)
 
 
 def _kept_rank(s: np.ndarray, tau: float, total: float) -> int:
@@ -487,28 +478,30 @@ def _kept_rank(s: np.ndarray, tau: float, total: float) -> int:
     return int(np.argmax(below)) if below.any() else s.size
 
 
-def _truncate_plain(X1, S1, V1, C1, tau):
-    """Keep the leading singular directions of ``S1``; ``X2 = X1 U`` and the
-    carried matrices rotate to ``U^T C1 U``."""
-    U, s, Wt = np.linalg.svd(S1)
-    k = max(_kept_rank(s, tau, float(np.linalg.norm(s))), 1)
+def _truncate_plain(ctx, state):
+    """Keep the leading singular directions of ``S1`` at the tolerance
+    ``ctx.tau``; ``X2 = X1 U`` and the carried matrices rotate to ``U^T C1 U``."""
+    U, s, Wt = np.linalg.svd(state.S)
+    k = max(_kept_rank(s, ctx.tau, float(np.linalg.norm(s))), 1)
     signs = _signs(U[:, :k])
     Uk = U[:, :k] * signs
-    return _fmul(X1, Uk), np.diag(s[:k]), V1 @ (Wt[:k].T * signs), Uk.T @ C1 @ Uk
+    return replace(state, X=_fmul(state.X, Uk), S=np.diag(s[:k]),
+                   V=state.V @ (Wt[:k].T * signs), C=Uk.T @ state.C @ Uk)
 
 
-def _truncate_pinned(X1, S1, V1, C1, n_pinned, tau):
-    """Truncate only the complement of the pinned leading basis columns.
+def _truncate_pinned(ctx, state):
+    """Truncate only the complement of the ``dim`` pinned leading basis columns.
 
-    The first ``n_pinned`` columns of each basis are kept verbatim; the
-    tolerance rule is applied to the singular values of the free rows and
+    The pinned columns of each basis are kept verbatim; the tolerance rule
+    (``ctx.tau``) is applied to the singular values of the free rows and
     free columns of the coupling matrix, measured against the full coupling
     norm, and the retained free directions are rotated in:
     ``X2 = X1 T``, ``V2 = V1 W`` and ``S2 = T^T S1 W`` with
     ``T = blockdiag(I, Uk)``, ``W = blockdiag(I, Wk)``, and the carried
     matrices become ``T^T C1 T``.
     """
-    d = min(n_pinned, min(S1.shape))
+    S1, tau = state.S, ctx.tau
+    d = min(ctx.grid.dim, min(S1.shape))
     total = float(np.linalg.norm(S1))
     A = S1[d:, :]
     B = S1[:, d:]
@@ -522,7 +515,17 @@ def _truncate_pinned(X1, S1, V1, C1, n_pinned, tau):
     k = min(k, S1.shape[0] - d, S1.shape[1] - d)
     T = scipy.linalg.block_diag(np.eye(d), _fix_signs(Ua[:, :k]))
     W = scipy.linalg.block_diag(np.eye(d), _fix_signs(Wbt[:k].T))
-    return _fmul(X1, T), T.T @ S1 @ W, V1 @ W, T.T @ C1 @ T
+    return replace(state, X=_fmul(state.X, T), S=T.T @ S1 @ W, V=state.V @ W,
+                   C=T.T @ state.C @ T)
+
+
+#: Each integrator's basis update, ``(ctx, state, K1, L1, PJ) -> (X1,
+#: S_tilde, V1, C1)``, and its truncation, ``(ctx, state) -> state``.
+INTEGRATORS = {
+    "BUG": (_bug_bases, lambda ctx, state: state),
+    "aBUG": (_abug_bases, _truncate_plain),
+    "AP-aBUG": (_ap_abug_bases, _truncate_pinned),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +551,7 @@ def lowrank_macro_coupled_step(
         ctx, state, rho if ctx.schur is None else rho_new, t_next, k_diffs
     )
     if ctx.schur is None:
-        P, A = g_factors(state_new, quad)
+        P, A = state_new.X @ state_new.S, _g_angular(quad, state_new, state_new.V)
         rho_new = (
             _macro_source(ctx.material, ctx.config.dt, rho, t_next)
             - flux_div_factored(grid, quad, P, A)

@@ -131,7 +131,7 @@ def execute_run(manifest: RunManifest) -> RunResult:
     rank = manifest.rank if manifest.rank is not None else scen.rank
     tau = manifest.tau if manifest.tau is not None else scen.tau
     integrator = None if scheme.micro == "full" else scheme.micro
-    if (integrator == "aBUG" and not manifest.unweighted
+    if (scheme.micro == "aBUG" and not manifest.unweighted
             and diagnostics.dt_implicit(grid, material, eps) == UNCONDITIONAL):
         integrator = "AP-aBUG"
     if integrator is None:

@@ -356,8 +356,8 @@ def test_c8_identity_suite():
             st = factorize_micro(grid, quad, dense_factors(Gc), 3, seed=int(rng.integers(1 << 30)))
             rho = rng.standard_normal(grid.n_points)
             ctx = step_context(grid, quad, material, config, integrator="BUG")
-            stage = galerkin_stage(ctx, st, rho)
-            X1, S_tilde, S1, V1 = stage.X1, stage.S_tilde, stage.S1, stage.V1
+            stage, S_tilde = galerkin_stage(ctx, st, rho)
+            X1, S1, V1 = stage.X, stage.S, stage.V
             PX, PV = X1 @ X1.T, V1 @ V1.T
             m = quad.m[None, :]
             eps, dt = config.epsilon, config.dt

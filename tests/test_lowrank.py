@@ -2,6 +2,7 @@
 Galerkin consistency, adaptivity, and the energy-alignment counterexample."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,10 @@ from lrtrans.lowrank import (
     MicroStateLowRank,
     _ang,
     _extend_basis,
+    _galerkin_stack,
     _k_differences,
+    _k_step,
+    _l_step,
     _qr,
     constrained_qr,
     factorize_micro,
@@ -228,8 +232,8 @@ def test_diffusion_limit_relations():
         config = SolverConfig(epsilon=eps, dt=0.01)
         st = factorize_micro(grid, quad, dense_factors(G), 3, seed=0)
         ctx = step_context(grid, quad, material, config, integrator="BUG")
-        stage = galerkin_stage(ctx, st, rho)
-        X1, S1, V1 = stage.X1, stage.S1, stage.V1
+        stage, _ = galerkin_stage(ctx, st, rho)
+        X1, S1, V1 = stage.X, stage.S, stage.V
         PJ, AJ = density_grad(grid, quad, rho)
         JM = (PJ @ AJ.T) * quad.m[None, :]
         r_s = np.abs((X1.T * material.sigma_s_g) @ X1 @ S1 + X1.T @ JM @ V1).max()
@@ -267,8 +271,8 @@ def test_galerkin_stage_residual(rng):
         st = factorize_micro(grid, quad, dense_factors(G), 3, seed=1)
         rho = rng.standard_normal(grid.n_points)
         ctx = step_context(grid, quad, material, config, integrator="BUG")
-        stage = galerkin_stage(ctx, st, rho)
-        X1, S_tilde, S1, V1 = stage.X1, stage.S_tilde, stage.S1, stage.V1
+        stage, S_tilde = galerkin_stage(ctx, st, rho)
+        X1, S1, V1 = stage.X, stage.S, stage.V
         PX = X1 @ X1.T
         PV = V1 @ V1.T
         m = quad.m[None, :]
@@ -283,6 +287,65 @@ def test_galerkin_stage_residual(rng):
         rhs -= PX @ (sig[:, None] * G_new * m) @ PV
         scale = np.abs(lhs).max()
         assert np.abs(lhs - rhs).max() <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+@pytest.mark.parametrize("with_source", [False, True])
+def test_k_and_l_steps_solve_their_implicit_equations(rng, weighted, with_source):
+    # K1 and L1 solve the dense implicit micro update, explicit in the
+    # advection and implicit in the relaxation, with V (K step) or X (L step)
+    # held fixed: (1/dt + sig) K1 = (Y/dt + F) V and
+    # (I/dt + X^T sig X) L1^T = X^T (Y/dt + F), for Y = G M (weighted) or G
+    for dim in (1, 2):
+        if dim == 1:
+            grid, quad = setup_1d()
+        else:
+            grid = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (6, 6))
+            quad = chebyshev_legendre_2d(2)
+        Ps = rng.standard_normal((grid.n_points, 2))
+        As = project_out_mean(quad, rng.standard_normal((2, quad.n))).T
+        material = sample_material(
+            grid,
+            lambda c: 1.0 + 0.2 * np.cos(2 * np.pi * c[:, 0]),
+            lambda c: np.full(c.shape[0], 0.05),
+            0.8,
+            micro_source=(lambda t: (Ps, As)) if with_source else None,
+        )
+        config = SolverConfig(epsilon=0.9, dt=0.004)
+        ctx = step_context(grid, quad, material, config, integrator="BUG")
+        G0 = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
+        st = factorize_micro(grid, quad, dense_factors(G0), 3, weighted=weighted, seed=1)
+        st = replace(st, C=_galerkin_stack(grid, st.X, ctx.sig))
+        rho = rng.standard_normal(grid.n_points)
+        PJ, AJ = density_grad(grid, quad, rho)
+        m = quad.m if weighted else np.ones(quad.n)
+        src = (Ps, m[:, None] * As) if with_source else None
+        K1 = _k_step(ctx, st, None, PJ, m[:, None] * AJ, src)
+        L1 = _l_step(ctx, st, PJ, m[:, None] * AJ, src)
+
+        eps, dt = config.epsilon, config.dt
+        sig = material.sigma_s_g / eps**2 + material.sigma_a_g
+        G = reconstruct(st, quad)
+        F = -project_out_mean(quad, advect(grid, quad, G)) / eps - (PJ @ AJ.T) / eps**2
+        if with_source:
+            F += Ps @ As.T
+        B = (G / dt + F) * m[None, :]
+        X, V = st.X, st.V
+        k_sides = ((1.0 / dt + sig)[:, None] * K1, B @ V)
+        l_sides = ((np.eye(st.rank) / dt + X.T @ (sig[:, None] * X)) @ L1.T, X.T @ B)
+        for lhs, rhs in (k_sides, l_sides):
+            assert np.abs(lhs - rhs).max() <= 1e-11 * np.abs(rhs).max()
+
+
+def test_ap_abug_rejects_unweighted_factors(rng):
+    # the diffusion-limit enrichment is defined on the weighted factors only
+    grid, quad = setup_1d()
+    ctx = step_context(grid, quad, unit_material(grid), SolverConfig(epsilon=1.0, dt=0.01),
+                       integrator="AP-aBUG")
+    G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
+    st = factorize_micro(grid, quad, dense_factors(G), 3, weighted=False)
+    with pytest.raises(ValueError, match="diffusion-limit enrichment requires weighted factors"):
+        galerkin_stage(ctx, st, rng.standard_normal(grid.n_points))
 
 
 def test_bug_vs_dense_projected_difference(rng):
@@ -402,12 +465,13 @@ def test_abug_extension_keeps_old_basis_and_embeds_coupling(rng):
     # plain aBUG keeps X verbatim as the leading block of X1, and its block
     # embedding S_tilde = [S V^T V1; 0] equals the projection X1^T X S V^T V1
     grid, quad, material, config, schur, st, rho = setup_2d_step(rng, "IMEX-S-aBUG")
-    stage = galerkin_stage(step_context(grid, quad, material, config, integrator="aBUG"), st, rho)
+    ctx = step_context(grid, quad, material, config, integrator="aBUG")
+    stage, S_tilde = galerkin_stage(ctx, st, rho)
     r = st.rank
-    assert stage.X1.shape[1] == 2 * r
-    assert np.array_equal(stage.X1[:, :r], st.X)
-    projected = (stage.X1.T @ st.X) @ st.S @ (st.V.T @ stage.V1)
-    assert np.abs(stage.S_tilde - projected).max() <= 1e-13 * np.abs(st.S).max()
+    assert stage.X.shape[1] == 2 * r
+    assert np.array_equal(stage.X[:, :r], st.X)
+    projected = (stage.X.T @ st.X) @ st.S @ (st.V.T @ stage.V)
+    assert np.abs(S_tilde - projected).max() <= 1e-13 * np.abs(st.S).max()
 
 
 def _extension_case(rng, case):

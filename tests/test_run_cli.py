@@ -169,6 +169,17 @@ def test_cli_unweighted_flag_selects_plain_abug(capsys):
     assert "--unweighted only applies to low-rank schemes" in capsys.readouterr().err
 
 
+def test_config_unweighted_selects_plain_abug(tmp_path, capsys):
+    # "unweighted = true" in a config file does what the flag does, and the
+    # absent flag does not override it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("unweighted = true\n")
+    argv = ["run", "--scenario", "gaussian1d-diff", "--mesh-div", "8", "--no-error",
+            "--scheme", "IMEX-aBUG", "--config", str(cfg)]
+    assert main(argv) == 0
+    assert "integrator = aBUG\n" in capsys.readouterr().out
+
+
 def test_self_reference_error():
     # kinetic scenario compares against a four-times-refined full-rank run,
     # restricted to coincident density points
