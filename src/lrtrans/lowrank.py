@@ -433,8 +433,8 @@ def _ap_abug_bases(ctx, state, K1, L1, PJ):
     if not state.weighted:
         raise ValueError("diffusion-limit enrichment requires weighted factors")
     limit = np.column_stack([ctx.quad.m * ctx.quad.q(j) for j in range(ctx.quad.dim)])
-    K1 = _hcat([-PJ / ctx.material.sigma_s_g[:, None], K1, state.X])
-    return _bug_bases(ctx, state, K1, _hcat([limit, L1, state.V]), PJ)
+    spatial = _hcat([-PJ / ctx.material.sigma_s_g[:, None], K1, state.X])
+    return _bug_bases(ctx, state, spatial, _hcat([limit, L1, state.V]), PJ)
 
 
 def galerkin_stage(ctx: StepContext, state: MicroStateLowRank, rho_for_grad: np.ndarray,
