@@ -31,9 +31,9 @@ class QuadratureSet:
     ``q_plus(j)``/``q_minus(j)`` their upwind splits ``(q +- |q|)/2``.
 
     ``z_apply`` / ``z_applyt`` apply an implicit orthonormal basis ``Z`` of
-    the zero-density subspace ``{v : (M 1)^T v = 0}`` and its transpose; the
-    basis is realized through a single Householder reflector so both products
-    cost ``O(n)`` per column.
+    the zero-density subspace ``{v : c^T v = 0}``, ``c = constraint(weighted)``,
+    and its transpose; the basis is realized through a single Householder
+    reflector, formed when applied, so both products cost ``O(n)`` per column.
     """
 
     dim: int
@@ -41,8 +41,6 @@ class QuadratureSet:
     w: np.ndarray              # (n,)
     domain_measure: float
     m: np.ndarray              # sqrt(w)
-    _house_u: np.ndarray
-    _house_beta: float
 
     @property
     def n(self) -> int:
@@ -64,17 +62,27 @@ class QuadratureSet:
         o = self.omega[:, axis]
         return 0.5 * (o - np.abs(o))
 
-    def z_apply(self, y: np.ndarray) -> np.ndarray:
+    def constraint(self, weighted: bool = True) -> np.ndarray:
+        """``c`` of the zero-density constraint ``c^T v = 0`` on an angular
+        factor: ``M 1 = m`` if ``weighted``, else ``w``."""
+        return self.m if weighted else self.w
+
+    def _reflect(self, x: np.ndarray, weighted: bool) -> np.ndarray:
+        """``H x`` for the reflector ``H`` that maps ``c / |c|`` onto ``-e1``."""
+        c = self.constraint(weighted)
+        u = c / np.linalg.norm(c)
+        u[0] += 1.0                  # the entries of c are positive
+        return x - np.outer(u, 2.0 / (u @ u) * (u @ x))
+
+    def z_apply(self, y: np.ndarray, weighted: bool = True) -> np.ndarray:
         """Map coefficients ``y`` (shape ``(n-1, k)``) to ``Z y`` in R^n."""
         y = np.atleast_2d(np.asarray(y, dtype=float).T).T
-        x = np.vstack([np.zeros((1, y.shape[1])), y])
-        return x - np.outer(self._house_u, self._house_beta * (self._house_u @ x))
+        return self._reflect(np.vstack([np.zeros((1, y.shape[1])), y]), weighted)
 
-    def z_applyt(self, u: np.ndarray) -> np.ndarray:
+    def z_applyt(self, u: np.ndarray, weighted: bool = True) -> np.ndarray:
         """Map vectors ``u`` (shape ``(n, k)``) to ``Z^T u`` in R^(n-1)."""
         u = np.atleast_2d(np.asarray(u, dtype=float).T).T
-        h = u - np.outer(self._house_u, self._house_beta * (self._house_u @ u))
-        return h[1:]
+        return self._reflect(u, weighted)[1:]
 
     def validate(self) -> None:
         """Assert the construction invariants; raises ``ValueError`` on failure."""
@@ -93,21 +101,9 @@ class QuadratureSet:
 
 def _make(dim: int, omega: np.ndarray, w: np.ndarray, measure: float) -> QuadratureSet:
     m = np.sqrt(w)
-    qhat = m / np.linalg.norm(m)
-    u = qhat.copy()
-    u[0] += 1.0                      # reflector maps qhat -> -e1; m entries > 0
-    beta = 2.0 / (u @ u)
-    for arr in (omega, w, m, u):
+    for arr in (omega, w, m):
         arr.setflags(write=False)
-    quad = QuadratureSet(
-        dim=dim,
-        omega=omega,
-        w=w,
-        domain_measure=measure,
-        m=m,
-        _house_u=u,
-        _house_beta=beta,
-    )
+    quad = QuadratureSet(dim=dim, omega=omega, w=w, domain_measure=measure, m=m)
     quad.validate()
     return quad
 

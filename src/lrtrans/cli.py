@@ -47,7 +47,6 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--dt-mult", type=float, default=None)
     p.add_argument("--mesh-div", type=int, default=None)
-    p.add_argument("--theta", type=float, default=None)
     p.add_argument("--epsilon", type=float, default=None,
                    help="override the scenario Knudsen number")
     p.add_argument("--unweighted", action="store_true", default=None)

@@ -79,8 +79,7 @@ def energy(
 def zero_density_residual(quad: QuadratureSet, micro: MicroState) -> float:
     """Max-norm of the discrete angular mean ``G w`` (factored when possible)."""
     if isinstance(micro, MicroStateLowRank):
-        vec = quad.m if micro.weighted else quad.w
-        y = micro.S @ (micro.V.T @ vec)
+        y = micro.S @ (micro.V.T @ quad.constraint(micro.weighted))
         return float(np.max(np.abs(micro.X @ y))) if y.size else 0.0
     return float(np.max(np.abs(micro @ quad.w)))
 

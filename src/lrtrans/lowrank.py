@@ -5,7 +5,7 @@ The microscopic fluctuation ``G`` is evolved through orthonormal factors
 (``M`` the square-root weight matrix), so Frobenius geometry on the factors
 matches the quadrature-weighted energy norm and the basis-update/Galerkin
 steps inherit the dissipation of the full-rank scheme.  The unweighted mode
-factors ``G`` directly with plainly orthonormal ``V``; it exists solely to
+factors ``G`` directly with Euclidean-orthonormal ``V``; it exists solely to
 demonstrate how that choice breaks the energy alignment, and is selected with
 ``MicroStateLowRank.weighted = False``.
 
@@ -21,8 +21,9 @@ and keeps rank r.  ``aBUG`` augments the bases with the K/L updates (rank
 <= 2r) and truncates the S-step result by the relative singular-value
 tolerance ``ctx.tau``; ``AP-aBUG`` also adds the discrete diffusion-limit
 directions, pinned as untruncatable leading columns.
-Weighted angular bases come from :func:`constrained_qr`, so ``1^T M V = 0``
-holds to machine precision.
+Every angular basis comes from :func:`constrained_qr`, so ``1^T M V = 0``
+(weighted) or ``w^T V = 0`` (unweighted) holds to machine precision, and
+both modes cap the rank at ``n_ordinates - 1``.
 
 Basis extension
 ---------------
@@ -84,7 +85,8 @@ class MicroStateLowRank:
     ``X`` is ``(n_points, r)``, ``S`` is ``(r, r)`` (rectangular only in
     rank-capped corner cases), ``V`` is ``(n_ordinates, r)``; ``X`` and ``V``
     have orthonormal columns.  ``weighted=True`` means the factors represent
-    ``G M`` and ``V`` satisfies the zero-density constraint ``1^T M V = 0``.
+    ``G M`` and ``V`` satisfies the zero-density constraint ``1^T M V = 0``;
+    unweighted factors represent ``G`` and ``V`` satisfies ``w^T V = 0``.
     ``C`` stacks ``C[j] = X^T D^(j,+) X`` per axis and
     ``C[dim] = X^T diag(sigma) X``.  It is ``None`` until the first step (the
     initial state does not know sigma), which computes it from ``X``.
@@ -172,19 +174,21 @@ def _fmul(X: np.ndarray, P: np.ndarray) -> np.ndarray:
     return (P.T @ X.T).T
 
 
-def constrained_qr(L: np.ndarray, quad: QuadratureSet) -> np.ndarray:
+def constrained_qr(L: np.ndarray, quad: QuadratureSet, weighted: bool = True) -> np.ndarray:
     """Orthonormal basis for ``range(L)`` inside the zero-density subspace.
 
-    Projects onto the subspace ``{v : (M 1)^T v = 0}``, factorizes there, and
-    maps back, so the result satisfies the constraint to machine precision
-    regardless of the conditioning of ``L``.  Rank-deficient inputs yield
+    Projects onto the subspace ``{v : c^T v = 0}`` for ``c =
+    quad.constraint(weighted)``, factorizes there, and maps back, so the
+    result satisfies the constraint to machine precision regardless of the
+    conditioning of ``L``; its columns are Euclidean-orthonormal in both
+    factor modes.  Rank-deficient inputs yield
     deterministic constraint-satisfying completion columns.  At most
     ``n_ordinates - 1`` columns are returned.
     """
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != quad.n:
         raise ValueError(f"expected ({quad.n}, r) input, got {L.shape}")
-    return _fix_signs(quad.z_apply(_qr(quad.z_applyt(L))))
+    return _fix_signs(quad.z_apply(_qr(quad.z_applyt(L, weighted)), weighted))
 
 
 def _complete_basis(Q: np.ndarray, extra: int, rng: np.random.Generator) -> np.ndarray:
@@ -264,10 +268,11 @@ def factorize_micro(
     """Best rank-``rank`` factorization of the microscopic state ``G = P A^T``
     given by its factors ``(P, A)``, ``(n_points, k)`` and ``(n_ordinates, k)``.
 
-    In weighted mode the factorization is of ``G M = P (M A)^T`` after
-    removing its density mode (the component along ``M 1``, which the
-    constrained representation cannot hold) from ``M A``, and the rank is
-    capped at the zero-density subspace dimension ``n_ordinates - 1``.  The
+    The factorization is of ``G M = P (M A)^T`` (weighted) or ``G = P A^T``
+    after removing the density mode (the component along
+    ``quad.constraint(weighted)``, which the constrained representation
+    cannot hold) from the angular factor, and the rank is capped at the
+    zero-density subspace dimension ``n_ordinates - 1``.  The
     singular triplets come from the QR factorizations of both factors and
     the SVD of the ``k x k`` product of their triangular factors, so the
     cost is ``O((n_points + n_ordinates) k^2)`` and no ``n_points x
@@ -277,14 +282,15 @@ def factorize_micro(
     padding, with no factorization.
     """
     rng = np.random.default_rng(seed)
-    r_eff = min(rank, grid.n_points, quad.z_dim if weighted else quad.n)
+    r_eff = min(rank, grid.n_points, quad.z_dim)
     X, Vm = factors
     s = np.zeros(0)
     if X.shape[1]:
         if weighted:
             Vm = quad.m[:, None] * Vm
-            mhat = quad.m / np.linalg.norm(quad.m)
-            Vm = Vm - np.outer(mhat, mhat @ Vm)
+        c = quad.constraint(weighted)
+        chat = c / np.linalg.norm(c)
+        Vm = Vm - np.outer(chat, chat @ Vm)
         Qx, Rx = np.linalg.qr(X)
         Qv, Rv = np.linalg.qr(Vm)
         U, s, Wt = np.linalg.svd(Rx @ Rv.T, full_matrices=False)
@@ -298,15 +304,13 @@ def factorize_micro(
 
 
 def _seeded_state(quad, X, s, Vm, r_eff, weighted, rng):
-    """State from leading singular triplets ``(X, s, Vm)`` of ``G M``, padded
-    to rank ``r_eff`` with seeded orthonormal columns and zero couplings."""
+    """State from leading singular triplets ``(X, s, Vm)``, padded to rank
+    ``r_eff`` with seeded orthonormal columns (the angular ones constrained)
+    and zero couplings."""
     keep = s.size
     X = _complete_basis(X, r_eff - keep, rng)
-    if weighted:
-        Vz = quad.z_applyt(Vm) if keep else np.zeros((quad.z_dim, 0))
-        V = quad.z_apply(_complete_basis(Vz, r_eff - keep, rng))
-    else:
-        V = _complete_basis(Vm, r_eff - keep, rng)
+    Vz = quad.z_applyt(Vm, weighted) if keep else np.zeros((quad.z_dim, 0))
+    V = quad.z_apply(_complete_basis(Vz, r_eff - keep, rng), weighted)
     S = np.zeros((r_eff, r_eff))
     S[:keep, :keep] = np.diag(s)
     return MicroStateLowRank(X=X, S=S, V=V, weighted=weighted)
@@ -352,11 +356,6 @@ def _k_differences(grid: StaggeredGrid, state: MicroStateLowRank) -> tuple:
         fwd = diff(grid, j, +1, K, out=DK[:, (2 * j + 1) * r:(2 * j + 2) * r])
         shift(grid, j, fwd, out=DK[:, 2 * j * r:(2 * j + 1) * r])
     return K, DK
-
-
-def _angular_basis(quad, B, weighted):
-    """Orthonormal basis for ``range(B)``: :func:`constrained_qr` if weighted, else plain QR."""
-    return constrained_qr(B, quad) if weighted else _fix_signs(_qr(B))
 
 
 def _k_step(ctx, state, k_diffs, PJ, AJ, src):
@@ -411,7 +410,7 @@ def _s_step(ctx, stage, PJ, AJ, src):
 
 def _bug_bases(ctx, state, K1, L1, PJ):
     """BUG: the bases of ``K1`` and ``L1``, ``S_tilde = X1^T X S V^T V1``."""
-    V1 = _angular_basis(ctx.quad, L1, state.weighted)
+    V1 = constrained_qr(L1, ctx.quad, state.weighted)
     X1 = _fix_signs(_qr(K1))
     S_tilde = (X1.T @ state.X) @ state.S @ (state.V.T @ V1)
     return X1, S_tilde, V1, _galerkin_stack(ctx.grid, X1, ctx.sig)
@@ -420,7 +419,7 @@ def _bug_bases(ctx, state, K1, L1, PJ):
 def _abug_bases(ctx, state, K1, L1, PJ):
     """aBUG: ``X1 = [X, Q]`` (:func:`_extend_basis`) and the basis of
     ``[L1, V]``; ``S_tilde`` is the embedding ``[S V^T V1; 0]``."""
-    V1 = _angular_basis(ctx.quad, _hcat([L1, state.V]), state.weighted)
+    V1 = constrained_qr(_hcat([L1, state.V]), ctx.quad, state.weighted)
     X1 = _extend_basis(state.X, K1)
     S_tilde = np.zeros((X1.shape[1], V1.shape[1]))
     S_tilde[:state.rank] = state.S @ (state.V.T @ V1)

@@ -50,7 +50,6 @@ class RunManifest:
     tau: Optional[float] = None
     dt_mult: float = 1.0
     mesh_div: int = 1
-    theta: Optional[float] = None
     epsilon: Optional[float] = None     # Knudsen number override
     unweighted: bool = False
     out: Optional[str] = None
@@ -71,8 +70,6 @@ class RunManifest:
             raise ValueError("dt multiplier must be positive and finite")
         if self.mesh_div < 1:
             raise ValueError("mesh divisor must be >= 1")
-        if self.theta is not None and not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
         if self.epsilon is not None and not 0 < self.epsilon < math.inf:
             raise ValueError("epsilon override must be positive and finite")
         if self.seed < 0:
@@ -125,7 +122,7 @@ def execute_run(manifest: RunManifest) -> RunResult:
     n_steps = max(1, math.ceil(scen.t_final / dt - 1e-9))
     if manifest.max_steps is not None:
         n_steps = min(n_steps, manifest.max_steps)
-    theta = manifest.theta if manifest.theta is not None else (0.0 if scheme.schur else 1.0)
+    theta = 0.0 if scheme.schur else 1.0  # the energy's theta for this coupling
     config = SolverConfig(epsilon=eps, dt=dt)
 
     rank = manifest.rank if manifest.rank is not None else scen.rank

@@ -77,7 +77,7 @@ def factorize_dense(grid, quad, G, rank, weighted=True, seed=0) -> MicroStateLow
     the whole ``n_points x n_ordinates`` array (of ``G M`` without its
     density mode in weighted mode)."""
     rng = np.random.default_rng(seed)
-    r_eff = min(rank, grid.n_points, quad.z_dim if weighted else quad.n)
+    r_eff = min(rank, grid.n_points, quad.z_dim)
     if weighted:
         A = G * quad.m[None, :]
         mhat = quad.m / np.linalg.norm(quad.m)

@@ -110,3 +110,15 @@ def test_constraint_basis_orthonormal_and_annihilating():
     # z_applyt is the transpose of z_apply
     Y = np.random.default_rng(0).standard_normal((q.n, 3))
     assert np.allclose(q.z_applyt(Y), Z.T @ Y, atol=1e-13)
+
+
+def test_unweighted_constraint_basis_annihilates_w():
+    # unweighted factors are constrained against c = w, with the same
+    # Euclidean-orthonormal basis construction as the weighted c = M 1
+    q = gauss_legendre_1d(8)
+    assert q.constraint(True) is q.m and q.constraint(False) is q.w
+    Z = q.z_apply(np.eye(q.z_dim), weighted=False)
+    assert np.allclose(Z.T @ Z, np.eye(q.z_dim), atol=1e-13)
+    assert np.max(np.abs(q.w @ Z)) <= 1e-13
+    Y = np.random.default_rng(1).standard_normal((q.n, 3))
+    assert np.allclose(q.z_applyt(Y, weighted=False), Z.T @ Y, atol=1e-13)

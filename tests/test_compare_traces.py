@@ -102,23 +102,20 @@ def test_held_zero_density_residual_is_labelled_not_scaled(tmp_path):
     # byte identity reports the relative difference as before
     lines, ok = gate(tmp_path / "bytes", trace=trace)
     assert not ok and "zero_density_residual 0.26" in lines[0]
-    # where the first tree breaks the bound the column is compared and shown
-    broken, moved = with_row(TRACE, 2, 4, 0.7), with_row(TRACE, 2, 4, 0.7 * (1 + 1e-8))
-    a = write_run(tmp_path / "a", trace=broken)
-    lines, ok = ct.compare_run(a, write_run(tmp_path / "b", trace=moved), 1e-10)
-    assert "held to bound" not in lines[0] and "zero_density_residual 1e-08" in lines[0]
 
 
-def test_zero_density_residual_beyond_bound_in_both_trees_is_compared(tmp_path):
-    # a run that does not hold the constraint (the unweighted mode) passes if
-    # its residuals agree to the tolerance, and fails if they do not
+def test_zero_density_residual_above_bound_in_a_fails(tmp_path):
+    # every run holds the constraint, so a run that breaks the bound in the
+    # first tree fails even where both trees agree on every value
     broken = with_row(TRACE, 2, 4, 0.7)
     a = write_run(tmp_path / "a", trace=broken)
-    assert ct.compare_run(a, write_run(tmp_path / "b", trace=broken), 1e-10)[1]
-    moved = with_row(TRACE, 2, 4, 0.7 * (1 + 1e-8))
-    lines, ok = ct.compare_run(a, write_run(tmp_path / "c", trace=moved), 1e-10)
+    lines, ok = ct.compare_run(a, write_run(tmp_path / "b", trace=broken), 1e-10)
     assert not ok
-    assert "zero_density_residual" in lines[-1]
+    assert "zero-density residual above bound in a" in lines[-1]
+    assert "above bound in b" in lines[-1]
+    lines, ok = ct.compare_run(a, write_run(tmp_path / "c"), 1e-10)
+    assert not ok
+    assert "above bound in a" in lines[-1] and "above bound in b" not in lines[-1]
 
 
 def test_summary_entries_are_compared(tmp_path):

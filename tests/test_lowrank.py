@@ -28,6 +28,7 @@ from lrtrans.lowrank import (
     micro_step,
 )
 from lrtrans.ops import advect, density_grad, project_out_mean, sample_material
+from lrtrans.run import RunManifest, execute_run
 from oracles import (
     dense_factors,
     factorize_dense,
@@ -89,12 +90,15 @@ def test_factorization_rank_cap():
 
 
 def test_unweighted_factorization(rng):
+    # unweighted angular bases are Euclidean-orthonormal and hold w^T V = 0,
+    # so a mean-free state is reconstructed in full at rank N - 1
     grid, quad = setup_1d()
-    G = rng.standard_normal((grid.n_points, quad.n))
-    st = factorize_micro(grid, quad, dense_factors(G), 8, weighted=False, seed=0)
+    G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
+    st = factorize_micro(grid, quad, dense_factors(G), 4, weighted=False, seed=0)
     assert st.weighted is False
-    assert np.allclose(st.V.T @ st.V, np.eye(8), atol=1e-13)
-    full = factorize_micro(grid, quad, dense_factors(G), quad.n, weighted=False, seed=0)
+    assert np.allclose(st.V.T @ st.V, np.eye(4), atol=1e-13)
+    assert np.max(np.abs(quad.w @ st.V)) <= 1e-13
+    full = factorize_micro(grid, quad, dense_factors(G), quad.n - 1, weighted=False, seed=0)
     assert np.max(np.abs(reconstruct(full, quad) - G)) <= 1e-12 * np.abs(G).max()
 
 
@@ -103,7 +107,7 @@ def test_unweighted_factorization(rng):
 @pytest.mark.parametrize("rank", [1, 5, 12])
 def test_zero_state_equals_factorized_zeros(monkeypatch, weighted, seed, rank):
     # an all-zero state has no singular triplets: it is all seeded padding,
-    # drawn without the SVD; rank 12 lies above the cap of 7 (weighted) or 8
+    # drawn without the SVD; rank 12 lies above the cap of N - 1 = 7
     grid, quad = setup_1d()
 
     def no_svd(*args, **kwargs):
@@ -111,13 +115,12 @@ def test_zero_state_equals_factorized_zeros(monkeypatch, weighted, seed, rank):
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     st = factorize_micro(grid, quad, zeros(grid, quad), rank, weighted=weighted, seed=seed)
-    r = min(rank, quad.z_dim if weighted else quad.n)
+    r = min(rank, quad.z_dim)
     assert st.rank == r and st.C is None
     assert not np.any(st.S)
     assert np.allclose(st.X.T @ st.X, np.eye(r), atol=1e-13)
     assert np.allclose(st.V.T @ st.V, np.eye(r), atol=1e-13)
-    if weighted:
-        assert np.max(np.abs(quad.m @ st.V)) <= 1e-12
+    assert np.max(np.abs(quad.constraint(weighted) @ st.V)) <= 1e-12
     again = factorize_micro(grid, quad, zeros(grid, quad), rank, weighted=weighted, seed=seed)
     for name in ("X", "V"):
         assert np.array_equal(getattr(st, name), getattr(again, name)), name
@@ -671,13 +674,13 @@ def test_step_context_rejects_unknown_integrator(name):
     "integrator, weighted", [("aBUG", True), ("aBUG", False), ("AP-aBUG", True)]
 )
 def test_abug_rank_bounded_by_mesh_and_ordinates(rng, nx, integrator, weighted):
-    # the augmented bases hold at most n_points spatial and N - 1 (weighted)
-    # or N (unweighted) angular columns, so truncation never keeps more than
-    # min(n_points, N - 1 or N); at a tolerance of 1e-16 from rank 1 the
+    # the augmented bases hold at most n_points spatial and N - 1 angular
+    # columns in both factor modes, so truncation never keeps more than
+    # min(n_points, N - 1); at a tolerance of 1e-16 from rank 1 the
     # augmented rank reaches that bound within 8 steps.  nx = 2 has 4 points,
     # so there the spatial bound binds
     grid, quad = setup_1d(nx=nx)
-    bound = min(grid.n_points, quad.z_dim if weighted else quad.n)
+    bound = min(grid.n_points, quad.z_dim)
     ctx = step_context(grid, quad, unit_material(grid), SolverConfig(epsilon=1.0, dt=0.05),
                        integrator=integrator, tau=1e-16)
     G = rng.standard_normal((grid.n_points, quad.n))
@@ -808,6 +811,18 @@ def test_zero_density_residual_low_rank(rng):
     assert zero_density_residual(quad, bad) == pytest.approx(
         amp * quad.domain_measure, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("scheme", ["IMEX-BUG", "IMEX-S-BUG", "IMEX-aBUG", "IMEX-S-aBUG"])
+def test_unweighted_runs_hold_the_zero_density_bound(scheme):
+    # unweighted angular bases carry w^T V = 0 like the weighted ones carry
+    # 1^T M V = 0, so every recorded row of an unweighted run, augmented
+    # ranks included, holds the bound of the trace gate
+    res = execute_run(RunManifest(scenario="bimodal1d", scheme=scheme, unweighted=True,
+                                  max_steps=60, with_error=False))
+    assert res.summary["status"] == "completed" and len(res.records) > 40
+    for rec in res.records:
+        assert rec.zero_density_residual <= 1e-11 * max(1.0, rec.micro_norm_w), rec.step
 
 
 def test_gm_frobenius_both_modes(rng):

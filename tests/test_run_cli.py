@@ -280,8 +280,6 @@ def test_theta_recorded():
     assert res.summary["theta"] == 0.0
     res = execute_run(quick_manifest(scheme="IMEX-BUG", max_steps=1))
     assert res.summary["theta"] == 1.0
-    res = execute_run(quick_manifest(theta=0.5, max_steps=1))
-    assert res.summary["theta"] == 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,7 @@ either tree (the report then shows these scaled differences, since
 per-value relative differences blow up on near-zero densities); and every
 zero-density residual is at most ``ZERO_DENSITY_BOUND * max(1,
 micro_norm_w)`` in both trees.  That column holds roundoff, so it is held to
-the bound and not compared, and the report labels it ``held to bound``; only
-where ``SRC_A`` itself breaks the bound (unweighted aBUG, whose angular
-basis does not carry the constraint) is it compared like the others.  The
+the bound and not compared, and the report labels it ``held to bound``.  The
 exit status is 0 when every run passes.
 
 Under the verdict the script prints the line count of ``src/lrtrans/*.py``
@@ -175,22 +173,19 @@ def trace_extras(path_a: Path, path_b: Path) -> str:
 
 def rtol_failures(dir_a: Path, dir_b: Path, deviations: dict, tol: float) -> list:
     """Why a run fails the tolerance gate (empty if it passes): unequal ranks,
-    a zero-density residual above the bound in ``dir_b`` where ``dir_a``
-    holds it, or a value farther than ``tol`` times its column's largest
-    magnitude.  The zero-density column is compared like the others only
-    where ``dir_a`` breaks the bound (the unweighted aBUG runs, whose
-    angular basis does not carry the constraint).  ``deviations`` maps each
-    artifact name to its scaled deviations (:func:`compare_artifact`)."""
+    a zero-density residual above the bound in either tree, or a value
+    farther than ``tol`` times its column's largest magnitude; the
+    zero-density column is held to the bound, not compared.  ``deviations``
+    maps each artifact name to its scaled deviations (:func:`compare_artifact`)."""
     ta, tb = _columns(dir_a / "trace.csv"), _columns(dir_b / "trace.csv")
     failures = []
     if ta.get("rank") != tb.get("rank"):
         failures.append("ranks differ")
-    bounded = zero_density_bound_ok(ta)
-    if bounded and not zero_density_bound_ok(tb):
-        failures.append("zero-density residual above bound in b")
+    failures += [f"zero-density residual above bound in {side}"
+                 for side, trace in (("a", ta), ("b", tb)) if not zero_density_bound_ok(trace)]
     for name, worst in deviations.items():
         failures += [f"{name} {col} {d:.2g}" for col, d in worst.items()
-                     if not d <= tol and not (bounded and col == "zero_density_residual")]
+                     if not d <= tol and col != "zero_density_residual"]
     return failures
 
 
@@ -203,9 +198,8 @@ def compare_run(dir_a: Path, dir_b: Path, rtol=None) -> tuple:
     names = (["trace.csv", "rho_final.csv"]
              + sorted(p.name for p in dir_a.glob("slice_*.csv")) + ["summary.txt"])
     lines, identical, deviations = [], False, {}
-    # the zero-density column is held to its bound where dir_a holds it
-    held = (("zero_density_residual",) if scaled
-            and zero_density_bound_ok(_columns(dir_a / "trace.csv")) else ())
+    # under the tolerance gate the zero-density column is held to its bound
+    held = ("zero_density_residual",) if scaled else ()
     for name in names:
         report, deviations[name] = compare_artifact(
             dir_a / name, dir_b / name, scaled, held if name == "trace.csv" else ())
