@@ -325,7 +325,7 @@ class StepContext:
     # view of qw_rows would change the rounding of its BLAS product
     qw: np.ndarray
     qw_rows: np.ndarray  # the same, one contiguous row per axis (the sweep)
-    ang_splits: dict  # (q, a, b) of the low-rank angular factor, _angular_splits
+    ang_splits: dict  # (q, a, b) of the low-rank angular factors, _angular_splits
     sides: tuple  # ops.upwind_runs: per axis, (c0, c1, side) column runs
     scales: tuple  # q_j dt / (eps h_j) per axis, the sweep's advection scales
     blocks: list  # the sweep's block plan, _row_blocks
@@ -395,15 +395,14 @@ def upwind_grouped(quad: QuadratureSet, material: MaterialField) -> tuple:
 
 
 def _angular_splits(quad: QuadratureSet) -> dict:
-    """``(weighted, axis, sign) -> (q, a, b)`` of ``lowrank._ang``: ``q_plus(axis)``
-    or ``q_minus(axis)`` by sign; ``(m, m q)`` weighted, ``(1, w q)`` unweighted."""
-    ones, splits = np.ones(quad.n), {}
-    for j in range(quad.dim):
-        for s in (-1, +1):
-            q = quad.q_plus(j) if s > 0 else quad.q_minus(j)
-            splits[True, j, s] = (q, quad.m, quad.m * q)
-            splits[False, j, s] = (q, ones, quad.w * q)
-    return splits
+    """``weighted -> (q, a, b)`` of ``lowrank._angs``, one column per split:
+    ``q_minus(axis)`` per axis, then ``q_plus(axis)`` per axis; ``a = m``
+    and ``b = m q`` weighted, ``a = 1`` and ``b = w q`` unweighted."""
+    q = np.column_stack([quad.q_minus(j) for j in range(quad.dim)]
+                        + [quad.q_plus(j) for j in range(quad.dim)])
+    a = np.ones_like(q)
+    return {True: (q, quad.m[:, None] * a, quad.m[:, None] * q),
+            False: (q, a, quad.w[:, None] * q)}
 
 
 def _micro_sweep(ctx, G, explicit=False, t_next=0.0, grad=None):

@@ -27,8 +27,8 @@ Point families
 Within each block, points are ordered row-major (y outer, x inner), so the
 same index permutation implements a one-cell shift on every block of either
 family.  Grids are immutable; all operations here are pure functions
-(``diff`` and ``shift`` write only into an ``out`` array their caller
-passes).
+(``diff``, ``increment`` and ``shift`` write only into an ``out`` array
+their caller passes).
 """
 
 from __future__ import annotations
@@ -195,17 +195,25 @@ def diff(
     differencing a g field backward in ``x`` yields values centered on the
     paired rho points.  ``diff(grid, j, -1, .)`` is the negated transpose of
     ``diff(grid, j, +1, .)``, which gives exact summation by parts on the
-    periodic lattice.
+    periodic lattice.  It is :func:`increment` divided in place by the
+    spacing; ``out``, if given, receives the result and may be any view of
+    the field's shape, e.g. a column slice of a wider block.
+    """
+    out = increment(grid, axis, side, field, out)
+    out /= grid.spacing[axis]
+    return out
+
+
+def increment(grid: StaggeredGrid, axis: int, side: int, field: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Undivided increment ``f(shifted) - f``, the numerator of :func:`diff`.
 
     The stencil is :func:`_stencil`, which the row-blocked upwind advection
     :func:`lrtrans.ops.advect_rows` also calls on its blocks, once per run
     of ordinate columns that share a side: two slice subtractions into one
-    output array (interior cells, then the periodic wrap-around cell), then
-    an in-place division here (the advection multiplies by its own per-column
-    scale instead), so no shifted copy of the field is made.  Along x,
-    :func:`_flat_x_stencil` takes its place, with the same bits.  ``out``, if
-    given, receives the result and may be any view of the field's shape,
-    e.g. a column slice of a wider block.
+    output array (interior cells, then the periodic wrap-around cell), so
+    no shifted copy of the field is made.  Along x, :func:`_flat_x_stencil`
+    takes its place, with the same bits.
     """
     if axis < 0 or axis >= grid.dim:
         raise ValueError(f"axis {axis} invalid for a {grid.dim}D grid")
@@ -229,7 +237,6 @@ def diff(
         f = a.reshape(lead + a.shape[1:]).swapaxes(0, ax)
         d = out.reshape(lead + a.shape[1:]).swapaxes(0, ax)
         _stencil(f, d, side)
-    out /= grid.spacing[axis]
     return out
 
 
@@ -287,7 +294,8 @@ def shift(
     ``field`` at the point one cell back, periodically.
 
     The backward difference is the shifted forward one, bit for bit:
-    ``shift(grid, j, diff(grid, j, +1, f))`` equals ``diff(grid, j, -1, f)``.
+    ``shift(grid, j, diff(grid, j, +1, f))`` equals ``diff(grid, j, -1, f)``,
+    and likewise for :func:`increment`.
     Along the leading axis, each point is ``step`` rows after the point one
     cell back (1 for x, ``nx`` for y), so one flat copy down the column
     places every point but the first cell of each line, which a second copy

@@ -39,28 +39,27 @@ is :func:`_qr`, compact-WY Householder (LAPACK ``dgeqrt`` and
 
 Carried Galerkin blocks
 -----------------------
-``K = X S`` and its one-sided differences are formed once per step, for
-the K step and the Schur right-hand side.  On the periodic lattice
-``D^(j,-) = -(D^(j,+))^T`` (summation by parts), so the L and S steps need
-only ``X^T D^(j,+) X``.  The S step forms the stack ``C = [X1^T D^(j,+) X1
-per axis, X1^T diag(sigma) X1]`` once, by :func:`_galerkin_stack` (after
-an extension only the ``Q`` blocks are new); it travels as
-``MicroStateLowRank.C``, truncation rotates it with ``X``, and the next L
-step reads it with no ``n_points``-row work.
-The initial state carries ``C = None``; its first step forms the stack.
+On the periodic lattice ``D^(j,-) = -(D^(j,+))^T`` (summation by parts),
+so the L and S steps need only ``X^T D^(j,+) X``.  The S step forms the
+stack ``C = [X1^T D^(j,+) X1 per axis, X1^T diag(sigma) X1]`` once, by
+:func:`_galerkin_stack` (after an extension only the ``Q`` blocks are new);
+it travels as ``MicroStateLowRank.C``, truncation rotates it with ``X``,
+and the next L step reads it with no ``n_points``-row work (the initial
+state has ``C = None``).  A step reads ``X`` through its undivided
+increments: ``D (X S) = (h D X) S / h``, so one product of the increment
+block (:func:`_block_product`) gives the K step's right-hand side and the
+Schur fluxes without ``K = X S``.  BUG writes ``X1`` and its increments
+into a new block, ``MicroStateLowRank.W``; truncation drops it.
 
 Layout
 ------
 Every ``n_points``-row array of a step is column-major (Fortran order),
-the layout LAPACK returns its ``Q`` in: ``X``, ``K``, the difference block
-``DK``, ``K1`` and ``X1 = [X, Q]``.  Products with a tall factor on the left
-are formed transposed, ``(P^T X^T)^T`` (:func:`_fmul`), and ``K1`` as the
-transpose of its row-major right-hand side ``K1^T``, so each column is
-contiguous: :func:`grid.diff` writes each forward difference of ``K``
-straight into its column slab of ``DK`` and :func:`grid.shift` moves it
-into the backward slab, the QR factorizes ``K1`` in place, and
-``dgemqrt`` writes the extension ``Q`` straight into its column slab of
-``X1``.
+the layout LAPACK returns its ``Q`` in: ``X``, the increment blocks, the
+product whose K columns become ``K1``, and ``X1 = [X, Q]``.  Products with
+a tall factor on the left are formed transposed (:func:`_fmul`) or by
+``dgemm``, so :func:`grid.increment` and :func:`grid.shift` write straight
+into column slabs, the QR factorizes ``K1`` in place, and ``dgemqrt``
+writes ``X1`` (BUG) or the extension ``Q`` straight into its slab.
 """
 
 from __future__ import annotations
@@ -71,10 +70,12 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
+from scipy.linalg.blas import dgemm
 
 from .angular import QuadratureSet
 from .fullrank import DivergenceError, StepContext, _macro_source
-from .grid import StaggeredGrid, diff, shift
+# ``diff`` is importable here as in every module that differences, for tracers
+from .grid import StaggeredGrid, diff, increment, shift  # noqa: F401
 from .ops import density_grad, flux_div_factored, moment_div
 
 
@@ -90,6 +91,8 @@ class MicroStateLowRank:
     ``C`` stacks ``C[j] = X^T D^(j,+) X`` per axis and
     ``C[dim] = X^T diag(sigma) X``.  It is ``None`` until the first step (the
     initial state does not know sigma), which computes it from ``X``.
+    ``W``, carried by BUG steps, is the block ``[X | h_j D^(j,+) X per axis]``
+    of ``X`` (a view of it) and its undivided increments, or ``None``.
     """
 
     X: np.ndarray
@@ -97,6 +100,7 @@ class MicroStateLowRank:
     V: np.ndarray
     weighted: bool = True
     C: Optional[np.ndarray] = None
+    W: Optional[np.ndarray] = None
 
     @property
     def rank(self) -> int:
@@ -117,10 +121,12 @@ class StepInfo:
 # ---------------------------------------------------------------------------
 
 def _signs(Q: np.ndarray) -> np.ndarray:
-    """Column signs that make the largest-magnitude entry of each positive."""
-    picks = np.abs(Q).argmax(axis=0)
-    signs = np.sign(Q[picks, np.arange(Q.shape[1])])
-    signs[signs == 0] = 1.0
+    """Column signs that make the largest-magnitude entry (the first of a
+    tie) of each positive, ``+1`` for a zero column; found without ``|Q|``."""
+    hi, lo = Q.max(axis=0, initial=0.0), -Q.min(axis=0, initial=0.0)
+    signs = np.where(hi < lo, -1.0, 1.0)
+    for c in np.flatnonzero((hi == lo) & (hi > 0)):
+        signs[c] = np.sign(Q[np.abs(Q[:, c]).argmax(), c])
     return signs
 
 
@@ -228,33 +234,49 @@ def _extend_basis(X: np.ndarray, B: np.ndarray) -> np.ndarray:
     return X1
 
 
-def _galerkin_stack(grid, X1, sig, C=None):
-    """``(dim + 1, k, k)`` stack of ``X1^T D^(j,+) X1`` per axis, followed by
-    ``X1^T diag(sig) X1``; the backward-difference matrices follow by
-    summation by parts, ``X1^T D^(j,-) X1 = -(.)^T``.
+def _forward_increments(grid, X, out=None):
+    """``[Delta^(j,+) X per axis]``, column-major, written into ``out`` if given."""
+    r = X.shape[1]
+    if out is None:
+        out = np.empty((len(X), grid.dim * r), order="F")
+    for j in range(grid.dim):
+        increment(grid, j, +1, X, out=out[:, j * r:(j + 1) * r])
+    return out
 
-    ``C``, the stack of the leading ``r`` columns ``X`` of ``X1 = [X, Q]``,
-    is reused, and only ``Q`` is differenced and weighted: summation by
-    parts gives ``Q^T D^(j,+) X = -(X^T D^(j,-) Q)^T``, and ``D^(j,-) Q`` is
-    the shifted ``D^(j,+) Q``.  Without ``C`` all of ``X1`` is ``Q``.
+
+_CHUNK_ROWS = 4096  #: rows per chunk of :func:`_galerkin_stack`, fastest at 32768 x 10
+
+
+def _galerkin_stack(grid, X1, sig, DQ, C=None, Y=None):
+    """``(C1, X1^T Y)``: ``C1`` stacks ``X1^T D^(j,+) X1`` per axis and
+    ``X1^T diag(sig) X1``; ``X1^T D^(j,-) X1 = -(.)^T`` (summation by parts).
+
+    ``DQ`` is :func:`_forward_increments` of ``Q`` for ``X1 = [X, Q]``;
+    ``C``, the stack of ``X``, is reused, and ``Y``, then ``X``'s forward
+    increments, gives ``Q^T D^(j,+) X``.  The products are summed over row
+    chunks, so each chunk of ``X1`` is read from memory once.
     """
     r = 0 if C is None else C.shape[1]
-    X, Q = X1[:, :r], X1[:, r:]
-    C1 = np.empty((grid.dim + 1, X1.shape[1], X1.shape[1]))
+    d, k = grid.dim, X1.shape[1]
+    q = k - r
+    G, gram = np.zeros((k, d * q)), np.zeros((k, q))
+    XY = np.zeros((k, 0 if Y is None else Y.shape[1]))
+    for lo in range(0, len(X1), _CHUNK_ROWS):
+        rows = slice(lo, lo + _CHUNK_ROWS)
+        x = X1[rows]
+        G += x.T @ DQ[rows]
+        gram += x.T @ (sig[rows, None] * x[:, r:])
+        if Y is not None:
+            XY += x.T @ Y[rows]
+    C1 = np.empty((d + 1, k, k))
     if r:
         C1[:, :r, :r] = C
-    for j in range(grid.dim):
-        DQ = diff(grid, j, +1, Q)
-        C1[j, :, r:] = X1.T @ DQ
-        if r:
-            C1[j, r:, :r] = -(X.T @ shift(grid, j, DQ)).T
-        # free DQ before the next diff allocates its successor: two live
-        # n_points-row blocks let glibc trim the heap after each step, and
-        # the pages fault back in on the next one
-        del DQ
-    C1[-1, :, r:] = X1.T @ (sig[:, None] * Q)
-    C1[-1, r:, :r] = C1[-1, :r, r:].T
-    return C1
+    for j in range(d):
+        C1[j, :, r:] = G[:, j * q:(j + 1) * q] / grid.spacing[j]
+        C1[j, r:, :r] = XY[r:, j * r:(j + 1) * r] / grid.spacing[j]
+    C1[-1, :, r:] = gram
+    C1[-1, r:, :r] = gram[:r].T
+    return C1, XY
 
 
 def factorize_micro(
@@ -326,54 +348,58 @@ def _g_angular(quad, state, A):
 # basis-update & Galerkin machinery
 # ---------------------------------------------------------------------------
 
-def _block_order(dim):
-    """``(axis, side)`` of the column blocks of ``DK`` in :func:`_k_differences`.
+def _angs(ctx, Y, weighted):
+    """``(n_ordinates, 2 dim, r)`` angular factors ``(M^-1 Q Pi M)^T Y``
+    (weighted) or ``(Q Pi)^T Y`` of ``Q = Q^(j,-)`` per axis, then ``Q^(j,+)``
+    per axis, ``Pi = I - w 1^T / |D|``, formed as ``q Y - a (Y^T b)^T / |D|``."""
+    q, a, b = ctx.ang_splits[weighted]
+    return q[:, :, None] * Y[:, None, :] - a[:, :, None] * (b.T @ Y) / ctx.quad.domain_measure
 
-    Upwinding pairs ``D^(j,side) K`` with the angular split of sign ``-side``.
+
+def _block_product(ctx, state):
+    """``(state, P)``: the state carrying its block ``W`` (formed unless
+    carried) and the column-major ``P = [W | B] coef``, for the backward
+    block ``B``, the shifted forward slabs, bit for bit.
+
+    For ``K = X S``, ``P`` holds ``K/dt - sum D K ang(V)^T V / eps`` and
+    the Schur fluxes ``(K/dt - sum D K ang(V)^T / eps) Q^(j) w``.  Slab
+    ``1 + s`` of ``[W | B]`` meets split ``s`` of :func:`_angs`.
     """
-    return [(j, side) for j in range(dim) for side in (-1, +1)]
+    grid, S, V, X = ctx.grid, state.S, state.V, state.X
+    d, r, k = grid.dim, X.shape[1], S.shape[1]
+    eps, dt = ctx.config.epsilon, ctx.config.dt
+    Y = _hcat([V, _g_angular(ctx.quad, state, ctx.qw)])
+    AY = _angs(ctx, V, state.weighted).reshape(len(V), -1).T @ Y
+    coef = np.empty(((1 + 2 * d) * r, Y.shape[1]))
+    coef[:r, :k] = S / dt
+    coef[:r, k:] = S @ (V.T @ Y[:, k:]) / dt
+    scale = -1.0 / (eps * np.tile(grid.spacing, 2))
+    coef[r:] = (S @ AY.reshape(2 * d, k, -1) * scale[:, None, None]).reshape(-1, Y.shape[1])
+    # P is allocated before the increment blocks: the malloc heap then
+    # reuses its holes from step to step (peak RSS 2 MiB lower on 128^2, r = 10)
+    P = np.empty((len(X), Y.shape[1]), order="F")
+    if state.W is None or X.base is not state.W:
+        W = np.empty((len(X), (1 + d) * r), order="F")
+        W[:, :r] = X
+        _forward_increments(grid, X, W[:, r:])
+        state = replace(state, X=W[:, :r], W=W)
+    W = state.W
+    B = np.empty((len(X), d * r), order="F")
+    for j in range(d):
+        shift(grid, j, W[:, (1 + j) * r:(2 + j) * r], out=B[:, j * r:(j + 1) * r])
+    P = dgemm(1.0, W, coef[:W.shape[1]], c=P, overwrite_c=True)
+    return state, dgemm(1.0, B, coef[W.shape[1]:], beta=1.0, c=P, overwrite_c=True)
 
 
-def _ang(ctx, Y, axis, sign, weighted):
-    """Angular factor ``q Y - a (Y^T b)^T / |D|``: ``(M^-1 Q Pi M)^T Y`` weighted,
-    ``(Q Pi)^T Y`` unweighted, for ``Q = Q^(axis,sign)`` and ``Pi = I - w 1^T / |D|``."""
-    q, a, b = ctx.ang_splits[weighted, axis, sign]
-    return q[:, None] * Y - np.outer(a, Y.T @ b) / ctx.quad.domain_measure
-
-
-def _k_differences(grid: StaggeredGrid, state: MicroStateLowRank) -> tuple:
-    """``(K, DK)``: ``K = X S`` and its one-sided differences in one block.
-
-    ``DK`` is ``(n_points, 2 dim r)`` with column blocks
-    ``D^(0,-)K, D^(0,+)K, D^(1,-)K, D^(1,+)K`` (see :func:`_block_order`);
-    both are column-major.  Each forward difference is written into its
-    slab, and the backward one is its :func:`grid.shift`, bit for bit.
-    """
-    K = _fmul(state.X, state.S)
-    r = K.shape[1]
-    DK = np.empty((len(K), 2 * grid.dim * r), order="F")
-    for j in range(grid.dim):
-        fwd = diff(grid, j, +1, K, out=DK[:, (2 * j + 1) * r:(2 * j + 2) * r])
-        shift(grid, j, fwd, out=DK[:, 2 * j * r:(2 * j + 1) * r])
-    return K, DK
-
-
-def _k_step(ctx, state, k_diffs, PJ, AJ, src):
-    """``K1`` of the implicit pointwise K step from ``K = X S``, ``V`` fixed;
-    ``k_diffs`` is ``_k_differences(grid, state)`` or ``None``."""
-    K, DK = k_diffs if k_diffs is not None else _k_differences(ctx.grid, state)
-    V, wgt = state.V, state.weighted
-    eps = ctx.config.epsilon
-    ang_V = np.vstack(
-        [_ang(ctx, V, j, -side, wgt).T @ V for j, side in _block_order(ctx.grid.dim)]
-    )
-    # K step transposed: K1^T is row-major, so K1 is column-major
-    rhsT = K.T / ctx.config.dt - (ang_V / eps).T @ DK.T
-    rhsT -= ((AJ.T @ V) / (eps * eps)).T @ PJ.T
+def _k_step(ctx, state, PK, PJ, AJ, src):
+    """``K1`` of the implicit pointwise K step, ``V`` fixed, in place on
+    ``PK``, the K columns of :func:`_block_product`."""
+    V, eps = state.V, ctx.config.epsilon
+    PK = dgemm(-1.0 / (eps * eps), PJ.T, AJ.T @ V, beta=1.0, c=PK, trans_a=True, overwrite_c=True)
     if src is not None:
-        rhsT += (src[1].T @ V).T @ src[0].T
-    rhsT /= ctx.k_denom
-    return rhsT.T
+        PK = dgemm(1.0, src[0].T, src[1].T @ V, beta=1.0, c=PK, trans_a=True, overwrite_c=True)
+    PK /= ctx.k_denom[:, None]
+    return PK
 
 
 def _l_step(ctx, state, PJ, AJ, src):
@@ -382,10 +408,9 @@ def _l_step(ctx, state, PJ, AJ, src):
     eps, dt = ctx.config.epsilon, ctx.config.dt
     # (D^(j,-) X)^T X = -C[j] and (D^(j,+) X)^T X = C[j]^T
     L = V @ S.T
-    rhsL = L / dt
-    for j in range(ctx.grid.dim):
-        rhsL += _ang(ctx, L, j, +1, wgt) @ C[j] / eps
-        rhsL -= _ang(ctx, L, j, -1, wgt) @ C[j].T / eps
+    d = ctx.grid.dim
+    coef = np.concatenate([-C[:d].transpose(0, 2, 1), C[:d]]).reshape(-1, C.shape[2])
+    rhsL = L / dt + _angs(ctx, L, wgt).reshape(len(L), -1) @ coef / eps
     rhsL -= AJ @ (PJ.T @ X) / (eps * eps)
     if src is not None:
         rhsL += src[1] @ (src[0].T @ X)
@@ -398,10 +423,12 @@ def _s_step(ctx, stage, PJ, AJ, src):
     X1, S_tilde, V1, C1, wgt = stage.X, stage.S, stage.V, stage.C, stage.weighted
     eps, dt = ctx.config.epsilon, ctx.config.dt
     # X1^T D^(j,-) X1 = -C1[j]^T
+    d, k = ctx.grid.dim, V1.shape[1]
+    AV = (_angs(ctx, V1, wgt).reshape(len(V1), -1).T @ V1).reshape(2 * d, k, k)
     rhsS = S_tilde / dt
-    for j in range(ctx.grid.dim):
-        rhsS += C1[j].T @ S_tilde @ (_ang(ctx, V1, j, +1, wgt).T @ V1) / eps
-        rhsS -= C1[j] @ S_tilde @ (_ang(ctx, V1, j, -1, wgt).T @ V1) / eps
+    for j in range(d):
+        rhsS += C1[j].T @ S_tilde @ AV[d + j] / eps
+        rhsS -= C1[j] @ S_tilde @ AV[j] / eps
     rhsS -= (X1.T @ PJ) @ (AJ.T @ V1) / (eps * eps)
     if src is not None:
         rhsS += (X1.T @ src[0]) @ (src[1].T @ V1)
@@ -409,11 +436,15 @@ def _s_step(ctx, stage, PJ, AJ, src):
 
 
 def _bug_bases(ctx, state, K1, L1, PJ):
-    """BUG: the bases of ``K1`` and ``L1``, ``S_tilde = X1^T X S V^T V1``."""
+    """BUG: the bases of ``K1`` and ``L1``, ``S_tilde = X1^T X S V^T V1``;
+    ``X1`` and its forward increments fill the block ``W1``."""
     V1 = constrained_qr(L1, ctx.quad, state.weighted)
-    X1 = _fix_signs(_qr(K1))
-    S_tilde = (X1.T @ state.X) @ state.S @ (state.V.T @ V1)
-    return X1, S_tilde, V1, _galerkin_stack(ctx.grid, X1, ctx.sig)
+    k = min(K1.shape)
+    W1 = np.empty((len(K1), (1 + ctx.grid.dim) * k), order="F")
+    X1 = _fix_signs(_qr(K1, W1[:, :k]))
+    C1, XtX = _galerkin_stack(ctx.grid, X1, ctx.sig, _forward_increments(ctx.grid, X1, W1[:, k:]),
+                              Y=state.X)
+    return X1, XtX @ state.S @ (state.V.T @ V1), V1, C1, W1
 
 
 def _abug_bases(ctx, state, K1, L1, PJ):
@@ -423,7 +454,10 @@ def _abug_bases(ctx, state, K1, L1, PJ):
     X1 = _extend_basis(state.X, K1)
     S_tilde = np.zeros((X1.shape[1], V1.shape[1]))
     S_tilde[:state.rank] = state.S @ (state.V.T @ V1)
-    return X1, S_tilde, V1, _galerkin_stack(ctx.grid, X1, ctx.sig, state.C)
+    r = state.rank
+    C1, _ = _galerkin_stack(ctx.grid, X1, ctx.sig, _forward_increments(ctx.grid, X1[:, r:]),
+                            state.C, state.W[:, r:])
+    return X1, S_tilde, V1, C1, None
 
 
 def _ap_abug_bases(ctx, state, K1, L1, PJ):
@@ -437,33 +471,38 @@ def _ap_abug_bases(ctx, state, K1, L1, PJ):
 
 
 def galerkin_stage(ctx: StepContext, state: MicroStateLowRank, rho_for_grad: np.ndarray,
-                   t_next: float = 0.0, k_diffs: Optional[tuple] = None) -> tuple:
+                   t_next: float = 0.0, PK: Optional[np.ndarray] = None) -> tuple:
     """K step, L step, basis update and S step of ``ctx.integrator``.
 
     Returns ``(stage, S_tilde)``: the new state before truncation, and the
     coupling matrix ``S_tilde = X1^T X S V^T V1`` its S step started from.
-    ``k_diffs`` is ``_k_differences(grid, state)`` if the caller formed it.
+    ``PK``, which the K step overwrites, is the K columns of the product of
+    ``_block_product(ctx, state)`` if the caller formed it.
     """
     grid, quad, material, wgt = ctx.grid, ctx.quad, ctx.material, state.weighted
-    if state.C is None:
-        state = replace(state, C=_galerkin_stack(grid, state.X, ctx.sig))
+    if PK is None:
+        state, P = _block_product(ctx, state)
+        PK = P[:, :state.S.shape[1]]
+    if state.C is None:  # the first step of a run
+        C, _ = _galerkin_stack(grid, state.X, ctx.sig, state.W[:, state.rank:])
+        state = replace(state, C=C)
     PJ, AJ = density_grad(grid, quad, rho_for_grad)
     src = material.micro_source(t_next) if material.micro_source is not None else None
     if wgt:  # the steps take J M and the source times M, in factored form
         AJ = quad.m[:, None] * AJ
         if src is not None:
             src = (src[0], quad.m[:, None] * src[1])
-    K1 = _k_step(ctx, state, k_diffs, PJ, AJ, src)
     L1 = _l_step(ctx, state, PJ, AJ, src)
+    K1 = _k_step(ctx, state, PK, PJ, AJ, src)
     bases, _ = INTEGRATORS[ctx.integrator]
-    X1, S_tilde, V1, C1 = bases(ctx, state, K1, L1, PJ)
-    stage = MicroStateLowRank(X=X1, S=S_tilde, V=V1, weighted=wgt, C=C1)
+    X1, S_tilde, V1, C1, W1 = bases(ctx, state, K1, L1, PJ)
+    stage = MicroStateLowRank(X=X1, S=S_tilde, V=V1, weighted=wgt, C=C1, W=W1)
     return replace(stage, S=_s_step(ctx, stage, PJ, AJ, src)), S_tilde
 
 
-def micro_step(ctx: StepContext, state, rho_for_grad, t_next=0.0, k_diffs=None):
+def micro_step(ctx: StepContext, state, rho_for_grad, t_next=0.0, PK=None):
     """One step of ``ctx.integrator``, truncated; returns ``(state, StepInfo)``."""
-    stage, S_tilde = galerkin_stage(ctx, state, rho_for_grad, t_next, k_diffs)
+    stage, S_tilde = galerkin_stage(ctx, state, rho_for_grad, t_next, PK)
     _, truncate = INTEGRATORS[ctx.integrator]
     new = truncate(ctx, stage)
     return new, StepInfo(float(np.linalg.norm(S_tilde)), min(stage.S.shape), new.rank)
@@ -485,7 +524,7 @@ def _truncate_plain(ctx, state):
     signs = _signs(U[:, :k])
     Uk = U[:, :k] * signs
     return replace(state, X=_fmul(state.X, Uk), S=np.diag(s[:k]),
-                   V=state.V @ (Wt[:k].T * signs), C=Uk.T @ state.C @ Uk)
+                   V=state.V @ (Wt[:k].T * signs), C=Uk.T @ state.C @ Uk, W=None)
 
 
 def _truncate_pinned(ctx, state):
@@ -515,11 +554,11 @@ def _truncate_pinned(ctx, state):
     T = scipy.linalg.block_diag(np.eye(d), _fix_signs(Ua[:, :k]))
     W = scipy.linalg.block_diag(np.eye(d), _fix_signs(Wbt[:k].T))
     return replace(state, X=_fmul(state.X, T), S=T.T @ S1 @ W, V=state.V @ W,
-                   C=T.T @ state.C @ T)
+                   C=T.T @ state.C @ T, W=None)
 
 
 #: Each integrator's basis update, ``(ctx, state, K1, L1, PJ) -> (X1,
-#: S_tilde, V1, C1)``, and its truncation, ``(ctx, state) -> state``.
+#: S_tilde, V1, C1, W1)``, and its truncation, ``(ctx, state) -> state``.
 INTEGRATORS = {
     "BUG": (_bug_bases, lambda ctx, state: state),
     "aBUG": (_abug_bases, _truncate_plain),
@@ -540,46 +579,30 @@ def lowrank_macro_coupled_step(
     density system is solved first, the old micro state entering in factored
     form, and the micro integrator runs against the new density; without one
     (IMEX) it runs against the old density and the diagonal density update
-    closes the step.  Both read ``K = X S`` and its differences, formed once.
+    closes the step.  Both read the old state through :func:`_block_product`.
     """
-    grid, quad = ctx.grid, ctx.quad
-    k_diffs = _k_differences(grid, state)
+    grid, quad, material, r = ctx.grid, ctx.quad, ctx.material, state.S.shape[1]
+    state, P = _block_product(ctx, state)
     if ctx.schur is not None:
-        rho_new = _schur_macro_solve(ctx, rho, state, k_diffs, t_next)
+        # the Schur right-hand side: sum_j D^(j,-) of R times the axis-j flux
+        # of G/dt - A(G)/eps + source, the first two terms from P
+        flux = P[:, r:]
+        if material.micro_source is not None:
+            Ps, As = material.micro_source(t_next)
+            flux += Ps @ (As.T @ ctx.qw)
+        flux *= ctx.R[:, None]
+        b = _macro_source(material, ctx.config.dt, rho, t_next)
+        rho_new = ctx.schur.solve(b - moment_div(grid, quad, flux.T))
     state_new, info = micro_step(
-        ctx, state, rho if ctx.schur is None else rho_new, t_next, k_diffs
+        ctx, state, rho if ctx.schur is None else rho_new, t_next, P[:, :r]
     )
     if ctx.schur is None:
         P, A = state_new.X @ state_new.S, _g_angular(quad, state_new, state_new.V)
         rho_new = (
-            _macro_source(ctx.material, ctx.config.dt, rho, t_next)
+            _macro_source(material, ctx.config.dt, rho, t_next)
             - flux_div_factored(grid, quad, P, A)
         ) / ctx.rho_denom
     if not (np.all(np.isfinite(rho_new)) and np.isfinite(np.linalg.norm(state_new.S))):
         raise DivergenceError("non-finite values in updated state")
     return rho_new, state_new, info
 
-
-def _schur_macro_solve(ctx: StepContext, rho, state, k_diffs, t_next):
-    """Schur density solve with the old micro state in factored form.
-
-    The right-hand side divergence is ``sum_j D^(j,-)`` of ``R`` times the
-    axis-``j`` flux of ``G/dt - A(G)/eps + source``; the fluxes are
-    contracted from ``K`` and ``DK`` to one ``n_points`` vector per axis
-    before they are differenced.
-    """
-    grid, quad, material = ctx.grid, ctx.quad, ctx.material
-    eps, dt = ctx.config.epsilon, ctx.config.dt
-    K, DK = k_diffs
-    A0 = _g_angular(quad, state, state.V)
-    A_D = _g_angular(quad, state, np.hstack(
-        [_ang(ctx, state.V, j, -side, state.weighted) for j, side in _block_order(grid.dim)]
-    ))
-    # the flux transposed, one contiguous row per axis
-    fluxT = (A0.T @ ctx.qw).T @ K.T / dt - (A_D.T @ ctx.qw).T @ DK.T / eps
-    if material.micro_source is not None:
-        Ps, As = material.micro_source(t_next)
-        fluxT += (As.T @ ctx.qw).T @ Ps.T
-    fluxT *= ctx.R
-    b = _macro_source(material, dt, rho, t_next)
-    return ctx.schur.solve(b - moment_div(grid, quad, fluxT))

@@ -74,16 +74,14 @@ def dense_factors(G: np.ndarray) -> tuple:
 
 def factorize_dense(grid, quad, G, rank, weighted=True, seed=0) -> MicroStateLowRank:
     """:func:`lrtrans.lowrank.factorize_micro` of a dense state, by an SVD of
-    the whole ``n_points x n_ordinates`` array (of ``G M`` without its
-    density mode in weighted mode)."""
+    the whole ``n_points x n_ordinates`` array: of ``G M`` (weighted) or
+    ``G``, without the component of each row along
+    ``quad.constraint(weighted)``."""
     rng = np.random.default_rng(seed)
     r_eff = min(rank, grid.n_points, quad.z_dim)
-    if weighted:
-        A = G * quad.m[None, :]
-        mhat = quad.m / np.linalg.norm(quad.m)
-        A = A - np.outer(A @ mhat, mhat)
-    else:
-        A = np.asarray(G, dtype=float)
+    A = G * quad.m[None, :] if weighted else np.asarray(G, dtype=float)
+    chat = quad.constraint(weighted) / np.linalg.norm(quad.constraint(weighted))
+    A = A - np.outer(A @ chat, chat)
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     keep = int(np.sum(s > (s[0] * 1e-14 if s.size and s[0] > 0 else np.inf)))
     keep = min(keep, r_eff)
@@ -91,6 +89,27 @@ def factorize_dense(grid, quad, G, rank, weighted=True, seed=0) -> MicroStateLow
     X = U[:, :keep] * signs[None, :]
     Vm = Vt[:keep].T * signs[None, :]
     return _seeded_state(quad, X, s[:keep], Vm, r_eff, weighted, rng)
+
+
+def schur_flux_from_differences(ctx, state) -> np.ndarray:
+    """``(n_points, dim)`` Schur fluxes of a low-rank state before the source,
+    ``(K/dt - sum_(j,side) D^(j,side) K ang^(j,-side)(V)^T / eps) Q^(i) w``
+    per axis ``i``, contracted from ``K = X S`` and its divided differences,
+    with each angular factor formed from dense matrices: ``(M^-1 Q Pi
+    M)^T V`` weighted and ``(Q Pi)^T V`` unweighted, for ``Q =
+    Q^(j,-side)`` and ``Pi = I - w 1^T / |D|``."""
+    grid, quad = ctx.grid, ctx.quad
+    eps, dt = ctx.config.epsilon, ctx.config.dt
+    m = quad.m if state.weighted else np.ones(quad.n)
+    K, V = state.X @ state.S, state.V
+    Pi = np.eye(quad.n) - np.outer(quad.w, np.ones(quad.n)) / quad.domain_measure
+    flux = K @ ((V / m[:, None]).T @ ctx.qw) / dt
+    for j in range(grid.dim):
+        for side in (-1, +1):
+            Q = np.diag(quad.q_plus(j) if side < 0 else quad.q_minus(j))
+            ang = (np.diag(1 / m) @ Q @ Pi @ np.diag(m)).T @ V
+            flux -= diff(grid, j, side, K) @ ((ang / m[:, None]).T @ ctx.qw) / eps
+    return flux
 
 
 def reconstruct(state: MicroStateLowRank, quad) -> np.ndarray:

@@ -11,13 +11,13 @@ from lrtrans import scenarios
 from lrtrans.angular import chebyshev_legendre_2d, gauss_legendre_1d
 from lrtrans.diagnostics import zero_density_residual
 from lrtrans.fullrank import SolverConfig, build_schur, imex_step, step_context
-from lrtrans.grid import build_grid, diff
+from lrtrans.grid import build_grid, diff, increment
 from lrtrans.lowrank import (
     MicroStateLowRank,
-    _ang,
+    _angs,
+    _block_product,
     _extend_basis,
     _galerkin_stack,
-    _k_differences,
     _k_step,
     _l_step,
     _qr,
@@ -35,6 +35,7 @@ from oracles import (
     gm_frobenius,
     micro_norm_w_exact,
     reconstruct,
+    schur_flux_from_differences,
 )
 
 
@@ -173,13 +174,16 @@ def test_angular_factor_matches_dense_operators(rng, dim):
     V = rng.standard_normal((quad.n, 3))
     M = np.diag(quad.m)
     Pi = np.eye(quad.n) - np.outer(quad.w, np.ones(quad.n)) / quad.domain_measure
-    for axis in range(dim):
-        for sign in (-1, +1):
+    # the stack holds Q^(axis,-) per axis, then Q^(axis,+) per axis
+    splits = [(axis, sign) for sign in (-1, +1) for axis in range(dim)]
+    for weighted in (True, False):
+        got = _angs(ctx, V, weighted)
+        assert got.shape == (quad.n, 2 * dim, 3)
+        for s, (axis, sign) in enumerate(splits):
             Q = np.diag(quad.q_plus(axis) if sign > 0 else quad.q_minus(axis))
             dense = {True: (np.linalg.inv(M) @ Q @ Pi @ M).T @ V, False: (Q @ Pi).T @ V}
-            for weighted, ref in dense.items():
-                got = _ang(ctx, V, axis, sign, weighted)
-                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+            ref = dense[weighted]
+            assert np.abs(got[:, s] - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +322,13 @@ def test_k_and_l_steps_solve_their_implicit_equations(rng, weighted, with_source
         ctx = step_context(grid, quad, material, config, integrator="BUG")
         G0 = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
         st = factorize_micro(grid, quad, dense_factors(G0), 3, weighted=weighted, seed=1)
-        st = replace(st, C=_galerkin_stack(grid, st.X, ctx.sig))
+        st, P = _block_product(ctx, st)
+        st = replace(st, C=_galerkin_stack(grid, st.X, ctx.sig, st.W[:, st.rank:])[0])
         rho = rng.standard_normal(grid.n_points)
         PJ, AJ = density_grad(grid, quad, rho)
         m = quad.m if weighted else np.ones(quad.n)
         src = (Ps, m[:, None] * As) if with_source else None
-        K1 = _k_step(ctx, st, None, PJ, m[:, None] * AJ, src)
+        K1 = _k_step(ctx, st, P[:, :st.S.shape[1]], PJ, m[:, None] * AJ, src)
         L1 = _l_step(ctx, st, PJ, m[:, None] * AJ, src)
 
         eps, dt = config.epsilon, config.dt
@@ -571,35 +576,77 @@ def test_qr_contract(rng, monkeypatch):
 
 
 def test_step_differences_each_array_once(rng, monkeypatch):
-    # one 2D IMEX-S-BUG step: K in four directions, the Schur divergence on
-    # two n-vectors, the density gradient, and X1 forward in two directions
+    # one 2D IMEX-S-BUG step from a state without carried increments: X and
+    # X1 forward in two directions each (the backward increments are
+    # shifted copies), the Schur divergence on two n-vectors, and the
+    # density gradient
     import lrtrans.lowrank
     import lrtrans.ops
 
     grid, quad, material, config, schur, st, rho = setup_2d_step(rng, "IMEX-S-BUG")
     calls = []
 
-    def counting_diff(*args, **kwargs):
-        calls.append(1)
-        return diff(*args, **kwargs)
+    def counting(f):
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return f(*args, **kwargs)
+        return counted
 
-    for module in (lrtrans.lowrank, lrtrans.ops):
-        monkeypatch.setattr(module, "diff", counting_diff)
+    monkeypatch.setattr(lrtrans.lowrank, "increment", counting(increment))
+    monkeypatch.setattr(lrtrans.ops, "diff", counting(diff))
     ctx = step_context(grid, quad, material, config, schur, "BUG")
     lowrank_macro_coupled_step(ctx, rho, st, config.dt)
-    assert len(calls) <= 10
+    assert len(calls) <= 8
 
 
-def test_k_difference_slabs_equal_row_major_differences(rng):
-    # the column-major layout changes the storage of K and DK, not the values
-    # each slab of DK holds
+def test_increment_slabs_equal_row_major_increments(rng):
+    # the column-major layout changes the storage of the increment block,
+    # not the values each slab holds; X is a view of its first slab
     grid, quad, material, config, schur, st, rho = setup_2d_step(rng, "IMEX-S-BUG")
-    K, DK = _k_differences(grid, st)
-    assert K.flags.f_contiguous and DK.flags.f_contiguous
-    Kc = np.ascontiguousarray(K)
-    r = K.shape[1]
-    for b, (j, side) in enumerate([(0, -1), (0, +1), (1, -1), (1, +1)]):
-        assert np.array_equal(DK[:, b * r:(b + 1) * r], diff(grid, j, side, Kc))
+    ctx = step_context(grid, quad, material, config, schur, "BUG")
+    st1, P = _block_product(ctx, st)
+    W, r = st1.W, st.rank
+    assert W.flags.f_contiguous and P.flags.f_contiguous and st1.X.base is W
+    Xc = np.ascontiguousarray(st.X)
+    assert np.array_equal(W[:, :r], Xc)
+    for j in range(grid.dim):
+        assert np.array_equal(W[:, (1 + j) * r:(2 + j) * r], increment(grid, j, +1, Xc))
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+def test_block_product_flux_equals_difference_contraction(rng, weighted):
+    # the Schur flux columns of P equal the flux contracted from K = X S and
+    # its divided differences
+    grid, quad, material, config, schur, _, rho = setup_2d_step(rng, "IMEX-S-BUG")
+    G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
+    st = factorize_micro(grid, quad, dense_factors(G), 3, weighted=weighted, seed=0)
+    ctx = step_context(grid, quad, material, config, schur, "BUG")
+    _, P = _block_product(ctx, st)
+    ref = schur_flux_from_differences(ctx, st)
+    assert np.abs(P[:, st.rank:] - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+def test_bug_step_carries_forward_increments(rng, steps):
+    # after IMEX-S-BUG steps the state carries [X | Delta^(j,+) X], equal bit
+    # for bit to fresh increments of its X, which is a view of the block
+    grid, quad, material, config, schur, st, rho = setup_2d_step(rng, "IMEX-S-BUG")
+    ctx = step_context(grid, quad, material, config, schur, "BUG")
+    for k in range(steps):
+        rho, st, _ = lowrank_macro_coupled_step(ctx, rho, st, (k + 1) * config.dt)
+    r = st.rank
+    assert st.W.shape == (grid.n_points, (1 + grid.dim) * r) and st.X.base is st.W
+    for j in range(grid.dim):
+        assert np.array_equal(st.W[:, (1 + j) * r:(2 + j) * r], increment(grid, j, +1, st.X))
+
+
+@pytest.mark.parametrize("integrator", ["aBUG", "AP-aBUG"])
+def test_truncating_steps_drop_the_carried_increments(rng, integrator):
+    # truncation rotates X, so the state it returns carries no increments
+    grid, quad, material, config, schur, st, rho = setup_2d_step(rng, "IMEX-S-BUG")
+    ctx = step_context(grid, quad, material, config, schur, integrator, tau=1e-3)
+    rho, st, _ = lowrank_macro_coupled_step(ctx, rho, st, config.dt)
+    assert st.W is None
 
 
 @pytest.mark.parametrize("integrator", ["BUG", "aBUG"])
@@ -627,8 +674,8 @@ def test_spatial_qr_factorizes_column_major_blocks(rng, integrator, monkeypatch)
 
 @pytest.mark.parametrize("integrator", ["BUG", "aBUG"])
 def test_step_stacks_no_spatial_blocks(rng, integrator, monkeypatch):
-    # DK and X1 = [X, Q] are filled slab by slab; np.hstack of n_points-row
-    # blocks would copy them row by row
+    # the increment blocks and X1 = [X, Q] are filled slab by slab; np.hstack
+    # of n_points-row blocks would copy them row by row
     grid, quad, material, config, schur, st, rho = setup_2d_step(rng, "IMEX-S-BUG")
     rows = []
     hstack = np.hstack
@@ -870,6 +917,14 @@ def test_factorization_removes_the_density_mode(rng):
     best = (U[:, :2] * s[:2]) @ Vt[:2] / quad.m
     assert np.max(np.abs(reconstruct(st, quad) - best)) <= 1e-12 * np.abs(G).max()
     assert np.max(np.abs(quad.m @ st.V)) <= 1e-13
+    # unweighted factors cannot hold the component along w either, and the
+    # dense factorization of the oracle removes it too
+    st = factorize_micro(grid, quad, (P, A), 2, weighted=False, seed=0)
+    ref = factorize_dense(grid, quad, P @ A.T, 2, weighted=False, seed=0)
+    assert np.allclose(np.diag(st.S), np.diag(ref.S), rtol=1e-12, atol=0)
+    scale = np.abs(P @ A.T).max()
+    assert np.max(np.abs(reconstruct(st, quad) - reconstruct(ref, quad))) <= 1e-12 * scale
+    assert np.max(np.abs(quad.w @ st.V)) <= 1e-13
 
 
 def test_lowrank_setup_allocates_less_than_one_dense_state():
