@@ -9,7 +9,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .angular import QuadratureSet
-from .fullrank import SolverConfig, _macro_source, div_grad_operator, spd_solver
+from .fullrank import SolverConfig, _macro_source, density_solver
 from .grid import StaggeredGrid
 from .lowrank import MicroStateLowRank
 from .ops import MaterialField, norm_w
@@ -148,14 +148,14 @@ def diffusion_reference(
 
     Advances ``(1/dt + sigma_a) rho' - sum_j D^(j,-)((1/(3 sigma_s)) D^(j,+)
     rho') = rho/dt + phi`` for ``n_steps`` steps, with the conductivity
-    sampled on the g family.  The operator is assembled once
-    (:func:`~lrtrans.fullrank.div_grad_operator`) and solved by
-    :func:`~lrtrans.fullrank.spd_solver`.
+    sampled on the g family.  The solve is set up once by
+    :func:`~lrtrans.fullrank.density_solver`: by FFT on a homogeneous
+    medium, else on the assembled operator.
     """
     if np.any(material.sigma_s_g <= 0):
         raise ValueError("diffusion reference requires sigma_s > 0 on the g family")
-    solve = spd_solver(div_grad_operator(grid, 1.0 / dt + material.sigma_a_rho,
-                                         1.0 / (3.0 * material.sigma_s_g), np.eye(grid.dim)))
+    solve = density_solver(grid, 1.0 / dt + material.sigma_a_rho,
+                           1.0 / (3.0 * material.sigma_s_g), np.eye(grid.dim))
 
     rho = np.asarray(rho0, dtype=float).copy()
     for k in range(n_steps):

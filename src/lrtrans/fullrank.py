@@ -8,12 +8,12 @@ differ in the treatment of the density gradient driving the fluctuation:
 * ``imex_step`` uses the old density, so the fluctuation update is fully
   pointwise and the density update is a diagonal solve;
 * ``imex_s_step`` uses the new density, eliminates the fluctuation through a
-  Schur complement, solves the resulting sparse symmetric positive definite
-  system for the density, and recovers the fluctuation pointwise.
+  Schur complement, solves the resulting symmetric positive definite system
+  for the density, and recovers the fluctuation pointwise.
 
 The Schur operator depends only on the mesh, quadrature, material, step size
-and Knudsen number, so it is assembled once per run and reused; so are the
-other constants of a step, in the :class:`StepContext` that every stepper,
+and Knudsen number, so its solve is set up once per run and reused; so are
+the other constants of a step, in the :class:`StepContext` that every stepper,
 full-rank or low-rank, takes first: ``step(ctx, rho, micro, t_next)``.
 
 The micro update is one routine, :func:`_micro_sweep`, run over blocks of
@@ -41,14 +41,19 @@ Dense runs order their ordinates by upwind quadrant (:func:`upwind_grouped`),
 so the columns that share an upwind side form a few long runs.
 
 :data:`SCHEMES` maps each of the six scheme tags to its :class:`Scheme`, one
-of two couplings times three micro updates.  :func:`spd_solver` solves the
-sparse SPD systems of the Schur operator and of the diffusion reference.
+of two couplings times three micro updates.  :func:`density_solver` sets up
+the solve of the Schur operator and of the diffusion reference, which share
+one form: by the real FFT on homogeneous media, where that form is a
+constant-coefficient periodic stencil on each point family and no sparse
+matrix is assembled, and otherwise on the sparse matrix, factorized or by
+conjugate gradients (:func:`spd_solver`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -216,7 +221,8 @@ CG_MAXITER_PER_UNKNOWN = 10
 
 
 def spd_solver(T: sp.spmatrix):
-    """``solve(b)`` for the sparse symmetric positive definite matrix ``T``.
+    """``solve(b)`` for the sparse symmetric positive definite matrix ``T``,
+    the assembled branch of :func:`density_solver`.
 
     A stalled CG solve raises :class:`LinearSolveError` carrying the
     relative residual ``|T x - b| / |b|``.
@@ -240,36 +246,92 @@ def spd_solver(T: sp.spmatrix):
     return solve
 
 
-class SchurOperator:
-    """Sparse reduced operator for the implicit density solve.
+def assemble_density_operator(grid: StaggeredGrid, diag, coef, c) -> sp.csr_matrix:
+    """:func:`div_grad_operator` without stored zeros; ``ValueError`` unless
+    it is symmetric with a positive diagonal."""
+    T = div_grad_operator(grid, diag, coef, c)
+    T.eliminate_zeros()
+    asym = sp.linalg.norm(T - T.T, np.inf)
+    if asym > 1e-12 * sp.linalg.norm(T, np.inf):
+        raise ValueError(f"density operator not symmetric: |T - T^T| = {asym:.3e}")
+    if np.any(T.diagonal() <= 0):
+        raise ValueError("density operator has a nonpositive diagonal entry")
+    return T
 
-    Applies ``(1/dt + sigma_a) I - (1/(|D_Omega)| eps^2)) sum_{j,k} c_{jk}
-    D^(j,-) diag(R) D^(k,+)`` with ``c_{jk} = sum_m w_m Omega^j_m Omega^k_m``
-    and ``R`` the pointwise relaxation factor.  The matrix is symmetric
-    positive definite and solved by :func:`spd_solver`.
+
+def density_solver(grid: StaggeredGrid, diag, coef, c):
+    """``solve(b)`` for the density operator ``diag(diag) - sum_{j,k} c[j, k]
+    D^(j,-) diag(coef) D^(k,+)`` of :func:`div_grad_operator`.
+
+    On a homogeneous medium (``diag`` and ``coef`` constant, ``c``
+    diagonal) the operator is a constant-coefficient periodic stencil on
+    each point family, which the real FFT over the family's lattice
+    (``grid.block_shape[1:]``) diagonalizes: the solve divides by the
+    symbol ``diag + sum_j c[j, j] coef (2 - 2 cos theta_j) / h_j^2`` and
+    assembles nothing.  Any other operator is assembled
+    (:func:`assemble_density_operator`) and solved by :func:`spd_solver`.
+    ``ValueError`` for a nonpositive symbol value or diagonal entry.
+    """
+    if (np.all(diag == diag[0]) and np.all(coef == coef[0])
+            and not np.any(c - np.diag(np.diag(c)))):
+        return _fft_solver(grid, diag[0], coef[0], np.diag(c))
+    return spd_solver(assemble_density_operator(grid, diag, coef, c))
+
+
+def _fft_solver(grid: StaggeredGrid, diag: float, coef: float, c):
+    """The FFT branch of :func:`density_solver`: ``c`` holds ``c[j, j]``."""
+    shape = grid.block_shape
+    axes = tuple(range(1, len(shape)))
+    symbol = np.full((1,) * len(shape), diag)
+    for j in range(grid.dim):
+        ax = len(shape) - 1 - j  # x is the last (halved) axis of rfftn
+        n = shape[ax]
+        theta = 2 * np.pi * np.arange(n // 2 + 1 if j == 0 else n) / n
+        term = c[j] * coef * (2 - 2 * np.cos(theta)) / grid.spacing[j] ** 2
+        symbol = symbol + term.reshape([-1 if k == ax else 1 for k in range(len(shape))])
+    if np.any(symbol <= 0):
+        raise ValueError("density operator has a nonpositive symbol value")
+
+    def solve(b):
+        u = np.fft.rfftn(np.reshape(b, shape), axes=axes) / symbol
+        return np.fft.irfftn(u, s=shape[1:], axes=axes).reshape(-1)
+
+    return solve
+
+
+def _schur_terms(grid, quad, material: MaterialField, config: SolverConfig) -> tuple:
+    """``(grid, diag, coef, c)`` of :func:`density_solver` for the Schur operator."""
+    c = np.array(
+        [
+            [float(np.sum(quad.w * quad.q(j) * quad.q(k))) for k in range(grid.dim)]
+            for j in range(grid.dim)
+        ]
+    )
+    c[np.abs(c) <= 1e-13 * np.max(np.abs(c))] = 0.0
+    scale = 1.0 / (quad.domain_measure * config.epsilon**2)
+    return (grid, 1.0 / config.dt + material.sigma_a_rho, relaxation_factor(material, config),
+            c * scale)
+
+
+class SchurOperator:
+    """Reduced operator of the implicit density solve.
+
+    ``(1/dt + sigma_a) I - (1/(|D_Omega| eps^2)) sum_{j,k} c_{jk} D^(j,-)
+    diag(R) D^(k,+)`` with ``c_{jk} = sum_m w_m Omega^j_m Omega^k_m`` and
+    ``R`` the pointwise relaxation factor, symmetric positive definite and
+    solved by :func:`density_solver`: by FFT on homogeneous media, where
+    no sparse matrix is assembled.  ``matrix`` assembles it on first use.
     """
 
     def __init__(self, grid, quad, material: MaterialField, config: SolverConfig):
-        c = np.array(
-            [
-                [float(np.sum(quad.w * quad.q(j) * quad.q(k))) for k in range(grid.dim)]
-                for j in range(grid.dim)
-            ]
-        )
-        c[np.abs(c) <= 1e-13 * np.max(np.abs(c))] = 0.0
-        scale = 1.0 / (quad.domain_measure * config.epsilon**2)
-        T = div_grad_operator(grid, 1.0 / config.dt + material.sigma_a_rho,
-                              relaxation_factor(material, config), c * scale)
-        T.eliminate_zeros()
+        # the run objects, not the operator's vectors: those are formed again
+        # for ``matrix``, so a solve set up by FFT keeps no vector alive
+        self._objects = (grid, quad, material, config)
+        self._solve = density_solver(*_schur_terms(*self._objects))
 
-        asym = sp.linalg.norm(T - T.T, np.inf)
-        if asym > 1e-12 * sp.linalg.norm(T, np.inf):
-            raise ValueError(f"Schur operator not symmetric: |T - T^T| = {asym:.3e}")
-        if np.any(T.diagonal() <= 0):
-            raise ValueError("Schur operator has a nonpositive diagonal entry")
-
-        self.matrix = T
-        self._solve = spd_solver(T)
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        return assemble_density_operator(*_schur_terms(*self._objects))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self._solve(b)
@@ -278,7 +340,7 @@ class SchurOperator:
 def build_schur(
     grid: StaggeredGrid, quad: QuadratureSet, material: MaterialField, config: SolverConfig
 ) -> SchurOperator:
-    """Assemble the reduced density operator for the current ``(dt, eps)``."""
+    """The reduced density operator for the current ``(dt, eps)``, its solve set up."""
     return SchurOperator(grid, quad, material, config)
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from lrtrans.angular import gauss_legendre_1d
 from lrtrans.diagnostics import (
@@ -160,11 +161,12 @@ def test_diffusion_reference_mass_and_fixed_point():
 
 
 def test_diffusion_reference_cg_stall_reports_relative_residual(monkeypatch):
-    # 2 * 32 * 64 = 4096 unknowns take the conjugate-gradient branch
+    # 2 * 32 * 64 = 4096 unknowns take the conjugate-gradient branch, which a
+    # varying sigma_s keeps the solve on (a homogeneous one is solved by FFT)
     grid = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (32, 64))
     quad = gauss_legendre_1d(4)
-    material = sample_material(grid, lambda c: np.ones(c.shape[0]),
-                               lambda c: np.zeros(c.shape[0]), 1.0)
+    material = sample_material(grid, lambda c: 1.0 + 0.5 * np.sin(2 * np.pi * c[:, 0]),
+                               lambda c: np.zeros(c.shape[0]), 0.5)
     rho0 = np.exp(-20 * np.sum((grid.rho_coords - 0.5) ** 2, axis=1))
     monkeypatch.setattr(fullrank, "CG_MAXITER_PER_UNKNOWN", 1e-3)
     residuals = []
@@ -175,6 +177,32 @@ def test_diffusion_reference_cg_stall_reports_relative_residual(monkeypatch):
     # relative: independent of the scale of the data
     assert 0.0 < residuals[0] < 1.0
     assert residuals[1] == pytest.approx(residuals[0], rel=1e-8)
+
+
+@pytest.mark.parametrize("cells", [(7,), (2,), (5, 3), (2, 4)])
+@pytest.mark.parametrize("dt_mult", [1, 64])
+def test_diffusion_reference_homogeneous_solve_by_fft(monkeypatch, rng, cells, dt_mult):
+    # the reference's operator on a homogeneous medium is solved by FFT, with
+    # no sparse solve, to the accuracy of a direct solve
+    dim = len(cells)
+    grid = build_grid(dim, ((0.0, 1.0), (-0.5, 1.5))[:dim], cells)
+    quad = gauss_legendre_1d(4)
+    material = sample_material(grid, lambda c: np.full(c.shape[0], 2.0),
+                               lambda c: np.full(c.shape[0], 0.3), 2.0)
+    dt = 0.75 * min(grid.spacing) ** 2 * dt_mult
+    T = fullrank.assemble_density_operator(grid, 1.0 / dt + material.sigma_a_rho,
+                                           1.0 / (3.0 * material.sigma_s_g), np.eye(dim))
+    rho0 = rng.standard_normal(grid.n_points)
+    calls = []
+    splu, cg = spla.splu, spla.cg
+    monkeypatch.setattr(spla, "splu", lambda *a: calls.append("splu") or splu(*a))
+    monkeypatch.setattr(spla, "cg", lambda *a, **k: calls.append("cg") or cg(*a, **k))
+    out = diffusion_reference(grid, quad, material, rho0, dt, 1)
+    assert calls == []
+    b = rho0 / dt
+    assert np.linalg.norm(T @ out - b) <= 1e-13 * np.linalg.norm(b)
+    ref = splu(T.tocsc()).solve(b)
+    assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_diffusion_reference_variance_growth():

@@ -1,6 +1,7 @@
 """IMEX / IMEX-S steppers against dense block oracles; Schur operator checks."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from lrtrans.fullrank import (
     DivergenceError,
     LinearSolveError,
     SolverConfig,
+    assemble_density_operator,
     build_schur,
+    density_solver,
     div_grad_operator,
     imex_s_step,
     imex_step,
@@ -693,10 +696,12 @@ def test_spd_solver_small_systems_factorized_bitwise(rng):
 
 
 def test_schur_cg_stall_reports_relative_residual(monkeypatch):
+    # a varying sigma_s keeps the operator off the FFT solve, on the CG
     grid = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (32, 64))
     quad = chebyshev_legendre_2d(2)
     material = sample_material(
-        grid, lambda c: np.ones(c.shape[0]), lambda c: np.zeros(c.shape[0]), 1.0
+        grid, lambda c: 1.0 + 0.5 * np.sin(2 * np.pi * c[:, 0]),
+        lambda c: np.zeros(c.shape[0]), 0.5
     )
     monkeypatch.setattr(fullrank, "CG_MAXITER_PER_UNKNOWN", 1e-3)
     schur = build_schur(grid, quad, material, SolverConfig(epsilon=1e-3, dt=1e-2))
@@ -749,3 +754,89 @@ def test_div_grad_operator_equals_product_form_bitwise(rng, cells, kind):
     coef[[1, *rng.choice(n, 3, replace=False)]] = 0.0
     new, old = div_grad_operator(grid, diag, coef, c), div_grad_product(grid, diag, coef, c)
     assert new.nnz == old.nnz and np.array_equal(new.toarray(), old.toarray())
+
+
+def spy_sparse_solves(monkeypatch):
+    """Names of the sparse solver calls (``splu``, ``cg``) made from now on."""
+    calls = []
+    for name in ("splu", "cg"):
+        def spy(*args, _name=name, _fn=getattr(spla, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(spla, name, spy)
+    return calls
+
+
+def reduced_objects(name, cells):
+    scen = replace(scenarios.get_scenario(name, 2), cells=cells)
+    return (scen, *scenarios.build_objects(scen))
+
+
+@pytest.mark.parametrize("name,cells", [("gaussian1d-diff", (7,)), ("gaussian1d-diff", (2,)),
+                                        ("gaussian1d-diff", (40,)), ("gaussian2d", (5, 3)),
+                                        ("gaussian2d", (2, 6)), ("gaussian2d", (9, 2)),
+                                        ("gaussian2d", (16, 10))])
+@pytest.mark.parametrize("dt_mult", [1, 64])
+def test_schur_homogeneous_solve_by_fft(monkeypatch, rng, name, cells, dt_mult):
+    # a homogeneous medium is solved by FFT to near machine precision, with
+    # no sparse solve, at the scheme's step size and 64 times it; odd cell
+    # counts, two cells on an axis and nx != ny change the symbol's lattice
+    scen, grid, quad, material = reduced_objects(name, cells)
+    dt = scenarios.select_dt(scen, "IMEX-S", grid, material, scen.epsilon) * dt_mult
+    calls = spy_sparse_solves(monkeypatch)
+    schur = build_schur(grid, quad, material, SolverConfig(epsilon=scen.epsilon, dt=dt))
+    b = rng.standard_normal(grid.n_points)
+    x = schur.solve(b)
+    assert calls == []
+    T = schur.matrix
+    assert np.linalg.norm(T @ x - b) <= 1e-13 * np.linalg.norm(b)
+    ref = spla.splu(T.tocsc()).solve(b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_homogeneous_runs_reach_no_sparse_solve(monkeypatch):
+    # the steps and the diffusion reference of homogeneous scenarios solve by FFT
+    calls = spy_sparse_solves(monkeypatch)
+    for scenario, mesh_div in (("gaussian1d-diff", 8), ("gaussian2d", 8), ("mms2d-16", 1)):
+        res = execute_run(RunManifest(scenario=scenario, scheme="IMEX-S", mesh_div=mesh_div,
+                                      max_steps=3, with_error=scenario != "mms2d-16"))
+        assert res.summary["status"] == "completed"
+    assert calls == []
+
+
+@pytest.mark.parametrize("mesh_div,solver", [(8, "splu"), (2, "cg")])
+def test_heterogeneous_schur_keeps_sparse_solve(monkeypatch, rng, mesh_div, solver):
+    scen = scenarios.get_scenario("lattice2d", mesh_div)
+    grid, quad, material = scenarios.build_objects(scen)
+    dt = scenarios.select_dt(scen, "IMEX-S", grid, material, scen.epsilon)
+    calls = spy_sparse_solves(monkeypatch)
+    schur = build_schur(grid, quad, material, SolverConfig(epsilon=scen.epsilon, dt=dt))
+    schur.solve(rng.standard_normal(grid.n_points))
+    assert calls == [solver]
+
+
+def test_density_solver_off_diagonal_c_is_assembled(monkeypatch, rng):
+    # constant coefficients, but a c with off-diagonal terms: not a sum of
+    # one-axis stencils, so the operator is assembled and factorized
+    grid = build_grid(2, ((0.0, 1.0), (0.0, 2.0)), (6, 5))
+    n = grid.n_points
+    diag, coef, c = np.full(n, 3.0), np.full(n, 0.7), np.array([[1.0, 0.3], [0.3, 0.8]])
+    calls = spy_sparse_solves(monkeypatch)
+    solve = density_solver(grid, diag, coef, c)
+    assert calls == ["splu"]
+    b = rng.standard_normal(n)
+    T = assemble_density_operator(grid, diag, coef, c)
+    assert np.array_equal(solve(b), spla.splu(T.tocsc()).solve(b))
+
+
+def test_density_solver_rejects_nonpositive_operator():
+    # a zero symbol value on the FFT branch, a negative diagonal entry on
+    # the assembled one
+    grid = build_grid(1, (0.0, 1.0), 8)
+    n = grid.n_points
+    with pytest.raises(ValueError, match="symbol"):
+        density_solver(grid, np.zeros(n), np.ones(n), np.eye(1))
+    diag = np.ones(n)
+    diag[3] = -1e3
+    with pytest.raises(ValueError, match="diagonal"):
+        density_solver(grid, diag, np.ones(n), np.eye(1))

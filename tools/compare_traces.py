@@ -46,8 +46,8 @@ LOW_RANK = tuple(s for s in SCHEMES if "BUG" in s)
 #: the two full-rank schemes on ``gaussian2d --mesh-div 2`` (8192 points x
 #: 512 ordinates, the benchmark's ordinate count, many blocks of the
 #: full-rank sweep); and two runs that compute their reference error: the
-#: conjugate-gradient branch of the diffusion reference (``gaussian2d``, 8192
-#: unknowns) and the refined full-rank self reference
+#: diffusion reference on 8192 unknowns (``gaussian2d``, a homogeneous medium,
+#: so solved by FFT) and the refined full-rank self reference
 #: (``gaussian1d-kinetic``).
 RUNS = (
     [(f"gaussian1d-diff {s}", dict(scenario="gaussian1d-diff", scheme=s)) for s in SCHEMES]
