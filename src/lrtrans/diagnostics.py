@@ -150,7 +150,7 @@ def diffusion_reference(
     rho') = rho/dt + phi`` for ``n_steps`` steps, with the conductivity
     sampled on the g family.  The solve is set up once by
     :func:`~lrtrans.fullrank.density_solver`: by FFT on a homogeneous
-    medium, else on the assembled operator.
+    medium, else by conjugate gradients on the operator's stencil.
     """
     if np.any(material.sigma_s_g <= 0):
         raise ValueError("diffusion reference requires sigma_s > 0 on the g family")

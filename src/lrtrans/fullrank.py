@@ -44,25 +44,23 @@ so the columns that share an upwind side form a few long runs.
 of two couplings times three micro updates.  :func:`density_solver` sets up
 the solve of the Schur operator and of the diffusion reference, which share
 one form: by the real FFT on homogeneous media, where that form is a
-constant-coefficient periodic stencil on each point family and no sparse
-matrix is assembled, and otherwise on the sparse matrix, factorized or by
-conjugate gradients (:func:`spd_solver`).
+constant-coefficient periodic stencil on each point family, and otherwise by
+Jacobi-preconditioned conjugate gradients (:func:`spd_solver`) that apply the
+form through its stencil of grid increments.  Neither assembles a matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dgemm
 
 from .angular import QuadratureSet, _make
-from .grid import StaggeredGrid
+from .grid import StaggeredGrid, increment, shift
 from .ops import (
     BLOCK_BYTES,
     MaterialField,
@@ -137,107 +135,30 @@ def relaxation_factor(material: MaterialField, config: SolverConfig) -> np.ndarr
     return 1.0 / (1.0 / config.dt + material.sigma_s_g / eps2 + material.sigma_a_g)
 
 
-def _product_term(grid: StaggeredGrid, coef, j: int, k: int, scale) -> sp.csr_matrix:
-    """``scale * (D^(j,-) diag(coef) D^(k,+))`` as scipy's sparse product of
-    the three matrices stores it, from the grid's shift permutations.
-
-    Row ``i`` of ``D^(j,-) diag(coef)`` holds ``+-coef[m]/h_j`` at ``m = i``
-    and at ``p = i - e_j``, larger column first; row ``m`` of ``D^(k,+)``
-    holds ``-+1/h_k`` at ``m`` and at ``q_m = m + e_k``, in ascending
-    columns.  The product (scipy ``csr_matmat``) visits the four products
-    in that order, sums those that share a column (at ``i`` when
-    ``j == k``, and at ``p`` as well when axis ``j`` has two cells), and
-    stores the columns in the reverse of the order it first visited them.
-    Each value is formed by the same operations, ``(1/h_j * coef[m]) *
-    (1/h_k)``, and the scaling multiplies the stored values.  Where
-    ``coef`` has a zero, the product stores and visits fewer entries; this
-    matrix holds explicit zeros there, which the subtraction of
-    :func:`div_grad_operator` drops, so only the order of that row can
-    differ.  (A relaxation factor or a conductivity has no zero.)
-    """
-    n = grid.n_points
-    i = np.arange(n)
-    p = grid.shift_permutation(j, -1)
-    q = grid.shift_permutation(k, +1)
-    qp = q[p]
-    a = (1.0 / grid.spacing[j]) * coef
-    w = a * (1.0 / grid.spacing[k])
-    wp = w[p]
-    # the four products: column, value and when it is visited (0 to 3)
-    first = np.where(i > p, np.int8(0), np.int8(2))
-    cols = [i, q, p, qp]
-    vals = [-w, w, wp, -wp]
-    visit = [first + (q < i), first + (q > i), 2 - first + (qp < p), 2 - first + (qp > p)]
-    if j == k:
-        # q[p] is i, and with two cells along j, q is p: a column of two products
-        for kept, merged in ((0, 3), (1, 2))[:1 + (grid.cells[j] == 2)]:
-            cols.pop(merged)
-            vals[kept] = vals[kept] + vals.pop(merged)
-            visit[kept] = np.minimum(visit[kept], visit.pop(merged))
-    # the slot of a column in its row is the number of columns visited after it
-    size = len(cols)
-    slots = [np.zeros(n, np.int8) for _ in cols]
-    for x in range(size):
-        for y in range(x + 1, size):
-            after = visit[y] > visit[x]
-            slots[x] += after
-            slots[y] += ~after
-    data = np.empty(size * n)
-    indices = np.empty(size * n, dtype=np.int32 if size * n < 2**31 else np.int64)
-    for col, val, slot in zip(cols, vals, slots):
-        at = size * i + slot
-        indices[at] = col
-        data[at] = val
-    data *= scale
-    indptr = np.arange(0, size * n + 1, size, dtype=indices.dtype)
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
-
-
-def div_grad_operator(grid: StaggeredGrid, diag, coef, c) -> sp.csr_matrix:
-    """``diag(diag) - sum_{j,k} c[j, k] D^(j,-) diag(coef) D^(k,+)``, the sparse
-    operator of the Schur density solve and of the diffusion reference; the
-    zero entries of ``c`` are skipped.
-
-    Each term is assembled by :func:`_product_term` straight from the
-    grid's shift permutations and subtracted by scipy, so for a ``coef``
-    without zeros every entry and the order of every row are those of the
-    product of the difference matrices (``tests/oracles.py``), and a sparse
-    matrix-vector product keeps its bits.
-    """
-    T = sp.diags(diag).tocsr()
-    for j in range(grid.dim):
-        for k in range(grid.dim):
-            if c[j, k] != 0:
-                T = T - _product_term(grid, coef, j, k, c[j, k])
-    return T
-
-
-#: SPD systems with fewer unknowns are factorized (sparse LU); larger ones
-#: are solved by Jacobi-preconditioned conjugate gradients to relative
-#: residual ``CG_RTOL`` within ``CG_MAXITER_PER_UNKNOWN * n`` iterations.
-DIRECT_SOLVE_MAX = 4096
+#: The density CG stops at relative residual ``CG_RTOL`` and gives up after
+#: ``CG_MAXITER_PER_UNKNOWN * n`` iterations on ``n`` unknowns.
 CG_RTOL = 1e-12
 CG_MAXITER_PER_UNKNOWN = 10
 
 
-def spd_solver(T: sp.spmatrix):
-    """``solve(b)`` for the sparse symmetric positive definite matrix ``T``,
-    the assembled branch of :func:`density_solver`.
+def spd_solver(apply, diagonal: np.ndarray):
+    """``solve(b)`` for the symmetric positive definite operator ``apply``
+    (``x -> T x``) with diagonal ``diagonal``, by Jacobi-preconditioned
+    conjugate gradients; the stencil branch of :func:`density_solver`.
 
-    A stalled CG solve raises :class:`LinearSolveError` carrying the
-    relative residual ``|T x - b| / |b|``.
+    A stalled solve raises :class:`LinearSolveError` carrying the relative
+    residual ``|T x - b| / |b|``.
     """
-    n = T.shape[0]
-    if n < DIRECT_SOLVE_MAX:
-        return spla.splu(T.tocsc()).solve
+    n = diagonal.shape[0]
     maxiter = int(CG_MAXITER_PER_UNKNOWN * n)
-    dinv = 1.0 / T.diagonal()
-    precond = spla.LinearOperator(T.shape, matvec=lambda x: dinv * x)
+    T = spla.LinearOperator((n, n), matvec=apply, dtype=float)
+    dinv = 1.0 / diagonal
+    precond = spla.LinearOperator((n, n), matvec=lambda x: dinv * x, dtype=float)
 
     def solve(b):
         x, info = spla.cg(T, b, rtol=CG_RTOL, atol=0.0, maxiter=maxiter, M=precond)
         if info != 0:
-            res = float(np.linalg.norm(T @ x - b) / max(np.linalg.norm(b), 1e-300))
+            res = float(np.linalg.norm(apply(x) - b) / max(np.linalg.norm(b), 1e-300))
             raise LinearSolveError(
                 f"conjugate gradients stopped after {maxiter} iterations", res
             )
@@ -246,36 +167,68 @@ def spd_solver(T: sp.spmatrix):
     return solve
 
 
-def assemble_density_operator(grid: StaggeredGrid, diag, coef, c) -> sp.csr_matrix:
-    """:func:`div_grad_operator` without stored zeros; ``ValueError`` unless
-    it is symmetric with a positive diagonal."""
-    T = div_grad_operator(grid, diag, coef, c)
-    T.eliminate_zeros()
-    asym = sp.linalg.norm(T - T.T, np.inf)
-    if asym > 1e-12 * sp.linalg.norm(T, np.inf):
-        raise ValueError(f"density operator not symmetric: |T - T^T| = {asym:.3e}")
-    if np.any(T.diagonal() <= 0):
-        raise ValueError("density operator has a nonpositive diagonal entry")
-    return T
-
-
 def density_solver(grid: StaggeredGrid, diag, coef, c):
-    """``solve(b)`` for the density operator ``diag(diag) - sum_{j,k} c[j, k]
-    D^(j,-) diag(coef) D^(k,+)`` of :func:`div_grad_operator`.
+    """``solve(b)`` for the density operator ``T = diag(diag) - sum_{j,k}
+    c[j, k] D^(j,-) diag(coef) D^(k,+)``, set up once.
 
     On a homogeneous medium (``diag`` and ``coef`` constant, ``c``
     diagonal) the operator is a constant-coefficient periodic stencil on
     each point family, which the real FFT over the family's lattice
     (``grid.block_shape[1:]``) diagonalizes: the solve divides by the
-    symbol ``diag + sum_j c[j, j] coef (2 - 2 cos theta_j) / h_j^2`` and
-    assembles nothing.  Any other operator is assembled
-    (:func:`assemble_density_operator`) and solved by :func:`spd_solver`.
-    ``ValueError`` for a nonpositive symbol value or diagonal entry.
+    symbol ``diag + sum_j c[j, j] coef (2 - 2 cos theta_j) / h_j^2``.  Any
+    other operator is applied through its stencil (:func:`_density_stencil`)
+    and solved by :func:`spd_solver`, after two checks: ``c`` symmetric to
+    ``1e-12`` of its largest entry (so is ``T`` then) and a positive
+    diagonal.  No matrix is assembled on either branch.  ``ValueError`` for
+    a nonpositive symbol value or diagonal entry, or a nonsymmetric ``c``.
     """
     if (np.all(diag == diag[0]) and np.all(coef == coef[0])
             and not np.any(c - np.diag(np.diag(c)))):
         return _fft_solver(grid, diag[0], coef[0], np.diag(c))
-    return spd_solver(assemble_density_operator(grid, diag, coef, c))
+    # T^T is the operator of c^T
+    asym = float(np.max(np.abs(c - c.T)))
+    if asym > 1e-12 * float(np.max(np.abs(c))):
+        raise ValueError(f"density operator not symmetric: |c - c^T| = {asym:.3e}")
+    apply, diagonal = _density_stencil(grid, diag, coef, c)
+    if np.any(diagonal <= 0):
+        raise ValueError("density operator has a nonpositive diagonal entry")
+    return spd_solver(apply, diagonal)
+
+
+def _density_stencil(grid: StaggeredGrid, diag, coef, c) -> tuple:
+    """``(apply, diagonal)`` of the operator of :func:`density_solver`.
+
+    ``apply(x)`` forms the forward increments of ``x`` along each axis once,
+    scales them by ``w_jk = coef c[j, k] / (h_j h_k)``, folded here once, and
+    takes one backward increment per axis: ``T x = diag x - sum_j
+    increment_j^-(sum_k w_jk increment_k^+ x)``; the zero entries of ``c``
+    are skipped.  The diagonal is ``diag + sum_{j,k} w_jk + sum_j
+    shift_j(w_jj)``: the point's own ``coef`` enters every term, and the
+    one of the point one cell back along ``j`` the term ``j == k``.
+    """
+    h = grid.spacing
+    # rows[j]: the (k, w_jk) of the nonzero c[j, k]
+    rows = {j: [(k, coef * (c[j, k] / (h[j] * h[k]))) for k in range(grid.dim) if c[j, k] != 0]
+            for j in range(grid.dim)}
+    rows = {j: terms for j, terms in rows.items() if terms}
+    diagonal = diag + sum(wk for terms in rows.values() for _, wk in terms)
+    for j, terms in rows.items():
+        diagonal = diagonal + sum(shift(grid, j, wk) for k, wk in terms if k == j)
+    fwd = {k: np.empty(grid.n_points) for terms in rows.values() for k, _ in terms}
+    flux, back = np.empty(grid.n_points), np.empty(grid.n_points)
+
+    def apply(x):
+        for k, u in fwd.items():
+            increment(grid, k, +1, x, out=u)
+        y = diag * x
+        for j, ((k, wk), *rest) in rows.items():
+            np.multiply(wk, fwd[k], out=flux)
+            for k, wk in rest:
+                np.add(flux, wk * fwd[k], out=flux)
+            y -= increment(grid, j, -1, flux, out=back)
+        return y
+
+    return apply, diagonal
 
 
 def _fft_solver(grid: StaggeredGrid, diag: float, coef: float, c):
@@ -319,19 +272,12 @@ class SchurOperator:
     ``(1/dt + sigma_a) I - (1/(|D_Omega| eps^2)) sum_{j,k} c_{jk} D^(j,-)
     diag(R) D^(k,+)`` with ``c_{jk} = sum_m w_m Omega^j_m Omega^k_m`` and
     ``R`` the pointwise relaxation factor, symmetric positive definite and
-    solved by :func:`density_solver`: by FFT on homogeneous media, where
-    no sparse matrix is assembled.  ``matrix`` assembles it on first use.
+    solved by :func:`density_solver`: by FFT on homogeneous media, else by
+    conjugate gradients on its stencil.  No matrix is assembled.
     """
 
     def __init__(self, grid, quad, material: MaterialField, config: SolverConfig):
-        # the run objects, not the operator's vectors: those are formed again
-        # for ``matrix``, so a solve set up by FFT keeps no vector alive
-        self._objects = (grid, quad, material, config)
-        self._solve = density_solver(*_schur_terms(*self._objects))
-
-    @cached_property
-    def matrix(self) -> sp.csr_matrix:
-        return assemble_density_operator(*_schur_terms(*self._objects))
+        self._solve = density_solver(*_schur_terms(grid, quad, material, config))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self._solve(b)
@@ -584,7 +530,7 @@ def imex_step(ctx: StepContext, rho: np.ndarray, G: np.ndarray, t_next: float = 
 def imex_s_step(ctx: StepContext, rho: np.ndarray, G: np.ndarray, t_next: float = 0.0):
     """One step with the density treated implicitly via the Schur complement.
 
-    The density solves the reduced system assembled in ``ctx.schur``; the
+    The density solves the reduced system set up in ``ctx.schur``; the
     fluctuation is then recovered pointwise from the new density.  Like
     :func:`imex_step`, updates a C-contiguous ``G`` in place and returns
     ``(rho_new, G)``.

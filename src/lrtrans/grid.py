@@ -86,8 +86,8 @@ class StaggeredGrid:
     def shift_permutation(self, axis: int, step: int = 1) -> np.ndarray:
         """Index permutation ``p`` with ``u[p][k] = u`` shifted ``+step`` cells.
 
-        The permutation is the same for both point families, so it is also
-        used to assemble sparse difference matrices.
+        The permutation is the same for both point families; the tests build
+        their reference sparse difference matrices from it.
         """
         idx = np.arange(self.n_points).reshape(self.block_shape)
         ax = len(self.block_shape) - 1 - axis

@@ -8,8 +8,9 @@ solver's factored and linear-index forms stand for; the dense
 factorization is what the factored one of the initial state reproduces.  The manufactured
 phase-space density and its source are what the sampled ``mms2d`` sources
 of :mod:`lrtrans.scenarios` are checked against.  The sparse difference
-matrices and their product form of ``div_grad_operator`` are what the
-solver's stencil assembly of that operator reproduces bit for bit.
+matrices and their product form of the density operator are what the
+solver's matrix-free stencil of that operator, and its Jacobi diagonal, are
+checked against; the solver assembles no matrix.
 """
 
 import math
@@ -17,6 +18,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from lrtrans.fullrank import _schur_terms
 from lrtrans.grid import StaggeredGrid, diff
 from lrtrans.lowrank import MicroStateLowRank, _seeded_state, _signs
 from lrtrans.ops import _check_micro, norm_w
@@ -61,9 +63,15 @@ def micro_norm_w_exact(grid, quad, micro) -> float:
     return norm_w(grid, quad, micro)
 
 
-def schur_apply(schur, x: np.ndarray) -> np.ndarray:
+def schur_matrix(grid, quad, material, config) -> sp.csr_matrix:
+    """The operator of :class:`lrtrans.fullrank.SchurOperator`, the product
+    form (:func:`div_grad_product`) of its terms."""
+    return div_grad_product(*_schur_terms(grid, quad, material, config))
+
+
+def schur_apply(grid, quad, material, config, x: np.ndarray) -> np.ndarray:
     """The Schur operator of :class:`lrtrans.fullrank.SchurOperator` applied to ``x``."""
-    return schur.matrix @ x
+    return schur_matrix(grid, quad, material, config) @ x
 
 
 def dense_factors(G: np.ndarray) -> tuple:

@@ -23,7 +23,7 @@ from lrtrans.fullrank import LinearSolveError, SolverConfig
 from lrtrans.grid import build_grid
 from lrtrans.lowrank import factorize_micro
 from lrtrans.ops import project_out_mean, sample_material
-from oracles import dense_factors, reconstruct
+from oracles import dense_factors, div_grad_product, reconstruct
 
 
 def setup(nx=16, n_ord=8, floor=1.0, sigma_s=None, sigma_a=None):
@@ -161,8 +161,8 @@ def test_diffusion_reference_mass_and_fixed_point():
 
 
 def test_diffusion_reference_cg_stall_reports_relative_residual(monkeypatch):
-    # 2 * 32 * 64 = 4096 unknowns take the conjugate-gradient branch, which a
-    # varying sigma_s keeps the solve on (a homogeneous one is solved by FFT)
+    # a varying sigma_s keeps the solve on the conjugate-gradient branch (a
+    # homogeneous one is solved by FFT)
     grid = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (32, 64))
     quad = gauss_legendre_1d(4)
     material = sample_material(grid, lambda c: 1.0 + 0.5 * np.sin(2 * np.pi * c[:, 0]),
@@ -190,8 +190,8 @@ def test_diffusion_reference_homogeneous_solve_by_fft(monkeypatch, rng, cells, d
     material = sample_material(grid, lambda c: np.full(c.shape[0], 2.0),
                                lambda c: np.full(c.shape[0], 0.3), 2.0)
     dt = 0.75 * min(grid.spacing) ** 2 * dt_mult
-    T = fullrank.assemble_density_operator(grid, 1.0 / dt + material.sigma_a_rho,
-                                           1.0 / (3.0 * material.sigma_s_g), np.eye(dim))
+    T = div_grad_product(grid, 1.0 / dt + material.sigma_a_rho,
+                         1.0 / (3.0 * material.sigma_s_g), np.eye(dim))
     rho0 = rng.standard_normal(grid.n_points)
     calls = []
     splu, cg = spla.splu, spla.cg

@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from lrtrans import diagnostics, fullrank, scenarios
@@ -16,10 +15,10 @@ from lrtrans.fullrank import (
     DivergenceError,
     LinearSolveError,
     SolverConfig,
-    assemble_density_operator,
+    _density_stencil,
+    _schur_terms,
     build_schur,
     density_solver,
-    div_grad_operator,
     imex_s_step,
     imex_step,
     parse_scheme,
@@ -39,7 +38,7 @@ from lrtrans.ops import (
 )
 from lrtrans.run import RunManifest, execute_run
 from conftest import dense_diff_matrix
-from oracles import _difference_matrix, div_grad_product, schur_apply
+from oracles import div_grad_product, schur_apply, schur_matrix
 
 
 def make_setup(eps=0.5, dt=0.01, nx=8, n_ord=4, varying=True):
@@ -179,29 +178,30 @@ def test_energy_decay_under_explicit_bound(rng):
 
 def test_schur_symmetry_and_diagonal():
     grid, quad, material, config = make_setup()
-    schur = build_schur(grid, quad, material, config)
-    T = schur.matrix.toarray()
+    T = schur_matrix(grid, quad, material, config).toarray()
     assert np.allclose(T, T.T, atol=1e-12 * np.abs(T).max())
     assert np.all(np.diag(T) > 0)
 
 
 def test_schur_assembled_equals_application():
+    # the stencil the Schur solve applies, column by column, against the
+    # assembled product form
     grid, quad, material, config = make_setup()
-    schur = build_schur(grid, quad, material, config)
+    apply, _ = _density_stencil(*_schur_terms(grid, quad, material, config))
+    T = schur_matrix(grid, quad, material, config).toarray()
     n = grid.n_points
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
-        assert np.allclose(schur_apply(schur, e), schur.matrix.toarray()[:, i], atol=1e-14)
+        assert np.allclose(apply(e), T[:, i], atol=1e-14)
 
 
 def test_schur_large_epsilon_limit(rng):
     grid, quad, material, _ = make_setup(eps=1e6, dt=0.02)
     config = SolverConfig(epsilon=1e6, dt=0.02)
-    schur = build_schur(grid, quad, material, config)
     x = rng.standard_normal(grid.n_points)
     expected = (1.0 / config.dt + material.sigma_a_rho) * x
-    assert np.max(np.abs(schur_apply(schur, x) - expected)) <= 1e-8 * np.max(np.abs(expected))
+    assert np.max(np.abs(schur_apply(grid, quad, material, config, x) - expected)) <= 1e-8 * np.max(np.abs(expected))
 
 
 def test_schur_diffusion_limit():
@@ -210,14 +210,13 @@ def test_schur_diffusion_limit():
     eps = 1e-8
     grid, quad, material, _ = make_setup(eps=eps, dt=0.05, nx=16, n_ord=16, varying=False)
     config = SolverConfig(epsilon=eps, dt=0.05)
-    schur = build_schur(grid, quad, material, config)
     rho = np.sin(2 * np.pi * grid.rho_coords[:, 0])
     mu2 = float(quad.w @ quad.q(0) ** 2) / quad.domain_measure
     limit = rho / config.dt - diff(
         grid, 0, -1, (mu2 / material.sigma_s_g) * diff(grid, 0, +1, rho)
     )
     bound = 10 * eps**2 / config.dt * np.max(np.abs(rho)) / config.dt
-    assert np.max(np.abs(schur_apply(schur, rho) - limit)) <= max(bound, 1e-8)
+    assert np.max(np.abs(schur_apply(grid, quad, material, config, rho) - limit)) <= max(bound, 1e-8)
 
 
 def test_divergence_detection():
@@ -658,18 +657,19 @@ def test_solver_config_rejects_non_positive_or_non_finite(field, value):
         SolverConfig(**{"epsilon": 1.0, "dt": 0.1, field: value})
 
 
-def diffusion_matrix_2d(cells, dt=1e-3):
-    """``I/dt - sum_j D^(j,-) D^(j,+)`` on a periodic 2D grid (SPD)."""
+def diffusion_terms_2d(cells, dt=1e-3):
+    """``(grid, diag, coef, c)`` of ``I/dt - sum_j D^(j,-) D^(j,+)`` on a
+    periodic 2D grid (SPD), in the form :func:`density_solver` takes."""
     grid = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), cells)
-    T = sp.diags(np.full(grid.n_points, 1.0 / dt)).tocsr()
-    for j in range(2):
-        T = T - _difference_matrix(grid, j, -1) @ _difference_matrix(grid, j, +1)
-    return T.tocsr()
+    n = grid.n_points
+    return grid, np.full(n, 1.0 / dt), np.ones(n), np.eye(2)
 
 
 def test_spd_solver_conjugate_gradients_match_direct_solve(rng, monkeypatch):
-    T = diffusion_matrix_2d((32, 64))
-    assert T.shape[0] >= fullrank.DIRECT_SOLVE_MAX
+    # a homogeneous operator, which density_solver solves by FFT, here
+    # solved by CG on its stencil
+    terms = diffusion_terms_2d((32, 64))
+    T = div_grad_product(*terms)
     calls = []
     cg = spla.cg
 
@@ -679,20 +679,13 @@ def test_spd_solver_conjugate_gradients_match_direct_solve(rng, monkeypatch):
 
     # looked up on the module at call time, so a wrapper installed after the
     # solver was built still sees every solve
-    solve = spd_solver(T)
+    solve = spd_solver(*_density_stencil(*terms))
     monkeypatch.setattr(spla, "cg", counting_cg)
     b = rng.standard_normal(T.shape[0])
     x = solve(b)
     ref = spla.spsolve(T.tocsc(), b)
     assert len(calls) == 1
     assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
-
-
-def test_spd_solver_small_systems_factorized_bitwise(rng):
-    T = diffusion_matrix_2d((16, 16))
-    assert T.shape[0] < fullrank.DIRECT_SOLVE_MAX
-    b = rng.standard_normal(T.shape[0])
-    assert np.array_equal(spd_solver(T)(b), spla.splu(T.tocsc()).solve(b))
 
 
 def test_schur_cg_stall_reports_relative_residual(monkeypatch):
@@ -716,32 +709,32 @@ def test_schur_cg_stall_reports_relative_residual(monkeypatch):
     assert residuals[1] == pytest.approx(residuals[0], rel=1e-8)
 
 
-def assert_same_csr(A, B):
-    for name in ("indptr", "indices", "data"):
-        a, b = getattr(A, name), getattr(B, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+def assert_stencil_is_product_form(terms, x):
+    """The stencil apply of the density operator ``terms`` at ``x``, and its
+    Jacobi diagonal, against the product form of the difference matrices."""
+    T = div_grad_product(*terms)
+    apply, diagonal = _density_stencil(*terms)
+    assert np.linalg.norm(apply(x) - T @ x) <= 1e-14 * np.linalg.norm(T @ x)
+    ref = T.diagonal()
+    assert np.max(np.abs(diagonal - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("name,mesh_div", [("gaussian1d-diff", 4), ("gaussian2d", 1),
                                            ("lattice2d", 2)])
-def test_schur_matrix_equals_product_form_bitwise(monkeypatch, name, mesh_div):
-    # the stencil assembly stores every entry and row order of the product
-    # of the difference matrices, so CG and the sparse products keep their bits
+def test_schur_stencil_equals_product_form(rng, name, mesh_div):
     scen = scenarios.get_scenario(name, mesh_div)
     grid, quad, material = scenarios.build_objects(scen)
     dt = scenarios.select_dt(scen, "IMEX-S", grid, material, scen.epsilon)
-    config = SolverConfig(epsilon=scen.epsilon, dt=dt)
-    new = build_schur(grid, quad, material, config).matrix
-    monkeypatch.setattr(fullrank, "div_grad_operator", div_grad_product)
-    assert_same_csr(new, build_schur(grid, quad, material, config).matrix)
+    terms = _schur_terms(grid, quad, material, SolverConfig(epsilon=scen.epsilon, dt=dt))
+    assert_stencil_is_product_form(terms, rng.standard_normal(grid.n_points))
 
 
 @pytest.mark.parametrize("cells", [(7,), (2,), (5, 3), (2, 4), (4, 2), (2, 2)])
 @pytest.mark.parametrize("kind", ["diagonal", "full", "zeros"])
-def test_div_grad_operator_equals_product_form_bitwise(rng, cells, kind):
+def test_density_stencil_equals_product_form(rng, cells, kind):
     # two cells on an axis make a point's two neighbours along it coincide;
-    # "full" has off-diagonal c[j, k]; "zeros" puts exact zeros in diag,
-    # whose entries are then not stored
+    # "full" has off-diagonal c[j, k], not symmetric; "zeros" puts exact
+    # zeros in diag
     dim = len(cells)
     grid = build_grid(dim, ((0.0, 1.3), (-1.0, 2.1))[:dim], cells)
     n = grid.n_points
@@ -749,11 +742,11 @@ def test_div_grad_operator_equals_product_form_bitwise(rng, cells, kind):
     diag, coef = rng.uniform(1.0, 2.0, n), rng.uniform(0.5, 2.0, n)
     if kind == "zeros":
         diag[[0, 1]] = 0.0
-    assert_same_csr(div_grad_operator(grid, diag, coef, c), div_grad_product(grid, diag, coef, c))
-    # zeros in coef leave the matrix and its stored entries as they are
-    coef[[1, *rng.choice(n, 3, replace=False)]] = 0.0
-    new, old = div_grad_operator(grid, diag, coef, c), div_grad_product(grid, diag, coef, c)
-    assert new.nnz == old.nnz and np.array_equal(new.toarray(), old.toarray())
+    x = rng.standard_normal(n)
+    # the second pass puts zeros in coef as well
+    for zeros in ([], [1, *rng.choice(n, 3, replace=False)]):
+        coef[zeros] = 0.0
+        assert_stencil_is_product_form((grid, diag, coef, c), x)
 
 
 def spy_sparse_solves(monkeypatch):
@@ -784,11 +777,12 @@ def test_schur_homogeneous_solve_by_fft(monkeypatch, rng, name, cells, dt_mult):
     scen, grid, quad, material = reduced_objects(name, cells)
     dt = scenarios.select_dt(scen, "IMEX-S", grid, material, scen.epsilon) * dt_mult
     calls = spy_sparse_solves(monkeypatch)
-    schur = build_schur(grid, quad, material, SolverConfig(epsilon=scen.epsilon, dt=dt))
+    config = SolverConfig(epsilon=scen.epsilon, dt=dt)
+    schur = build_schur(grid, quad, material, config)
     b = rng.standard_normal(grid.n_points)
     x = schur.solve(b)
     assert calls == []
-    T = schur.matrix
+    T = schur_matrix(grid, quad, material, config)
     assert np.linalg.norm(T @ x - b) <= 1e-13 * np.linalg.norm(b)
     ref = spla.splu(T.tocsc()).solve(b)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -804,34 +798,49 @@ def test_homogeneous_runs_reach_no_sparse_solve(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("mesh_div,solver", [(8, "splu"), (2, "cg")])
+@pytest.mark.parametrize("mesh_div,solver", [(8, "cg"), (2, "cg")])
 def test_heterogeneous_schur_keeps_sparse_solve(monkeypatch, rng, mesh_div, solver):
+    # a heterogeneous medium is solved by CG on the stencil, at every size
     scen = scenarios.get_scenario("lattice2d", mesh_div)
     grid, quad, material = scenarios.build_objects(scen)
     dt = scenarios.select_dt(scen, "IMEX-S", grid, material, scen.epsilon)
+    config = SolverConfig(epsilon=scen.epsilon, dt=dt)
     calls = spy_sparse_solves(monkeypatch)
-    schur = build_schur(grid, quad, material, SolverConfig(epsilon=scen.epsilon, dt=dt))
-    schur.solve(rng.standard_normal(grid.n_points))
+    schur = build_schur(grid, quad, material, config)
+    b = rng.standard_normal(grid.n_points)
+    x = schur.solve(b)
     assert calls == [solver]
+    T = schur_matrix(grid, quad, material, config)
+    assert np.linalg.norm(T @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_density_solver_off_diagonal_c_is_assembled(monkeypatch, rng):
     # constant coefficients, but a c with off-diagonal terms: not a sum of
-    # one-axis stencils, so the operator is assembled and factorized
+    # one-axis stencils, so the operator is solved by CG on its stencil
     grid = build_grid(2, ((0.0, 1.0), (0.0, 2.0)), (6, 5))
     n = grid.n_points
     diag, coef, c = np.full(n, 3.0), np.full(n, 0.7), np.array([[1.0, 0.3], [0.3, 0.8]])
     calls = spy_sparse_solves(monkeypatch)
     solve = density_solver(grid, diag, coef, c)
-    assert calls == ["splu"]
     b = rng.standard_normal(n)
-    T = assemble_density_operator(grid, diag, coef, c)
-    assert np.array_equal(solve(b), spla.splu(T.tocsc()).solve(b))
+    x = solve(b)
+    assert calls == ["cg"]
+    T = div_grad_product(grid, diag, coef, c)
+    assert np.linalg.norm(T @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_density_solver_rejects_nonsymmetric_c():
+    # T^T is the operator of c^T, so a nonsymmetric c gives a nonsymmetric T
+    grid = build_grid(2, ((0.0, 1.0), (0.0, 2.0)), (6, 5))
+    n = grid.n_points
+    c = np.array([[1.0, 0.3], [0.1, 0.8]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        density_solver(grid, np.full(n, 3.0), np.full(n, 0.7), c)
 
 
 def test_density_solver_rejects_nonpositive_operator():
     # a zero symbol value on the FFT branch, a negative diagonal entry on
-    # the assembled one
+    # the stencil one
     grid = build_grid(1, (0.0, 1.0), 8)
     n = grid.n_points
     with pytest.raises(ValueError, match="symbol"):

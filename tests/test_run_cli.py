@@ -201,13 +201,11 @@ def test_failed_reference_solve_recorded_as_status(tmp_path, monkeypatch):
     # the diffusion reference's CG solve stalls, and only that solve: the run
     # keeps its steps and artifacts, records reference_failed and no error,
     # and the command line exits 1.  The reference's medium is homogeneous,
-    # so the stall is injected at its solver factory, which is sent to a CG
-    # solve with too few iterations instead of the FFT one
+    # so the stall is injected at its solver factory, which is sent to the
+    # stencil CG solve with too few iterations instead of the FFT one
     def stalling_solver(grid, diag, coef, c):
-        T = fullrank.assemble_density_operator(grid, diag, coef, c)
-        monkeypatch.setattr(fullrank, "DIRECT_SOLVE_MAX", 0)
-        monkeypatch.setattr(fullrank, "CG_MAXITER_PER_UNKNOWN", 2 / T.shape[0])
-        return fullrank.spd_solver(T)
+        monkeypatch.setattr(fullrank, "CG_MAXITER_PER_UNKNOWN", 2 / grid.n_points)
+        return fullrank.spd_solver(*fullrank._density_stencil(grid, diag, coef, c))
 
     monkeypatch.setattr(diagnostics, "density_solver", stalling_solver)
     out = tmp_path / "ref"
