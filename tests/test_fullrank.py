@@ -201,7 +201,8 @@ def test_schur_large_epsilon_limit(rng):
     config = SolverConfig(epsilon=1e6, dt=0.02)
     x = rng.standard_normal(grid.n_points)
     expected = (1.0 / config.dt + material.sigma_a_rho) * x
-    assert np.max(np.abs(schur_apply(grid, quad, material, config, x) - expected)) <= 1e-8 * np.max(np.abs(expected))
+    applied = schur_apply(grid, quad, material, config, x)
+    assert np.max(np.abs(applied - expected)) <= 1e-8 * np.max(np.abs(expected))
 
 
 def test_schur_diffusion_limit():
@@ -216,7 +217,8 @@ def test_schur_diffusion_limit():
         grid, 0, -1, (mu2 / material.sigma_s_g) * diff(grid, 0, +1, rho)
     )
     bound = 10 * eps**2 / config.dt * np.max(np.abs(rho)) / config.dt
-    assert np.max(np.abs(schur_apply(grid, quad, material, config, rho) - limit)) <= max(bound, 1e-8)
+    applied = schur_apply(grid, quad, material, config, rho)
+    assert np.max(np.abs(applied - limit)) <= max(bound, 1e-8)
 
 
 def test_divergence_detection():
@@ -657,18 +659,12 @@ def test_solver_config_rejects_non_positive_or_non_finite(field, value):
         SolverConfig(**{"epsilon": 1.0, "dt": 0.1, field: value})
 
 
-def diffusion_terms_2d(cells, dt=1e-3):
-    """``(grid, diag, coef, c)`` of ``I/dt - sum_j D^(j,-) D^(j,+)`` on a
-    periodic 2D grid (SPD), in the form :func:`density_solver` takes."""
-    grid = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), cells)
-    n = grid.n_points
-    return grid, np.full(n, 1.0 / dt), np.ones(n), np.eye(2)
-
-
 def test_spd_solver_conjugate_gradients_match_direct_solve(rng, monkeypatch):
-    # a homogeneous operator, which density_solver solves by FFT, here
-    # solved by CG on its stencil
-    terms = diffusion_terms_2d((32, 64))
+    # I/dt - sum_j D^(j,-) D^(j,+) (SPD), which density_solver solves by
+    # FFT, here solved by CG on its stencil
+    grid = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (32, 64))
+    n = grid.n_points
+    terms = (grid, np.full(n, 1e3), np.ones(n), np.eye(2))
     T = div_grad_product(*terms)
     calls = []
     cg = spla.cg
