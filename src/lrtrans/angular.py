@@ -5,7 +5,11 @@ geometry, and a Chebyshev-Legendre product rule for 2D, built from polar
 Gauss-Legendre nodes on the upper hemisphere (``mu`` in ``(0, 1)``) times
 equispaced midpoint azimuths and projected onto the xy-plane.  The 2D angular
 domain measure is ``2*pi`` for this folded hemisphere convention; the number
-of 2D directions is ``2 * n_polar**2``.
+of 2D directions is ``2 * n_polar**2``.  Both constructors return their
+ordinates in upwind quadrant order: the 1D nodes ascend, and the 2D set runs
+through the sign quadrants (-,-), (-,+), (+,+), (+,-) of ``(Omega_x,
+Omega_y)``, so the signs along x form at most two runs and along y at most
+three (:func:`lrtrans.ops.upwind_runs`).
 
 Every constructed set satisfies, up to roundoff or the stated quadrature
 accuracy: weights positive and summing to the domain measure, vanishing odd
@@ -127,7 +131,9 @@ def chebyshev_legendre_2d(n_polar: int) -> QuadratureSet:
     ``mu in (0, 1)`` (upper hemisphere; the planar problem is symmetric in
     ``z``), combined with ``2 * n_polar`` equispaced midpoint azimuths
     ``phi_b = (2b - 1) pi / (2 n_polar)``.  This yields ``2 * n_polar**2``
-    directions with total weight ``2*pi``.
+    directions with total weight ``2*pi``.  The ordinates are sorted, stably,
+    from the polar-major product loop into the upwind quadrant order of the
+    module docstring, each with its weight.
     """
     if n_polar < 2:
         raise ValueError(f"n_polar must be >= 2, got {n_polar}")
@@ -142,5 +148,6 @@ def chebyshev_legendre_2d(n_polar: int) -> QuadratureSet:
     ox = (s[:, None] * np.cos(phi)[None, :]).reshape(-1)
     oy = (s[:, None] * np.sin(phi)[None, :]).reshape(-1)
     w = np.broadcast_to((gw * np.pi / n_polar)[:, None], (n_polar, n_azi)).reshape(-1)
-    omega = np.column_stack([ox, oy])
-    return _make(2, omega, w.copy(), 2.0 * np.pi)
+    sx = ox > 0
+    perm = np.argsort(2 * sx + ((oy > 0) != sx), kind="stable")
+    return _make(2, np.column_stack([ox, oy])[perm], w[perm], 2.0 * np.pi)

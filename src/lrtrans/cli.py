@@ -134,7 +134,7 @@ def cmd_sweep(args) -> int:
         if axis_arg.startswith("scenario=") and getattr(args, "scenario", None) is None:
             args.scenario = axis_arg.split("=", 1)[1].split(",")[0]
     template = manifest_from_args(args)
-    axes = []
+    axes = {}
     for axis_arg in args.vary:
         if "=" not in axis_arg:
             raise ValueError(f"--vary expects KEY=V1,V2,..., got {axis_arg!r}")
@@ -142,9 +142,13 @@ def cmd_sweep(args) -> int:
         key = key.replace("-", "_")
         if key not in _MANIFEST_TYPES:
             raise ValueError(f"unknown sweep key {key!r}")
+        if key in axes:
+            raise ValueError(f"sweep key {key!r} is given twice")
         conv = _MANIFEST_TYPES[key]
-        axes.append([(key, conv(v)) for v in vals.split(",") if v != ""])
-    combos = list(itertools.product(*axes)) if axes else [()]
+        axes[key] = [(key, conv(v)) for v in vals.split(",") if v != ""]
+        if not axes[key]:
+            raise ValueError(f"sweep key {key!r} has no values")
+    combos = list(itertools.product(*axes.values())) if axes else [()]
 
     out_root = Path(template.out) if template.out else None
     rows = []

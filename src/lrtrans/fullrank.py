@@ -37,9 +37,6 @@ points, so each row contraction keeps its bits).  The step's last sweep also
 forms the norms of the trace record (``ctx.swept``), so the record does not
 read ``G`` again.
 
-Dense runs order their ordinates by upwind quadrant (:func:`upwind_grouped`),
-so the columns that share an upwind side form a few long runs.
-
 :data:`SCHEMES` maps each of the six scheme tags to its :class:`Scheme`, one
 of two couplings times three micro updates.  :func:`density_solver` sets up
 the solve of the Schur operator and of the diffusion reference, which share
@@ -52,14 +49,14 @@ form through its stencil of grid increments.  Neither assembles a matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dgemm
 
-from .angular import QuadratureSet, _make
+from .angular import QuadratureSet
 from .grid import StaggeredGrid, increment, shift
 from .ops import (
     BLOCK_BYTES,
@@ -374,32 +371,6 @@ def step_context(grid, quad, material, config, schur=None, integrator=None,
         blocks=_row_blocks(grid, quad.n),
         swept=np.full(2, np.nan),
     )
-
-
-def upwind_grouped(quad: QuadratureSet, material: MaterialField) -> tuple:
-    """``(quad, material)`` with the ordinates in upwind quadrant order.
-
-    The ordinates are sorted, stably, into the sign quadrants (-,-), (-,+),
-    (+,+), (+,-) of ``(Omega_x, Omega_y)``, so the signs along x form at most
-    two runs and along y at most three (:func:`lrtrans.ops.upwind_runs`), and
-    the upwind advection makes two and three stencil calls per block.  The
-    angular factors of ``material.micro_source`` are permuted to match.  In
-    1D the Gauss-Legendre nodes already ascend, and the inputs are returned.
-    Only dense states use this order: a low-rank initial basis depends on
-    which ordinate comes first.
-    """
-    sx = quad.q(0) > 0
-    key = 2 * sx + ((quad.q(1) > 0) != sx if quad.dim == 2 else 0)
-    perm = np.argsort(key, kind="stable")
-    if np.array_equal(perm, np.arange(quad.n)):
-        return quad, material
-    grouped = _make(quad.dim, quad.omega[perm], quad.w[perm], quad.domain_measure)
-
-    def source(t):
-        P, A = material.micro_source(t)
-        return P, A[perm]
-
-    return grouped, replace(material, micro_source=source if material.micro_source else None)
 
 
 def _angular_splits(quad: QuadratureSet) -> dict:

@@ -83,16 +83,6 @@ class StaggeredGrid:
             return (2, self.cells[0])
         return (2, self.cells[1], self.cells[0])
 
-    def shift_permutation(self, axis: int, step: int = 1) -> np.ndarray:
-        """Index permutation ``p`` with ``u[p][k] = u`` shifted ``+step`` cells.
-
-        The permutation is the same for both point families; the tests build
-        their reference sparse difference matrices from it.
-        """
-        idx = np.arange(self.n_points).reshape(self.block_shape)
-        ax = len(self.block_shape) - 1 - axis
-        return np.roll(idx, -step, axis=ax).reshape(-1)
-
 
 def build_grid(dim: int, bounds, cells) -> StaggeredGrid:
     """Build a periodic staggered grid.

@@ -33,7 +33,6 @@ from .fullrank import (
     imex_step,
     parse_scheme,
     step_context,
-    upwind_grouped,
 )
 from .lowrank import MicroStateLowRank, factorize_micro, lowrank_macro_coupled_step
 
@@ -106,10 +105,8 @@ def execute_run(manifest: RunManifest) -> RunResult:
     and written.  A reference solve that fails (a stalled CG solve, a
     diverging self reference) sets ``reference_failed`` and no ``l2_error``;
     the artifacts are written all the same.  A low-rank initial state has
-    ``C = None``; its first step forms the Galerkin stack.  A full-rank run
-    holds its ordinates in upwind quadrant order (``fullrank.upwind_grouped``)
-    from the initial state on.  ``with_error=True`` on a scenario without a
-    reference raises ``ValueError`` before any work.
+    ``C = None``; its first step forms the Galerkin stack.  ``with_error=True``
+    on a scenario without a reference raises ``ValueError`` before any work.
     """
     scheme = manifest.validate()
     scen = scenarios.get_scenario(manifest.scenario, manifest.mesh_div)
@@ -131,8 +128,6 @@ def execute_run(manifest: RunManifest) -> RunResult:
     if (scheme.micro == "aBUG" and not manifest.unweighted
             and diagnostics.dt_implicit(grid, material, eps) == UNCONDITIONAL):
         integrator = "AP-aBUG"
-    if integrator is None:
-        quad, material = upwind_grouped(quad, material)
 
     rho, (P, A) = scen.init(grid, quad, eps)
     rho = np.asarray(rho, dtype=float)
@@ -297,7 +292,6 @@ def _self_reference(scen, grid, t_final, eps, refine: int = 4):
     restricted to the coincident density points of the coarse mesh."""
     fine_cells = tuple(c * refine for c in scen.cells)
     fine, quad, material = scenarios.build_objects(replace(scen, cells=fine_cells), eps)
-    quad, material = upwind_grouped(quad, material)
     rho0, (P, A) = scen.init(fine, quad, eps)
     dt = diagnostics.dt_explicit(fine, material, eps)
     n = max(1, math.ceil(t_final / dt - 1e-9))

@@ -1,31 +1,7 @@
-"""Shared helpers: dense operator assembly for small-instance oracles."""
+"""Shared fixtures."""
 
 import numpy as np
 import pytest
-
-from lrtrans.grid import diff
-
-
-def dense_diff_matrix(grid, axis, side):
-    """Assemble the difference operator column by column from unit vectors."""
-    n = grid.n_points
-    mat = np.zeros((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        mat[:, i] = diff(grid, axis, side, e)
-    return mat
-
-
-def dense_micro_map(op, n_points, n_ord):
-    """Matrix of a linear map on micro states acting on row-major vec(G)."""
-    mat = np.zeros((n_points * n_ord, n_points * n_ord))
-    for i in range(n_points):
-        for k in range(n_ord):
-            E = np.zeros((n_points, n_ord))
-            E[i, k] = 1.0
-            mat[:, i * n_ord + k] = op(E).reshape(-1)
-    return mat
 
 
 @pytest.fixture

@@ -10,14 +10,19 @@ phase-space density and its source are what the sampled ``mms2d`` sources
 of :mod:`lrtrans.scenarios` are checked against.  The sparse difference
 matrices and their product form of the density operator are what the
 solver's matrix-free stencil of that operator, and its Jacobi diagonal, are
-checked against; the solver assembles no matrix.
+checked against; the solver assembles no matrix.  The product rule's loop
+order of the 2D ordinates, and the permutation of a quadrature and its micro
+source into it, are the second order that the tests run the steppers in: the
+solver's one order is the constructor's upwind quadrant order.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
 
+from lrtrans.angular import _make
 from lrtrans.fullrank import _schur_terms
 from lrtrans.grid import StaggeredGrid, diff
 from lrtrans.lowrank import MicroStateLowRank, _seeded_state, _signs
@@ -131,6 +136,41 @@ def q_abs(quad, axis: int) -> np.ndarray:
     return np.abs(quad.omega[:, axis])
 
 
+def product_rule_2d(n_polar: int) -> tuple:
+    """``(omega, w)`` of :func:`lrtrans.angular.chebyshev_legendre_2d` in the
+    product rule's loop order, polar node outer and azimuth inner, formed with
+    the constructor's arithmetic so that every entry keeps its bits."""
+    xg, wg = np.polynomial.legendre.leggauss(n_polar)
+    s = np.sqrt(1.0 - (0.5 * (xg + 1.0)) ** 2)
+    phi = (2 * np.arange(1, 2 * n_polar + 1) - 1) * np.pi / (2 * n_polar)
+    omega = np.column_stack([np.outer(s, np.cos(phi)).ravel(), np.outer(s, np.sin(phi)).ravel()])
+    return omega, np.repeat(0.5 * wg * np.pi / n_polar, 2 * n_polar)
+
+
+def loop_order(quad) -> np.ndarray:
+    """``perm`` with ``quad.omega[perm]`` in the loop order of
+    :func:`product_rule_2d`."""
+    omega = product_rule_2d(math.isqrt(quad.n // 2))[0]
+    perm = np.array([np.flatnonzero((quad.omega == o).all(axis=1))[0] for o in omega])
+    assert np.array_equal(np.sort(perm), np.arange(quad.n))
+    return perm
+
+
+def permute_ordinates(quad, material, perm):
+    """``(quad, material)`` with the ordinates taken in the order ``perm``,
+    each ``(omega, w)`` pair together, and the angular factor of
+    ``material.micro_source`` permuted to match."""
+    permuted = _make(quad.dim, quad.omega[perm], quad.w[perm], quad.domain_measure)
+    if material.micro_source is None:
+        return permuted, material
+
+    def source(t):
+        P, A = material.micro_source(t)
+        return P, A[perm]
+
+    return permuted, replace(material, micro_source=source)
+
+
 def rho_index(grid, block: int, ix: int, iy: int = 0) -> int:
     """Linear index of the point ``(block, ix[, iy])`` of ``grid``; both point
     families share the index map."""
@@ -181,10 +221,32 @@ def mms_source(eps, t, x, y, ox, oy):
     return dt_f + grad + collision
 
 
+def shift_permutation(grid: StaggeredGrid, axis: int, step: int = 1) -> np.ndarray:
+    """Index permutation ``p`` with ``u[p][k] = u`` shifted ``+step`` cells.
+
+    The permutation is the same for both point families; the reference
+    sparse difference matrices are built from it.
+    """
+    idx = np.arange(grid.n_points).reshape(grid.block_shape)
+    ax = len(grid.block_shape) - 1 - axis
+    return np.roll(idx, -step, axis=ax).reshape(-1)
+
+
+def dense_diff_matrix(grid: StaggeredGrid, axis: int, side: int) -> np.ndarray:
+    """Assemble the difference operator column by column from unit vectors."""
+    n = grid.n_points
+    mat = np.zeros((n, n))
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        mat[:, i] = diff(grid, axis, side, e)
+    return mat
+
+
 def _difference_matrix(grid: StaggeredGrid, axis: int, side: int) -> sp.csr_matrix:
     n = grid.n_points
     h = grid.spacing[axis]
-    perm = grid.shift_permutation(axis, +1 if side > 0 else -1)
+    perm = shift_permutation(grid, axis, +1 if side > 0 else -1)
     eye = sp.identity(n, format="csr")
     shift = sp.csr_matrix(
         (np.ones(n), (np.arange(n), perm)), shape=(n, n)

@@ -36,8 +36,7 @@ from lrtrans.ops import (
     sample_material,
 )
 from lrtrans.run import RunManifest, execute_run
-from conftest import dense_diff_matrix
-from oracles import advect_adjoint, dense_factors, inner, q_abs
+from oracles import advect_adjoint, dense_diff_matrix, dense_factors, inner, q_abs
 
 
 def report(cid: str, ok: bool, detail: str = ""):

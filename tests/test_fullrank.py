@@ -37,8 +37,16 @@ from lrtrans.ops import (
     upwind_runs,
 )
 from lrtrans.run import RunManifest, execute_run
-from conftest import dense_diff_matrix
-from oracles import div_grad_product, schur_apply, schur_matrix
+from oracles import (
+    dense_diff_matrix,
+    div_grad_product,
+    loop_order,
+    permute_ordinates,
+    product_rule_2d,
+    schur_apply,
+    schur_matrix,
+    shift_permutation,
+)
 
 
 def make_setup(eps=0.5, dt=0.01, nx=8, n_ord=4, varying=True):
@@ -256,8 +264,8 @@ def _reference_dt_explicit(grid, quad, material, config, G, t_next):
     adv = np.zeros_like(G)
     for j in range(grid.dim):
         c = dt / (eps * grid.spacing[j])
-        fwd = G[grid.shift_permutation(j, +1)] - G
-        bwd = -(G[grid.shift_permutation(j, -1)] - G)
+        fwd = G[shift_permutation(grid, j, +1)] - G
+        bwd = -(G[shift_permutation(grid, j, -1)] - G)
         adv += bwd * (quad.q_plus(j) * c) + fwd * (quad.q_minus(j) * c)
     rhs = G - project_out_mean(quad, adv)
     if material.micro_source is not None:
@@ -358,9 +366,10 @@ def _sized_context(monkeypatch, grid, quad, material, config, schur, rows):
 # mms2d-16 carries a micro source and is one block at the default budget;
 # 3-row blocks of mms2d-16 (48 points) and 7-row blocks of bimodal1d (rounded
 # to 8 points; its families meet at point 50) straddle the family boundary
-# and end with a ragged block.  The grouped case runs the ordinates in upwind
-# quadrant order, as dense runs do, so each halo row is kept in its own runs
-# of columns only.
+# and end with a ragged block.  The grouped cases run the ordinates in the
+# constructor's upwind quadrant order, as every run does, so each halo row is
+# kept in its own runs of columns only; the other 2D cases run them in the
+# product rule's loop order.
 @pytest.mark.parametrize(
     "scheme, name, rows, grouped",
     [
@@ -380,8 +389,9 @@ def test_steps_match_reference_formulas_bitwise_with_micro_source(
     grid, quad, material, config, schur = _step_setup(name, scheme)
     assert (material.micro_source is not None) == name.startswith("mms2d")
     if grouped:
-        quad, material = fullrank.upwind_grouped(quad, material)
         assert tuple(len(r) for r in upwind_runs(quad)) == (2, 3)
+    elif quad.dim == 2:
+        quad, material = permute_ordinates(quad, material, loop_order(quad))
         if schur is not None:
             schur = build_schur(grid, quad, material, config)
     ctx = _sized_context(monkeypatch, grid, quad, material, config, schur, rows)
@@ -530,43 +540,30 @@ def _sign_runs(x):
     return 1 + int(np.count_nonzero(np.diff(x > 0)))
 
 
-def _grouping_permutation(quad, grouped):
-    """``perm`` with ``grouped.omega == quad.omega[perm]``."""
-    perm = np.array([np.flatnonzero((quad.omega == o).all(axis=1))[0] for o in grouped.omega])
-    assert np.array_equal(np.sort(perm), np.arange(quad.n))
-    return perm
-
-
-@pytest.mark.parametrize("n_polar", [2, 4, 16])
+@pytest.mark.parametrize("n_polar", [2, 4, 8, 16, 32])
 def test_upwind_grouped_permutes_ordinates_into_sign_runs(n_polar):
-    grid = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (4, 4))
+    # the constructor's order is the product loop's, sorted into quadrants
     quad = chebyshev_legendre_2d(n_polar)
-    material = sample_material(grid, lambda c: np.ones(len(c)), lambda c: np.zeros(len(c)), 1.0)
-    grouped, same = fullrank.upwind_grouped(quad, material)
-    perm = _grouping_permutation(quad, grouped)
+    omega, w = product_rule_2d(n_polar)
+    perm = loop_order(quad)
     # each (omega, w) pair travels together
-    assert np.array_equal(grouped.omega, quad.omega[perm])
-    assert np.array_equal(grouped.w, quad.w[perm])
-    assert _sign_runs(quad.q(0)) > 2 and _sign_runs(quad.q(1)) > 3
-    assert _sign_runs(grouped.q(0)) <= 2 and _sign_runs(grouped.q(1)) <= 3
-    assert same.micro_source is None
-
-
-@pytest.mark.parametrize("n", [2, 8, 50, 200])
-def test_upwind_grouped_is_the_identity_in_1d(n):
-    grid, quad, material, _ = make_setup(n_ord=n)
-    assert fullrank.upwind_grouped(quad, material) == (quad, material)
+    assert np.array_equal(quad.omega[perm], omega)
+    assert np.array_equal(quad.w[perm], w)
+    assert _sign_runs(omega[:, 0]) > 2 and _sign_runs(omega[:, 1]) > 3
+    assert _sign_runs(quad.q(0)) <= 2 and _sign_runs(quad.q(1)) <= 3
 
 
 def _grouped_pair(name, scheme):
-    """Contexts of ``name`` in constructor and in grouped order, and the
-    permutation between them."""
-    grid, quad, material, config, schur = _step_setup(name, scheme)
-    gquad, gmaterial = fullrank.upwind_grouped(quad, material)
-    gschur = build_schur(grid, gquad, gmaterial, config) if schur is not None else None
+    """Contexts of ``name`` in the product rule's loop order and in the
+    constructor's grouped order, and the permutation between them."""
+    grid, gquad, gmaterial, config, gschur = _step_setup(name, scheme)
+    to_loop = loop_order(gquad)
+    assert not np.array_equal(to_loop, np.arange(gquad.n))
+    quad, material = permute_ordinates(gquad, gmaterial, to_loop)
+    schur = build_schur(grid, quad, material, config) if gschur is not None else None
     return (step_context(grid, quad, material, config, schur),
             step_context(grid, gquad, gmaterial, config, gschur),
-            _grouping_permutation(quad, gquad))
+            np.argsort(to_loop))
 
 
 # The per-ordinate parts of a step (the upwind advection, the source, the
@@ -612,9 +609,6 @@ def test_grouped_steps_match_permuted_columns(rng, scheme):
 @pytest.mark.parametrize("name, rows", [("mms2d-16", None), ("mms2d-16", 3), ("bimodal1d", 7)])
 def test_record_after_a_step_equals_fresh_norms_bitwise(rng, monkeypatch, scheme, name, rows):
     grid, quad, material, config, schur = _step_setup(name, scheme)
-    quad, material = fullrank.upwind_grouped(quad, material)
-    if schur is not None:
-        schur = build_schur(grid, quad, material, config)
     ctx = _sized_context(monkeypatch, grid, quad, material, config, schur, rows)
     rho, G = random_state(grid, quad, rng)
     step = imex_step if schur is None else imex_s_step

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from lrtrans.grid import build_grid, diff, shift
-from conftest import dense_diff_matrix
-from oracles import location, rho_index
+from oracles import dense_diff_matrix, location, rho_index, shift_permutation
 
 
 def test_counts_2d():
@@ -222,5 +221,5 @@ def test_shifted_forward_difference_is_backward_difference_bitwise(rng, dim, bou
                 assert shift(g, axis, diff(g, axis, +1, f), out=view) is view
                 assert np.array_equal(block[:, 4:], back)
                 assert np.isnan(block[:, :4]).all()
-    p = g.shift_permutation(dim - 1, -1)
+    p = shift_permutation(g, dim - 1, -1)
     assert np.array_equal(shift(g, dim - 1, u), u[p])

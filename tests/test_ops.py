@@ -22,9 +22,15 @@ from lrtrans.ops import (
     sample_material,
     upwind_runs,
 )
-from lrtrans.fullrank import upwind_grouped
-from conftest import dense_diff_matrix
-from oracles import advect_adjoint, inner, q_abs
+from oracles import (
+    advect_adjoint,
+    dense_diff_matrix,
+    inner,
+    loop_order,
+    permute_ordinates,
+    q_abs,
+    shift_permutation,
+)
 
 
 def small_1d():
@@ -69,8 +75,8 @@ def four_term_advect(grid, quad, G):
     out = np.zeros_like(G)
     for j in range(grid.dim):
         h = grid.spacing[j]
-        fwd = G[grid.shift_permutation(j, +1)] - G
-        bwd = -(G[grid.shift_permutation(j, -1)] - G)
+        fwd = G[shift_permutation(grid, j, +1)] - G
+        bwd = -(G[shift_permutation(grid, j, -1)] - G)
         out += bwd * (quad.q_plus(j) / h) + fwd * (quad.q_minus(j) / h)
     return out
 
@@ -101,18 +107,20 @@ def test_advect_matches_four_term_formula_bitwise(rng, grid, quad):
     assert np.max(np.abs(A - old)) <= 1e-13 * np.max(np.abs(A))
 
 
-def _grouped_cl(n_polar):
+def _loop_cl(n_polar):
+    """The Chebyshev-Legendre set in the product rule's loop order."""
     grid = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (4, 4))
     material = sample_material(grid, lambda c: np.ones(len(c)), lambda c: np.zeros(len(c)), 1.0)
-    return upwind_grouped(chebyshev_legendre_2d(n_polar), material)[0]
+    quad = chebyshev_legendre_2d(n_polar)
+    return permute_ordinates(quad, material, loop_order(quad))[0]
 
 
 @pytest.mark.parametrize(
     "quad, counts",
     [
-        (chebyshev_legendre_2d(16), (33, 32)),  # constructor order, 512 ordinates
-        (_grouped_cl(16), (2, 3)),
-        (_grouped_cl(2), (2, 3)),
+        (_loop_cl(16), (33, 32)),  # the product loop's order, 512 ordinates
+        (chebyshev_legendre_2d(16), (2, 3)),
+        (chebyshev_legendre_2d(2), (2, 3)),
         (gauss_legendre_1d(2), (2,)),
         (gauss_legendre_1d(8), (2,)),
     ],

@@ -494,3 +494,23 @@ def test_cli_sweep_rejects_unknown_boolean(tmp_path, capsys):
     assert rc == 2
     assert "'maybe'" in capsys.readouterr().err
     assert not (tmp_path / "sweep").exists()
+
+
+def test_cli_sweep_rejects_an_axis_without_values(tmp_path, capsys):
+    rc = main([
+        "sweep", "--scenario", "bimodal1d", "--scheme", "IMEX-S-BUG",
+        "--vary", "rank=", "--out", str(tmp_path / "sweep"),
+    ])
+    assert rc == 2
+    assert "'rank' has no values" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_cli_sweep_rejects_a_key_given_twice(tmp_path, capsys):
+    rc = main([
+        "sweep", "--scenario", "bimodal1d", "--scheme", "IMEX-S-BUG",
+        "--vary", "rank=2", "--vary", "rank=3", "--out", str(tmp_path / "sweep"),
+    ])
+    assert rc == 2
+    assert "'rank' is given twice" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
