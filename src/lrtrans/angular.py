@@ -13,8 +13,9 @@ three (:func:`lrtrans.ops.upwind_runs`).
 
 Every constructed set satisfies, up to roundoff or the stated quadrature
 accuracy: weights positive and summing to the domain measure, vanishing odd
-direction moments, second moments ``<(Omega^j)^2> ~ 1/3``, exact upwind
-splits ``Q+ + Q- = Q`` and ``Q+ Q- = 0``, and ``sum_k w_k Omega_k^j = 0``.
+direction moments, second moments ``<(Omega^j)^2> ~ 1/3``, a vanishing cross
+moment ``<Omega^x Omega^y>`` in 2D, exact upwind splits ``Q+ + Q- = Q`` and
+``Q+ Q- = 0``, and ``sum_k w_k Omega_k^j = 0``.
 The azimuths are midpoint-offset so no ordinate is aligned with a grid axis.
 """
 
@@ -101,6 +102,9 @@ class QuadratureSet:
                 raise ValueError(f"odd moment of axis {j} does not vanish")
             if abs(self.w @ o**2 / meas - 1.0 / 3.0) > 1e-10:
                 raise ValueError(f"second moment of axis {j} is not 1/3")
+        # the density operator has one term per axis (lrtrans.fullrank)
+        if self.dim == 2 and abs(self.w @ (self.omega[:, 0] * self.omega[:, 1])) > 1e-13 * meas:
+            raise ValueError("cross moment of the two axes does not vanish")
 
 
 def _make(dim: int, omega: np.ndarray, w: np.ndarray, measure: float) -> QuadratureSet:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import itertools
 import sys
 import typing
@@ -179,11 +181,12 @@ def cmd_sweep(args) -> int:
         print(f"[{i + 1}/{len(combos)}] {tag}: {row['status']}")
 
     if rows:
-        header = list(rows[0].keys())
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(row[k]) for k in header))
-        table = "\n".join(lines) + "\n"
+        # quoted where a field holds a comma, as a failure message may
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(rows[0])
+        writer.writerows([_fmt(v) for v in row.values()] for row in rows)
+        table = buf.getvalue()
         if out_root is not None:
             out_root.mkdir(parents=True, exist_ok=True)
             (out_root / "combined.csv").write_text(table)

@@ -155,7 +155,7 @@ def diffusion_reference(
     if np.any(material.sigma_s_g <= 0):
         raise ValueError("diffusion reference requires sigma_s > 0 on the g family")
     solve = density_solver(grid, 1.0 / dt + material.sigma_a_rho,
-                           1.0 / (3.0 * material.sigma_s_g), np.eye(grid.dim))
+                           1.0 / (3.0 * material.sigma_s_g), np.ones(grid.dim))
 
     rho = np.asarray(rho0, dtype=float).copy()
     for k in range(n_steps):

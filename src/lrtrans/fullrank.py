@@ -165,27 +165,20 @@ def spd_solver(apply, diagonal: np.ndarray):
 
 
 def density_solver(grid: StaggeredGrid, diag, coef, c):
-    """``solve(b)`` for the density operator ``T = diag(diag) - sum_{j,k}
-    c[j, k] D^(j,-) diag(coef) D^(k,+)``, set up once.
+    """``solve(b)`` for the density operator ``T = diag(diag) - sum_j c[j]
+    D^(j,-) diag(coef) D^(j,+)``, one term per axis, set up once.
 
-    On a homogeneous medium (``diag`` and ``coef`` constant, ``c``
-    diagonal) the operator is a constant-coefficient periodic stencil on
-    each point family, which the real FFT over the family's lattice
-    (``grid.block_shape[1:]``) diagonalizes: the solve divides by the
-    symbol ``diag + sum_j c[j, j] coef (2 - 2 cos theta_j) / h_j^2``.  Any
-    other operator is applied through its stencil (:func:`_density_stencil`)
-    and solved by :func:`spd_solver`, after two checks: ``c`` symmetric to
-    ``1e-12`` of its largest entry (so is ``T`` then) and a positive
-    diagonal.  No matrix is assembled on either branch.  ``ValueError`` for
-    a nonpositive symbol value or diagonal entry, or a nonsymmetric ``c``.
+    On a homogeneous medium (``diag`` and ``coef`` constant) the operator
+    is a constant-coefficient periodic stencil on each point family, which
+    the real FFT over the family's lattice (``grid.block_shape[1:]``)
+    diagonalizes: the solve divides by the symbol ``diag + sum_j c[j] coef
+    (2 - 2 cos theta_j) / h_j^2``.  Any other operator is applied through
+    its stencil (:func:`_density_stencil`) and solved by :func:`spd_solver`
+    after a check of its diagonal.  No matrix is assembled on either
+    branch.  ``ValueError`` for a nonpositive symbol value or diagonal entry.
     """
-    if (np.all(diag == diag[0]) and np.all(coef == coef[0])
-            and not np.any(c - np.diag(np.diag(c)))):
-        return _fft_solver(grid, diag[0], coef[0], np.diag(c))
-    # T^T is the operator of c^T
-    asym = float(np.max(np.abs(c - c.T)))
-    if asym > 1e-12 * float(np.max(np.abs(c))):
-        raise ValueError(f"density operator not symmetric: |c - c^T| = {asym:.3e}")
+    if np.all(diag == diag[0]) and np.all(coef == coef[0]):
+        return _fft_solver(grid, diag[0], coef[0], c)
     apply, diagonal = _density_stencil(grid, diag, coef, c)
     if np.any(diagonal <= 0):
         raise ValueError("density operator has a nonpositive diagonal entry")
@@ -195,41 +188,30 @@ def density_solver(grid: StaggeredGrid, diag, coef, c):
 def _density_stencil(grid: StaggeredGrid, diag, coef, c) -> tuple:
     """``(apply, diagonal)`` of the operator of :func:`density_solver`.
 
-    ``apply(x)`` forms the forward increments of ``x`` along each axis once,
-    scales them by ``w_jk = coef c[j, k] / (h_j h_k)``, folded here once, and
-    takes one backward increment per axis: ``T x = diag x - sum_j
-    increment_j^-(sum_k w_jk increment_k^+ x)``; the zero entries of ``c``
-    are skipped.  The diagonal is ``diag + sum_{j,k} w_jk + sum_j
-    shift_j(w_jj)``: the point's own ``coef`` enters every term, and the
-    one of the point one cell back along ``j`` the term ``j == k``.
+    Per axis, ``apply(x)`` takes the forward increment of ``x``, scales it
+    by ``w_j = coef c[j] / h_j^2``, folded here once, and subtracts its
+    backward increment: ``T x = diag x - sum_j increment_j^-(w_j
+    increment_j^+ x)``.  The diagonal is ``diag + sum_j w_j + sum_j
+    shift_j(w_j)``: the point's own ``coef`` and the one of the point one
+    cell back along ``j`` enter the term of axis ``j``.
     """
     h = grid.spacing
-    # rows[j]: the (k, w_jk) of the nonzero c[j, k]
-    rows = {j: [(k, coef * (c[j, k] / (h[j] * h[k]))) for k in range(grid.dim) if c[j, k] != 0]
-            for j in range(grid.dim)}
-    rows = {j: terms for j, terms in rows.items() if terms}
-    diagonal = diag + sum(wk for terms in rows.values() for _, wk in terms)
-    for j, terms in rows.items():
-        diagonal = diagonal + sum(shift(grid, j, wk) for k, wk in terms if k == j)
-    fwd = {k: np.empty(grid.n_points) for terms in rows.values() for k, _ in terms}
-    flux, back = np.empty(grid.n_points), np.empty(grid.n_points)
+    w = [coef * (c[j] / (h[j] * h[j])) for j in range(grid.dim)]
+    diagonal = sum((shift(grid, j, wj) for j, wj in enumerate(w)), diag + sum(w))
+    fwd, back = np.empty(grid.n_points), np.empty(grid.n_points)
 
     def apply(x):
-        for k, u in fwd.items():
-            increment(grid, k, +1, x, out=u)
         y = diag * x
-        for j, ((k, wk), *rest) in rows.items():
-            np.multiply(wk, fwd[k], out=flux)
-            for k, wk in rest:
-                np.add(flux, wk * fwd[k], out=flux)
-            y -= increment(grid, j, -1, flux, out=back)
+        for j, wj in enumerate(w):
+            np.multiply(wj, increment(grid, j, +1, x, out=fwd), out=fwd)
+            y -= increment(grid, j, -1, fwd, out=back)
         return y
 
     return apply, diagonal
 
 
 def _fft_solver(grid: StaggeredGrid, diag: float, coef: float, c):
-    """The FFT branch of :func:`density_solver`: ``c`` holds ``c[j, j]``."""
+    """The FFT branch of :func:`density_solver`."""
     shape = grid.block_shape
     axes = tuple(range(1, len(shape)))
     symbol = np.full((1,) * len(shape), diag)
@@ -251,13 +233,7 @@ def _fft_solver(grid: StaggeredGrid, diag: float, coef: float, c):
 
 def _schur_terms(grid, quad, material: MaterialField, config: SolverConfig) -> tuple:
     """``(grid, diag, coef, c)`` of :func:`density_solver` for the Schur operator."""
-    c = np.array(
-        [
-            [float(np.sum(quad.w * quad.q(j) * quad.q(k))) for k in range(grid.dim)]
-            for j in range(grid.dim)
-        ]
-    )
-    c[np.abs(c) <= 1e-13 * np.max(np.abs(c))] = 0.0
+    c = np.array([float(np.sum(quad.w * quad.q(j) * quad.q(j))) for j in range(grid.dim)])
     scale = 1.0 / (quad.domain_measure * config.epsilon**2)
     return (grid, 1.0 / config.dt + material.sigma_a_rho, relaxation_factor(material, config),
             c * scale)
@@ -266,11 +242,12 @@ def _schur_terms(grid, quad, material: MaterialField, config: SolverConfig) -> t
 class SchurOperator:
     """Reduced operator of the implicit density solve.
 
-    ``(1/dt + sigma_a) I - (1/(|D_Omega| eps^2)) sum_{j,k} c_{jk} D^(j,-)
-    diag(R) D^(k,+)`` with ``c_{jk} = sum_m w_m Omega^j_m Omega^k_m`` and
-    ``R`` the pointwise relaxation factor, symmetric positive definite and
-    solved by :func:`density_solver`: by FFT on homogeneous media, else by
-    conjugate gradients on its stencil.  No matrix is assembled.
+    ``(1/dt + sigma_a) I - (1/(|D_Omega| eps^2)) sum_j c_j D^(j,-) diag(R)
+    D^(j,+)`` with ``c_j = sum_m w_m (Omega^j_m)^2`` and ``R`` the pointwise
+    relaxation factor, one term per axis since the quadrature's cross
+    moments vanish; symmetric positive definite and solved by
+    :func:`density_solver`: by FFT on homogeneous media, else by conjugate
+    gradients on its stencil.  No matrix is assembled.
     """
 
     def __init__(self, grid, quad, material: MaterialField, config: SolverConfig):

@@ -33,6 +33,7 @@ their caller passes).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,12 +199,10 @@ def increment(grid: StaggeredGrid, axis: int, side: int, field: np.ndarray,
               out: np.ndarray | None = None) -> np.ndarray:
     """Undivided increment ``f(shifted) - f``, the numerator of :func:`diff`.
 
-    The stencil is :func:`_stencil`, which the row-blocked upwind advection
-    :func:`lrtrans.ops.advect_rows` also calls on its blocks, once per run
-    of ordinate columns that share a side: two slice subtractions into one
-    output array (interior cells, then the periodic wrap-around cell), so
-    no shifted copy of the field is made.  Along x, :func:`_flat_x_stencil`
-    takes its place, with the same bits.
+    :func:`_line_increment` along the axis, which the row-blocked upwind
+    advection :func:`lrtrans.ops.advect_rows` also calls on its blocks
+    along the inner axis: two slice subtractions into one output array, so
+    no shifted copy of the field is made.
     """
     if axis < 0 or axis >= grid.dim:
         raise ValueError(f"axis {axis} invalid for a {grid.dim}D grid")
@@ -218,38 +217,32 @@ def increment(grid: StaggeredGrid, axis: int, side: int, field: np.ndarray,
         out = np.empty_like(a)
     elif out.shape != a.shape:
         raise ValueError(f"out has shape {out.shape}, expected {a.shape}")
-    if axis == 0:
-        _flat_x_stencil(grid, a, out, side)
-    else:
-        lead = grid.block_shape
-        ax = len(lead) - 1 - axis
-        # splitting the leading axis of ``out`` is always a view, even for slices
-        f = a.reshape(lead + a.shape[1:]).swapaxes(0, ax)
-        d = out.reshape(lead + a.shape[1:]).swapaxes(0, ax)
-        _stencil(f, d, side)
+    _line_increment(a, out, math.prod(grid.cells[:axis]), grid.cells[axis], side)
     return out
 
 
-def _flat_x_stencil(grid, a, out, side):
-    """:func:`_stencil` along x.
+def _line_increment(a, out, step, length, side):
+    """The periodic one-cell increment of ``a`` along lines of ``length``
+    points spaced ``step`` apart down its leading axis: the view
+    ``(-1, length, step)`` of that axis, as in :func:`shift`.
 
-    x is the innermost axis of the linear index, so one flat subtraction
-    down each column gives every increment but the periodic one of each
-    x line, which a second subtraction then writes over; each value is
-    the same subtraction as in :func:`_stencil`.  Splitting the leading
-    axis is a view for any layout, ``out`` slices included.
+    Each point is ``step`` rows before the next one on its line, so one
+    flat subtraction down the column gives every increment but the
+    periodic one of each line, which a second subtraction on the view then
+    writes over.  Splitting the leading axis is a view for any layout,
+    ``out`` slices included.
     """
-    lines = (-1, grid.cells[0]) + a.shape[1:]
+    lines = (-1, length, step) + a.shape[1:]
     f, d = a.reshape(lines), out.reshape(lines)
     if side > 0:
-        np.subtract(a[1:], a[:-1], out=out[:-1])
+        np.subtract(a[step:], a[:-step], out=out[:-step])
         np.subtract(f[:, 0], f[:, -1], out=d[:, -1])
     else:
-        np.subtract(a[1:], a[:-1], out=out[1:])
+        np.subtract(a[step:], a[:-step], out=out[step:])
         np.subtract(f[:, 0], f[:, -1], out=d[:, 0])
 
 
-def _stencil(f, d, side, lo=0, hi=None, prev=None, first=None):
+def _stencil(f, d, side, lo, hi, prev=None, first=None):
     """Rows ``lo:hi`` of the periodic one-cell increment along axis 0 of ``f``.
 
     Writes ``d[k] = f[lo + k + 1] - f[lo + k]`` forward (``side > 0``) and
@@ -257,11 +250,10 @@ def _stencil(f, d, side, lo=0, hi=None, prev=None, first=None):
     rows outside ``lo:hi`` serve as the halo.  ``prev`` and ``first``,
     shaped like ``f[:1]``, stand in for the halo rows ``f[lo - 1]`` (when
     ``lo > 0``) and ``f[0]`` (read by the last row) where a caller has
-    already overwritten them.  The caller scales the increments (``diff``
-    divides by the spacing), on its own (usually contiguous) output.
+    already overwritten them.  The caller scales the increments, on its own
+    output.
     """
     n = len(f)
-    hi = n if hi is None else hi
     if side > 0:
         m = min(hi, n - 1)
         np.subtract(f[lo + 1:m + 1], f[lo:m], out=d[:m - lo])
@@ -294,7 +286,7 @@ def shift(
     a = np.asarray(field, dtype=float)
     if out is None:
         out = np.empty_like(a)
-    step = int(np.prod(grid.cells[:axis]))
+    step = math.prod(grid.cells[:axis])
     out[step:] = a[:-step]
     lines = (-1, grid.cells[axis], step) + a.shape[1:]
     out.reshape(lines)[:, 0] = a.reshape(lines)[:, -1]

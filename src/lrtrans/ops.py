@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .angular import QuadratureSet
-from .grid import StaggeredGrid, _stencil, diff
+from .grid import StaggeredGrid, _line_increment, _stencil, diff
 
 #: Bytes of one block of the row-blocked full-rank kernels (the micro sweep
 #: of :mod:`lrtrans.fullrank` and :func:`inner_w`), so their working sets
@@ -155,11 +155,10 @@ def advect_rows(grid, G, lo, hi, out, work, runs, scales, prev=None, first=(None
         d = out if j == 0 else work
         rows = d.reshape((r1 - r0,) + fam_shape[1:] + G.shape[1:])
         for c0, c1, side in runs[j]:
-            c = np.s_[..., c0:c1]
             if j < grid.dim - 1:
-                inner = G[lo:hi].reshape(rows.shape).swapaxes(0, 1)
-                _stencil(inner[c], rows.swapaxes(0, 1)[c], side)
+                _line_increment(G[lo:hi, c0:c1], d[:, c0:c1], 1, grid.cells[0], side)
                 continue
+            c = np.s_[..., c0:c1]
             prev_c, *first_c = (None if h is None else h[c] for h in halo)
             for fam in range(2):
                 s0, s1 = max(r0, fam * L), min(r1, (fam + 1) * L)

@@ -255,18 +255,15 @@ def _difference_matrix(grid: StaggeredGrid, axis: int, side: int) -> sp.csr_matr
 
 
 def div_grad_product(grid: StaggeredGrid, diag, coef, c) -> sp.csr_matrix:
-    """``diag(diag) - sum_{j,k} c[j, k] D^(j,-) diag(coef) D^(k,+)``, the sparse
-    operator of the Schur density solve and of the diffusion reference; the
-    zero entries of ``c`` are skipped."""
+    """``diag(diag) - sum_j c[j] D^(j,-) diag(coef) D^(j,+)``, the sparse
+    operator of the Schur density solve and of the diffusion reference."""
     T = sp.diags(diag).tocsr()
     C = sp.diags(coef)
     for j in range(grid.dim):
         Dm = _difference_matrix(grid, j, -1)
-        for k in range(grid.dim):
-            if c[j, k] != 0:
-                # bound to a name, so it is freed only when the next one
-                # replaces it: freed at once, the malloc heap of a low-rank
-                # run ends 1.2 MiB higher at peak (perfbench diffusive2d-bug)
-                Dp = _difference_matrix(grid, k, +1)
-                T = T - c[j, k] * (Dm @ C @ Dp)
+        # bound to a name, so it is freed only when the next one replaces
+        # it: freed at once, the malloc heap of a low-rank run ends 1.2 MiB
+        # higher at peak (perfbench diffusive2d-bug)
+        Dp = _difference_matrix(grid, j, +1)
+        T = T - c[j] * (Dm @ C @ Dp)
     return T.tocsr()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from lrtrans.angular import chebyshev_legendre_2d, gauss_legendre_1d
+from lrtrans.angular import QuadratureSet, chebyshev_legendre_2d, gauss_legendre_1d
 from oracles import q_abs
 
 
@@ -122,3 +122,12 @@ def test_unweighted_constraint_basis_annihilates_w():
     assert np.max(np.abs(q.w @ Z)) <= 1e-13
     Y = np.random.default_rng(1).standard_normal((q.n, 3))
     assert np.allclose(q.z_applyt(Y, weighted=False), Z.T @ Y, atol=1e-13)
+
+
+def test_validate_rejects_a_nonvanishing_cross_moment():
+    # both ordinates on the diagonal: every other moment condition holds
+    a = 1.0 / np.sqrt(3.0)
+    omega, w = np.array([[a, a], [-a, -a]]), np.full(2, np.pi)
+    quad = QuadratureSet(dim=2, omega=omega, w=w, domain_measure=2 * np.pi, m=np.sqrt(w))
+    with pytest.raises(ValueError, match="cross moment"):
+        quad.validate()

@@ -191,7 +191,7 @@ def test_diffusion_reference_homogeneous_solve_by_fft(monkeypatch, rng, cells, d
                                lambda c: np.full(c.shape[0], 0.3), 2.0)
     dt = 0.75 * min(grid.spacing) ** 2 * dt_mult
     T = div_grad_product(grid, 1.0 / dt + material.sigma_a_rho,
-                         1.0 / (3.0 * material.sigma_s_g), np.eye(dim))
+                         1.0 / (3.0 * material.sigma_s_g), np.ones(dim))
     rho0 = rng.standard_normal(grid.n_points)
     calls = []
     splu, cg = spla.splu, spla.cg

@@ -157,7 +157,7 @@ def _roll_diff(grid, axis, side, field):
 @pytest.mark.parametrize(
     "dim,bounds,cells",
     [(1, (0.0, 1.3), 7), (2, ((0.0, 1.0), (-1.0, 2.1)), (5, 3)),
-     (2, ((0.0, 1.0), (0.0, 1.0)), (2, 3))],
+     (2, ((0.0, 1.0), (0.0, 1.0)), (2, 3)), (2, ((0.0, 1.0), (0.0, 1.0)), (3, 2))],
 )
 def test_diff_matches_roll_reference_bitwise(rng, dim, bounds, cells):
     g = build_grid(dim, bounds, cells)

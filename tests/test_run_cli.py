@@ -1,12 +1,16 @@
 """Run driver and command-line front end: artifacts, reproducibility, sweeps."""
 
+import csv
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lrtrans
 from lrtrans import cli as cli_module
 from lrtrans import diagnostics, fullrank
 from lrtrans import run as run_module
@@ -396,6 +400,22 @@ def test_cli_sweep_records_invalid_member(capsys):
     assert ",completed," in next(r for r in rows if r.startswith("rank-2"))
 
 
+def test_cli_sweep_quotes_a_failure_message_with_commas(tmp_path):
+    # the unknown-scheme message lists the schemes, comma-separated
+    out = tmp_path / "sweep"
+    rc = main([
+        "sweep", "--scenario", "gaussian1d-diff", "--mesh-div", "8",
+        "--vary", "scheme=IMEX,bogus", "--vary", "max_steps=2", "--out", str(out),
+    ])
+    assert rc == 1
+    with open(out / "combined.csv", newline="") as f:
+        header, *rows = csv.reader(f)
+    assert [len(row) for row in rows] == [len(header)] * 2
+    status = header.index("status")
+    assert rows[0][status] == "completed"
+    assert rows[1][status].startswith("failed: unknown scheme 'bogus'")
+
+
 def test_cli_empty_sweep_is_single_run(tmp_path, capsys):
     rc = main([
         "sweep", "--scenario", "gaussian1d-diff", "--scheme", "IMEX-S-BUG",
@@ -406,9 +426,13 @@ def test_cli_empty_sweep_is_single_run(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # the subprocess imports this tree's lrtrans, installed or not
+    src = str(Path(lrtrans.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "lrtrans.cli", "list-scenarios"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "bimodal1d" in proc.stdout
