@@ -92,7 +92,7 @@ def build_grid(dim: int, bounds, cells) -> StaggeredGrid:
     ----------
     dim : 1 or 2.
     bounds : ``(lo, hi)`` or ``((lo_x, hi_x), (lo_y, hi_y))``.
-    cells : cell count per axis, scalar or per-axis sequence; each >= 2.
+    cells : cell count per axis, a scalar in 1D; each >= 2.
     """
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
@@ -100,8 +100,6 @@ def build_grid(dim: int, bounds, cells) -> StaggeredGrid:
     if bounds.shape != (dim, 2):
         raise ValueError(f"expected {dim} (lo, hi) bound pairs, got {bounds.shape}")
     cells = tuple(int(c) for c in np.atleast_1d(cells))
-    if len(cells) == 1 and dim == 2:
-        cells = cells * 2
     if len(cells) != dim:
         raise ValueError("one cell count per axis required")
     if any(c < 2 for c in cells):

@@ -14,9 +14,12 @@ Integrators
 :func:`micro_step` runs one step of ``ctx.integrator``, the integrator the
 run resolved into its :class:`~lrtrans.fullrank.StepContext`: the implicit
 pointwise K step :func:`_k_step`, the implicit r x r L step :func:`_l_step`,
-the integrator's basis update, the implicit r x r Galerkin S step
-:func:`_s_step`, and the integrator's truncation; :data:`INTEGRATORS` maps
-each name to its basis update and truncation.  ``BUG`` re-orthonormalizes
+the integrator's basis update, the implicit Galerkin S step, and the
+integrator's truncation; :data:`INTEGRATORS` maps each name to its basis
+update and truncation.  The S step is the L step of the new state, projected
+onto ``V1``: with ``L_tilde = V1 S_tilde^T`` on ``(X1, C1)`` its right-hand
+side is ``V1^T`` times the L step's, and its matrix ``I/dt + X1^T diag(sigma)
+X1`` is symmetric, so ``S1 = (V1^T L1)^T``.  ``BUG`` re-orthonormalizes
 and keeps rank r.  ``aBUG`` augments the bases with the K/L updates (rank
 <= 2r) and truncates the S-step result by the relative singular-value
 tolerance ``ctx.tau``; ``AP-aBUG`` also adds the discrete diffusion-limit
@@ -40,7 +43,7 @@ is :func:`_qr`, compact-WY Householder (LAPACK ``dgeqrt`` and
 Carried Galerkin blocks
 -----------------------
 On the periodic lattice ``D^(j,-) = -(D^(j,+))^T`` (summation by parts),
-so the L and S steps need only ``X^T D^(j,+) X``.  The S step forms the
+so the L and S steps need only ``X^T D^(j,+) X``.  The basis update forms the
 stack ``C = [X1^T D^(j,+) X1 per axis, X1^T diag(sigma) X1]`` once, by
 :func:`_galerkin_stack` (after an extension only the ``Q`` blocks are new);
 it travels as ``MicroStateLowRank.C``, truncation rotates it with ``X``,
@@ -168,9 +171,7 @@ def _qr(B: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
 
 
 def _hcat(blocks: list) -> np.ndarray:
-    """Column-major ``np.hstack(blocks)``; a lone block is returned as is."""
-    if len(blocks) == 1:
-        return blocks[0]
+    """Column-major ``np.hstack(blocks)``."""
     out = np.empty((len(blocks[0]), sum(b.shape[1] for b in blocks)), order="F")
     return np.concatenate(blocks, axis=1, out=out)
 
@@ -402,8 +403,10 @@ def _k_step(ctx, state, PK, PJ, AJ, src):
     return PK
 
 
-def _l_step(ctx, state, PJ, AJ, src):
-    """``L1`` of the implicit r x r L step from ``L = V S^T``, ``X`` fixed."""
+def _l_step(ctx, state, PJ, AJ, src, onto=None):
+    """``L1`` of the implicit r x r L step from ``L = V S^T``, ``X`` fixed;
+    with an orthonormal angular basis ``onto``, ``onto^T L1`` (the right-hand
+    side is projected before the solve)."""
     X, S, V, C, wgt = state.X, state.S, state.V, state.C, state.weighted
     eps, dt = ctx.config.epsilon, ctx.config.dt
     # (D^(j,-) X)^T X = -C[j] and (D^(j,+) X)^T X = C[j]^T
@@ -411,28 +414,12 @@ def _l_step(ctx, state, PJ, AJ, src):
     d = ctx.grid.dim
     coef = np.concatenate([-C[:d].transpose(0, 2, 1), C[:d]]).reshape(-1, C.shape[2])
     rhsL = L / dt + _angs(ctx, L, wgt).reshape(len(L), -1) @ coef / eps
-    rhsL -= AJ @ (PJ.T @ X) / (eps * eps)
+    rhsL -= AJ @ (X.T @ PJ).T / (eps * eps)
     if src is not None:
-        rhsL += src[1] @ (src[0].T @ X)
+        rhsL += src[1] @ (X.T @ src[0]).T
+    if onto is not None:
+        rhsL = onto.T @ rhsL
     return np.linalg.solve((np.eye(X.shape[1]) / dt + C[-1]).T, rhsL.T).T
-
-
-def _s_step(ctx, stage, PJ, AJ, src):
-    """``S1`` of the implicit Galerkin S step on the new bases of ``stage``,
-    from its coupling matrix ``S_tilde``."""
-    X1, S_tilde, V1, C1, wgt = stage.X, stage.S, stage.V, stage.C, stage.weighted
-    eps, dt = ctx.config.epsilon, ctx.config.dt
-    # X1^T D^(j,-) X1 = -C1[j]^T
-    d, k = ctx.grid.dim, V1.shape[1]
-    AV = (_angs(ctx, V1, wgt).reshape(len(V1), -1).T @ V1).reshape(2 * d, k, k)
-    rhsS = S_tilde / dt
-    for j in range(d):
-        rhsS += C1[j].T @ S_tilde @ AV[d + j] / eps
-        rhsS -= C1[j] @ S_tilde @ AV[j] / eps
-    rhsS -= (X1.T @ PJ) @ (AJ.T @ V1) / (eps * eps)
-    if src is not None:
-        rhsS += (X1.T @ src[0]) @ (src[1].T @ V1)
-    return np.linalg.solve(np.eye(X1.shape[1]) / dt + C1[-1], rhsS)
 
 
 def _bug_bases(ctx, state, K1, L1, PJ):
@@ -497,7 +484,7 @@ def galerkin_stage(ctx: StepContext, state: MicroStateLowRank, rho_for_grad: np.
     bases, _ = INTEGRATORS[ctx.integrator]
     X1, S_tilde, V1, C1, W1 = bases(ctx, state, K1, L1, PJ)
     stage = MicroStateLowRank(X=X1, S=S_tilde, V=V1, weighted=wgt, C=C1, W=W1)
-    return replace(stage, S=_s_step(ctx, stage, PJ, AJ, src)), S_tilde
+    return replace(stage, S=_l_step(ctx, stage, PJ, AJ, src, onto=V1).T), S_tilde
 
 
 def micro_step(ctx: StepContext, state, rho_for_grad, t_next=0.0, PK=None):
@@ -541,14 +528,8 @@ def _truncate_pinned(ctx, state):
     S1, tau = state.S, ctx.tau
     d = min(ctx.grid.dim, min(S1.shape))
     total = float(np.linalg.norm(S1))
-    A = S1[d:, :]
-    B = S1[:, d:]
-    Ua, sa, _ = np.linalg.svd(A, full_matrices=False) if A.size else (
-        np.zeros((S1.shape[0] - d, 0)), np.zeros(0), None,
-    )
-    _, sb, Wbt = np.linalg.svd(B, full_matrices=False) if B.size else (
-        None, np.zeros(0), np.zeros((0, S1.shape[1] - d)),
-    )
+    Ua, sa, _ = np.linalg.svd(S1[d:, :], full_matrices=False)
+    _, sb, Wbt = np.linalg.svd(S1[:, d:], full_matrices=False)
     k = max(_kept_rank(sa, tau, total), _kept_rank(sb, tau, total))
     k = min(k, S1.shape[0] - d, S1.shape[1] - d)
     T = scipy.linalg.block_diag(np.eye(d), _fix_signs(Ua[:, :k]))
@@ -570,6 +551,7 @@ INTEGRATORS = {
 # coupled macro/micro step
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")
 def lowrank_macro_coupled_step(
     ctx: StepContext, rho: np.ndarray, state: MicroStateLowRank, t_next: float = 0.0
 ):

@@ -36,7 +36,7 @@ BLOCK_BYTES = 2**19
 class MaterialField:
     """Scattering/absorption coefficients and sources sampled on the mesh.
 
-    ``sigma_*_rho`` live on the rho family, ``sigma_*_g`` on the g family.
+    ``sigma_a_rho`` lives on the rho family, ``sigma_*_g`` on the g family.
     ``phi(t)`` returns the macroscopic source on the rho family or ``None``.
     ``micro_source(t)`` returns factors ``(P, A)`` of the angular-fluctuating
     source entering the microscopic equation (including any ``1/epsilon``
@@ -44,7 +44,6 @@ class MaterialField:
     ``sigma_s_floor`` is the lower bound used by the time-step formulas.
     """
 
-    sigma_s_rho: np.ndarray
     sigma_a_rho: np.ndarray
     sigma_s_g: np.ndarray
     sigma_a_g: np.ndarray
@@ -55,9 +54,8 @@ class MaterialField:
     def __post_init__(self):
         if self.sigma_s_floor < 0:
             raise ValueError("sigma_s_floor must be nonnegative")
-        for name in ("sigma_s_rho", "sigma_s_g"):
-            if np.any(getattr(self, name) < self.sigma_s_floor - 1e-14):
-                raise ValueError(f"{name} drops below sigma_s_floor")
+        if np.any(self.sigma_s_g < self.sigma_s_floor - 1e-14):
+            raise ValueError("sigma_s_g drops below sigma_s_floor")
         for name in ("sigma_a_rho", "sigma_a_g"):
             if np.any(getattr(self, name) < 0):
                 raise ValueError(f"{name} must be nonnegative")
@@ -84,7 +82,6 @@ def sample_material(
         return out
 
     return MaterialField(
-        sigma_s_rho=samp(sigma_s, grid.rho_coords),
         sigma_a_rho=samp(sigma_a, grid.rho_coords),
         sigma_s_g=samp(sigma_s, grid.g_coords),
         sigma_a_g=samp(sigma_a, grid.g_coords),

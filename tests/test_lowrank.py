@@ -258,40 +258,52 @@ def test_diffusion_limit_relations():
     assert residuals[1e-6] <= 0.05 * residuals[1e-4]  # shrinks with eps
 
 
-def test_galerkin_stage_residual(rng):
+@pytest.mark.parametrize(
+    "integrator,weighted",
+    [("BUG", True), ("BUG", False), ("aBUG", True), ("aBUG", False), ("AP-aBUG", True)],
+)
+@pytest.mark.parametrize("with_source", [False, True])
+def test_galerkin_stage_residual(rng, integrator, weighted, with_source):
     # the Galerkin fixed point: projected residual of the implicit update
-    # vanishes to solver precision
+    # vanishes to solver precision, on every integrator's new bases (aBUG's
+    # S_tilde is rectangular; AP-aBUG pins dim leading columns)
     for dim in (1, 2):
         if dim == 1:
             grid, quad = setup_1d()
         else:
             grid = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (6, 6))
             quad = chebyshev_legendre_2d(2)
+        Ps = rng.standard_normal((grid.n_points, 2))
+        As = project_out_mean(quad, rng.standard_normal((2, quad.n))).T
         material = sample_material(
             grid,
             lambda c: 1.0 + 0.2 * np.cos(2 * np.pi * c[:, 0]),
             lambda c: np.full(c.shape[0], 0.05),
             0.8,
+            micro_source=(lambda t: (Ps, As)) if with_source else None,
         )
         config = SolverConfig(epsilon=0.9, dt=0.004)
         G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
-        st = factorize_micro(grid, quad, dense_factors(G), 3, seed=1)
+        # rank 4 of 7 angular directions: the augmented V1 is capped at 7
+        st = factorize_micro(grid, quad, dense_factors(G), 4, weighted=weighted, seed=1)
         rho = rng.standard_normal(grid.n_points)
-        ctx = step_context(grid, quad, material, config, integrator="BUG")
+        ctx = step_context(grid, quad, material, config, integrator=integrator)
         stage, S_tilde = galerkin_stage(ctx, st, rho)
         X1, S1, V1 = stage.X, stage.S, stage.V
+        assert (S_tilde.shape[0] > S_tilde.shape[1]) == (integrator != "BUG")
         PX = X1 @ X1.T
         PV = V1 @ V1.T
-        m = quad.m[None, :]
+        m = quad.m[None, :] if weighted else np.ones((1, quad.n))
         eps, dt = config.epsilon, config.dt
         G_tilde = (X1 @ S_tilde @ V1.T) / m
         G_new = (X1 @ S1 @ V1.T) / m
         PJ, AJ = density_grad(grid, quad, rho)
         sig = material.sigma_s_g / eps**2 + material.sigma_a_g
+        F = -project_out_mean(quad, advect(grid, quad, G_tilde)) / eps - (PJ @ AJ.T) / eps**2
+        if with_source:
+            F += Ps @ As.T
         lhs = (G_new - G_tilde) * m / dt
-        rhs = -PX @ (project_out_mean(quad, advect(grid, quad, G_tilde)) * m) @ PV / eps
-        rhs -= PX @ ((PJ @ AJ.T) * m) @ PV / eps**2
-        rhs -= PX @ (sig[:, None] * G_new * m) @ PV
+        rhs = PX @ ((F - sig[:, None] * G_new) * m) @ PV
         scale = np.abs(lhs).max()
         assert np.abs(lhs - rhs).max() <= 1e-11 * scale
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -89,13 +90,17 @@ def test_slice_picks_nearest_line():
     assert len(pos) == int(np.sum(sel))
 
 
-def test_divergence_recorded(tmp_path):
-    # a deliberately unstable explicit run overflows and is reported
+@pytest.mark.parametrize("scheme", ["IMEX", "IMEX-BUG", "IMEX-aBUG"])
+def test_divergence_recorded(tmp_path, scheme):
+    # a deliberately unstable explicit run overflows and is reported, even
+    # where every numpy warning is an error
     out = tmp_path / "div"
-    res = execute_run(
-        RunManifest(scenario="gaussian1d-mid", scheme="IMEX", dt_mult=30.0,
-                    out=str(out))
-    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = execute_run(
+            RunManifest(scenario="gaussian1d-mid", scheme=scheme, dt_mult=30.0,
+                        out=str(out))
+        )
     assert res.summary["status"] == "diverged"
     assert res.summary["failed_step"] >= 1
     assert "failed_step" in (out / "summary.txt").read_text()

@@ -45,10 +45,11 @@ LOW_RANK = tuple(s for s in SCHEMES if "BUG" in s)
 #: roadmap, all six schemes on reduced scenarios plus the unweighted mode;
 #: the two full-rank schemes on ``gaussian2d --mesh-div 2`` (8192 points x
 #: 512 ordinates, the benchmark's ordinate count, many blocks of the
-#: full-rank sweep); and two runs that compute their reference error: the
+#: full-rank sweep); and three runs that compute their reference error: the
 #: diffusion reference on 8192 unknowns (``gaussian2d``, a homogeneous medium,
-#: so solved by FFT) and the refined full-rank self reference
-#: (``gaussian1d-kinetic``).
+#: so solved by FFT), the refined full-rank self reference
+#: (``gaussian1d-kinetic``), and AP-aBUG in 2D, with two pinned columns
+#: (``gaussian2d --mesh-div 4``).
 RUNS = (
     [(f"gaussian1d-diff {s}", dict(scenario="gaussian1d-diff", scheme=s)) for s in SCHEMES]
     + [(f"bimodal1d {s}", dict(scenario="bimodal1d", scheme=s)) for s in SCHEMES]
@@ -63,7 +64,9 @@ RUNS = (
         dict(scenario="gaussian2d", scheme="IMEX-S-BUG", mesh_div=2, with_error=True)),
        ("gaussian1d-kinetic-md8-error IMEX-S-BUG",
         dict(scenario="gaussian1d-kinetic", scheme="IMEX-S-BUG", mesh_div=8,
-             with_error=True))]
+             with_error=True)),
+       ("gaussian2d-md4-error IMEX-S-aBUG",
+        dict(scenario="gaussian2d", scheme="IMEX-S-aBUG", mesh_div=4, with_error=True))]
 )
 
 #: Summary entries that hold wall-clock times.
