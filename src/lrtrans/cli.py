@@ -150,6 +150,8 @@ def cmd_sweep(args) -> int:
         axes[key] = [(key, conv(v)) for v in vals.split(",") if v != ""]
         if not axes[key]:
             raise ValueError(f"sweep key {key!r} has no values")
+        if len(set(axes[key])) < len(axes[key]):  # 1 and 1.0 are one run
+            raise ValueError(f"sweep key {key!r} repeats a value")
     combos = list(itertools.product(*axes.values())) if axes else [()]
 
     out_root = Path(template.out) if template.out else None

@@ -35,7 +35,8 @@ relaxation multiplies by ``R / dt``.  Every value keeps the bits of the
 whole-array formulas in that association (blocks start at multiples of four
 points, so each row contraction keeps its bits).  The step's last sweep also
 forms the norms of the trace record (``ctx.swept``), so the record does not
-read ``G`` again.
+read ``G`` again; the initial record's come from the initial factors
+(``run._dense``).
 
 :data:`SCHEMES` maps each of the six scheme tags to its :class:`Scheme`, one
 of two couplings times three micro updates.  :func:`density_solver` sets up
@@ -311,8 +312,8 @@ class StepContext:
     sides: tuple  # ops.upwind_runs: per axis, (c0, c1, side) column runs
     scales: tuple  # q_j dt / (eps h_j) per axis, the sweep's advection scales
     blocks: list  # the sweep's block plan, _row_blocks
-    # (micro_norm_w, zero_density_residual) of the micro state the last
-    # full-rank sweep with a density gradient wrote (_micro_sweep)
+    # (micro_norm_w, zero_density_residual) of the initial micro state
+    # (run._dense), then of the one each step's last sweep wrote (_micro_sweep)
     swept: np.ndarray
 
 

@@ -13,6 +13,7 @@ summary.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import astuple, dataclass, field, fields, replace
@@ -129,16 +130,16 @@ def execute_run(manifest: RunManifest) -> RunResult:
             and diagnostics.dt_implicit(grid, material, eps) == UNCONDITIONAL):
         integrator = "AP-aBUG"
 
+    schur = build_schur(grid, quad, material, config) if scheme.schur else None
+    ctx = step_context(grid, quad, material, config, schur, integrator, tau)
     rho, (P, A) = scen.init(grid, quad, eps)
     rho = np.asarray(rho, dtype=float)
     if integrator is None:
-        micro = _dense(P, A)
+        micro = _dense(ctx, P, A)
     else:
         micro = factorize_micro(
             grid, quad, (P, A), rank, weighted=not manifest.unweighted, seed=manifest.seed
         )
-    schur = build_schur(grid, quad, material, config) if scheme.schur else None
-    ctx = step_context(grid, quad, material, config, schur, integrator, tau)
 
     records = [_record(0, 0.0, ctx, rho, micro, theta)]
     step_infos = []
@@ -220,16 +221,20 @@ def execute_run(manifest: RunManifest) -> RunResult:
     return result
 
 
-def _dense(P, A) -> np.ndarray:
+def _dense(ctx, P, A) -> np.ndarray:
     """The dense micro state ``P A^T`` of initial factors, C-contiguous.
 
     It is written into a fresh zero array, so a state with no columns is
     left to the zero pages of the allocation, which the first step faults
-    in as it writes them, rather than written here.
+    in as it writes them, rather than written here.  The record norms go to
+    ``ctx.swept`` from the factors (exact zeros for no columns), not from ``G``.
     """
     G = np.zeros((len(P), len(A)))
     if P.shape[1]:
         np.matmul(P, A.T, out=G)
+    w = ctx.quad.w  # ||G||_w^2 = vol sum((P^T P) * (A^T diag(w) A)), G w = P (A^T w)
+    gram = ctx.grid.cell_volume * float(np.sum((P.T @ P) * ((A.T * w) @ A)))
+    ctx.swept[:] = np.sqrt(max(gram, 0.0)), np.max(np.abs(P @ (A.T @ w)))
     return G
 
 
@@ -241,12 +246,12 @@ def _want_error(manifest, scen) -> bool:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _record(step, t, ctx, rho, micro, theta) -> EnergyRecord:
-    """The trace row of ``step``.  After a full-rank step the micro norms are
-    those its last sweep left in ``ctx.swept``, with the same bits as a fresh
-    evaluation."""
+    """The trace row of ``step``.  A dense state's micro norms are read from
+    ``ctx.swept``, where :func:`_dense` left those of the initial factors and
+    each step's last sweep those of ``G``, bit for bit a fresh evaluation."""
     grid, quad, config = ctx.grid, ctx.quad, ctx.config
     is_lr = isinstance(micro, MicroStateLowRank)
-    if step and not is_lr:
+    if not is_lr:
         gw, zero = ctx.swept
     else:
         gw = diagnostics.micro_norm_w(grid, quad, micro)
@@ -297,7 +302,7 @@ def _self_reference(scen, grid, t_final, eps, refine: int = 4):
     n = max(1, math.ceil(t_final / dt - 1e-9))
     dt = t_final / n
     ctx = step_context(fine, quad, material, SolverConfig(epsilon=eps, dt=dt))
-    rho, G = np.asarray(rho0, dtype=float), _dense(P, A)
+    rho, G = np.asarray(rho0, dtype=float), _dense(ctx, P, A)
     for k in range(1, n + 1):
         rho, G = imex_step(ctx, rho, G, k * dt)
 
@@ -326,24 +331,33 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
     _write_summary(result.summary, out_dir / "summary.txt")
 
 
-def _write_csv(path: Path, header: str, fmt: str, rows) -> None:
-    """``header``, then ``fmt % row`` for each row (a tuple of Python scalars)."""
+def _write_csv(path: Path, header: str, fmts, columns) -> None:
+    """``header``, then row ``i`` as cell ``columns[j][i]`` formatted with
+    ``fmts[j]``, joined by commas; the rows are one ``%`` over the interleaved
+    cells (Python scalars or text)."""
+    cells = tuple(itertools.chain.from_iterable(zip(*columns)))
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        fh.writelines(fmt % row + "\n" for row in rows)
+        fh.write((",".join(fmts) + "\n") * len(columns[0]) % cells)
 
 
 def _write_trace(records, path: Path):
     names = [f.name for f in fields(EnergyRecord)]
-    fmt = ",".join("%d" if name in ("step", "rank") else _CSV_FMT for name in names)
-    _write_csv(path, ",".join(names), fmt, map(astuple, records))
+    fmts = ["%d" if name in ("step", "rank") else _CSV_FMT for name in names]
+    _write_csv(path, ",".join(names), fmts, list(zip(*map(astuple, records))))
 
 
 def _write_density(result: RunResult, path: Path):
+    """``rho_final.csv``, each distinct coordinate (by its bits) formatted once."""
     grid = result.grid
     header = "x,rho" if grid.dim == 1 else "x,y,rho"
-    fmt = ",".join([_CSV_FMT] * (grid.dim + 1))
-    _write_csv(path, header, fmt, zip(*grid.rho_coords.T.tolist(), result.rho_final.tolist()))
+    columns = []
+    for coord in grid.rho_coords.T:
+        bits, where = np.unique(coord.view(np.int64), return_inverse=True)
+        texts = [_CSV_FMT % v for v in bits.view(float).tolist()]
+        columns.append([texts[i] for i in where.tolist()])
+    _write_csv(path, header, ["%s"] * grid.dim + [_CSV_FMT],
+               columns + [result.rho_final.tolist()])
 
 
 def extract_slice(grid, rho, axis: str, value: float):
@@ -369,7 +383,7 @@ def _write_slice(result: RunResult, axis: str, value: float, out_dir: Path):
     pos, vals = extract_slice(result.grid, result.rho_final, axis, value)
     free = "y" if axis == "x" else "x"
     _write_csv(out_dir / f"slice_{axis}={value:g}.csv", f"{free},rho",
-               f"{_CSV_FMT},{_CSV_FMT}", zip(pos.tolist(), vals.tolist()))
+               [_CSV_FMT] * 2, [pos.tolist(), vals.tolist()])
 
 
 def _write_summary(summary: dict, path: Path):

@@ -515,21 +515,46 @@ def test_non_finite_value_in_held_or_rolling_block_raises(rng, monkeypatch, whic
         imex_s_step(ctx, rho, G.copy(), config.dt)
 
 
-def test_record_evaluates_dense_micro_norm_once(monkeypatch):
+@pytest.mark.parametrize("name", ["mms2d-16", "gaussian2d"])
+def test_no_record_of_a_full_rank_run_reads_the_dense_state(monkeypatch, name):
     calls = []
-    original = diagnostics.norm_w
+    norm_w, residual = diagnostics.norm_w, diagnostics.zero_density_residual
 
     def counting_norm_w(*args):
-        calls.append(1)
-        return original(*args)
+        calls.append("norm_w")
+        return norm_w(*args)
+
+    def counting_residual(quad, micro):
+        if isinstance(micro, np.ndarray):
+            calls.append("zero_density_residual")
+        return residual(quad, micro)
 
     monkeypatch.setattr(diagnostics, "norm_w", counting_norm_w)
-    result = execute_run(
-        RunManifest(scenario="mms2d-16", scheme="IMEX-S", max_steps=2, with_error=False)
-    )
+    monkeypatch.setattr(diagnostics, "zero_density_residual", counting_residual)
+    result = execute_run(RunManifest(scenario=name, scheme="IMEX-S", mesh_div=4,
+                                     max_steps=2, with_error=False))
     assert len(result.records) == 3
-    # the initial record only: after a step the sweep's row sums give the norm
-    assert len(calls) == 1
+    # the initial record from the factors, each later one from the last sweep
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["mms2d-16", "bimodal1d", "gaussian2d", "lattice2d"])
+def test_initial_record_from_factors_matches_the_dense_state(name):
+    scen = scenarios.get_scenario(name, 4 if name in ("gaussian2d", "lattice2d") else 1)
+    grid, quad, material = scenarios.build_objects(scen)
+    ctx = step_context(grid, quad, material, SolverConfig(epsilon=scen.epsilon, dt=1e-3))
+    _, (P, A) = scen.init(grid, quad, scen.epsilon)
+    G = run_module._dense(ctx, P, A)
+    assert np.array_equal(G, P @ A.T)
+    gw, zero = ctx.swept
+    dense_gw = norm_w(grid, quad, P @ A.T)
+    dense_zero = diagnostics.zero_density_residual(quad, P @ A.T)
+    if P.shape[1] == 0:  # a zero state: exact zeros, bit for bit
+        assert (gw, zero) == (dense_gw, dense_zero) == (0.0, 0.0)
+    else:
+        assert gw > 0 and abs(gw - dense_gw) <= 1e-15 * dense_gw
+        # roundoff of a mean-free state, in both evaluations
+        assert max(zero, dense_zero) <= 1e-13 * max(1.0, gw)
 
 
 # ---------------------------------------------------------------------------

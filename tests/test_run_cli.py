@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,55 @@ def test_slices_written(tmp_path):
     pos, vals = extract_slice(res.grid, res.rho_final, "y", 0.0)
     assert len(lines) - 1 == len(pos)
     assert np.all(np.diff(pos) > 0)
+
+
+def _per_row_csv(header, fmt, rows):
+    """The artifact bytes of one ``fmt % row`` per row, the reference layout."""
+    return (header + "\n" + "".join(fmt % row + "\n" for row in rows)).encode()
+
+
+_SPECIAL = [-0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf, 0.1, -1.0 / 3.0]
+
+
+@pytest.mark.parametrize("scenario, mesh_div", [("gaussian1d-diff", 8), ("lattice2d", 4)])
+def test_artifacts_match_the_per_row_format(tmp_path, scenario, mesh_div):
+    # rho_final.csv, the slices and trace.csv, byte for byte, on a 1D grid
+    # (every coordinate distinct) and a 2D grid, with non-finite, signed-zero,
+    # subnormal and huge densities and trace values
+    res = execute_run(RunManifest(scenario=scenario, scheme="IMEX-S-BUG", mesh_div=mesh_div,
+                                  max_steps=2, rank=3, with_error=False))
+    res.rho_final = np.resize(np.array(_SPECIAL), res.grid.n_points)
+    res.records.append(replace(res.records[-1], step=3, energy=math.nan, mass=-0.0,
+                               rho_norm=math.inf, zero_density_residual=5e-324))
+    out = tmp_path / "run"
+    run_module.write_artifacts(res, out)
+
+    f17 = "%.17g"
+    names = [f.name for f in fields(res.records[0])]
+    fmt = ",".join("%d" if n in ("step", "rank") else f17 for n in names)
+    assert (out / "trace.csv").read_bytes() == _per_row_csv(
+        ",".join(names), fmt, [astuple(r) for r in res.records])
+    dim = res.grid.dim
+    assert (out / "rho_final.csv").read_bytes() == _per_row_csv(
+        "x,rho" if dim == 1 else "x,y,rho", ",".join([f17] * (dim + 1)),
+        zip(*res.grid.rho_coords.T.tolist(), res.rho_final.tolist()))
+    for axis, value in res.scenario.slices:
+        pos, vals = extract_slice(res.grid, res.rho_final, axis, value)
+        assert (out / f"slice_{axis}={value:g}.csv").read_bytes() == _per_row_csv(
+            f"{'y' if axis == 'x' else 'x'},rho", f"{f17},{f17}",
+            zip(pos.tolist(), vals.tolist()))
+    assert len(res.scenario.slices) == (2 if dim == 2 else 0)
+
+
+def test_density_coordinates_formatted_by_their_bits(tmp_path):
+    # -0.0 and 0.0 compare equal but print differently; each keeps its text
+    res = execute_run(quick_manifest(max_steps=1))
+    coords = res.grid.rho_coords.copy()
+    coords[:2, 0] = (-0.0, 0.0)
+    res.grid = replace(res.grid, rho_coords=coords)
+    run_module._write_density(res, tmp_path / "rho.csv")
+    lines = (tmp_path / "rho.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:3]] == ["-0", "0"]
 
 
 def test_slice_picks_nearest_line():
@@ -542,4 +592,16 @@ def test_cli_sweep_rejects_a_key_given_twice(tmp_path, capsys):
     ])
     assert rc == 2
     assert "'rank' is given twice" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("axis", ["dt_mult=1,1.0", "unweighted=yes,true", "rank=2,3,2"])
+def test_cli_sweep_rejects_a_value_repeated_on_one_axis(tmp_path, capsys, axis):
+    # the members would share a tag, and the second would overwrite the first
+    rc = main([
+        "sweep", "--scenario", "bimodal1d", "--scheme", "IMEX-S-BUG",
+        "--vary", axis, "--out", str(tmp_path / "sweep"),
+    ])
+    assert rc == 2
+    assert f"{axis.split('=')[0]!r} repeats a value" in capsys.readouterr().err
     assert not (tmp_path / "sweep").exists()
