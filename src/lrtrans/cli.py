@@ -218,7 +218,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(args)
         return cmd_list(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

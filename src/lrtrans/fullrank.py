@@ -17,26 +17,25 @@ the other constants of a step, in the :class:`StepContext` that every stepper,
 full-rank or low-rank, takes first: ``step(ctx, rho, micro, t_next)``.
 
 The micro update is one routine, :func:`_micro_sweep`, run over blocks of
-whole outer-axis rows of about ``BLOCK_BYTES`` (:mod:`lrtrans.ops`) each:
-a block's upwind advection, mean removal, source, density-gradient
-subtraction, relaxation and moment contractions all run while it sits in
-cache.  ``imex_step`` needs one sweep, since its density gradient is known
-up front; ``imex_s_step`` sweeps twice, solving for the density in between
-from the moments of the first sweep.  Both steppers update the micro state
-``G`` in place, block by block with no copy-back, and return it: a step
-allocates no array of ``G``'s size, only two block buffers, three halo rows
-and vectors of ``n_points``.  Callers that still need the old state pass a
-copy.  The sweep folds every constant into one factor per pass: the
-advection multiplies each axis once by ``q_j dt / (eps h_j)``, so the
-explicit part is formed as ``dt B`` (which ``G`` holds between the two
-IMEX-S sweeps), the density gradient is accumulated into ``G`` by one
-``dgemm`` with ``dt/eps^2`` folded into its spatial factor, and the
-relaxation multiplies by ``R / dt``.  Every value keeps the bits of the
-whole-array formulas in that association (blocks start at multiples of four
-points, so each row contraction keeps its bits).  The step's last sweep also
-forms the norms of the trace record (``ctx.swept``), so the record does not
-read ``G`` again; the initial record's come from the initial factors
-(``run._dense``).
+whole outer-axis rows of about :data:`BLOCK_BYTES` each
+(:func:`_row_blocks`): a block's upwind advection (:func:`_advect_rows`),
+mean removal, source, density-gradient subtraction, relaxation and moment
+contractions all run while it sits in cache.  ``imex_step`` needs one sweep,
+since its density gradient is known up front; ``imex_s_step`` sweeps twice,
+solving for the density in between from the moments of the first sweep.
+Both steppers update the micro state ``G`` in place, block by block with no
+copy-back, and return it: a step allocates no array of ``G``'s size, only
+two block buffers, three halo rows and vectors of ``n_points``.  Callers
+that still need the old state pass a copy.  The sweep folds every constant
+into one factor per pass: the advection multiplies each axis once by ``q_j
+dt / (eps h_j)``, so the explicit part is formed as ``dt B`` (which ``G``
+holds between the two IMEX-S sweeps), the density gradient is accumulated
+into ``G`` by one ``dgemm`` with ``dt/eps^2`` folded into its spatial
+factor, and the relaxation multiplies by ``R / dt``.  Every value keeps the
+bits of the whole-array formulas in that association (the block plan keeps
+those of each row contraction).  The step's last sweep also forms the norms
+of the trace record (``ctx.swept``), so the record does not read ``G``
+again; the initial record's come from the initial factors (``run._dense``).
 
 :data:`SCHEMES` maps each of the six scheme tags to its :class:`Scheme`, one
 of two couplings times three micro updates.  :func:`density_solver` sets up
@@ -58,16 +57,12 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dgemm
 
 from .angular import QuadratureSet
-from .grid import StaggeredGrid, increment, shift
-from .ops import (
-    BLOCK_BYTES,
-    MaterialField,
-    advect_rows,
-    density_grad,
-    moment_div,
-    project_out_mean,
-    upwind_runs,
-)
+from .grid import StaggeredGrid, _line_increment, increment, shift
+from .ops import MaterialField, density_grad, moment_div, project_out_mean, upwind_runs
+
+#: Bytes of one block of :func:`_micro_sweep`, so its working set stays in a
+#: 2 MiB L2 cache.
+BLOCK_BYTES = 2**19
 
 
 class DivergenceError(RuntimeError):
@@ -362,6 +357,75 @@ def _angular_splits(quad: QuadratureSet) -> dict:
             False: (q, a, quad.w[:, None] * q)}
 
 
+def _advect_rows(ctx, G, lo, hi, out, work, prev, first):
+    """Rows ``lo:hi`` of ``sum_j (raw upwind increment of G along j) *
+    ctx.scales[j]``, written into ``out``; ``work``, shaped like ``out``, is
+    scratch for the second axis.
+
+    ``Q^(j,+) Q^(j,-) = 0``: each ordinate moves either way along an axis,
+    never both, so only its upwind increment is formed, one stencil call
+    per run of columns ``(c0, c1, side)`` in ``ctx.sides[j]``
+    (:func:`~lrtrans.ops.upwind_runs`), and multiplied once by the
+    per-column ``ctx.scales[j] = q_j dt / (eps h_j)``.  The dropped term is
+    a zero.
+
+    ``lo`` and ``hi`` are multiples of the points in one row of the outer
+    axis (``nx`` in 2D, 1 in 1D); the rows may straddle the two point
+    families.  The outer-axis difference reads the old values of the halo
+    rows the sweep has already overwritten from ``prev``, the outer row
+    before ``lo``, read only by the backward (``-1``) runs of the outer axis,
+    and ``first[f]``, the first outer row of family ``f``, read only by its
+    forward (``+1``) runs (each ``(points per row, N)``; the other columns
+    are not read).
+    """
+    grid = ctx.grid
+    fam_shape = grid.block_shape[1:]
+    L = fam_shape[0]
+    row = math.prod(fam_shape[1:])
+    r0, r1 = lo // row, hi // row
+    fams = G.reshape((2,) + fam_shape + G.shape[1:])
+    halo = [h.reshape((1,) + fam_shape[1:] + G.shape[1:]) for h in (prev, *first)]
+    for j in range(grid.dim):
+        d = out if j == 0 else work
+        rows = d.reshape((r1 - r0,) + fam_shape[1:] + G.shape[1:])
+        for c0, c1, side in ctx.sides[j]:
+            if j < grid.dim - 1:
+                _line_increment(G[lo:hi, c0:c1], d[:, c0:c1], 1, grid.cells[0], side)
+                continue
+            c = np.s_[..., c0:c1]
+            for fam in range(2):
+                s0, s1 = max(r0, fam * L), min(r1, (fam + 1) * L)
+                if s0 < s1:
+                    _stencil(fams[fam][c], rows[s0 - r0:s1 - r0][c], side,
+                             s0 - fam * L, s1 - fam * L, halo[0][c], halo[1 + fam][c])
+        d *= ctx.scales[j]
+        if j:
+            out += d
+    return out
+
+
+def _stencil(f, d, side, lo, hi, prev, first):
+    """Rows ``lo:hi`` of the periodic one-cell increment along axis 0 of ``f``.
+
+    Writes ``d[k] = f[lo + k + 1] - f[lo + k]`` forward (``side > 0``) and
+    ``f[lo + k] - f[lo + k - 1]`` backward, indices modulo ``len(f)``, so
+    rows outside ``lo:hi`` serve as the halo, except the two the sweep has
+    already overwritten: ``prev`` stands in for ``f[lo - 1]`` (read when
+    ``lo > 0``) and ``first`` for ``f[0]`` (read by the last row), each
+    shaped like ``f[:1]``.  The caller scales the increments, on its own
+    output.
+    """
+    n = len(f)
+    if side > 0:
+        m = min(hi, n - 1)
+        np.subtract(f[lo + 1:m + 1], f[lo:m], out=d[:m - lo])
+        if hi == n:
+            np.subtract(first, f[-1:], out=d[-1:])
+        return
+    np.subtract(f[lo:lo + 1], prev if lo else f[-1:], out=d[:1])
+    np.subtract(f[lo + 1:hi], f[lo:hi - 1], out=d[1:])
+
+
 def _micro_sweep(ctx, G, explicit=False, t_next=0.0, grad=None):
     """Micro update of one step in place on ``G``, one block of rows at a time.
 
@@ -390,9 +454,9 @@ def _micro_sweep(ctx, G, explicit=False, t_next=0.0, grad=None):
     A block's explicit part reads the outer-axis rows next to it, so two
     kinds of old values are kept before they are overwritten, each only in
     the columns that read it: the block's last outer row in the backward
-    runs of the outer axis, the halo of the next block, and the first outer
-    row of each point family in its forward runs, the periodic halo of the
-    family's last row.
+    runs of the outer axis, the halo of the next block, and, before the
+    first block, the first outer row of each point family in its forward
+    runs, the periodic halo of the family's last row.
     """
     if not G.flags.c_contiguous:
         raise ValueError("the micro state of a full-rank step must be C-contiguous")
@@ -412,20 +476,17 @@ def _micro_sweep(ctx, G, explicit=False, t_next=0.0, grad=None):
             P, A = ctx.material.micro_source(t_next)
             source = (P * dt, np.asfortranarray(A))
         # the columns of the outer axis that read the previous row / first rows
-        back, fwd = ([np.s_[:, c0:c1] for c0, c1, side in ctx.sides[-1] if side == s]
+        back, fwd = ([np.s_[..., c0:c1] for c0, c1, side in ctx.sides[-1] if side == s]
                      for s in (-1, +1))
+        for c in fwd:  # each family's first row, before any block is written
+            halo[1:][c] = G.reshape(2, half, quad.n)[:, :row][c]
     if grad is not None:
         PJ, AJ = grad
         PJ_s, AJ = PJ * (dt / ctx.config.epsilon**2), np.asfortranarray(AJ)
     for lo, hi in ctx.blocks:
         a, g = work[: hi - lo], G[lo:hi]
         if explicit:
-            for f in (0, 1):
-                if lo <= f * half < hi:
-                    for c in fwd:
-                        halo[1 + f][c] = G[f * half:f * half + row][c]
-            advect_rows(grid, G, lo, hi, a, scratch[: hi - lo], ctx.sides, ctx.scales,
-                        halo[0], halo[1:])
+            _advect_rows(ctx, G, lo, hi, a, scratch[: hi - lo], halo[0], halo[1:])
             for c in back:
                 halo[0][c] = G[hi - row:hi][c]
             project_out_mean(quad, a, out=a)

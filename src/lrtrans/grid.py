@@ -26,9 +26,9 @@ Point families
 
 Within each block, points are ordered row-major (y outer, x inner), so the
 same index permutation implements a one-cell shift on every block of either
-family.  Grids are immutable; all operations here are pure functions
-(``diff``, ``increment`` and ``shift`` write only into an ``out`` array
-their caller passes).
+family.  Grids are immutable; ``diff``, ``increment`` and ``shift`` read
+only their field and write only into a new array or the ``out`` array their
+caller passes.
 """
 
 from __future__ import annotations
@@ -197,10 +197,10 @@ def increment(grid: StaggeredGrid, axis: int, side: int, field: np.ndarray,
               out: np.ndarray | None = None) -> np.ndarray:
     """Undivided increment ``f(shifted) - f``, the numerator of :func:`diff`.
 
-    :func:`_line_increment` along the axis, which the row-blocked upwind
-    advection :func:`lrtrans.ops.advect_rows` also calls on its blocks
-    along the inner axis: two slice subtractions into one output array, so
-    no shifted copy of the field is made.
+    :func:`_line_increment` along the axis, which the full-rank sweep's
+    upwind advection :func:`lrtrans.fullrank._advect_rows` also calls on
+    its blocks along the inner axis: two slice subtractions into one output
+    array, so no shifted copy of the field is made.
     """
     if axis < 0 or axis >= grid.dim:
         raise ValueError(f"axis {axis} invalid for a {grid.dim}D grid")
@@ -222,7 +222,8 @@ def increment(grid: StaggeredGrid, axis: int, side: int, field: np.ndarray,
 def _line_increment(a, out, step, length, side):
     """The periodic one-cell increment of ``a`` along lines of ``length``
     points spaced ``step`` apart down its leading axis: the view
-    ``(-1, length, step)`` of that axis, as in :func:`shift`.
+    ``(lines, length, step)`` of that axis, as in :func:`shift`, with the
+    line count given, since ``-1`` fails on a field of no columns.
 
     Each point is ``step`` rows before the next one on its line, so one
     flat subtraction down the column gives every increment but the
@@ -230,7 +231,7 @@ def _line_increment(a, out, step, length, side):
     writes over.  Splitting the leading axis is a view for any layout,
     ``out`` slices included.
     """
-    lines = (-1, length, step) + a.shape[1:]
+    lines = (len(a) // (length * step), length, step) + a.shape[1:]
     f, d = a.reshape(lines), out.reshape(lines)
     if side > 0:
         np.subtract(a[step:], a[:-step], out=out[:-step])
@@ -238,33 +239,6 @@ def _line_increment(a, out, step, length, side):
     else:
         np.subtract(a[step:], a[:-step], out=out[step:])
         np.subtract(f[:, 0], f[:, -1], out=d[:, 0])
-
-
-def _stencil(f, d, side, lo, hi, prev=None, first=None):
-    """Rows ``lo:hi`` of the periodic one-cell increment along axis 0 of ``f``.
-
-    Writes ``d[k] = f[lo + k + 1] - f[lo + k]`` forward (``side > 0``) and
-    ``f[lo + k] - f[lo + k - 1]`` backward, indices modulo ``len(f)``, so
-    rows outside ``lo:hi`` serve as the halo.  ``prev`` and ``first``,
-    shaped like ``f[:1]``, stand in for the halo rows ``f[lo - 1]`` (when
-    ``lo > 0``) and ``f[0]`` (read by the last row) where a caller has
-    already overwritten them.  The caller scales the increments, on its own
-    output.
-    """
-    n = len(f)
-    if side > 0:
-        m = min(hi, n - 1)
-        np.subtract(f[lo + 1:m + 1], f[lo:m], out=d[:m - lo])
-        if hi == n:
-            np.subtract(f[:1] if first is None else first, f[-1:], out=d[-1:])
-        return
-    k = max(lo, 1)
-    if prev is not None and lo > 0:
-        np.subtract(f[lo:lo + 1], prev, out=d[:1])
-        k += 1
-    np.subtract(f[k:hi], f[k - 1:hi - 1], out=d[k - lo:])
-    if lo == 0:
-        np.subtract(f[:1], f[-1:], out=d[:1])
 
 
 def shift(
@@ -286,7 +260,7 @@ def shift(
         out = np.empty_like(a)
     step = math.prod(grid.cells[:axis])
     out[step:] = a[:-step]
-    lines = (-1, grid.cells[axis], step) + a.shape[1:]
+    lines = (len(a) // (grid.cells[axis] * step), grid.cells[axis], step) + a.shape[1:]
     out.reshape(lines)[:, 0] = a.reshape(lines)[:, -1]
     return out
 

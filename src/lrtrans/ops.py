@@ -17,19 +17,13 @@ temporary.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .angular import QuadratureSet
-from .grid import StaggeredGrid, _line_increment, _stencil, diff
-
-#: Bytes of one block of the row-blocked full-rank kernels (the micro sweep
-#: of :mod:`lrtrans.fullrank` and :func:`inner_w`), so their working sets
-#: stay in a 2 MiB L2 cache.
-BLOCK_BYTES = 2**19
+from .grid import StaggeredGrid, diff, increment
 
 
 @dataclass
@@ -98,13 +92,20 @@ def sample_material(
 def advect(grid: StaggeredGrid, quad: QuadratureSet, G: np.ndarray) -> np.ndarray:
     """Upwind advection: sum_j D^(j,-) G Q^(j,+) + D^(j,+) G Q^(j,-).
 
-    :func:`advect_rows` over all rows, with the scales ``q_j / h_j``.
+    ``Q^(j,+) Q^(j,-) = 0``: each ordinate moves either way along an axis,
+    never both, so per axis only its upwind increment is formed, one
+    :func:`~lrtrans.grid.increment` per run of :func:`upwind_runs`, and
+    scaled once by ``q_j / h_j``.
     """
     _check_micro(grid, quad, G)
-    out = np.empty(G.shape)
-    scales = [quad.q(j) / grid.spacing[j] for j in range(grid.dim)]
-    return advect_rows(grid, np.asarray(G, dtype=float), 0, grid.n_points,
-                       out, np.empty_like(out), upwind_runs(quad), scales)
+    G = np.asarray(G, dtype=float)
+    out, d = np.zeros(G.shape), np.empty(G.shape)
+    for j, runs in enumerate(upwind_runs(quad)):
+        for c0, c1, side in runs:
+            increment(grid, j, side, G[:, c0:c1], out=d[:, c0:c1])
+        d *= quad.q(j) / grid.spacing[j]
+        out += d
+    return out
 
 
 def upwind_runs(quad: QuadratureSet) -> tuple:
@@ -117,55 +118,6 @@ def upwind_runs(quad: QuadratureSet) -> tuple:
         cuts = [0, *(np.flatnonzero(np.diff(side)) + 1).tolist(), quad.n]
         runs.append(tuple((c0, c1, int(side[c0])) for c0, c1 in zip(cuts, cuts[1:])))
     return tuple(runs)
-
-
-def advect_rows(grid, G, lo, hi, out, work, runs, scales, prev=None, first=(None, None)):
-    """Rows ``lo:hi`` of ``sum_j (raw upwind increment of G along j) * scales[j]``,
-    written into ``out``; with ``scales[j] = q_j / h_j`` this is :func:`advect`.
-
-    ``Q^(j,+) Q^(j,-) = 0``: each ordinate moves either way along an axis,
-    never both, so only its upwind increment is formed, one stencil call
-    per run of columns ``(c0, c1, side)`` in ``runs[j]``
-    (:func:`upwind_runs`), and multiplied once by ``scales[j]``, a
-    per-column scale that folds ``q_j``, ``1/h_j`` and any constant of the
-    caller.  The dropped term is a zero.
-
-    ``lo`` and ``hi`` are multiples of the points in one row of the outer
-    axis (``nx`` in 2D, 1 in 1D); the rows may straddle the two point
-    families.  The outer-axis difference reads its periodic halo rows from
-    ``G``, except where a caller that overwrites ``G`` block by block passes
-    their old values: ``prev``, the outer row before ``lo``, read only by
-    the backward (``-1``) runs of the outer axis, and ``first[f]``, the first
-    outer row of family ``f``, read only by its forward (``+1``) runs (each
-    ``(points per row, N)``; the other columns are not read).  ``out`` and
-    ``work`` are ``(hi - lo, N)`` arrays; ``work`` is scratch for the second
-    axis.
-    """
-    fam_shape = grid.block_shape[1:]
-    L = fam_shape[0]
-    row = math.prod(fam_shape[1:])
-    r0, r1 = lo // row, hi // row
-    fams = G.reshape((2,) + fam_shape + G.shape[1:])
-    halo = [None if h is None else h.reshape((1,) + fam_shape[1:] + G.shape[1:])
-            for h in (prev, *first)]
-    for j in range(grid.dim):
-        d = out if j == 0 else work
-        rows = d.reshape((r1 - r0,) + fam_shape[1:] + G.shape[1:])
-        for c0, c1, side in runs[j]:
-            if j < grid.dim - 1:
-                _line_increment(G[lo:hi, c0:c1], d[:, c0:c1], 1, grid.cells[0], side)
-                continue
-            c = np.s_[..., c0:c1]
-            prev_c, *first_c = (None if h is None else h[c] for h in halo)
-            for fam in range(2):
-                s0, s1 = max(r0, fam * L), min(r1, (fam + 1) * L)
-                if s0 < s1:
-                    _stencil(fams[fam][c], rows[s0 - r0:s1 - r0][c], side,
-                             s0 - fam * L, s1 - fam * L, prev_c, first_c[fam])
-        d *= scales[j]
-        if j:
-            out += d
-    return out
 
 
 def flux_div(grid: StaggeredGrid, quad: QuadratureSet, G: np.ndarray) -> np.ndarray:
@@ -225,27 +177,14 @@ def project_out_mean(
 # ---------------------------------------------------------------------------
 
 def inner_w(grid: StaggeredGrid, quad: QuadratureSet, F1: np.ndarray, F2: np.ndarray) -> float:
-    """Weighted inner product ``(prod_j dx_j) tr(F1 M^2 F2^T)``.
-
-    Equals ``cell_volume * np.sum((F1 * F2) @ w)`` bit for bit without
-    forming the product array: the row products ``(F1 * F2) @ w`` are formed
-    in blocks of about ``BLOCK_BYTES`` that start at multiples of four rows,
-    where the BLAS matrix-vector product keeps the bits of the whole-array
-    one, and their vector is summed once.  The last sweep of a full-rank step
-    (:mod:`lrtrans.fullrank`) forms the same row products of its blocks, so
-    its record norm equals this one.
+    """Weighted inner product ``(prod_j dx_j) tr(F1 M^2 F2^T)``, the row
+    products ``(F1 * F2) @ w`` summed once; the last sweep of a full-rank
+    step (:mod:`lrtrans.fullrank`) forms the same row products, block by
+    block, so its record norm equals this one bit for bit.
     """
     if F1.shape != F2.shape:
         raise ValueError("shape mismatch in inner_w")
-    n, n_cols = F1.shape
-    size = max(4, BLOCK_BYTES // (8 * n_cols) // 4 * 4)
-    buf = np.empty((min(n, size), n_cols))
-    rows = np.empty(n)
-    for lo in range(0, n, size):
-        hi = min(lo + size, n)
-        b = np.multiply(F1[lo:hi], F2[lo:hi], out=buf[: hi - lo], dtype=float)
-        np.matmul(b, quad.w, out=rows[lo:hi])
-    return grid.cell_volume * float(np.sum(rows))
+    return grid.cell_volume * float(np.sum(np.multiply(F1, F2, order="C", dtype=float) @ quad.w))
 
 
 def norm_w(grid: StaggeredGrid, quad: QuadratureSet, F: np.ndarray) -> float:

@@ -78,6 +78,10 @@ class RunManifest:
             raise ValueError("--unweighted only applies to low-rank schemes")
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        if self.out is not None:  # the artifacts' nearest existing ancestor
+            path = next(p for p in (Path(self.out), *Path(self.out).parents) if p.exists())
+            if not path.is_dir():
+                raise ValueError(f"output path {self.out!r}: {str(path)!r} is not a directory")
         return scheme
 
 
@@ -107,7 +111,9 @@ def execute_run(manifest: RunManifest) -> RunResult:
     diverging self reference) sets ``reference_failed`` and no ``l2_error``;
     the artifacts are written all the same.  A low-rank initial state has
     ``C = None``; its first step forms the Galerkin stack.  ``with_error=True``
-    on a scenario without a reference raises ``ValueError`` before any work.
+    on a scenario without a reference raises ``ValueError`` before any work, and
+    so does an ``out`` that exists, or lies under a path that exists, but is
+    not a directory.
     """
     scheme = manifest.validate()
     scen = scenarios.get_scenario(manifest.scenario, manifest.mesh_div)

@@ -95,3 +95,15 @@ def test_regression_beyond_the_bound_exits_one(tmp_path, monkeypatch):
     shutil.rmtree(tmp_path / "change")
     status, _ = _run(tmp_path, monkeypatch, "slower", None, run_s=1.2)
     assert status == 0
+
+
+def test_a_repeated_workload_exits_two_before_any_run(tmp_path, monkeypatch):
+    # its runs would not alternate, and each seed would count twice
+    parent = _tree(tmp_path / "parent", "aaa")
+    change = _tree(tmp_path / "change", "bbb", step_ms_p50=0.7)
+    monkeypatch.chdir(tmp_path)
+    argv = [str(parent), str(change), "--label", "twice", "--seeds", "1-5",
+            "--workloads", "diffusive2d-bug", "diffusive2d-bug",
+            "--claim", "step_ms_p50:diffusive2d-bug"]
+    assert _tool().main(argv) == 2
+    assert not (tmp_path / "BENCH_twice.json").exists()

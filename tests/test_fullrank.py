@@ -259,7 +259,7 @@ def test_macroscopic_source_enters_at_new_time():
 def _reference_dt_explicit(grid, quad, material, config, G, t_next):
     """``dt B``, the explicit part times ``dt``: ``G - (sum_j increment_j G *
     q_j dt / (eps h_j))(I - w 1^T/|D|) + (dt P) A^T``, the raw one-sided
-    increments being the subtractions :func:`lrtrans.grid._stencil` makes."""
+    increments being the subtractions :func:`lrtrans.fullrank._stencil` makes."""
     dt, eps = config.dt, config.epsilon
     adv = np.zeros_like(G)
     for j in range(grid.dim):

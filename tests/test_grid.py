@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lrtrans.grid import build_grid, diff, shift
+from lrtrans.grid import build_grid, diff, increment, shift
 from oracles import dense_diff_matrix, location, rho_index, shift_permutation
 
 
@@ -223,3 +223,20 @@ def test_shifted_forward_difference_is_backward_difference_bitwise(rng, dim, bou
                 assert np.isnan(block[:, :4]).all()
     p = shift_permutation(g, dim - 1, -1)
     assert np.array_equal(shift(g, dim - 1, u), u[p])
+
+
+@pytest.mark.parametrize(
+    "dim,bounds,cells",
+    [(1, (0.0, 1.3), 7), (2, ((0.0, 1.0), (-1.0, 2.1)), (5, 3))],
+)
+def test_increment_and_shift_of_a_field_without_columns(dim, bounds, cells):
+    # an aBUG spatial basis that holds all n_points columns has an empty
+    # extension, whose increments go into an empty column slab
+    g = build_grid(dim, bounds, cells)
+    empty = np.zeros((g.n_points, 0))
+    block = np.zeros((g.n_points, 3), order="F")
+    for axis in range(dim):
+        for side in (-1, +1):
+            assert increment(g, axis, side, empty).shape == empty.shape
+            assert increment(g, axis, side, empty, out=block[:, 2:2]).shape == empty.shape
+        assert shift(g, axis, empty).shape == empty.shape

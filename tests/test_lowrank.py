@@ -753,6 +753,19 @@ def test_abug_rank_bounded_by_mesh_and_ordinates(rng, nx, integrator, weighted):
     assert max(pre) == bound and pre.index(bound) < 8
 
 
+def test_abug_run_reaches_the_full_spatial_rank():
+    # bimodal1d at mesh_div 10 has 10 points and 50 ordinates: the spatial
+    # basis fills up, and the extension of the next step has no column
+    res = execute_run(RunManifest(scenario="bimodal1d", scheme="IMEX-aBUG", mesh_div=10))
+    assert res.grid.n_points == 10
+    assert res.summary["status"] == "completed"
+    assert max(rec.rank for rec in res.records) == 10
+    E = res.energies
+    assert np.all(np.diff(E) <= 1e-12 * E[:-1])
+    for rec in res.records:
+        assert rec.zero_density_residual <= 1e-11 * max(1.0, rec.micro_norm_w), rec.step
+
+
 # ---------------------------------------------------------------------------
 # coupled step
 # ---------------------------------------------------------------------------

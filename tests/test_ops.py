@@ -1,13 +1,10 @@
 """Transport operators against dense oracles plus the proof-level identities."""
 
-import gc
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from lrtrans import ops
 from lrtrans.angular import chebyshev_legendre_2d, gauss_legendre_1d
 from lrtrans.grid import build_grid, diff
 from lrtrans.ops import (
@@ -71,7 +68,7 @@ def test_advect_dense_oracle(setup, rng):
 
 def four_term_advect(grid, quad, G):
     """Reference: both raw one-sided increments per axis, the subtractions
-    :func:`lrtrans.grid._stencil` makes, weighted by ``Q^(j,+-) / h_j``."""
+    :func:`lrtrans.grid.increment` makes, weighted by ``Q^(j,+-) / h_j``."""
     out = np.zeros_like(G)
     for j in range(grid.dim):
         h = grid.spacing[j]
@@ -271,24 +268,13 @@ def test_inner_products(setup, rng):
     assert np.sqrt(inner(grid, F1[:, 0], F1[:, 0])) >= 0.0
 
 
-# (rows, columns, BLOCK_BYTES): several blocks of the row sums at the
-# default budget and at small ones, sizes that are not powers of two, one
-# column, blocks at the four-row floor, and a field of one block
+# row counts that are not multiples of four or of any BLAS block, one
+# column, and a short field
 @pytest.mark.parametrize(
-    "rows, cols, budget",
-    [
-        (6000, 96, None),
-        (3922, 40, None),
-        (3922, 40, 2**12),
-        (1000, 7, 2**10),
-        (1001, 1, 2**10),
-        (777, 13, 8),
-        (33, 5, None),
-    ],
+    "rows, cols",
+    [(6000, 96), (3922, 40), (1000, 7), (1001, 1), (777, 13), (33, 5)],
 )
-def test_inner_w_matches_numpy_sum_bitwise(rng, monkeypatch, rows, cols, budget):
-    if budget is not None:
-        monkeypatch.setattr(ops, "BLOCK_BYTES", budget)
+def test_inner_w_matches_numpy_sum_bitwise(rng, rows, cols):
     grid = SimpleNamespace(cell_volume=1.0)
     quad = SimpleNamespace(w=rng.random(cols))
     F1 = rng.standard_normal((rows, cols))
@@ -300,25 +286,6 @@ def test_inner_w_matches_numpy_sum_bitwise(rng, monkeypatch, rows, cols, budget)
     T1, T2 = np.asfortranarray(F1), np.asfortranarray(F2)
     assert cols == 1 or not T1.flags.c_contiguous
     assert inner_w(grid, quad, T1, T2) == inner_w(grid, quad, F1, F2)
-
-
-def test_norm_w_scratch_stays_below_two_leaves(rng):
-    # 2048 x 512 float64 = 8 MiB, sixteen blocks of BLOCK_BYTES
-    grid = SimpleNamespace(cell_volume=1.0)
-    quad = SimpleNamespace(w=rng.random(512))
-    F = rng.standard_normal((2048, 512))
-    gc.disable()  # the buffer must be freed on return, not by the collector
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        value = norm_w(grid, quad, F)
-        held, peak = (m - base for m in tracemalloc.get_traced_memory())
-    finally:
-        tracemalloc.stop()
-        gc.enable()
-    assert value == np.sqrt(float(np.sum((F * F) @ quad.w)))
-    assert peak < 2 * ops.BLOCK_BYTES
-    assert held < ops.BLOCK_BYTES // 8
 
 
 def test_factored_flux_div(setup, rng):

@@ -394,6 +394,40 @@ def test_cli_config_file_bad_line(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 2
 
 
+def test_cli_config_that_is_a_directory_is_an_input_error(tmp_path, capsys):
+    assert main(["run", "--config", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_output_path_under_a_file_is_rejected_before_any_work(tmp_path, monkeypatch, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(run_module.scenarios, "build_objects", no_work)
+    for out in (taken, taken / "run"):
+        with pytest.raises(ValueError, match="not a directory"):
+            execute_run(quick_manifest(out=str(out)))
+        rc = main(["run", "--scenario", "gaussian1d-diff", "--mesh-div", "8", "--out", str(out)])
+        assert rc == 2
+        assert "not a directory" in capsys.readouterr().err
+    assert taken.read_text() == "keep\n"
+
+
+def test_cli_sweep_into_a_file_records_each_member_as_failed(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    rc = main(["sweep", "--scenario", "gaussian1d-diff", "--mesh-div", "8",
+               "--vary", "scheme=IMEX,IMEX-S", "--vary", "max_steps=2", "--out", str(taken)])
+    captured = capsys.readouterr()
+    assert captured.out.count("failed: output path") == 2
+    # nor can the combined table be written there
+    assert rc == 2 and captured.err.startswith("error: ")
+    assert taken.read_text() == "keep\n"
+
+
 def test_cli_sweep_combined_table(tmp_path):
     out = tmp_path / "sweep"
     rc = main([

@@ -25,7 +25,9 @@ end-to-end metric is worse than the parent's by more than its
 ``BENCHMARK.json`` bound on any workload, or when the
 ``--claim`` fails the gain rule: the change better in at least nine of
 every ten pairs (and at least ten pairs), and its median better than the
-parent's by more than the parent's interquartile range.  It is 0 otherwise.
+parent's by more than the parent's interquartile range.  It is 2, before
+any invocation, for an unknown or repeated workload or a ``--claim`` that is
+no end-to-end metric of a chosen workload, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -165,6 +167,9 @@ def main(argv=None) -> int:
         claim = (metric, claim_workload)
     if not set(workloads) <= known:
         print(f"unknown workloads {sorted(set(workloads) - known)}", file=sys.stderr)
+        return 2
+    if len(set(workloads)) < len(workloads):  # its pairs would not alternate
+        print(f"a workload is given twice in {workloads}", file=sys.stderr)
         return 2
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
