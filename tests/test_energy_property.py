@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 
 from lrtrans import diagnostics
 from lrtrans.angular import gauss_legendre_1d
-from lrtrans.fullrank import SCHEMES, SolverConfig, build_schur, imex_s_step, imex_step, step_context
+from lrtrans.fullrank import (
+    SCHEMES,
+    SolverConfig,
+    build_schur,
+    imex_s_step,
+    imex_step,
+    step_context,
+)
 from lrtrans.grid import build_grid
 from lrtrans.lowrank import factorize_micro, lowrank_macro_coupled_step
 from lrtrans.ops import MaterialField, project_out_mean

@@ -268,8 +268,8 @@ def test_inner_products(setup, rng):
     assert np.sqrt(inner(grid, F1[:, 0], F1[:, 0])) >= 0.0
 
 
-# row counts that are not multiples of four or of any BLAS block, one
-# column, and a short field
+# long and short fields, row counts that are and are not multiples of four,
+# and one column
 @pytest.mark.parametrize(
     "rows, cols",
     [(6000, 96), (3922, 40), (1000, 7), (1001, 1), (777, 13), (33, 5)],
