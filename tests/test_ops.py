@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from lrtrans import fullrank
 from lrtrans.angular import chebyshev_legendre_2d, gauss_legendre_1d
 from lrtrans.grid import build_grid, diff
 from lrtrans.ops import (
@@ -268,14 +269,25 @@ def test_inner_products(setup, rng):
     assert np.sqrt(inner(grid, F1[:, 0], F1[:, 0])) >= 0.0
 
 
-# long and short fields, row counts that are and are not multiples of four,
-# and one column
+# (rows, columns, fullrank.BLOCK_BYTES): several sweep blocks at the default
+# budget and at small ones, row counts that are and are not multiples of
+# four, one column, blocks at the four-row floor, and a field of one block
 @pytest.mark.parametrize(
-    "rows, cols",
-    [(6000, 96), (3922, 40), (1000, 7), (1001, 1), (777, 13), (33, 5)],
+    "rows, cols, budget",
+    [
+        (6000, 96, None),
+        (3922, 40, None),
+        (3922, 40, 2**12),
+        (1000, 7, 2**10),
+        (1001, 1, 2**10),
+        (777, 13, 8),
+        (33, 5, None),
+    ],
 )
-def test_inner_w_matches_numpy_sum_bitwise(rng, rows, cols):
-    grid = SimpleNamespace(cell_volume=1.0)
+def test_inner_w_matches_numpy_sum_bitwise(rng, monkeypatch, rows, cols, budget):
+    if budget is not None:
+        monkeypatch.setattr(fullrank, "BLOCK_BYTES", budget)
+    grid = SimpleNamespace(cell_volume=1.0, block_shape=(2, rows // 2), n_points=rows)
     quad = SimpleNamespace(w=rng.random(cols))
     F1 = rng.standard_normal((rows, cols))
     F2 = rng.standard_normal((rows, cols))
@@ -286,6 +298,11 @@ def test_inner_w_matches_numpy_sum_bitwise(rng, rows, cols):
     T1, T2 = np.asfortranarray(F1), np.asfortranarray(F2)
     assert cols == 1 or not T1.flags.c_contiguous
     assert inner_w(grid, quad, T1, T2) == inner_w(grid, quad, F1, F2)
+    # the full-rank sweep's row sums, block by block, add up to the same bits
+    sums = np.empty(rows)
+    for lo, hi in fullrank._row_blocks(grid, cols):
+        np.matmul(F1[lo:hi] * F2[lo:hi], quad.w, out=sums[lo:hi])
+    assert float(np.sum(sums)) == inner_w(grid, quad, F1, F2)
 
 
 def test_factored_flux_div(setup, rng):
