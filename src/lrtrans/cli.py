@@ -118,9 +118,9 @@ def manifest_from_args(args) -> RunManifest:
     return RunManifest(**values)
 
 
-def _print_summary(summary: dict, stream=None):
+def _print_summary(summary: dict):
     for key, val in summary.items():
-        print(f"{key} = {val}", file=stream or sys.stdout)
+        print(f"{key} = {val}")
 
 
 def cmd_run(args) -> int:
@@ -205,7 +205,7 @@ def _fmt(v) -> str:
 
 
 def cmd_list(_args) -> int:
-    for name in scenarios.scenario_names():
+    for name in scenarios.SCENARIOS:
         print(name)
     return 0
 

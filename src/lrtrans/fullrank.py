@@ -68,10 +68,6 @@ BLOCK_BYTES = 2**19
 class DivergenceError(RuntimeError):
     """A state update produced non-finite values."""
 
-    def __init__(self, message: str, step: Optional[int] = None):
-        super().__init__(message)
-        self.step = step
-
 
 class LinearSolveError(RuntimeError):
     """The iterative macroscopic solve did not reach its tolerance."""

@@ -59,7 +59,7 @@ class RunManifest:
 
     def validate(self) -> Scheme:
         scheme = parse_scheme(self.scheme)
-        if self.scenario not in scenarios.scenario_names():
+        if self.scenario not in scenarios.SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.rank is not None and self.rank < 1:
             raise ValueError("rank override must be >= 1")
@@ -298,10 +298,10 @@ def _reference_error(scen, grid, quad, material, rho, t_final, eps):
     return err, err / scale if scale > 0 else math.inf
 
 
-def _self_reference(scen, grid, t_final, eps, refine: int = 4):
-    """Full-rank explicit-coupled solution on a ``refine``-times finer mesh,
+def _self_reference(scen, grid, t_final, eps):
+    """Full-rank explicit-coupled solution on a four-times finer mesh,
     restricted to the coincident density points of the coarse mesh."""
-    fine_cells = tuple(c * refine for c in scen.cells)
+    fine_cells = tuple(c * 4 for c in scen.cells)
     fine, quad, material = scenarios.build_objects(replace(scen, cells=fine_cells), eps)
     rho0, (P, A) = scen.init(fine, quad, eps)
     dt = diagnostics.dt_explicit(fine, material, eps)

@@ -3,11 +3,12 @@
 The keys of :data:`SCENARIOS` form the CLI vocabulary: three 1D Gaussian
 regimes, a 1D two-beam state, five manufactured 2D meshes, a 2D Gaussian
 and a 2D lattice.  Each scenario fixes the mesh, quadrature, Knudsen
-number, horizon, material coefficients, initial data, default
-rank/tolerance, reference solution kind, and slice lines.
-``get_scenario`` optionally divides the spatial cell counts (floor
-division, minimum 2 cells) for reduced-size runs; quadrature size is never
-divided.
+number, horizon, default rank, initial data, reference solution kind and
+slice lines.  Unless a constructor states otherwise, the medium is pure
+unit scattering (``sigma_s = 1``, ``sigma_a = 0``, floor 1) and the
+truncation tolerance is ``tau = 1e-5``.  ``get_scenario`` optionally
+divides the spatial cell counts (floor division, minimum 2 cells) for
+reduced-size runs; quadrature size is never divided.
 
 Conventions adopted here (reconstructed, not prescribed elsewhere):
 
@@ -40,21 +41,27 @@ from .grid import build_grid
 from .ops import sample_material
 
 
+def _unit_scattering(coords):
+    return np.ones(coords.shape[0])
+
+
+def _no_absorption(coords):
+    return np.zeros(coords.shape[0])
+
+
 @dataclass
 class Scenario:
-    name: str
-    dim: int
     bounds: tuple
     cells: tuple
     quad_n: int                     # Gauss-Legendre in 1D, Chebyshev-Legendre in 2D
     epsilon: float
     t_final: float
     rank: int
-    tau: float
-    sigma_s: Callable
-    sigma_a: Callable
-    sigma_s_floor: float
     init: Callable                  # (grid, quad, eps) -> (rho0, (P, A)), G0 = P A^T
+    tau: float = 1e-5
+    sigma_s: Callable = _unit_scattering
+    sigma_a: Callable = _no_absorption
+    sigma_s_floor: float = 1.0
     sources: Optional[Callable] = None  # (grid, quad, eps) -> (phi, micro_source)
     reference: Optional[str] = None  # "diffusion" | "manufactured" | "self"
     exact_rho: Optional[Callable] = None             # (t, coords) -> values
@@ -64,14 +71,27 @@ class Scenario:
     dt_literal_implicit: Optional[float] = None
     mesh_div: int = 1
 
+    @property
+    def dim(self) -> int:
+        return len(self.cells)
+
 
 def _isotropic(grid, quad) -> tuple:
     """Factors ``(P, A)`` of the zero microscopic state: no columns."""
     return np.zeros((grid.n_points, 0)), np.zeros((quad.n, 0))
 
 
-def scenario_names() -> list:
-    return list(SCENARIOS)
+def _pulse_2d(center):
+    """Initial data of an isotropic 2D Gaussian pulse of variance ``1e-2``."""
+    sigma2 = 1e-2
+    cx, cy = center
+
+    def init(grid, quad, _eps):
+        x, y = grid.rho_coords[:, 0], grid.rho_coords[:, 1]
+        rho0 = np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (4 * sigma2)) / (4 * np.pi * sigma2)
+        return rho0, _isotropic(grid, quad)
+
+    return init
 
 
 def get_scenario(name: str, mesh_div: int = 1) -> Scenario:
@@ -91,7 +111,7 @@ def get_scenario(name: str, mesh_div: int = 1) -> Scenario:
 # scenario constructors
 # ---------------------------------------------------------------------------
 
-def gaussian_1d(name: str, eps: float, t_final: float, rank: int,
+def gaussian_1d(eps: float, t_final: float, rank: int,
                 reference: Optional[str]) -> Scenario:
     """1D slab Gaussian pulse; the regime is set by ``eps``."""
     sigma2 = 9e-4
@@ -102,18 +122,12 @@ def gaussian_1d(name: str, eps: float, t_final: float, rank: int,
         return rho0, _isotropic(grid, quad)
 
     return Scenario(
-        name=name,
-        dim=1,
         bounds=((-1.5, 1.5),),
         cells=(500,),
         quad_n=200,
         epsilon=eps,
         t_final=t_final,
         rank=rank,
-        tau=1e-5,
-        sigma_s=lambda c: np.ones(c.shape[0]),
-        sigma_a=lambda c: np.zeros(c.shape[0]),
-        sigma_s_floor=1.0,
         init=init,
         reference=reference,
     )
@@ -138,18 +152,12 @@ def bimodal_1d() -> Scenario:
         return rho0, ((profile(grid.g_coords[:, 0]) / eps)[:, None], (beams - mean)[:, None])
 
     return Scenario(
-        name="bimodal1d",
-        dim=1,
         bounds=((-1.5, 1.5),),
         cells=(50,),
         quad_n=50,
         epsilon=1.0,
         t_final=2.5,
         rank=2,
-        tau=1e-5,
-        sigma_s=lambda c: np.ones(c.shape[0]),
-        sigma_a=lambda c: np.zeros(c.shape[0]),
-        sigma_s_floor=1.0,
         init=init,
     )
 
@@ -204,19 +212,14 @@ def manufactured_2d(n: int) -> Scenario:
         return rho0, (shape[:, None], quad.omega[:, 1:])
 
     return Scenario(
-        name=f"mms2d-{n}",
-        dim=2,
         bounds=((0.0, 1.0), (0.0, 1.0)),
         cells=(n, n),
         quad_n=n // 8,
         epsilon=eps_default,
         t_final=0.1,
         rank=4,
-        tau=1e-8,
-        sigma_s=lambda c: np.ones(c.shape[0]),
-        sigma_a=lambda c: np.zeros(c.shape[0]),
-        sigma_s_floor=1.0,
         init=init,
+        tau=1e-8,
         reference="manufactured",
         exact_rho=mms_exact_rho,
         sources=mms_sources,
@@ -242,12 +245,12 @@ def mms_sources(grid, quad, eps):
         ]
     )
     means = (quad.w @ ang) / quad.domain_measure
-    ang_centered = ang - np.outer(np.ones(quad.n), means)
-    prof_rho = _mms_spatial_profiles(eps, grid.rho_coords, grid.rho_coords)
+    ang_centered = ang - means
+    phi0 = _mms_spatial_profiles(eps, grid.rho_coords, grid.rho_coords) @ means
     prof_g = _mms_spatial_profiles(eps, grid.g_coords, grid.g_coords_y)
 
     def phi(t):
-        return np.exp(-t) * (prof_rho @ means)
+        return np.exp(-t) * phi0
 
     def micro_source(t):
         return (np.exp(-t) / eps) * prof_g, ang_centered
@@ -257,27 +260,14 @@ def mms_sources(grid, quad, eps):
 
 def gaussian_2d() -> Scenario:
     """Diffusive 2D Gaussian pulse with literal step sizes at full mesh."""
-    sigma2 = 1e-2
-
-    def init(grid, quad, _eps):
-        x, y = grid.rho_coords[:, 0], grid.rho_coords[:, 1]
-        rho0 = np.exp(-(x**2 + y**2) / (4 * sigma2)) / (4 * np.pi * sigma2)
-        return rho0, _isotropic(grid, quad)
-
     return Scenario(
-        name="gaussian2d",
-        dim=2,
         bounds=((-1.0, 1.0), (-1.0, 1.0)),
         cells=(128, 128),
         quad_n=16,
         epsilon=1e-6,
         t_final=0.1,
         rank=10,
-        tau=1e-5,
-        sigma_s=lambda c: np.ones(c.shape[0]),
-        sigma_a=lambda c: np.zeros(c.shape[0]),
-        sigma_s_floor=1.0,
-        init=init,
+        init=_pulse_2d((0.0, 0.0)),
         reference="diffusion",
         slices=(("y", 0.0),),
         dt_literal_explicit=2.04e-5,
@@ -313,32 +303,22 @@ def lattice_2d() -> Scenario:
     def sigma_a(coords):
         return np.where(_lattice_mask(coords), 10.0, 0.0)
 
-    def init(grid, quad, _eps):
-        x, y = grid.rho_coords[:, 0], grid.rho_coords[:, 1]
-        rho0 = np.exp(-((x - 3.5) ** 2 + (y - 3.5) ** 2) / (4 * 1e-2)) / (
-            4 * np.pi * 1e-2
-        )
-        return rho0, _isotropic(grid, quad)
-
     def sources(grid, _quad, _eps):
         x, y = grid.rho_coords[:, 0], grid.rho_coords[:, 1]
         src = ((x >= 3.0) & (x < 4.0) & (y >= 3.0) & (y < 4.0)).astype(float)
         return (lambda t: src), None
 
     return Scenario(
-        name="lattice2d",
-        dim=2,
         bounds=((0.0, 7.0), (0.0, 7.0)),
         cells=(128, 128),
         quad_n=16,
         epsilon=1.0,
         t_final=2.0,
         rank=100,
-        tau=1e-5,
+        init=_pulse_2d((3.5, 3.5)),
         sigma_s=sigma_s,
         sigma_a=sigma_a,
         sigma_s_floor=0.0,
-        init=init,
         sources=sources,
         slices=(("x", 3.5), ("y", 4.047)),
     )
@@ -346,9 +326,9 @@ def lattice_2d() -> Scenario:
 
 #: Every scenario's constructor by name, in CLI order.
 SCENARIOS = {
-    "gaussian1d-kinetic": lambda: gaussian_1d("gaussian1d-kinetic", 1.0, 1.0, 50, "self"),
-    "gaussian1d-mid": lambda: gaussian_1d("gaussian1d-mid", 1e-2, 0.2, 10, None),
-    "gaussian1d-diff": lambda: gaussian_1d("gaussian1d-diff", 1e-6, 0.2, 3, "diffusion"),
+    "gaussian1d-kinetic": partial(gaussian_1d, 1.0, 1.0, 50, "self"),
+    "gaussian1d-mid": partial(gaussian_1d, 1e-2, 0.2, 10, None),
+    "gaussian1d-diff": partial(gaussian_1d, 1e-6, 0.2, 3, "diffusion"),
     "bimodal1d": bimodal_1d,
     **{f"mms2d-{n}": partial(manufactured_2d, n) for n in (16, 32, 64, 128, 256)},
     "gaussian2d": gaussian_2d,

@@ -9,7 +9,7 @@ from lrtrans import scenarios
 from lrtrans.diagnostics import UNCONDITIONAL, dt_implicit, zero_density_residual
 from lrtrans.fullrank import SCHEMES
 from lrtrans.run import RunManifest, execute_run
-from lrtrans.scenarios import LATTICE_ABSORBERS, get_scenario, scenario_names
+from lrtrans.scenarios import LATTICE_ABSORBERS, SCENARIOS, get_scenario
 from oracles import mms_exact_f, mms_source
 
 
@@ -183,7 +183,7 @@ def test_ap_enrichment_rule():
             assert res.summary["integrator"] == ("AP-aBUG" if ap and not unweighted else "aBUG")
 
 
-@pytest.mark.parametrize("name", scenario_names())
+@pytest.mark.parametrize("name", SCENARIOS)
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_scenarios_self_validate_one_step(name, scheme):
     if name in ("mms2d-128", "mms2d-256"):
