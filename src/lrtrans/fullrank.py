@@ -112,8 +112,8 @@ class SolverConfig:
 
     def __post_init__(self):
         # negated comparisons, so that NaN fails them
-        if not 0 < self.epsilon < np.inf:
-            raise ValueError("epsilon must be positive and finite")
+        if not (0 < self.epsilon and 0 < self.epsilon * self.epsilon < np.inf):
+            raise ValueError("epsilon must be positive with a finite, non-zero square")
         if not 0 < self.dt < np.inf:
             raise ValueError("dt must be positive and finite")
 

@@ -10,19 +10,15 @@ a differenced field is read on the complementary family.
 
 Point families
 --------------
-1D with ``n`` cells on ``[lo, hi]`` (``dx = (hi - lo)/n``):
+Each family holds two blocks of one point per cell:
 
-* rho block 0: cell centers ``lo + (i + 1/2) dx``
-* rho block 1: cell interfaces ``lo + i dx``
-* g   block 0: cell interfaces ``lo + (i + 1) dx``  (rho centers + dx/2)
-* g   block 1: cell centers ``lo + (i + 1/2) dx``   (rho interfaces + dx/2)
+* rho block 0: cell centers; block 1: cell corners (interfaces in 1D)
+* g   block 0: x-faces, the centers shifted ``dx/2`` in x
+* g   block 1: y-faces, the corners shifted ``dx/2`` in x (centers in 1D)
 
-2D with ``nx x ny`` cells:
-
-* rho block 0: cell centers
-* rho block 1: cell corners
-* g   block 0: x-face midpoints (centers shifted dx/2 in x)
-* g   block 1: y-face midpoints (corners shifted dx/2 in x)
+and in 2D ``g_coords_y`` holds the centers and corners shifted ``dy/2`` in y.
+Point ``i`` of a block sits on each axis at ``lo + (i + o) h``, wrapped into
+the box where ``o >= 1``; :data:`_OFFSETS` lists each family's offsets ``o``.
 
 Within each block, points are ordered row-major (y outer, x inner), so the
 same index permutation implements a one-cell shift on every block of either
@@ -80,9 +76,18 @@ class StaggeredGrid:
     @property
     def block_shape(self) -> tuple:
         """Shape ``(2, nx)`` or ``(2, ny, nx)`` used to view linear fields."""
-        if self.dim == 1:
-            return (2, self.cells[0])
-        return (2, self.cells[1], self.cells[0])
+        return (2, *self.cells[::-1])
+
+
+#: Per dimension and family, the per-axis offsets ``o`` of blocks 0 and 1.
+_OFFSETS = {
+    1: {"rho": ((0.5,), (0.0,)), "g": ((1.0,), (0.5,))},
+    2: {
+        "rho": ((0.5, 0.5), (1.0, 1.0)),
+        "g": ((1.0, 0.5), (1.5, 1.0)),
+        "g_y": ((0.5, 1.0), (1.0, 1.5)),
+    },
+}
 
 
 def build_grid(dim: int, bounds, cells) -> StaggeredGrid:
@@ -109,61 +114,26 @@ def build_grid(dim: int, bounds, cells) -> StaggeredGrid:
 
     spacing = tuple((hi - lo) / c for (lo, hi), c in zip(bounds, cells))
 
-    if dim == 1:
-        (lo, hi), (dx,), (nx,) = bounds[0], spacing, cells
-        i = np.arange(nx)
-        centers = lo + (i + 0.5) * dx
-        interfaces = lo + i * dx
-        rho = np.concatenate([centers, interfaces])
-        g = np.concatenate([_wrap(centers + 0.5 * dx, lo, hi), interfaces + 0.5 * dx])
-        rho_coords = rho[:, None]
-        g_coords = g[:, None]
-        g_coords_y = g_coords
-    else:
-        (lox, hix), (loy, hiy) = bounds
-        dx, dy = spacing
-        nx, ny = cells
-        xi = np.arange(nx)
-        yj = np.arange(ny)
-
-        def mesh(xv, yv):
-            X = np.broadcast_to(xv[None, :], (ny, nx)).reshape(-1)
-            Y = np.broadcast_to(yv[:, None], (ny, nx)).reshape(-1)
-            return X, Y
-
-        xc, yc = lox + (xi + 0.5) * dx, loy + (yj + 0.5) * dy
-        xv = _wrap(lox + (xi + 1.0) * dx, lox, hix)
-        yv = _wrap(loy + (yj + 1.0) * dy, loy, hiy)
-        xf = _wrap(lox + (xi + 1.5) * dx, lox, hix)
-        yf = _wrap(loy + (yj + 1.5) * dy, loy, hiy)
-
-        cx, cy = mesh(xc, yc)          # centers
-        vx, vy = mesh(xv, yv)          # corners
-        fx, fy = mesh(xv, yc)          # x-faces: centers + dx/2
-        gx, gy = mesh(xf, yv)          # y-faces: corners + dx/2
-        ax, ay = mesh(xc, yv)          # centers + dy/2
-        bx, by = mesh(xv, yf)          # corners + dy/2
-
-        rho_coords = np.column_stack(
-            [np.concatenate([cx, vx]), np.concatenate([cy, vy])]
-        )
-        g_coords = np.column_stack(
-            [np.concatenate([fx, gx]), np.concatenate([fy, gy])]
-        )
-        g_coords_y = np.column_stack(
-            [np.concatenate([ax, bx]), np.concatenate([ay, by])]
-        )
-
-    for arr in (rho_coords, g_coords, g_coords_y):
-        arr.setflags(write=False)
+    coords = {}
+    for family, blocks in _OFFSETS[dim].items():
+        arr = np.empty((2, *cells[::-1], dim))      # row-major: y outer, x inner
+        for block, offsets in enumerate(blocks):
+            for axis, o in enumerate(offsets):
+                (lo, hi), h, c = bounds[axis], spacing[axis], cells[axis]
+                v = lo + (np.arange(c) + o) * h
+                if o >= 1:                  # wrap into the periodic box
+                    v = lo + np.mod(v - lo, hi - lo)
+                arr[block, ..., axis] = v.reshape((c,) + (1,) * axis)
+        coords[family] = arr.reshape(-1, dim)
+        coords[family].setflags(write=False)
     return StaggeredGrid(
         dim=dim,
         bounds=tuple(map(tuple, bounds)),
         cells=cells,
         spacing=spacing,
-        rho_coords=rho_coords,
-        g_coords=g_coords,
-        g_coords_y=g_coords_y,
+        rho_coords=coords["rho"],
+        g_coords=coords["g"],
+        g_coords_y=coords.get("g_y", coords["g"]),
     )
 
 
@@ -263,7 +233,3 @@ def shift(
     lines = (len(a) // (grid.cells[axis] * step), grid.cells[axis], step) + a.shape[1:]
     out.reshape(lines)[:, 0] = a.reshape(lines)[:, -1]
     return out
-
-
-def _wrap(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    return lo + np.mod(values - lo, hi - lo)

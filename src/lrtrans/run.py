@@ -70,8 +70,9 @@ class RunManifest:
             raise ValueError("dt multiplier must be positive and finite")
         if self.mesh_div < 1:
             raise ValueError("mesh divisor must be >= 1")
-        if self.epsilon is not None and not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon override must be positive and finite")
+        if self.epsilon is not None and not (
+                0 < self.epsilon and 0 < self.epsilon * self.epsilon < math.inf):
+            raise ValueError("epsilon override must be positive with a finite, non-zero square")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.unweighted and scheme.micro == "full":
@@ -113,7 +114,8 @@ def execute_run(manifest: RunManifest) -> RunResult:
     ``C = None``; its first step forms the Galerkin stack.  ``with_error=True``
     on a scenario without a reference raises ``ValueError`` before any work, and
     so does an ``out`` that exists, or lies under a path that exists, but is
-    not a directory.
+    not a directory; a step size too small for a finite step count raises it
+    before the first step.
     """
     scheme = manifest.validate()
     scen = scenarios.get_scenario(manifest.scenario, manifest.mesh_div)
@@ -123,6 +125,9 @@ def execute_run(manifest: RunManifest) -> RunResult:
     grid, quad, material = scenarios.build_objects(scen, epsilon=eps)
 
     dt = scenarios.select_dt(scen, manifest.scheme, grid, material, eps) * manifest.dt_mult
+    if not (0 < dt and scen.t_final / float(dt) < math.inf):
+        raise ValueError(f"dt multiplier {manifest.dt_mult!r} gives step size {float(dt):g}, "
+                         "too small for a finite step count")
     n_steps = max(1, math.ceil(scen.t_final / dt - 1e-9))
     if manifest.max_steps is not None:
         n_steps = min(n_steps, manifest.max_steps)

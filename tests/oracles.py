@@ -4,7 +4,8 @@ The solver never calls these: the adjoint advection and the unweighted
 inner product state the proof-level identities, the factored weighted
 norm and the Schur product check the solver's own shortcuts, and the dense
 reconstruction, the grid's index maps and ``|Omega_j|`` spell out what the
-solver's factored and linear-index forms stand for; the dense
+solver's factored and linear-index forms stand for, and the 2D point
+families built one mesh at a time are what its offsets table reproduces; the dense
 factorization is what the factored one of the initial state reproduces.  The manufactured
 phase-space density and its source are what the sampled ``mms2d`` sources
 of :mod:`lrtrans.scenarios` are checked against.  The sparse difference
@@ -198,6 +199,38 @@ def location(grid, k: int) -> tuple:
     block, rest = divmod(k, nx * ny)
     iy, ix = divmod(rest, nx)
     return block, ix, iy
+
+
+def grid_coords_2d(bounds, cells) -> tuple:
+    """``(rho_coords, g_coords, g_coords_y)`` of a 2D grid, each family
+    formed from six meshes of per-axis center, corner and face values."""
+    (lox, hix), (loy, hiy) = np.asarray(bounds, dtype=float)
+    nx, ny = cells
+    dx, dy = (hix - lox) / nx, (hiy - loy) / ny
+    xi, yj = np.arange(nx), np.arange(ny)
+
+    def wrap(v, lo, hi):
+        return lo + np.mod(v - lo, hi - lo)
+
+    def mesh(xv, yv):
+        X = np.broadcast_to(xv[None, :], (ny, nx)).reshape(-1)
+        Y = np.broadcast_to(yv[:, None], (ny, nx)).reshape(-1)
+        return X, Y
+
+    xc, yc = lox + (xi + 0.5) * dx, loy + (yj + 0.5) * dy
+    xv = wrap(lox + (xi + 1.0) * dx, lox, hix)
+    yv = wrap(loy + (yj + 1.0) * dy, loy, hiy)
+    xf = wrap(lox + (xi + 1.5) * dx, lox, hix)
+    yf = wrap(loy + (yj + 1.5) * dy, loy, hiy)
+    families = (
+        (mesh(xc, yc), mesh(xv, yv)),      # centers, corners
+        (mesh(xv, yc), mesh(xf, yv)),      # x-faces, y-faces
+        (mesh(xc, yv), mesh(xv, yf)),      # centers and corners + dy/2
+    )
+    return tuple(
+        np.column_stack([np.concatenate([b0[j], b1[j]]) for j in range(2)])
+        for b0, b1 in families
+    )
 
 
 def mms_exact_f(eps, t, x, y, ox, oy):

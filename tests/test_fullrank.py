@@ -678,6 +678,14 @@ def test_solver_config_rejects_non_positive_or_non_finite(field, value):
         SolverConfig(**{"epsilon": 1.0, "dt": 0.1, field: value})
 
 
+# positive and finite, but its square, which every scheme divides by,
+# underflows to 0 or overflows
+@pytest.mark.parametrize("value", [1e-300, 1e300])
+def test_solver_config_rejects_epsilon_whose_square_is_zero_or_infinite(value):
+    with pytest.raises(ValueError, match="epsilon"):
+        SolverConfig(epsilon=value, dt=0.1)
+
+
 def test_spd_solver_conjugate_gradients_match_direct_solve(rng, monkeypatch):
     # I/dt - sum_j D^(j,-) D^(j,+) (SPD), which density_solver solves by
     # FFT, here solved by CG on its stencil

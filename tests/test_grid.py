@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from lrtrans.grid import build_grid, diff, increment, shift
-from oracles import dense_diff_matrix, location, rho_index, shift_permutation
+from oracles import (
+    dense_diff_matrix,
+    grid_coords_2d,
+    location,
+    rho_index,
+    shift_permutation,
+)
 
 
 def test_counts_2d():
@@ -55,6 +61,43 @@ def test_pairing_offset():
     shifty = np.mod(g.g_coords_y[:, 1] - g.rho_coords[:, 1], hiy - loy)
     assert np.allclose(shifty, dy / 2)
     assert np.allclose(g.g_coords_y[:, 0], g.rho_coords[:, 0])
+
+
+@pytest.mark.parametrize(
+    "bounds,cells",
+    [
+        (((0.0, 1.0), (0.0, 1.0)), (4, 6)),
+        (((0.0, 1.0), (0.0, 1.0)), (16, 16)),
+        (((0.0, 7.0), (0.0, 7.0)), (64, 64)),
+        (((-1.0, 1.0), (-1.0, 1.0)), (128, 128)),
+    ],
+)
+def test_offsets_table_reproduces_the_2d_meshes_bitwise(bounds, cells):
+    g = build_grid(2, bounds, cells)
+    expected = grid_coords_2d(bounds, cells)
+    for arr, ref in zip((g.rho_coords, g.g_coords, g.g_coords_y), expected):
+        assert arr.tobytes() == ref.tobytes()
+        assert not arr.flags.writeable
+    assert g.block_shape == (2, cells[1], cells[0])
+
+
+@pytest.mark.parametrize("bounds,cells", [((0.0, 1.0), 7), ((-1.5, 1.5), 500), ((0.0, 7.0), 13)])
+def test_1d_blocks_sit_at_their_documented_offsets_bitwise(bounds, cells):
+    g = build_grid(1, bounds, cells)
+    lo, hi = bounds
+    h, i = g.spacing[0], np.arange(cells)
+
+    def at(o):
+        v = lo + (i + o) * h
+        return lo + np.mod(v - lo, hi - lo) if o >= 1 else v
+
+    rho, gx = g.rho_coords[:, 0].reshape(2, cells), g.g_coords[:, 0].reshape(2, cells)
+    for got, o in ((rho[0], 0.5), (rho[1], 0.0), (gx[0], 1.0), (gx[1], 0.5)):
+        assert got.tobytes() == at(o).tobytes()
+    assert gx[1].tobytes() == rho[0].tobytes()
+    assert g.g_coords_y is g.g_coords
+    assert not g.rho_coords.flags.writeable and not g.g_coords.flags.writeable
+    assert g.block_shape == (2, cells)
 
 
 def test_build_errors():

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lrtrans
 from lrtrans import cli as cli_module
@@ -18,7 +20,7 @@ from lrtrans import diagnostics, fullrank
 from lrtrans import run as run_module
 from lrtrans.cli import main, parse_config_file
 from lrtrans.fullrank import LinearSolveError, SchurOperator
-from lrtrans.run import RunManifest, execute_run, extract_slice
+from lrtrans.run import RunManifest, RunResult, execute_run, extract_slice
 
 
 def quick_manifest(**kw):
@@ -559,7 +561,9 @@ def test_cli_sweep_varies_max_steps(tmp_path):
 # overrides that are rejected up front, because unchecked they fail late or
 # not at all: a nan tau makes the truncation rule meaningless, a nan dt_mult
 # breaks the step count, an infinite dt_mult or epsilon diverges at the first
-# step, and a negative seed raises inside the random generator
+# step, an epsilon whose square underflows or overflows and a dt_mult too small
+# for a finite step count raise inside the set-up or the first step, and a
+# negative seed raises inside the random generator
 @pytest.mark.parametrize(
     "flag, value, message",
     [
@@ -569,6 +573,9 @@ def test_cli_sweep_varies_max_steps(tmp_path):
         pytest.param("--dt-mult", "inf", "dt multiplier", id="dt_mult-inf"),
         pytest.param("--epsilon", "nan", "epsilon", id="epsilon-nan"),
         pytest.param("--epsilon", "inf", "epsilon", id="epsilon-inf"),
+        pytest.param("--epsilon", "1e-300", "epsilon", id="epsilon-square-underflows"),
+        pytest.param("--epsilon", "1e300", "epsilon", id="epsilon-square-overflows"),
+        pytest.param("--dt-mult", "1e-320", "dt multiplier", id="dt_mult-step-count-overflows"),
         pytest.param("--seed", "-1", "seed", id="seed-negative"),
     ],
 )
@@ -578,6 +585,33 @@ def test_cli_run_rejects_non_finite_or_negative_override(capsys, flag, value, me
     captured = capsys.readouterr()
     assert message in captured.err
     assert "status" not in captured.out
+
+
+# 10**u over the whole double exponent range, from 0 (underflow) to 1.8e308
+_POWERS_OF_TEN = st.floats(-324.0, 308.25).map(lambda u: 10.0**u)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(
+    where=st.sampled_from([("bimodal1d", 25), ("mms2d-16", 4)]),
+    scheme=st.sampled_from(list(fullrank.SCHEMES)),
+    epsilon=st.none() | _POWERS_OF_TEN,
+    dt_mult=_POWERS_OF_TEN,
+)
+def test_no_override_escapes_execute_run(where, scheme, epsilon, dt_mult):
+    # a run either ends with a recorded status or is refused with ValueError
+    scenario, mesh_div = where
+    manifest = RunManifest(
+        scenario=scenario, scheme=scheme, mesh_div=mesh_div, epsilon=epsilon,
+        dt_mult=dt_mult, max_steps=2, with_error=False,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            result = execute_run(manifest)
+        except ValueError:
+            return
+    assert isinstance(result, RunResult)
 
 
 def test_parse_bool_accepts_known_words_in_any_case():
