@@ -51,34 +51,36 @@ and the next L step reads it with no ``n_points``-row work (the initial
 state has ``C = None``).  A step reads ``X`` through its undivided
 increments: ``D (X S) = (h D X) S / h``, so one product of the increment
 block (:func:`_block_product`) gives the K step's right-hand side and the
-Schur fluxes without ``K = X S``.  BUG writes ``X1`` and its increments
-into a new block, ``MicroStateLowRank.W``; truncation drops it.
+Schur fluxes without ``K = X S``.  The state carries its factors only:
+:func:`_chunk_increments` forms the increments of ``_CHUNK_ROWS`` rows at
+a time inside the two products that read them, the block product and the
+Galerkin stack, so no step holds an increment block of ``n_points`` rows.
 
 Layout
 ------
 Every ``n_points``-row array of a step is column-major (Fortran order),
-the layout LAPACK returns its ``Q`` in: ``X``, the increment blocks, the
-product whose K columns become ``K1``, and ``X1 = [X, Q]``.  Products with
-a tall factor on the left are formed transposed (:func:`_fmul`) or by
-``dgemm``, so :func:`grid.increment` and :func:`grid.shift` write straight
-into column slabs, the QR factorizes ``K1`` in place, and ``dgemqrt``
-writes ``X1`` (BUG) or the extension ``Q`` straight into its slab.
+the layout LAPACK returns its ``Q`` in: ``X``, the product whose K columns
+become ``K1``, and ``X1 = [X, Q]``, and so are the chunk blocks.  Products
+with a tall factor on the left are formed transposed (:func:`_fmul`) or by
+``dgemm``, so the increments are written straight into column slabs of a
+chunk block, the QR factorizes ``K1`` in place, and ``dgemqrt`` writes the
+extension ``Q`` straight into its slab of ``X1``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack
 from scipy.linalg.blas import dgemm
 
 from .angular import QuadratureSet
 from .fullrank import DivergenceError, StepContext, _macro_source
 # ``diff`` is importable here as in every module that differences, for tracers
-from .grid import StaggeredGrid, diff, increment, shift  # noqa: F401
+from .grid import StaggeredGrid, _line_increment, diff  # noqa: F401
 from .ops import density_grad, flux_div_factored, moment_div
 
 
@@ -94,8 +96,6 @@ class MicroStateLowRank:
     ``C`` stacks ``C[j] = X^T D^(j,+) X`` per axis and
     ``C[dim] = X^T diag(sigma) X``.  It is ``None`` until the first step (the
     initial state does not know sigma), which computes it from ``X``.
-    ``W``, carried by BUG steps, is the block ``[X | h_j D^(j,+) X per axis]``
-    of ``X`` (a view of it) and its undivided increments, or ``None``.
     """
 
     X: np.ndarray
@@ -103,7 +103,6 @@ class MicroStateLowRank:
     V: np.ndarray
     weighted: bool = True
     C: Optional[np.ndarray] = None
-    W: Optional[np.ndarray] = None
 
     @property
     def rank(self) -> int:
@@ -235,40 +234,63 @@ def _extend_basis(X: np.ndarray, B: np.ndarray) -> np.ndarray:
     return X1
 
 
-def _forward_increments(grid, X, out=None):
-    """``[Delta^(j,+) X per axis]``, column-major, written into ``out`` if given."""
+_CHUNK_ROWS = 4096  #: rows per chunk of the step's products, fastest at 32768 x 10
+
+
+def _chunk_increments(grid, X, lo, hi, fwd, back=None):
+    """Rows ``lo:hi`` of ``increment(grid, j, +1, X)`` per axis into the
+    column slabs of ``fwd`` and, if given, of their shifts (the ``-1``
+    increments) into ``back``, bit for bit.  The whole lines of axis ``j``
+    inside the rows go through :func:`grid._line_increment`; a part of a
+    line at either end (of a point family along the outer axis, of a row
+    along an inner one) takes two slice subtractions that read the rows
+    past it, or the line's other end, straight from ``X``.
+    """
     r = X.shape[1]
-    if out is None:
-        out = np.empty((len(X), grid.dim * r), order="F")
     for j in range(grid.dim):
-        increment(grid, j, +1, X, out=out[:, j * r:(j + 1) * r])
-    return out
+        s, length = math.prod(grid.cells[:j]), grid.cells[j]
+        span = s * length
+        a, b = lo - lo % -span, hi - hi % span      # the whole lines inside
+        for out, side in ((fwd, +1), (back, -1))[:1 if back is None else 2]:
+            o = out[:, j * r:(j + 1) * r]
+            if a < b:
+                _line_increment(X[a:b], o[a - lo:b - lo], s, length, side)
+            # row offsets of the two operands before and from the wrap at e
+            offsets = ((s, 0), (s - span, 0)) if side > 0 else ((0, span - s), (0, -s))
+            for p, q in ((lo, min(a, hi)), (max(a, b), hi)):
+                if p < q:
+                    e = min(q, max(p, p - p % span + (span - s if side > 0 else s)))
+                    for u, v, (x, y) in ((p, e, offsets[0]), (e, q, offsets[1])):
+                        np.subtract(X[u + x:v + x], X[u + y:v + y], out=o[u - lo:v - lo])
 
 
-_CHUNK_ROWS = 4096  #: rows per chunk of :func:`_galerkin_stack`, fastest at 32768 x 10
-
-
-def _galerkin_stack(grid, X1, sig, DQ, C=None, Y=None):
+def _galerkin_stack(grid, X1, sig, C=None, Y=None):
     """``(C1, X1^T Y)``: ``C1`` stacks ``X1^T D^(j,+) X1`` per axis and
     ``X1^T diag(sig) X1``; ``X1^T D^(j,-) X1 = -(.)^T`` (summation by parts).
 
-    ``DQ`` is :func:`_forward_increments` of ``Q`` for ``X1 = [X, Q]``;
-    ``C``, the stack of ``X``, is reused, and ``Y``, then ``X``'s forward
-    increments, gives ``Q^T D^(j,+) X``.  The products are summed over row
-    chunks, so each chunk of ``X1`` is read from memory once.
+    For ``X1 = [X, Q]``, ``C``, the stack of ``X``, is reused, and the
+    forward increments of ``X`` give ``Q^T D^(j,+) X``; without ``C``,
+    ``Y`` may be any ``n_points``-row block.  The products are summed over
+    row chunks, in which :func:`_chunk_increments` forms the increments, so
+    each chunk of ``X1`` is read from memory once.
     """
     r = 0 if C is None else C.shape[1]
-    d, k = grid.dim, X1.shape[1]
+    d, k, n = grid.dim, X1.shape[1], len(X1)
     q = k - r
     G, gram = np.zeros((k, d * q)), np.zeros((k, q))
-    XY = np.zeros((k, 0 if Y is None else Y.shape[1]))
-    for lo in range(0, len(X1), _CHUNK_ROWS):
-        rows = slice(lo, lo + _CHUNK_ROWS)
-        x = X1[rows]
-        G += x.T @ DQ[rows]
-        gram += x.T @ (sig[rows, None] * x[:, r:])
-        if Y is not None:
-            XY += x.T @ Y[rows]
+    XY = np.zeros((k, d * r if r else 0 if Y is None else Y.shape[1]))
+    DQ, DX = (np.empty((min(n, _CHUNK_ROWS), c), order="F") for c in (d * q, d * r))
+    for lo in range(0, n, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, n)
+        x = X1[lo:hi]
+        _chunk_increments(grid, X1[:, r:], lo, hi, DQ[:hi - lo])
+        G += x.T @ DQ[:hi - lo]
+        gram += x.T @ (sig[lo:hi, None] * x[:, r:])
+        if r:
+            _chunk_increments(grid, X1[:, :r], lo, hi, DX[:hi - lo])
+            XY += x.T @ DX[:hi - lo]
+        elif Y is not None:
+            XY += x.T @ Y[lo:hi]
     C1 = np.empty((d + 1, k, k))
     if r:
         C1[:, :r, :r] = C
@@ -358,16 +380,15 @@ def _angs(ctx, Y, weighted):
 
 
 def _block_product(ctx, state):
-    """``(state, P)``: the state carrying its block ``W`` (formed unless
-    carried) and the column-major ``P = [W | B] coef``, for the backward
-    block ``B``, the shifted forward slabs, bit for bit.
+    """Column-major ``P = [X | Delta^(j,+) X per axis | Delta^(j,-) X per
+    axis] coef``, the increments formed per chunk of rows.
 
     For ``K = X S``, ``P`` holds ``K/dt - sum D K ang(V)^T V / eps`` and
     the Schur fluxes ``(K/dt - sum D K ang(V)^T / eps) Q^(j) w``.  Slab
-    ``1 + s`` of ``[W | B]`` meets split ``s`` of :func:`_angs`.
+    ``1 + s`` of the block meets split ``s`` of :func:`_angs`.
     """
     grid, S, V, X = ctx.grid, state.S, state.V, state.X
-    d, r, k = grid.dim, X.shape[1], S.shape[1]
+    d, r, k, n = grid.dim, X.shape[1], S.shape[1], len(X)
     eps, dt = ctx.config.epsilon, ctx.config.dt
     Y = _hcat([V, _g_angular(ctx.quad, state, ctx.qw)])
     AY = _angs(ctx, V, state.weighted).reshape(len(V), -1).T @ Y
@@ -376,20 +397,20 @@ def _block_product(ctx, state):
     coef[:r, k:] = S @ (V.T @ Y[:, k:]) / dt
     scale = -1.0 / (eps * np.tile(grid.spacing, 2))
     coef[r:] = (S @ AY.reshape(2 * d, k, -1) * scale[:, None, None]).reshape(-1, Y.shape[1])
-    # P is allocated before the increment blocks: the malloc heap then
-    # reuses its holes from step to step (peak RSS 2 MiB lower on 128^2, r = 10)
-    P = np.empty((len(X), Y.shape[1]), order="F")
-    if state.W is None or X.base is not state.W:
-        W = np.empty((len(X), (1 + d) * r), order="F")
-        W[:, :r] = X
-        _forward_increments(grid, X, W[:, r:])
-        state = replace(state, X=W[:, :r], W=W)
-    W = state.W
-    B = np.empty((len(X), d * r), order="F")
-    for j in range(d):
-        shift(grid, j, W[:, (1 + j) * r:(2 + j) * r], out=B[:, j * r:(j + 1) * r])
-    P = dgemm(1.0, W, coef[:W.shape[1]], c=P, overwrite_c=True)
-    return state, dgemm(1.0, B, coef[W.shape[1]:], beta=1.0, c=P, overwrite_c=True)
+    # P is allocated before the chunk blocks: the malloc heap then reuses
+    # its holes from step to step (peak RSS 2 MiB lower on 128^2, r = 10)
+    P = np.empty((n, Y.shape[1]), order="F")
+    w = (1 + d) * r
+    for lo in range(0, n, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, n)
+        if lo == 0 or hi - lo < _CHUNK_ROWS:  # dgemm needs contiguous blocks
+            blk, out = (np.empty((hi - lo, c), order="F") for c in ((1 + 2 * d) * r, Y.shape[1]))
+        blk[:, :r] = X[lo:hi]
+        _chunk_increments(grid, X, lo, hi, blk[:, r:w], blk[:, w:])
+        out = dgemm(1.0, blk[:, :w], coef[:w], c=out, overwrite_c=True)
+        out = dgemm(1.0, blk[:, w:], coef[w:], beta=1.0, c=out, overwrite_c=True)
+        P[lo:hi] = out
+    return P
 
 
 def _k_step(ctx, state, PK, PJ, AJ, src):
@@ -419,19 +440,17 @@ def _l_step(ctx, state, PJ, AJ, src, onto=None):
         rhsL += src[1] @ (X.T @ src[0]).T
     if onto is not None:
         rhsL = onto.T @ rhsL
-    return np.linalg.solve((np.eye(X.shape[1]) / dt + C[-1]).T, rhsL.T).T
+    A = C[-1].copy()  # I/dt + C[-1]: off the diagonal the sum adds an exact zero
+    A.flat[::len(A) + 1] += 1.0 / dt
+    return np.linalg.solve(A.T, rhsL.T).T
 
 
 def _bug_bases(ctx, state, K1, L1, PJ):
-    """BUG: the bases of ``K1`` and ``L1``, ``S_tilde = X1^T X S V^T V1``;
-    ``X1`` and its forward increments fill the block ``W1``."""
+    """BUG: the bases of ``K1`` and ``L1``, ``S_tilde = X1^T X S V^T V1``."""
     V1 = constrained_qr(L1, ctx.quad, state.weighted)
-    k = min(K1.shape)
-    W1 = np.empty((len(K1), (1 + ctx.grid.dim) * k), order="F")
-    X1 = _fix_signs(_qr(K1, W1[:, :k]))
-    C1, XtX = _galerkin_stack(ctx.grid, X1, ctx.sig, _forward_increments(ctx.grid, X1, W1[:, k:]),
-                              Y=state.X)
-    return X1, XtX @ state.S @ (state.V.T @ V1), V1, C1, W1
+    X1 = _fix_signs(_qr(K1))
+    C1, XtX = _galerkin_stack(ctx.grid, X1, ctx.sig, Y=state.X)
+    return X1, XtX @ state.S @ (state.V.T @ V1), V1, C1
 
 
 def _abug_bases(ctx, state, K1, L1, PJ):
@@ -441,10 +460,8 @@ def _abug_bases(ctx, state, K1, L1, PJ):
     X1 = _extend_basis(state.X, K1)
     S_tilde = np.zeros((X1.shape[1], V1.shape[1]))
     S_tilde[:state.rank] = state.S @ (state.V.T @ V1)
-    r = state.rank
-    C1, _ = _galerkin_stack(ctx.grid, X1, ctx.sig, _forward_increments(ctx.grid, X1[:, r:]),
-                            state.C, state.W[:, r:])
-    return X1, S_tilde, V1, C1, None
+    C1, _ = _galerkin_stack(ctx.grid, X1, ctx.sig, state.C)
+    return X1, S_tilde, V1, C1
 
 
 def _ap_abug_bases(ctx, state, K1, L1, PJ):
@@ -458,23 +475,22 @@ def _ap_abug_bases(ctx, state, K1, L1, PJ):
 
 
 def galerkin_stage(ctx: StepContext, state: MicroStateLowRank, rho_for_grad: np.ndarray,
-                   t_next: float = 0.0, PK: Optional[np.ndarray] = None) -> tuple:
+                   t_next: float = 0.0, PK: Optional[np.ndarray] = None, src=None) -> tuple:
     """K step, L step, basis update and S step of ``ctx.integrator``.
 
     Returns ``(stage, S_tilde)``: the new state before truncation, and the
     coupling matrix ``S_tilde = X1^T X S V^T V1`` its S step started from.
-    ``PK``, which the K step overwrites, is the K columns of the product of
-    ``_block_product(ctx, state)`` if the caller formed it.
+    A caller that formed ``P = _block_product(ctx, state)`` passes its K
+    columns as ``PK``, which the K step overwrites, and ``src``, the factors
+    of ``material.micro_source(t_next)`` or ``None``; else both are formed.
     """
     grid, quad, material, wgt = ctx.grid, ctx.quad, ctx.material, state.weighted
     if PK is None:
-        state, P = _block_product(ctx, state)
-        PK = P[:, :state.S.shape[1]]
+        PK = _block_product(ctx, state)[:, :state.S.shape[1]]
+        src = material.micro_source(t_next) if material.micro_source is not None else None
     if state.C is None:  # the first step of a run
-        C, _ = _galerkin_stack(grid, state.X, ctx.sig, state.W[:, state.rank:])
-        state = replace(state, C=C)
+        state = replace(state, C=_galerkin_stack(grid, state.X, ctx.sig)[0])
     PJ, AJ = density_grad(grid, quad, rho_for_grad)
-    src = material.micro_source(t_next) if material.micro_source is not None else None
     if wgt:  # the steps take J M and the source times M, in factored form
         AJ = quad.m[:, None] * AJ
         if src is not None:
@@ -482,14 +498,14 @@ def galerkin_stage(ctx: StepContext, state: MicroStateLowRank, rho_for_grad: np.
     L1 = _l_step(ctx, state, PJ, AJ, src)
     K1 = _k_step(ctx, state, PK, PJ, AJ, src)
     bases, _ = INTEGRATORS[ctx.integrator]
-    X1, S_tilde, V1, C1, W1 = bases(ctx, state, K1, L1, PJ)
-    stage = MicroStateLowRank(X=X1, S=S_tilde, V=V1, weighted=wgt, C=C1, W=W1)
+    X1, S_tilde, V1, C1 = bases(ctx, state, K1, L1, PJ)
+    stage = MicroStateLowRank(X=X1, S=S_tilde, V=V1, weighted=wgt, C=C1)
     return replace(stage, S=_l_step(ctx, stage, PJ, AJ, src, onto=V1).T), S_tilde
 
 
-def micro_step(ctx: StepContext, state, rho_for_grad, t_next=0.0, PK=None):
-    """One step of ``ctx.integrator``, truncated; returns ``(state, StepInfo)``."""
-    stage, S_tilde = galerkin_stage(ctx, state, rho_for_grad, t_next, PK)
+def micro_step(ctx: StepContext, state, rho_for_grad, t_next=0.0, PK=None, src=None):
+    """:func:`galerkin_stage`, truncated; returns ``(state, StepInfo)``."""
+    stage, S_tilde = galerkin_stage(ctx, state, rho_for_grad, t_next, PK, src)
     _, truncate = INTEGRATORS[ctx.integrator]
     new = truncate(ctx, stage)
     return new, StepInfo(float(np.linalg.norm(S_tilde)), min(stage.S.shape), new.rank)
@@ -511,7 +527,7 @@ def _truncate_plain(ctx, state):
     signs = _signs(U[:, :k])
     Uk = U[:, :k] * signs
     return replace(state, X=_fmul(state.X, Uk), S=np.diag(s[:k]),
-                   V=state.V @ (Wt[:k].T * signs), C=Uk.T @ state.C @ Uk, W=None)
+                   V=state.V @ (Wt[:k].T * signs), C=Uk.T @ state.C @ Uk)
 
 
 def _truncate_pinned(ctx, state):
@@ -532,14 +548,21 @@ def _truncate_pinned(ctx, state):
     _, sb, Wbt = np.linalg.svd(S1[:, d:], full_matrices=False)
     k = max(_kept_rank(sa, tau, total), _kept_rank(sb, tau, total))
     k = min(k, S1.shape[0] - d, S1.shape[1] - d)
-    T = scipy.linalg.block_diag(np.eye(d), _fix_signs(Ua[:, :k]))
-    W = scipy.linalg.block_diag(np.eye(d), _fix_signs(Wbt[:k].T))
+    T = _pinned_block(d, _fix_signs(Ua[:, :k]))
+    W = _pinned_block(d, _fix_signs(Wbt[:k].T))
     return replace(state, X=_fmul(state.X, T), S=T.T @ S1 @ W, V=state.V @ W,
-                   C=T.T @ state.C @ T, W=None)
+                   C=T.T @ state.C @ T)
+
+
+def _pinned_block(d, B):
+    """``blockdiag(I_d, B)``."""
+    T = np.zeros((d + B.shape[0], d + B.shape[1]))
+    T[:d, :d], T[d:, d:] = np.eye(d), B
+    return T
 
 
 #: Each integrator's basis update, ``(ctx, state, K1, L1, PJ) -> (X1,
-#: S_tilde, V1, C1, W1)``, and its truncation, ``(ctx, state) -> state``.
+#: S_tilde, V1, C1)``, and its truncation, ``(ctx, state) -> state``.
 INTEGRATORS = {
     "BUG": (_bug_bases, lambda ctx, state: state),
     "aBUG": (_abug_bases, _truncate_plain),
@@ -564,19 +587,19 @@ def lowrank_macro_coupled_step(
     closes the step.  Both read the old state through :func:`_block_product`.
     """
     grid, quad, material, r = ctx.grid, ctx.quad, ctx.material, state.S.shape[1]
-    state, P = _block_product(ctx, state)
+    P = _block_product(ctx, state)
+    src = material.micro_source(t_next) if material.micro_source is not None else None
     if ctx.schur is not None:
         # the Schur right-hand side: sum_j D^(j,-) of R times the axis-j flux
         # of G/dt - A(G)/eps + source, the first two terms from P
         flux = P[:, r:]
-        if material.micro_source is not None:
-            Ps, As = material.micro_source(t_next)
-            flux += Ps @ (As.T @ ctx.qw)
+        if src is not None:
+            flux += src[0] @ (src[1].T @ ctx.qw)
         flux *= ctx.R[:, None]
         b = _macro_source(material, ctx.config.dt, rho, t_next)
         rho_new = ctx.schur.solve(b - moment_div(grid, quad, flux.T))
     state_new, info = micro_step(
-        ctx, state, rho if ctx.schur is None else rho_new, t_next, P[:, :r]
+        ctx, state, rho if ctx.schur is None else rho_new, t_next, P[:, :r], src
     )
     if ctx.schur is None:
         P, A = state_new.X @ state_new.S, _g_angular(quad, state_new, state_new.V)

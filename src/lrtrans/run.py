@@ -114,8 +114,9 @@ def execute_run(manifest: RunManifest) -> RunResult:
     ``C = None``; its first step forms the Galerkin stack.  ``with_error=True``
     on a scenario without a reference raises ``ValueError`` before any work, and
     so does an ``out`` that exists, or lies under a path that exists, but is
-    not a directory; a step size too small for a finite step count raises it
-    before the first step.
+    not a directory; a step size too small for a finite step count, or one
+    step past the scenario's ``t_final`` (beyond the step count's tolerance
+    of ``1e-9`` steps), raises it before the first step.
     """
     scheme = manifest.validate()
     scen = scenarios.get_scenario(manifest.scenario, manifest.mesh_div)
@@ -125,10 +126,12 @@ def execute_run(manifest: RunManifest) -> RunResult:
     grid, quad, material = scenarios.build_objects(scen, epsilon=eps)
 
     dt = scenarios.select_dt(scen, manifest.scheme, grid, material, eps) * manifest.dt_mult
-    if not (0 < dt and scen.t_final / float(dt) < math.inf):
-        raise ValueError(f"dt multiplier {manifest.dt_mult!r} gives step size {float(dt):g}, "
-                         "too small for a finite step count")
-    n_steps = max(1, math.ceil(scen.t_final / dt - 1e-9))
+    steps = scen.t_final / float(dt) if 0 < dt else math.inf
+    if not (1 - 1e-9 <= steps < math.inf):
+        raise ValueError(f"dt multiplier {manifest.dt_mult!r} gives step size {float(dt):g}; "
+                         f"a step must be at most t_final = {scen.t_final:g} and give a "
+                         "finite step count")
+    n_steps = math.ceil(steps - 1e-9)
     if manifest.max_steps is not None:
         n_steps = min(n_steps, manifest.max_steps)
     theta = 0.0 if scheme.schur else 1.0  # the energy's theta for this coupling

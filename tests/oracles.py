@@ -14,7 +14,9 @@ solver's matrix-free stencil of that operator, and its Jacobi diagonal, are
 checked against; the solver assembles no matrix.  The product rule's loop
 order of the 2D ordinates, and the permutation of a quadrature and its micro
 source into it, are the second order that the tests run the steppers in: the
-solver's one order is the constructor's upwind quadrant order.
+solver's one order is the constructor's upwind quadrant order.  The
+low-rank step's increment block and Galerkin stack formed from whole
+``n_points``-row increment arrays are what its per-chunk increments reproduce.
 """
 
 import math
@@ -25,8 +27,10 @@ import scipy.sparse as sp
 
 from lrtrans.angular import _make
 from lrtrans.fullrank import _schur_terms
-from lrtrans.grid import StaggeredGrid, diff
-from lrtrans.lowrank import MicroStateLowRank, _seeded_state, _signs
+from scipy.linalg.blas import dgemm
+
+from lrtrans.grid import StaggeredGrid, diff, increment, shift
+from lrtrans.lowrank import MicroStateLowRank, _angs, _g_angular, _hcat, _seeded_state, _signs
 from lrtrans.ops import _check_micro, norm_w
 
 
@@ -124,6 +128,67 @@ def schur_flux_from_differences(ctx, state) -> np.ndarray:
             ang = (np.diag(1 / m) @ Q @ Pi @ np.diag(m)).T @ V
             flux -= diff(grid, j, side, K) @ ((ang / m[:, None]).T @ ctx.qw) / eps
     return flux
+
+
+def forward_increments(grid, X) -> np.ndarray:
+    """``[Delta^(j,+) X per axis]``, column-major, one whole array."""
+    r = X.shape[1]
+    out = np.empty((len(X), grid.dim * r), order="F")
+    for j in range(grid.dim):
+        increment(grid, j, +1, X, out=out[:, j * r:(j + 1) * r])
+    return out
+
+
+def block_product_whole(ctx, state) -> np.ndarray:
+    """:func:`lrtrans.lowrank._block_product` from whole ``n_points``-row
+    blocks: ``P = [W | B] coef`` for ``W = [X | Delta^(j,+) X per axis]``
+    and ``B`` the shifted forward slabs, one ``dgemm`` of each."""
+    grid, S, V, X = ctx.grid, state.S, state.V, state.X
+    d, r, k = grid.dim, X.shape[1], S.shape[1]
+    eps, dt = ctx.config.epsilon, ctx.config.dt
+    Y = _hcat([V, _g_angular(ctx.quad, state, ctx.qw)])
+    AY = _angs(ctx, V, state.weighted).reshape(len(V), -1).T @ Y
+    coef = np.empty(((1 + 2 * d) * r, Y.shape[1]))
+    coef[:r, :k] = S / dt
+    coef[:r, k:] = S @ (V.T @ Y[:, k:]) / dt
+    scale = -1.0 / (eps * np.tile(grid.spacing, 2))
+    coef[r:] = (S @ AY.reshape(2 * d, k, -1) * scale[:, None, None]).reshape(-1, Y.shape[1])
+    P = np.empty((len(X), Y.shape[1]), order="F")
+    W = np.empty((len(X), (1 + d) * r), order="F")
+    W[:, :r] = X
+    W[:, r:] = forward_increments(grid, X)
+    B = np.empty((len(X), d * r), order="F")
+    for j in range(d):
+        shift(grid, j, W[:, (1 + j) * r:(2 + j) * r], out=B[:, j * r:(j + 1) * r])
+    P = dgemm(1.0, W, coef[:W.shape[1]], c=P, overwrite_c=True)
+    return dgemm(1.0, B, coef[W.shape[1]:], beta=1.0, c=P, overwrite_c=True)
+
+
+def galerkin_stack_whole(grid, X1, sig, DQ, C=None, Y=None, chunk=4096) -> tuple:
+    """:func:`lrtrans.lowrank._galerkin_stack` from whole arrays: ``DQ``
+    holds :func:`forward_increments` of ``Q`` for ``X1 = [X, Q]`` and
+    ``Y``, with ``C``, those of ``X``; the sums run over the same chunks."""
+    r = 0 if C is None else C.shape[1]
+    d, k = grid.dim, X1.shape[1]
+    q = k - r
+    G, gram = np.zeros((k, d * q)), np.zeros((k, q))
+    XY = np.zeros((k, 0 if Y is None else Y.shape[1]))
+    for lo in range(0, len(X1), chunk):
+        rows = slice(lo, lo + chunk)
+        x = X1[rows]
+        G += x.T @ DQ[rows]
+        gram += x.T @ (sig[rows, None] * x[:, r:])
+        if Y is not None:
+            XY += x.T @ Y[rows]
+    C1 = np.empty((d + 1, k, k))
+    if r:
+        C1[:, :r, :r] = C
+    for j in range(d):
+        C1[j, :, r:] = G[:, j * q:(j + 1) * q] / grid.spacing[j]
+        C1[j, r:, :r] = XY[r:, j * r:(j + 1) * r] / grid.spacing[j]
+    C1[-1, :, r:] = gram
+    C1[-1, r:, :r] = gram[:r].T
+    return C1, XY
 
 
 def reconstruct(state: MicroStateLowRank, quad) -> np.ndarray:

@@ -2,7 +2,7 @@
 Galerkin consistency, adaptivity, and the energy-alignment counterexample."""
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,11 +11,13 @@ from lrtrans import scenarios
 from lrtrans.angular import chebyshev_legendre_2d, gauss_legendre_1d
 from lrtrans.diagnostics import zero_density_residual
 from lrtrans.fullrank import SolverConfig, build_schur, imex_step, step_context
-from lrtrans.grid import build_grid, diff, increment
+from lrtrans.grid import build_grid, diff, increment, shift
 from lrtrans.lowrank import (
+    _CHUNK_ROWS,
     MicroStateLowRank,
     _angs,
     _block_product,
+    _chunk_increments,
     _extend_basis,
     _galerkin_stack,
     _k_step,
@@ -30,8 +32,11 @@ from lrtrans.lowrank import (
 from lrtrans.ops import advect, density_grad, project_out_mean, sample_material
 from lrtrans.run import RunManifest, execute_run
 from oracles import (
+    block_product_whole,
     dense_factors,
     factorize_dense,
+    forward_increments,
+    galerkin_stack_whole,
     gm_frobenius,
     micro_norm_w_exact,
     reconstruct,
@@ -334,8 +339,8 @@ def test_k_and_l_steps_solve_their_implicit_equations(rng, weighted, with_source
         ctx = step_context(grid, quad, material, config, integrator="BUG")
         G0 = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
         st = factorize_micro(grid, quad, dense_factors(G0), 3, weighted=weighted, seed=1)
-        st, P = _block_product(ctx, st)
-        st = replace(st, C=_galerkin_stack(grid, st.X, ctx.sig, st.W[:, st.rank:])[0])
+        P = _block_product(ctx, st)
+        st = replace(st, C=_galerkin_stack(grid, st.X, ctx.sig)[0])
         rho = rng.standard_normal(grid.n_points)
         PJ, AJ = density_grad(grid, quad, rho)
         m = quad.m if weighted else np.ones(quad.n)
@@ -588,41 +593,95 @@ def test_qr_contract(rng, monkeypatch):
 
 
 def test_step_differences_each_array_once(rng, monkeypatch):
-    # one 2D IMEX-S-BUG step from a state without carried increments: X and
-    # X1 forward in two directions each (the backward increments are
-    # shifted copies), the Schur divergence on two n-vectors, and the
-    # density gradient
+    # a 2D IMEX-S-BUG step after the first (which also forms the initial
+    # state's Galerkin stack): X and X1 are differenced once each, per chunk
+    # of rows and in every direction (X forward and backward in one call),
+    # then the Schur divergence on two n-vectors and the density gradient
     import lrtrans.lowrank
     import lrtrans.ops
 
     grid, quad, material, config, schur, st, rho = setup_2d_step(rng, "IMEX-S-BUG")
-    calls = []
+    chunks, diffs = [], []
 
-    def counting(f):
+    def counting(f, calls):
         def counted(*args, **kwargs):
             calls.append(1)
             return f(*args, **kwargs)
         return counted
 
-    monkeypatch.setattr(lrtrans.lowrank, "increment", counting(increment))
-    monkeypatch.setattr(lrtrans.ops, "diff", counting(diff))
+    monkeypatch.setattr(lrtrans.lowrank, "_chunk_increments", counting(_chunk_increments, chunks))
+    monkeypatch.setattr(lrtrans.ops, "diff", counting(diff, diffs))
+    monkeypatch.setattr(lrtrans.lowrank, "_CHUNK_ROWS", 16)
     ctx = step_context(grid, quad, material, config, schur, "BUG")
-    lowrank_macro_coupled_step(ctx, rho, st, config.dt)
-    assert len(calls) <= 8
+    rho, st, _ = lowrank_macro_coupled_step(ctx, rho, st, config.dt)
+    del chunks[:], diffs[:]
+    lowrank_macro_coupled_step(ctx, rho, st, 2 * config.dt)
+    assert len(chunks) == 2 * -(-grid.n_points // 16) and len(diffs) <= 4
+
+
+_INCREMENT_GRIDS = {
+    "1d": ((0.0, 1.0), 500),
+    "2d": (((0.0, 1.0), (0.0, 1.0)), (6, 5)),
+    "2d-nonsquare": (((0.0, 1.0), (0.0, 2.0)), (7, 300)),
+    # 4096 rows end inside a line of 100 points, and a chunk straddles the families
+    "2d-split-lines": (((0.0, 1.0), (0.0, 1.0)), (100, 30)),
+}
 
 
 def test_increment_slabs_equal_row_major_increments(rng):
-    # the column-major layout changes the storage of the increment block,
-    # not the values each slab holds; X is a view of its first slab
-    grid, quad, material, config, schur, st, rho = setup_2d_step(rng, "IMEX-S-BUG")
-    ctx = step_context(grid, quad, material, config, schur, "BUG")
-    st1, P = _block_product(ctx, st)
-    W, r = st1.W, st.rank
-    assert W.flags.f_contiguous and P.flags.f_contiguous and st1.X.base is W
-    Xc = np.ascontiguousarray(st.X)
-    assert np.array_equal(W[:, :r], Xc)
-    for j in range(grid.dim):
-        assert np.array_equal(W[:, (1 + j) * r:(2 + j) * r], increment(grid, j, +1, Xc))
+    # the chunked increments of a column-major X equal, bit for bit, rows
+    # lo:hi of the increments of its row-major copy and of their shifts, for
+    # chunks that straddle the point families or split lines
+    for bounds, cells in _INCREMENT_GRIDS.values():
+        grid = build_grid(np.ndim(cells) + 1, bounds, cells)
+        d = grid.dim
+        for r in (0, 1, 5):
+            X = np.asfortranarray(rng.standard_normal((grid.n_points, r)))
+            Xc = np.ascontiguousarray(X)
+            fwd = [increment(grid, j, +1, Xc) for j in range(d)]
+            back = [shift(grid, j, f) for j, f in enumerate(fwd)]
+            for chunk in (_CHUNK_ROWS, 37, 7):
+                for lo in range(0, grid.n_points, chunk):
+                    hi = min(lo + chunk, grid.n_points)
+                    f = np.full((hi - lo, d * r), np.nan, order="F")
+                    b = np.full_like(f, np.nan)
+                    _chunk_increments(grid, X, lo, hi, f, b)
+                    for j in range(d):
+                        assert np.array_equal(f[:, j * r:(j + 1) * r], fwd[j][lo:hi])
+                        assert np.array_equal(b[:, j * r:(j + 1) * r], back[j][lo:hi])
+
+
+@pytest.mark.parametrize("name", list(_INCREMENT_GRIDS))
+def test_chunked_products_equal_whole_array_products(rng, name):
+    # the block product P and the Galerkin stacks of BUG, of the aBUG
+    # extension and of a run's first step equal, bit for bit, the same
+    # products of whole n_points-row increment arrays
+    bounds, cells = _INCREMENT_GRIDS[name]
+    grid = build_grid(np.ndim(cells) + 1, bounds, cells)
+    quad = gauss_legendre_1d(8) if grid.dim == 1 else chebyshev_legendre_2d(2)
+    material = sample_material(
+        grid, lambda c: 1.0 + 0.2 * np.cos(2 * np.pi * c[:, 0]),
+        lambda c: np.full(c.shape[0], 0.05), 0.8,
+    )
+    config = SolverConfig(epsilon=0.05, dt=0.004)
+    ctx = step_context(grid, quad, material, config, integrator="BUG")
+    for weighted in (True, False):
+        G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
+        st = factorize_micro(grid, quad, dense_factors(G), 3, weighted=weighted, seed=0)
+        P = _block_product(ctx, st)
+        assert P.flags.f_contiguous and np.array_equal(P, block_product_whole(ctx, st))
+    X, sig = st.X, ctx.sig
+    C, _ = _galerkin_stack(grid, X, sig)
+    assert np.array_equal(C, galerkin_stack_whole(grid, X, sig, forward_increments(grid, X))[0])
+    X1 = np.linalg.qr(rng.standard_normal((grid.n_points, 4)))[0]
+    for got, ref in zip(_galerkin_stack(grid, X1, sig, Y=X),
+                        galerkin_stack_whole(grid, X1, sig, forward_increments(grid, X1), Y=X)):
+        assert np.array_equal(got, ref)
+    X1 = _extend_basis(X, rng.standard_normal((grid.n_points, 3)))
+    got = _galerkin_stack(grid, X1, sig, C)
+    ref = galerkin_stack_whole(grid, X1, sig, forward_increments(grid, X1[:, 3:]), C,
+                               forward_increments(grid, X))
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
 @pytest.mark.parametrize("weighted", [True, False])
@@ -633,32 +692,22 @@ def test_block_product_flux_equals_difference_contraction(rng, weighted):
     G = project_out_mean(quad, rng.standard_normal((grid.n_points, quad.n)))
     st = factorize_micro(grid, quad, dense_factors(G), 3, weighted=weighted, seed=0)
     ctx = step_context(grid, quad, material, config, schur, "BUG")
-    _, P = _block_product(ctx, st)
+    P = _block_product(ctx, st)
     ref = schur_flux_from_differences(ctx, st)
     assert np.abs(P[:, st.rank:] - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("steps", [1, 2])
-def test_bug_step_carries_forward_increments(rng, steps):
-    # after IMEX-S-BUG steps the state carries [X | Delta^(j,+) X], equal bit
-    # for bit to fresh increments of its X, which is a view of the block
-    grid, quad, material, config, schur, st, rho = setup_2d_step(rng, "IMEX-S-BUG")
-    ctx = step_context(grid, quad, material, config, schur, "BUG")
-    for k in range(steps):
-        rho, st, _ = lowrank_macro_coupled_step(ctx, rho, st, (k + 1) * config.dt)
-    r = st.rank
-    assert st.W.shape == (grid.n_points, (1 + grid.dim) * r) and st.X.base is st.W
-    for j in range(grid.dim):
-        assert np.array_equal(st.W[:, (1 + j) * r:(2 + j) * r], increment(grid, j, +1, st.X))
-
-
-@pytest.mark.parametrize("integrator", ["aBUG", "AP-aBUG"])
-def test_truncating_steps_drop_the_carried_increments(rng, integrator):
-    # truncation rotates X, so the state it returns carries no increments
+@pytest.mark.parametrize("integrator", ["BUG", "aBUG", "AP-aBUG"])
+def test_steps_carry_only_factors(rng, integrator):
+    # after each step, with or without truncation, the state holds X, S, V
+    # and the Galerkin stack C; only X has n_points rows
     grid, quad, material, config, schur, st, rho = setup_2d_step(rng, "IMEX-S-BUG")
     ctx = step_context(grid, quad, material, config, schur, integrator, tau=1e-3)
-    rho, st, _ = lowrank_macro_coupled_step(ctx, rho, st, config.dt)
-    assert st.W is None
+    for k in range(2):
+        rho, st, _ = lowrank_macro_coupled_step(ctx, rho, st, (k + 1) * config.dt)
+        assert [f.name for f in fields(st)] == ["X", "S", "V", "weighted", "C"]
+        assert st.X.shape == (grid.n_points, st.rank) and st.X.flags.f_contiguous
+        assert st.C.shape == (grid.dim + 1, st.rank, st.rank)
 
 
 @pytest.mark.parametrize("integrator", ["BUG", "aBUG"])
@@ -970,3 +1019,31 @@ def test_lowrank_setup_allocates_less_than_one_dense_state():
         tracemalloc.stop()
     assert st.rank == scen.rank
     assert peak < dense
+
+
+def test_lowrank_step_holds_no_increment_block():
+    # gaussian2d IMEX-S-BUG at rank 10 (32768 points): above its start, each
+    # step's traced peak stays below four copies of the basis (7.5 MiB
+    # measured, against 12.1 MiB, and 19.6 on the first step, while the
+    # state carried its increments); no state field but X has n_points rows
+    scen = scenarios.get_scenario("gaussian2d")
+    grid, quad, material = scenarios.build_objects(scen)
+    dt = scenarios.select_dt(scen, "IMEX-S-BUG", grid, material, scen.epsilon)
+    config = SolverConfig(epsilon=scen.epsilon, dt=dt)
+    ctx = step_context(grid, quad, material, config, build_schur(grid, quad, material, config),
+                       "BUG")
+    rho, factors = scen.init(grid, quad, scen.epsilon)
+    st = factorize_micro(grid, quad, factors, 10, seed=0)
+    basis = 8 * grid.n_points * st.rank
+    tracemalloc.start()
+    try:
+        for k in range(2):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            rho, st, _ = lowrank_macro_coupled_step(ctx, rho, st, (k + 1) * dt)
+            assert tracemalloc.get_traced_memory()[1] - start < 4 * basis
+            tall = [f.name for f in fields(st)
+                    if getattr(getattr(st, f.name), "shape", (0,))[0] == grid.n_points]
+            assert tall == ["X"]
+    finally:
+        tracemalloc.stop()

@@ -562,8 +562,9 @@ def test_cli_sweep_varies_max_steps(tmp_path):
 # not at all: a nan tau makes the truncation rule meaningless, a nan dt_mult
 # breaks the step count, an infinite dt_mult or epsilon diverges at the first
 # step, an epsilon whose square underflows or overflows and a dt_mult too small
-# for a finite step count raise inside the set-up or the first step, and a
-# negative seed raises inside the random generator
+# for a finite step count raise inside the set-up or the first step, a dt_mult
+# whose one step passes the horizon runs to t = dt (and its reference that
+# far), and a negative seed raises inside the random generator
 @pytest.mark.parametrize(
     "flag, value, message",
     [
@@ -576,6 +577,7 @@ def test_cli_sweep_varies_max_steps(tmp_path):
         pytest.param("--epsilon", "1e-300", "epsilon", id="epsilon-square-underflows"),
         pytest.param("--epsilon", "1e300", "epsilon", id="epsilon-square-overflows"),
         pytest.param("--dt-mult", "1e-320", "dt multiplier", id="dt_mult-step-count-overflows"),
+        pytest.param("--dt-mult", "1e4", "at most t_final", id="dt_mult-step-past-horizon"),
         pytest.param("--seed", "-1", "seed", id="seed-negative"),
     ],
 )
