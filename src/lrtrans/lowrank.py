@@ -80,7 +80,7 @@ from scipy.linalg.blas import dgemm
 from .angular import QuadratureSet
 from .fullrank import DivergenceError, StepContext, _macro_source
 # ``diff`` is importable here as in every module that differences, for tracers
-from .grid import StaggeredGrid, _line_increment, diff  # noqa: F401
+from .grid import StaggeredGrid, _line_increment, diff, shift  # noqa: F401
 from .ops import density_grad, flux_div_factored, moment_div
 
 
@@ -240,28 +240,34 @@ _CHUNK_ROWS = 4096  #: rows per chunk of the step's products, fastest at 32768 x
 def _chunk_increments(grid, X, lo, hi, fwd, back=None):
     """Rows ``lo:hi`` of ``increment(grid, j, +1, X)`` per axis into the
     column slabs of ``fwd`` and, if given, of their shifts (the ``-1``
-    increments) into ``back``, bit for bit.  The whole lines of axis ``j``
-    inside the rows go through :func:`grid._line_increment`; a part of a
-    line at either end (of a point family along the outer axis, of a row
-    along an inner one) takes two slice subtractions that read the rows
-    past it, or the line's other end, straight from ``X``.
-    """
+    increments) into ``back``, bit for bit.  Whole lines of axis ``j`` go
+    through :func:`grid._line_increment` and :func:`grid.shift`; a part of
+    a line at either end (of a point family along the outer axis, of a row
+    along an inner one) takes slice subtractions of rows read straight from
+    ``X`` and a shifted copy of its own forward increments."""
     r = X.shape[1]
     for j in range(grid.dim):
         s, length = math.prod(grid.cells[:j]), grid.cells[j]
         span = s * length
         a, b = lo - lo % -span, hi - hi % span      # the whole lines inside
-        for out, side in ((fwd, +1), (back, -1))[:1 if back is None else 2]:
-            o = out[:, j * r:(j + 1) * r]
-            if a < b:
-                _line_increment(X[a:b], o[a - lo:b - lo], s, length, side)
-            # row offsets of the two operands before and from the wrap at e
-            offsets = ((s, 0), (s - span, 0)) if side > 0 else ((0, span - s), (0, -s))
-            for p, q in ((lo, min(a, hi)), (max(a, b), hi)):
-                if p < q:
-                    e = min(q, max(p, p - p % span + (span - s if side > 0 else s)))
-                    for u, v, (x, y) in ((p, e, offsets[0]), (e, q, offsets[1])):
-                        np.subtract(X[u + x:v + x], X[u + y:v + y], out=o[u - lo:v - lo])
+        f = fwd[:, j * r:(j + 1) * r]
+        g = None if back is None else back[:, j * r:(j + 1) * r]
+        if a < b:
+            _line_increment(X[a:b], f[a - lo:b - lo], s, length, +1)
+            if g is not None:
+                shift(grid, j, f[a - lo:b - lo], out=g[a - lo:b - lo])
+        for p, q in ((lo, min(a, hi)), (max(a, b), hi)):
+            if p < q:
+                start = p - p % span
+                e = max(p, min(q, start + span - s))    # rows from e wrap forward
+                np.subtract(X[p + s:e + s], X[p:e], out=f[p - lo:e - lo])
+                np.subtract(X[e + s - span:q + s - span], X[e:q], out=f[e - lo:q - lo])
+                if g is not None:  # a row s past p takes the forward increment s before it
+                    m = min(q, p + s)
+                    e = min(m, max(p, start + s))        # rows before e wrap back
+                    np.subtract(X[p:e], X[p + span - s:e + span - s], out=g[p - lo:e - lo])
+                    np.subtract(X[e:m], X[e - s:m - s], out=g[e - lo:m - lo])
+                    g[m - lo:q - lo] = f[m - s - lo:q - s - lo]
 
 
 def _galerkin_stack(grid, X1, sig, C=None, Y=None):
@@ -548,17 +554,11 @@ def _truncate_pinned(ctx, state):
     _, sb, Wbt = np.linalg.svd(S1[:, d:], full_matrices=False)
     k = max(_kept_rank(sa, tau, total), _kept_rank(sb, tau, total))
     k = min(k, S1.shape[0] - d, S1.shape[1] - d)
-    T = _pinned_block(d, _fix_signs(Ua[:, :k]))
-    W = _pinned_block(d, _fix_signs(Wbt[:k].T))
+    T, W = np.zeros((S1.shape[0], d + k)), np.zeros((S1.shape[1], d + k))
+    for M, B in ((T, Ua[:, :k]), (W, Wbt[:k].T)):   # blockdiag(I_d, B), by slices
+        M[:d, :d], M[d:, d:] = np.eye(d), _fix_signs(B)
     return replace(state, X=_fmul(state.X, T), S=T.T @ S1 @ W, V=state.V @ W,
                    C=T.T @ state.C @ T)
-
-
-def _pinned_block(d, B):
-    """``blockdiag(I_d, B)``."""
-    T = np.zeros((d + B.shape[0], d + B.shape[1]))
-    T[:d, :d], T[d:, d:] = np.eye(d), B
-    return T
 
 
 #: Each integrator's basis update, ``(ctx, state, K1, L1, PJ) -> (X1,
