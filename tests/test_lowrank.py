@@ -710,6 +710,28 @@ def test_steps_carry_only_factors(rng, integrator):
         assert st.C.shape == (grid.dim + 1, st.rank, st.rank)
 
 
+@pytest.mark.parametrize("steps", [1, 2])
+def test_bug_step_carries_forward_increments(rng, steps):
+    # after IMEX-S-BUG steps the state carries the forward increments of its
+    # X through C, C[j] = X^T Delta^(j,+) X / h_j, and the next step's
+    # chunked increments of X equal fresh whole-array ones bit for bit
+    grid, quad, material, config, schur, st, rho = setup_2d_step(rng, "IMEX-S-BUG")
+    ctx = step_context(grid, quad, material, config, schur, "BUG")
+    for k in range(steps):
+        rho, st, _ = lowrank_macro_coupled_step(ctx, rho, st, (k + 1) * config.dt)
+    X, r, n = st.X, st.rank, grid.n_points
+    ref = forward_increments(grid, X)
+    for j in range(grid.dim):
+        C = X.T @ ref[:, j * r:(j + 1) * r] / grid.spacing[j]
+        assert np.abs(st.C[j] - C).max() <= 1e-14 * np.abs(C).max()
+    for chunk in (n, 7):
+        for lo in range(0, n, chunk):
+            hi = min(lo + chunk, n)
+            f = np.full((hi - lo, grid.dim * r), np.nan, order="F")
+            _chunk_increments(grid, X, lo, hi, f)
+            assert np.array_equal(f, ref[lo:hi])
+
+
 @pytest.mark.parametrize("integrator", ["BUG", "aBUG"])
 def test_spatial_qr_factorizes_column_major_blocks(rng, integrator, monkeypatch):
     # K1 and the aBUG extension block reach LAPACK column-major, so it
